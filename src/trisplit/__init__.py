@@ -9,8 +9,9 @@ Subpackage map:
   spectral norm, constraint solver, structured random operators).
 * ``splitting``      -- splitting schemes as exponential products, error
   measurement and the closed-form leading error term.
-* ``duhamel``        -- nested Gauss-Legendre quadrature of the integral error
-  representation and the commutator error bound.
+* ``duhamel``        -- the integral error representation: inner integrals
+  exact via block exponentials, Gauss-Legendre only for the outer
+  tau-integral; the commutator error bound.
 * ``schrodinger``    -- periodic 1D split-step Fourier solver and commutator
   structure checks for the kinetic/potential pair.
 * ``harness``        -- convergence studies, certification and verification

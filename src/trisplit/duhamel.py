@@ -1,4 +1,4 @@
-"""Integral error representation of the three-factor splitting, by quadrature.
+"""Integral error representation of the three-factor splitting.
 
 The product e^{tP1}e^{tP2}e^{tP3} deviates from e^{t(P1+P2+P3)} by an error
 that, once [P1,P2] + [P1,P3] + [P2,P3] = 0 holds, admits an *exact* integral
@@ -20,12 +20,23 @@ needed):
 
 and the variation-of-constants kernel for a single pair is
 
-    [e^{tP}, Q] = e^{tP} int_0^t e^{-s P}[P,Q]e^{s P} ds
-                = int_0^t e^{s P}[P,Q]e^{-s P} ds  e^{tP}.
+    [e^{tP}, Q] = int_0^t e^{(t-s)P} [P,Q] e^{sP} ds.
 
-Everything here evaluates those integrals with composite Gauss-Legendre rules
-(every nesting level uses the same order and panel count) and validates them
-against direct computation.  The error bound
+The inner integrals are exact.  Each is the top-right block of the exponential
+of one block upper-bidiagonal matrix (Van Loan, "Computing integrals involving
+the matrix exponential", IEEE TAC 1978).  Writing VL(t; A1, B1, A2, ..., Ak)
+for that block (see ``_van_loan``), K23 = [P2,P3], K1 = [P1,K23],
+K2 = [P2,K23] and I the identity:
+
+    [e^{tP}, Q] = VL(t; P, [P,Q], P),
+    W(tau) = VL(tau; P1, I, P1, K1, P1)
+             + e^{tau P1} e^{tau P2} VL(tau; -P2, I, -P2, K2, -P2)   (double integral)
+           = e^{tau P1} e^{tau P2} VL(tau; -P2, K23, -P2)
+             - VL(tau; P1, K23, P1)                                  (defining).
+
+Only the outer tau-integral of E(t) uses quadrature, composite Gauss-Legendre
+with panel doubling: its factor e^{tau P2} e^{tau P3} is not one exponential.
+The error bound
 
     ||E(t)|| <= (t^3/6) (||[P1,[P2,P3]]|| + ||[P2,[P2,P3]]||)
 
@@ -39,14 +50,8 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
-from trisplit.matrix_core import (
-    as_complex_matrix,
-    commutator,
-    is_skew_hermitian,
-    op_norm,
-)
+from trisplit.matrix_core import as_complex_matrix, commutator, expm, op_norm
 from trisplit.splitting import check_second_order, triple_splitting_error
 
 #: Refinement cap: panel counts grow by doubling at most this many times.
@@ -79,43 +84,6 @@ class QuadratureSpec:
             raise ValueError("target_tol must be positive")
 
 
-class Propagator:
-    """Evaluates s -> e^{sM} repeatedly for one fixed M.
-
-    Skew-Hermitian M is diagonalized once (M = i H with H Hermitian), after
-    which each evaluation is a scaled matrix product; anything else falls back
-    to the scaling-and-squaring exponential, memoized per time argument.  The
-    node sets of nested quadrature rules revisit time arguments constantly, so
-    the memoization is what keeps triple integrals affordable.
-    """
-
-    def __init__(self, m):
-        m = as_complex_matrix(m)
-        self._dim = m.shape[0]
-        self._cache = {}
-        if is_skew_hermitian(m):
-            eigenvalues, vectors = np.linalg.eigh(-1j * m)
-            self._spectrum = 1j * eigenvalues
-            self._vectors = vectors
-            self._vectors_h = vectors.conj().T
-            self._matrix = None
-        else:
-            self._spectrum = None
-            self._matrix = m
-
-    def __call__(self, s: float) -> np.ndarray:
-        s = float(s)
-        cached = self._cache.get(s)
-        if cached is not None:
-            return cached
-        if self._spectrum is not None:
-            value = (self._vectors * np.exp(s * self._spectrum)) @ self._vectors_h
-        else:
-            value = scipy.linalg.expm(s * self._matrix)
-        self._cache[s] = value
-        return value
-
-
 _LEGENDRE_CACHE = {}
 
 
@@ -138,7 +106,7 @@ def _panel_nodes(upper: float, order: int, panels: int):
     return nodes, weights
 
 
-def _refined(evaluate, quad: QuadratureSpec, refine: bool, label: str) -> np.ndarray:
+def _refined(evaluate, quad: QuadratureSpec, refine: bool) -> np.ndarray:
     panels = quad.panels
     previous = evaluate(panels)
     if not refine:
@@ -150,98 +118,66 @@ def _refined(evaluate, quad: QuadratureSpec, refine: bool, label: str) -> np.nda
             return current
         previous = current
     raise ToleranceNotReached(
-        f"{label}: {MAX_PANEL_DOUBLINGS} panel doublings did not reach "
+        f"duhamel_error: {MAX_PANEL_DOUBLINGS} panel doublings did not reach "
         f"target_tol {quad.target_tol!r}"
     )
 
 
-def _conjugation_integral(prop: Propagator, kernel, upper, order, panels):
-    """int_0^upper e^{sM} K e^{-sM} ds by composite Gauss-Legendre."""
-    nodes, weights = _panel_nodes(upper, order, panels)
-    total = np.zeros_like(kernel)
-    for s, w in zip(nodes, weights):
-        total += w * (prop(s) @ kernel @ prop(-s))
-    return total
+def _van_loan(t: float, *blocks) -> np.ndarray:
+    """Top-right n x n block of e^{tC}, C block upper-bidiagonal.
 
+    ``blocks`` lists C's diagonal blocks A1..Ak interleaved with its
+    superdiagonal blocks B1..B(k-1): A1, B1, A2, ..., B(k-1), Ak.  The block
+    is the iterated integral
 
-def z_integral(p, q, t, quad=None, side="left", refine=True) -> np.ndarray:
-    """Variation-of-constants form of [e^{tP}, Q].
-
-    side "left":  e^{tP} int_0^t e^{-sP}[P,Q]e^{sP} ds
-    side "right": int_0^t e^{sP}[P,Q]e^{-sP} ds  e^{tP}
+        int_{0 <= r_(k-1) <= ... <= r_1 <= t}
+            e^{(t-r_1)A1} B1 e^{(r_1-r_2)A2} B2 ... e^{r_(k-1) Ak}.
     """
-    quad = quad or QuadratureSpec()
+    n = blocks[0].shape[0]
+    k = (len(blocks) + 1) // 2
+    c = np.zeros((k * n, k * n), dtype=np.complex128)
+    for i, block in enumerate(blocks):
+        row, col = i // 2, (i + 1) // 2
+        c[row * n : (row + 1) * n, col * n : (col + 1) * n] = block
+    return expm(c, t)[:n, -n:]
+
+
+def z_integral(p, q, t) -> np.ndarray:
+    """[e^{tP}, Q] in variation-of-constants form,
+    int_0^t e^{(t-s)P} [P,Q] e^{sP} ds, evaluated exactly."""
     p = as_complex_matrix(p)
     q = as_complex_matrix(q)
-    kernel = commutator(p, q)
-    if t == 0:
-        return np.zeros_like(kernel)
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    prop = Propagator(p)
-
-    def once(panels):
-        if side == "right":
-            return _conjugation_integral(prop, kernel, t, quad.gauss_order, panels) @ prop(t)
-        nodes, weights = _panel_nodes(t, quad.gauss_order, panels)
-        total = np.zeros_like(kernel)
-        for s, w in zip(nodes, weights):
-            total += w * (prop(-s) @ kernel @ prop(s))
-        return prop(t) @ total
-
-    return _refined(once, quad, refine, "z_integral")
+    return _van_loan(t, p, commutator(p, q), p)
 
 
 W_FORMS = ("double_integral", "defining")
 
 
-def w_integral(p1, p2, p3, tau, quad=None, form="double_integral", refine=True) -> np.ndarray:
+def w_integral(p1, p2, p3, tau, form="double_integral") -> np.ndarray:
     """The W(tau) kernel of the error representation, in either form.
 
     The two forms are equal for *any* operator triple — the equivalence is a
     variation-of-constants identity and does not use the second-order
     condition.
     """
-    quad = quad or QuadratureSpec()
     p1 = as_complex_matrix(p1)
     p2 = as_complex_matrix(p2)
     p3 = as_complex_matrix(p3)
     if form not in W_FORMS:
         raise ValueError(f"form must be one of {W_FORMS}, got {form!r}")
-    if tau == 0:
-        return np.zeros_like(p1)
-    prop1 = Propagator(p1)
-    prop2 = Propagator(p2)
     k23 = commutator(p2, p3)
-
+    forward = expm(p1, tau) @ expm(p2, tau)
     if form == "defining":
-
-        def once(panels):
-            inner2 = _conjugation_integral(prop2, k23, tau, quad.gauss_order, panels)
-            inner1 = _conjugation_integral(prop1, k23, tau, quad.gauss_order, panels)
-            return prop1(tau) @ inner2 - inner1 @ prop1(tau)
-
-    else:
-        k1 = commutator(p1, k23)
-        k2 = commutator(p2, k23)
-
-        def once(panels):
-            nodes, weights = _panel_nodes(tau, quad.gauss_order, panels)
-            first = np.zeros_like(p1)
-            second = np.zeros_like(p1)
-            for eta, w in zip(nodes, weights):
-                g1 = _conjugation_integral(prop1, k1, eta, quad.gauss_order, panels)
-                first += w * (prop1(tau - eta) @ g1 @ prop1(eta))
-                second += w * _conjugation_integral(
-                    prop2, k2, eta, quad.gauss_order, panels
-                )
-            return first + prop1(tau) @ second
-
-    return _refined(once, quad, refine, f"w_integral[{form}]")
+        return forward @ _van_loan(tau, -p2, k23, -p2) - _van_loan(tau, p1, k23, p1)
+    eye = np.eye(p1.shape[0], dtype=np.complex128)
+    return _van_loan(tau, p1, eye, p1, commutator(p1, k23), p1) + forward @ _van_loan(
+        tau, -p2, eye, -p2, commutator(p2, k23), -p2
+    )
 
 
 def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
-    """Triple-nested quadrature of the exact error representation.
+    """The exact error representation E(t): Gauss-Legendre over tau of the
+    exact double-integral W(tau).
 
     Requires the second-order condition: without it the representation misses
     the surviving single-commutator term and cannot match the measured error.
@@ -256,34 +192,21 @@ def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
             f"second-order condition residual {residual:.3e} exceeds the "
             f"{CONDITION_TOL!r} gate; the integral representation does not apply"
         )
-    if t == 0:
-        return np.zeros_like(p1)
-    prop1 = Propagator(p1)
-    prop2 = Propagator(p2)
-    prop3 = Propagator(p3)
-    prop_sum = Propagator(p1 + p2 + p3)
-    k23 = commutator(p2, p3)
-    k1 = commutator(p1, k23)
-    k2 = commutator(p2, k23)
-
-    def w_at(tau, panels):
-        nodes, weights = _panel_nodes(tau, quad.gauss_order, panels)
-        first = np.zeros_like(p1)
-        second = np.zeros_like(p1)
-        for eta, w in zip(nodes, weights):
-            g1 = _conjugation_integral(prop1, k1, eta, quad.gauss_order, panels)
-            first += w * (prop1(tau - eta) @ g1 @ prop1(eta))
-            second += w * _conjugation_integral(prop2, k2, eta, quad.gauss_order, panels)
-        return first + prop1(tau) @ second
+    total_generator = p1 + p2 + p3
 
     def once(panels):
         nodes, weights = _panel_nodes(t, quad.gauss_order, panels)
         total = np.zeros_like(p1)
         for tau, w in zip(nodes, weights):
-            total += w * (prop_sum(t - tau) @ w_at(tau, panels) @ prop2(tau) @ prop3(tau))
+            total += w * (
+                expm(total_generator, t - tau)
+                @ w_integral(p1, p2, p3, tau)
+                @ expm(p2, tau)
+                @ expm(p3, tau)
+            )
         return total
 
-    return _refined(once, quad, refine, "duhamel_error")
+    return _refined(once, quad, refine)
 
 
 def error_bound(p1, p2, p3, t) -> float:
@@ -321,25 +244,19 @@ class ErrorReport:
         return cls(**json.loads(text))
 
 
-def build_error_report(p1, p2, p3, t, quad=None, sign_factor=None) -> ErrorReport:
+def build_error_report(p1, p2, p3, t, quad=None) -> ErrorReport:
     """Measure S(t) - e^{tL} directly, evaluate the integral representation,
     and compare.
 
-    When ``sign_factor`` is None the sign is calibrated here, by picking the
-    one that minimizes the discrepancy; pass a previously calibrated value to
-    assert sign constancy across several times for one operator triple.
+    The representation is compared as it stands, with sign +1: a sign error
+    in it shows as a discrepancy near twice the error norm.
     """
     measured = triple_splitting_error(p1, p2, p3, t)
     represented = duhamel_error(p1, p2, p3, t, quad=quad)
-    if sign_factor is None:
-        plus = op_norm(measured - represented)
-        minus = op_norm(measured + represented)
-        sign_factor = 1 if plus <= minus else -1
-    discrepancy = op_norm(measured - sign_factor * represented)
     return ErrorReport(
         measured_error_norm=op_norm(measured),
         duhamel_norm=op_norm(represented),
         bound_value=error_bound(p1, p2, p3, t),
-        sign_factor=int(sign_factor),
-        discrepancy=float(discrepancy),
+        sign_factor=1,
+        discrepancy=op_norm(measured - represented),
     )

@@ -455,32 +455,24 @@ def verify_duhamel(
     """Compare the integral error representation against the measured error.
 
     For every sampled constraint-satisfying triple and every t, the
-    discrepancy must sit below ``discrepancy_tol`` and the calibrated sign
-    must be the same at every t of the instance.
+    discrepancy must sit below ``discrepancy_tol``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if dim > 8:
-        raise ValueError("dim capped at 8 (triple-quadrature cost)")
     rows = []
     notes = []
     passed = True
     for index, child in enumerate(derive_seeds(seed, count)):
         p1, p2, p3 = sample_constrained_triple(dim, child)
-        signs = []
         for t in t_list:
             report = build_error_report(p1, p2, p3, t, quad=quad)
             rows.append(DuhamelCampaignRow(index, float(t), report))
-            signs.append(report.sign_factor)
             if report.discrepancy > discrepancy_tol:
                 passed = False
                 notes.append(
                     f"instance {index}, t={t!r}: discrepancy "
                     f"{report.discrepancy:.3e} above {discrepancy_tol!r}"
                 )
-        if len(set(signs)) > 1:
-            passed = False
-            notes.append(f"instance {index}: sign flips across t ({signs})")
     return DuhamelCampaign(tuple(rows), discrepancy_tol, passed, "; ".join(notes))
 
 

@@ -59,10 +59,6 @@ class SplittingScheme:
         seen = dict.fromkeys(ref for ref, _ in self.operands)
         return tuple(seen)
 
-    @property
-    def is_palindromic(self) -> bool:
-        return self.operands == self.operands[::-1]
-
 
 @dataclass(frozen=True)
 class OperatorSet:

@@ -154,6 +154,14 @@ def test_verify_bound_small(config_path, tmp_path, capsys):
     assert all(line.endswith("false") for line in lines[1:])
 
 
+def test_verify_bound_at_long_times(tmp_path, capsys):
+    # t * ||P||_1 is far above 700 here; the exponentials are still unitary
+    path = tmp_path / "long.ini"
+    path.write_text("[config]\nversion = 1\n\n[verify-bound]\ncount = 2\nt_values = 200\n")
+    assert main(["verify-bound", "--config", str(path)]) == EXIT_PASS
+    assert "0 violations" in capsys.readouterr().out
+
+
 def test_schrodinger_bench_artifact(config_path, tmp_path, capsys):
     out_dir = tmp_path / "bench"
     code = main(["schrodinger-bench", "--config", config_path, "--out", str(out_dir)])

@@ -2,12 +2,11 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+from trisplit import duhamel
 from trisplit.duhamel import (
     ConditionViolated,
     ErrorReport,
-    Propagator,
     QuadratureSpec,
     ToleranceNotReached,
     build_error_report,
@@ -16,6 +15,7 @@ from trisplit.duhamel import (
     w_integral,
     z_integral,
 )
+from trisplit.harness import verify_duhamel
 from trisplit.matrix_core import (
     commutator,
     expm,
@@ -30,6 +30,14 @@ def constrained_triple(dim, seed):
     p1 = random_skew_hermitian(dim, seed=seed)
     p2 = random_skew_hermitian(dim, seed=seed + 1000)
     return p1, p2, solve_second_order_constraint(p1, p2)
+
+
+def non_normal(dim, seed):
+    """A Jordan block plus a random complex diagonal: not diagonalizable
+    by a unitary, so no spectral shortcut applies."""
+    rng = np.random.default_rng(seed)
+    jordan = np.diag(np.ones(dim - 1), k=1)
+    return jordan + np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
 
 def direct_bracket(p, q, t):
@@ -51,31 +59,15 @@ def test_quadrature_spec_validation():
         QuadratureSpec(target_tol=0.0)
 
 
-def test_propagator_skew_path_matches_scipy():
-    m = random_skew_hermitian(6, seed=40)
-    prop = Propagator(m)
-    for s in (0.0, 0.3, -1.7):
-        assert op_norm(prop(s) - scipy.linalg.expm(s * m)) <= 1e-12
-
-
-def test_propagator_general_path():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent, not skew-Hermitian
-    prop = Propagator(m)
-    assert np.allclose(prop(2.0), np.array([[1.0, 2.0], [0.0, 1.0]]), atol=1e-14)
-    # repeated calls hit the cache and return the same object
-    assert prop(2.0) is prop(2.0)
-
-
 # --- the commutator-with-exponential integral ---------------------------------
 
 
 def test_z_integral_matches_direct_commutator():
-    p = random_skew_hermitian(4, seed=50)
     q = random_skew_hermitian(4, seed=51)
-    for t in (0.1, 1.0):
-        direct = direct_bracket(p, q, t)
-        for side in ("left", "right"):
-            z = z_integral(p, q, t, side=side)
+    for p in (random_skew_hermitian(4, seed=50), non_normal(4, seed=57)):
+        for t in (0.1, 1.0):
+            direct = direct_bracket(p, q, t)
+            z = z_integral(p, q, t)
             assert op_norm(z - direct) <= 1e-12 * max(1.0, op_norm(direct))
 
 
@@ -89,29 +81,18 @@ def test_z_integral_zero_cases():
     assert op_norm(z_integral(d1, d2, 0.7)) <= 1e-14
 
 
-def test_z_integral_side_validation():
-    p = random_skew_hermitian(2, seed=54)
-    with pytest.raises(ValueError):
-        z_integral(p, p, 0.5, side="middle")
-
-
-def test_z_integral_unconverged_quadrature_raises():
-    p = random_skew_hermitian(4, seed=55) * 3.0
-    q = random_skew_hermitian(4, seed=56)
-    with pytest.raises(ToleranceNotReached):
-        z_integral(p, q, 1.0, quad=QuadratureSpec(gauss_order=2, target_tol=1e-30))
-
-
 # --- the W kernel ---------------------------------------------------------------
 
 
 def test_w_integral_forms_agree_for_any_triple():
-    # the two forms are an unconditional identity; use an unconstrained triple
-    p1, p2, p3 = (random_skew_hermitian(4, seed=s) for s in (60, 61, 62))
-    for tau in (0.2, 0.9):
-        a = w_integral(p1, p2, p3, tau, form="double_integral")
-        b = w_integral(p1, p2, p3, tau, form="defining")
-        assert op_norm(a - b) <= 1e-10 * max(1.0, op_norm(a))
+    # the two forms are an unconditional identity; use unconstrained triples
+    skew = tuple(random_skew_hermitian(4, seed=s) for s in (60, 61, 62))
+    general = tuple(non_normal(4, seed=s) for s in (67, 68, 69))
+    for p1, p2, p3 in (skew, general):
+        for tau in (0.2, 0.9):
+            a = w_integral(p1, p2, p3, tau, form="double_integral")
+            b = w_integral(p1, p2, p3, tau, form="defining")
+            assert op_norm(a - b) <= 1e-10 * max(1.0, op_norm(a))
 
 
 def test_w_integral_zero_cases():
@@ -140,11 +121,24 @@ def test_duhamel_error_requires_the_condition():
 
 
 def test_duhamel_error_reproduces_measured_error():
-    p1, p2, p3 = constrained_triple(4, seed=73)
-    for t in (0.25, 0.5):
-        represented = duhamel_error(p1, p2, p3, t)
-        measured = triple_splitting_error(p1, p2, p3, t)
-        assert op_norm(represented - measured) <= 1e-8
+    # P3 = -P2 + Z with Z commuting with P1 + P2 solves the condition away
+    # from the minimum-norm point the constraint solver returns
+    q1 = random_skew_hermitian(16, seed=76)
+    q2 = random_skew_hermitian(16, seed=77)
+    _, u = np.linalg.eigh(-1j * (q1 + q2))
+    r = np.random.default_rng(78).standard_normal(16)
+    z = (u * 1j * r) @ u.conj().T
+    for p1, p2, p3 in (constrained_triple(4, seed=73), (q1, q2, -q2 + z)):
+        for t in (0.25, 0.5):
+            represented = duhamel_error(p1, p2, p3, t)
+            measured = triple_splitting_error(p1, p2, p3, t)
+            assert op_norm(represented - measured) <= 1e-8
+
+
+def test_duhamel_error_unconverged_quadrature_raises():
+    p1, p2, p3 = constrained_triple(4, seed=55)
+    with pytest.raises(ToleranceNotReached):
+        duhamel_error(p1, p2, p3, 1.0, quad=QuadratureSpec(gauss_order=2, target_tol=1e-30))
 
 
 def test_duhamel_error_cubic_scaling():
@@ -226,9 +220,19 @@ def test_error_report_sign_validation():
 def test_build_error_report_end_to_end():
     p1, p2, p3 = constrained_triple(4, seed=86)
     report = build_error_report(p1, p2, p3, 0.25)
-    assert report.sign_factor in (1, -1)
+    assert report.sign_factor == 1
     assert report.discrepancy <= 1e-8
     assert report.measured_error_norm <= report.bound_value + 1e-9
-    # re-using the calibrated sign must reproduce the same discrepancy
-    again = build_error_report(p1, p2, p3, 0.25, sign_factor=report.sign_factor)
-    assert again.discrepancy == pytest.approx(report.discrepancy, abs=1e-15)
+
+
+def test_sign_error_in_the_representation_is_reported(monkeypatch):
+    p1, p2, p3 = constrained_triple(4, seed=86)
+    exact = duhamel_error(p1, p2, p3, 0.25)
+    original = duhamel.duhamel_error
+    monkeypatch.setattr(
+        duhamel, "duhamel_error", lambda *args, **kwargs: -original(*args, **kwargs)
+    )
+    report = build_error_report(p1, p2, p3, 0.25)
+    assert report.discrepancy == pytest.approx(2 * op_norm(exact), rel=1e-6)
+    campaign = verify_duhamel(count=1, dim=4, t_list=(0.25,), seed=11)
+    assert not campaign.passed

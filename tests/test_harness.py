@@ -166,17 +166,15 @@ def test_verify_duhamel_small_campaign():
     assert len(campaign.rows) == 6
     for row in campaign.rows:
         assert row.report.discrepancy <= campaign.discrepancy_tol
-    # the calibrated sign is constant within each instance
-    for instance in (0, 1, 2):
-        signs = {r.report.sign_factor for r in campaign.rows if r.instance == instance}
-        assert len(signs) == 1
+    assert all(row.report.sign_factor == 1 for row in campaign.rows)
 
 
 def test_verify_duhamel_argument_validation():
     with pytest.raises(ValueError):
         verify_duhamel(count=0, dim=4, t_list=(0.5,), seed=1)
-    with pytest.raises(ValueError):
-        verify_duhamel(count=1, dim=9, t_list=(0.5,), seed=1)
+    # no dimension cap: a dim-16 campaign runs and passes
+    campaign = verify_duhamel(count=1, dim=16, t_list=(0.5,), seed=1)
+    assert campaign.passed, campaign.notes
 
 
 def test_verify_bound_small_campaign():

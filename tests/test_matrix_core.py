@@ -4,18 +4,12 @@ import scipy.linalg
 
 from trisplit.matrix_core import (
     ResidualTooLarge,
-    SkewHermitian,
     as_complex_matrix,
     commutator,
-    dump_matrix,
     expm,
-    frobenius_norm,
     is_skew_hermitian,
-    load_matrix,
     op_norm,
-    parse_matrix,
     random_skew_hermitian,
-    save_matrix,
     solve_second_order_constraint,
 )
 
@@ -44,13 +38,6 @@ def test_is_skew_hermitian():
     m = random_skew_hermitian(5, seed=3)
     assert is_skew_hermitian(m * 1e8)
     assert not is_skew_hermitian(m + 1e-6 * np.eye(5))
-
-
-def test_skew_hermitian_wrapper_rejects_hermitian():
-    with pytest.raises(ValueError):
-        SkewHermitian(np.eye(3))
-    w = SkewHermitian(random_skew_hermitian(4, seed=9))
-    assert w.matrix.shape == (4, 4)
 
 
 def test_expm_zero_matrix_is_identity():
@@ -92,6 +79,15 @@ def test_expm_overflow_guard():
     expm(m, 1e-3)
 
 
+def test_expm_of_large_skew_hermitian_is_unitary():
+    # t * ||M||_1 far above 700, yet e^{tM} is unitary and finite
+    m = random_skew_hermitian(16, seed=43)
+    t = 100.0
+    assert t * np.linalg.norm(m, 1) > 700
+    u = expm(m, t)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(16), 2) <= 1e-10
+
+
 def test_commutator_basics():
     a = random_skew_hermitian(5, seed=1)
     b = random_skew_hermitian(5, seed=2)
@@ -107,8 +103,8 @@ def test_op_norm_values():
     assert op_norm(np.eye(7)) == pytest.approx(1.0, abs=1e-14)
     assert op_norm(np.diag([3.0, -4.0j])) == pytest.approx(4.0, abs=1e-14)
     m = random_skew_hermitian(6, seed=5)
-    assert op_norm(m) <= frobenius_norm(m) + 1e-14
-    assert frobenius_norm(m) <= np.sqrt(6) * op_norm(m) + 1e-14
+    assert op_norm(m) <= np.linalg.norm(m) + 1e-14
+    assert np.linalg.norm(m) <= np.sqrt(6) * op_norm(m) + 1e-14
 
 
 def test_random_skew_hermitian_contract():
@@ -175,7 +171,7 @@ def test_solver_is_minimum_norm():
     p1 = random_skew_hermitian(5, seed=8)
     p2 = random_skew_hermitian(5, seed=9)
     p3 = solve_second_order_constraint(p1, p2)
-    assert frobenius_norm(p3) <= frobenius_norm(p1) + 1e-12
+    assert np.linalg.norm(p3) <= np.linalg.norm(p1) + 1e-12
     residual_direct = commutator(p1 + p2, p1) + commutator(p1, p2)
     assert op_norm(residual_direct) <= 1e-14
 
@@ -191,39 +187,3 @@ def test_solver_dimension_mismatch():
     with pytest.raises(ValueError):
         solve_second_order_constraint(np.eye(2) * 1j, np.eye(3) * 1j)
 
-
-# --- plain-text serialization -------------------------------------------------
-
-
-def test_matrix_roundtrip_is_exact():
-    m = random_skew_hermitian(5, seed=77) * np.pi
-    back = parse_matrix(dump_matrix(m))
-    assert np.array_equal(back, m)  # bit-exact via repr
-    assert back.dtype == np.complex128
-
-
-def test_matrix_dump_format():
-    text = dump_matrix(np.array([[1.5 + 0.25j]]))
-    lines = text.strip().splitlines()
-    assert lines[0] == "1"
-    assert lines[1] == "1.5,0.25"
-
-
-def test_matrix_file_roundtrip(tmp_path):
-    m = random_skew_hermitian(3, seed=6)
-    path = tmp_path / "m.txt"
-    save_matrix(m, path)
-    assert np.array_equal(load_matrix(path), m)
-
-
-def test_parse_matrix_rejects_malformed_text():
-    with pytest.raises(ValueError):
-        parse_matrix("")
-    with pytest.raises(ValueError):
-        parse_matrix("x\n1,0")
-    with pytest.raises(ValueError):
-        parse_matrix("2\n1,0 0,0")  # missing a row
-    with pytest.raises(ValueError):
-        parse_matrix("1\n1,0 2,0")  # too many entries in the row
-    with pytest.raises(ValueError):
-        parse_matrix("1\n1+2j")  # not a re,im pair

@@ -48,8 +48,6 @@ def test_builtin_scheme_shapes():
     assert lt.references == ("A", "B")
     st = make_strang()
     assert st.operands == (("A", 0.5), ("B", 1.0), ("A", 0.5))
-    assert st.is_palindromic
-    assert not lt.is_palindromic
     tr = make_triple()
     assert tr.references == ("P1", "P2", "P3")
 
