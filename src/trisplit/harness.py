@@ -117,7 +117,8 @@ class ConvergenceStudy:
 
     Step sizes must be dyadic (each exactly half the previous); matrix
     problems sample a skew-Hermitian operator pair from the seed, while the
-    wave problem uses the named potential and a Gaussian packet.
+    wave problem uses the named potential and a unit-width Gaussian packet
+    and draws nothing from the seed.
     """
 
     problem: str
@@ -129,7 +130,6 @@ class ConvergenceStudy:
     potential: str = "harmonic"
     half_width: float = 10.0
     points: int = 256
-    sigma: float = 1.0
     expected_order: Optional[float] = None
 
     def __post_init__(self):
@@ -192,7 +192,7 @@ def _schrodinger_rows(study: ConvergenceStudy, scheme=None):
     grid = Grid1D(study.half_width, study.points)
     potential = potential_by_name(study.potential, grid)
     scheme = scheme or scheme_by_name(study.scheme_name)
-    initial = gaussian_packet(grid, sigma=study.sigma)
+    initial = gaussian_packet(grid)
     h_min = min(study.step_sizes)
     strang = make_strang()
     reference = evolve(

@@ -4,7 +4,9 @@ Writing the equation as u_t = (A + B) u with A = -(i/2) d^2/dx^2 and B = i V,
 both sub-flows have closed forms on a periodic grid: e^{tA} is the Fourier
 multiplier e^{i t k^2 / 2} and e^{tB} is the pointwise phase e^{i t V(x)}.
 Splitting schemes over the references {A, B} therefore apply exactly
-(sub-flow-wise); the only approximation is the splitting itself.
+(sub-flow-wise); the only approximation is the splitting itself.  ``evolve``
+is the one place the sub-flows are applied: it checks its inputs once, builds
+each operand's multiplier once per call and steps the raw samples.
 
 The commutator structure that drives the splitting error is also computed
 here, numerically: [A,B]u is a first-order differential operator applied to u
@@ -168,56 +170,46 @@ def free_gaussian_evolution(grid: Grid1D, sigma: float, t: float) -> WaveFunctio
     return WaveFunction(samples, grid)
 
 
-# --- sub-flows and schemes ---------------------------------------------------
-
-
-def laplacian_propagator(u: WaveFunction, t: float) -> WaveFunction:
-    k = u.grid.wavenumbers
-    spectrum = np.fft.fft(u.samples)
-    return WaveFunction(np.fft.ifft(np.exp(0.5j * t * k * k) * spectrum), u.grid)
-
-
-def potential_propagator(u: WaveFunction, v: Potential, t: float) -> WaveFunction:
-    if v.grid != u.grid:
-        raise ValueError("wavefunction and potential live on different grids")
-    return WaveFunction(np.exp(1j * t * v.samples) * u.samples, u.grid)
-
-
-def split_step(
-    u: WaveFunction, v: Potential, t: float, scheme: SplittingScheme
-) -> WaveFunction:
-    """One step of the scheme.  Operands are listed in operator-product order
-    (leftmost acts last on the state), so they are applied right-to-left."""
-    if not scheme.canonical or set(scheme.references) - {"A", "B"}:
-        raise ValueError(
-            f"scheme {scheme.name!r} is not canonical over the references A, B"
-        )
-    for ref, c in reversed(scheme.operands):
-        if ref == "A":
-            u = laplacian_propagator(u, c * t)
-        else:
-            u = potential_propagator(u, v, c * t)
-    return u
+# --- split-step evolution ----------------------------------------------------
 
 
 def evolve(
     u: WaveFunction, v: Potential, horizon: float, steps: int, scheme: SplittingScheme
 ) -> WaveFunction:
+    """``steps`` steps of ``scheme`` with step size h = horizon / steps.
+
+    Operands are listed in operator-product order (leftmost acts last on the
+    state), so each step applies them right-to-left: an A operand with
+    coefficient c is the Fourier multiplier e^{i c h k^2 / 2}, a B operand the
+    pointwise phase e^{i c h V}.  Both are built once per call.
+    """
     if steps < 1:
         raise ValueError("steps must be positive")
+    if not scheme.canonical or set(scheme.references) - {"A", "B"}:
+        raise ValueError(
+            f"scheme {scheme.name!r} is not canonical over the references A, B"
+        )
+    if v.grid != u.grid:
+        raise ValueError("wavefunction and potential live on different grids")
     h = horizon / steps
+    k = u.grid.wavenumbers
+    flows = []
+    for ref, c in reversed(scheme.operands):
+        if ref == "A":
+            flows.append((True, np.exp(0.5j * (c * h) * k * k)))
+        else:
+            flows.append((False, np.exp(1j * (c * h) * v.samples)))
+    samples = u.samples
     for _ in range(steps):
-        u = split_step(u, v, h, scheme)
-    return u
+        for spectral, multiplier in flows:
+            if spectral:
+                samples = np.fft.ifft(multiplier * np.fft.fft(samples))
+            else:
+                samples = multiplier * samples
+    return WaveFunction(samples, u.grid)
 
 
 # --- commutator structure ----------------------------------------------------
-
-
-def _apply_a(samples: np.ndarray, grid: Grid1D) -> np.ndarray:
-    # A = -(i/2) d^2/dx^2, evaluated spectrally
-    k = grid.wavenumbers
-    return np.fft.ifft(0.5j * k * k * np.fft.fft(samples))
 
 
 def commutator_apply(u: WaveFunction, v: Potential) -> WaveFunction:
@@ -225,8 +217,9 @@ def commutator_apply(u: WaveFunction, v: Potential) -> WaveFunction:
     if v.grid != u.grid:
         raise ValueError("wavefunction and potential live on different grids")
     bu = 1j * v.samples * u.samples
-    au = _apply_a(u.samples, u.grid)
-    return WaveFunction(_apply_a(bu, u.grid) - 1j * v.samples * au, u.grid)
+    abu = -0.5j * spectral_derivative(bu, u.grid, order=2)
+    au = -0.5j * spectral_derivative(u.samples, u.grid, order=2)
+    return WaveFunction(abu - 1j * v.samples * au, u.grid)
 
 
 def double_commutator_apply(u: WaveFunction, v: Potential) -> WaveFunction:

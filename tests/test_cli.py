@@ -87,6 +87,22 @@ def test_convergence_run_and_artifact(config_path, tmp_path, capsys):
     assert len(text.splitlines()) == 3
 
 
+def test_wave_convergence_runs_once_per_scheme(tmp_path, capsys):
+    # a wave study draws nothing from its seed, so instances count matrix studies only
+    path = tmp_path / "wave.ini"
+    path.write_text(
+        "[config]\nversion = 1\n\n[convergence]\nproblem = schrodinger\n"
+        "instances = 3\npoints = 64\nhalf_width = 8\nsteps = 2^-4 2^-5 2^-6 2^-7\n"
+        "horizon = 1/2\nseed = 11\n"
+    )
+    out_dir = tmp_path / "wave"
+    assert main(["convergence", "--config", str(path), "--out", str(out_dir)]) == EXIT_PASS
+    assert capsys.readouterr().out.count("PASS") == 2
+    lines = (out_dir / "convergence.csv").read_text().splitlines()
+    rows = [line.split(",")[:2] for line in lines[1:]]
+    assert rows == [["lie-trotter", "11"], ["strang", "11"]]
+
+
 def test_convergence_artifacts_are_reproducible(config_path, tmp_path):
     dirs = [tmp_path / "run1", tmp_path / "run2"]
     for d in dirs:

@@ -13,14 +13,11 @@ from trisplit.schrodinger import (
     first_order_fit,
     free_gaussian_evolution,
     gaussian_packet,
-    laplacian_propagator,
     multiplication_ratio,
     norm_defect,
     potential_by_name,
-    potential_propagator,
     ratio_constant_fit,
     spectral_derivative,
-    split_step,
 )
 from trisplit.splitting import SplittingScheme, make_lie_trotter, make_strang
 
@@ -88,25 +85,29 @@ def test_spectral_derivative_of_sine():
     assert np.allclose(du, k * np.cos(k * GRID.x), atol=1e-12)
 
 
-# --- sub-flows -------------------------------------------------------------------
+# --- sub-flows, each applied by evolve as a one-operand scheme ---------------------
+
+KINETIC = SplittingScheme("kinetic", (("A", 1.0),), canonical=True)
+POTENTIAL = SplittingScheme("potential", (("B", 1.0),), canonical=True)
 
 
 def test_laplacian_propagator_phase_on_plane_wave():
     u, k = plane_wave(GRID, mode=3)
-    out = laplacian_propagator(u, 0.37)
+    out = evolve(u, Potential.harmonic(GRID), 0.37, 1, KINETIC)
     expected = np.exp(0.5j * 0.37 * k * k) * u.samples
     assert np.allclose(out.samples, expected, atol=1e-13)
 
 
 def test_laplacian_propagator_time_zero():
     u = gaussian_packet(GRID)
-    assert np.allclose(laplacian_propagator(u, 0.0).samples, u.samples, atol=1e-14)
+    out = evolve(u, Potential.harmonic(GRID), 0.0, 1, KINETIC)
+    assert np.allclose(out.samples, u.samples, atol=1e-14)
 
 
 def test_potential_propagator_is_pointwise_phase():
     u = gaussian_packet(GRID, sigma=1.4)
     v = Potential.harmonic(GRID)
-    out = potential_propagator(u, v, 0.21)
+    out = evolve(u, v, 0.21, 1, POTENTIAL)
     assert np.allclose(out.samples, np.exp(1j * 0.21 * v.samples) * u.samples, atol=1e-15)
     # pointwise modulus is exactly preserved
     assert np.allclose(np.abs(out.samples), np.abs(u.samples), atol=1e-15)
@@ -115,7 +116,7 @@ def test_potential_propagator_is_pointwise_phase():
 def test_potential_propagator_grid_mismatch():
     other = Grid1D(half_width=10.0, points=128)
     with pytest.raises(ValueError):
-        potential_propagator(gaussian_packet(GRID), Potential.harmonic(other), 0.1)
+        evolve(gaussian_packet(GRID), Potential.harmonic(other), 0.1, 1, POTENTIAL)
 
 
 def test_split_step_requires_canonical_ab_scheme():
@@ -123,19 +124,19 @@ def test_split_step_requires_canonical_ab_scheme():
     v = Potential.harmonic(GRID)
     non_canonical = SplittingScheme("frac", (("A", 0.5), ("B", 0.5)), canonical=False)
     with pytest.raises(ValueError):
-        split_step(u, v, 0.1, non_canonical)
+        evolve(u, v, 0.1, 1, non_canonical)
     triple_refs = SplittingScheme(
         "trip", (("P1", 1.0), ("P2", 1.0), ("P3", 1.0)), canonical=True
     )
     with pytest.raises(ValueError):
-        split_step(u, v, 0.1, triple_refs)
+        evolve(u, v, 0.1, 1, triple_refs)
 
 
 def test_split_step_with_zero_potential_is_free_flow():
     u = gaussian_packet(GRID)
     v = zero_potential(GRID)
-    out = split_step(u, v, 0.2, make_strang())
-    assert np.allclose(out.samples, laplacian_propagator(u, 0.2).samples, atol=1e-13)
+    out = evolve(u, v, 0.2, 1, make_strang())
+    assert np.allclose(out.samples, evolve(u, v, 0.2, 1, KINETIC).samples, atol=1e-13)
 
 
 def test_free_gaussian_closed_form():
