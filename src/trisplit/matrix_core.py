@@ -7,10 +7,9 @@ the constraint solver manufactures a third operator P3 satisfying
 
     [P1,P2] + [P1,P3] + [P2,P3] = 0,
 
-i.e. [P1+P2, P3] = -[P1,P2], as the minimum-Frobenius-norm least-squares
-solution of the vectorized (Kronecker-form) system.  ad_{P1+P2} is always
-singular (the identity commutes), so plain inversion is unavailable and the
-least-squares route is the right tool.
+i.e. [M, P3] = -[M, P2] with M = P1 + P2 = U diag(i lam) U*, by one ``eigh``:
+P3 = -U (Q o K) U* with Q = U* P2 U and K zero where |lam_i - lam_j| is at most
+eps n^2 max|lam_k - lam_l|, the minimum-norm least-squares solution.
 """
 
 from __future__ import annotations
@@ -36,8 +35,9 @@ def as_complex_matrix(m) -> np.ndarray:
 
 
 def is_skew_hermitian(m, tol: float = _SKEW_HERMITIAN_TOL) -> bool:
+    """max|M + M*| <= tol, relative to max|M| once that exceeds 1."""
     a = as_complex_matrix(m)
-    return bool(np.max(np.abs(a + a.conj().T)) <= tol)
+    return bool(np.max(np.abs(a + a.conj().T)) <= tol * max(1.0, np.max(np.abs(a))))
 
 
 def expm(m, t: float = 1.0) -> np.ndarray:
@@ -79,30 +79,29 @@ def random_skew_hermitian(n: int, seed: int) -> np.ndarray:
 
 
 def solve_second_order_constraint(p1, p2, residual_tol: float = 1e-10) -> np.ndarray:
-    """Return P3 with [P1,P2] + [P1,P3] + [P2,P3] = 0.
+    """Return P3 with [P1,P2] + [P1,P3] + [P2,P3] = 0 for skew-Hermitian P1, P2.
 
-    Solves [P1+P2, P3] = -[P1,P2] in vectorized form: with M = P1 + P2 the
-    operator ad_M acts on vec(X) (column stacking) as I (x) M - M^T (x) I.
-    The minimum-norm least-squares solution is re-verified against the direct
-    defect before being returned; ResidualTooLarge signals the caller to
-    resample.
+    With M = P1 + P2 = U diag(i lam) U*, ad_M is diagonal in the eigenbasis with
+    singular values |lam_i - lam_j|, so the minimum-norm least-squares solution
+    of [M, P3] = -[M, P2] is P3 = -U (Q o K) U*, Q = U* P2 U.  K keeps (i, j)
+    where |lam_i - lam_j| > eps n^2 max|lam_k - lam_l|, the rank cutoff of least
+    squares on the n^2 x n^2 system.  The defect is re-verified before P3 is
+    returned; ResidualTooLarge signals the caller to resample.
     """
     p1 = as_complex_matrix(p1)
     p2 = as_complex_matrix(p2)
     if p1.shape != p2.shape:
         raise ValueError(f"dimension mismatch: {p1.shape} vs {p2.shape}")
-    n = p1.shape[0]
-    m = p1 + p2
-    eye = np.eye(n, dtype=np.complex128)
-    ad = np.kron(eye, m) - np.kron(m.T, eye)
-    rhs = (-commutator(p1, p2)).reshape(-1, order="F")
-    sol, *_ = np.linalg.lstsq(ad, rhs, rcond=None)
-    p3 = sol.reshape((n, n), order="F")
+    if not (is_skew_hermitian(p1) and is_skew_hermitian(p2)):
+        raise ValueError("P1 and P2 must be skew-Hermitian")
+    lam, u = np.linalg.eigh(-1j * (p1 + p2))
+    gap = np.abs(lam[:, None] - lam[None, :])
+    keep = gap > np.finfo(float).eps * lam.size**2 * gap.max()
+    p3 = -u @ np.where(keep, u.conj().T @ p2 @ u, 0.0) @ u.conj().T
 
-    defect = commutator(p1, p2) + commutator(p1, p3) + commutator(p2, p3)
-    gate = residual_tol * (1.0 + op_norm(commutator(p1, p2)))
-    if op_norm(defect) > gate:
-        raise ResidualTooLarge(
-            f"constraint defect {op_norm(defect):.3e} exceeds gate {gate:.3e}"
-        )
+    bracket = commutator(p1, p2)
+    defect = op_norm(bracket + commutator(p1, p3) + commutator(p2, p3))
+    gate = residual_tol * (1.0 + op_norm(bracket))
+    if defect > gate:
+        raise ResidualTooLarge(f"constraint defect {defect:.3e} exceeds gate {gate:.3e}")
     return p3

@@ -178,6 +178,17 @@ def test_verify_bound_at_long_times(tmp_path, capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+def test_verify_bound_at_dim_64(tmp_path, capsys):
+    path = tmp_path / "dim64.ini"
+    path.write_text("[config]\nversion = 1\n\n[verify-bound]\ncount = 3\ndim = 64\n")
+    out_dir = tmp_path / "bound64"
+    code = main(["verify-bound", "--config", str(path), "--out", str(out_dir)])
+    assert code == EXIT_PASS
+    assert "0 violations" in capsys.readouterr().out
+    lines = (out_dir / "verify_bound.csv").read_text().splitlines()
+    assert len(lines) == 10  # 3 instances x 3 default times + header
+
+
 def test_schrodinger_bench_artifact(config_path, tmp_path, capsys):
     out_dir = tmp_path / "bench"
     code = main(["schrodinger-bench", "--config", config_path, "--out", str(out_dir)])

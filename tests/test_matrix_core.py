@@ -124,7 +124,9 @@ def test_random_skew_hermitian_contract():
 
 def kron_lstsq_reference(p1, p2):
     """Independent route: assemble ad_{P1+P2} column by column and use
-    scipy's lstsq instead of numpy's."""
+    scipy's lstsq instead of numpy's.  The rank cutoff is numpy's default,
+    eps * n^2 relative to the largest singular value; scipy's own default,
+    eps, keeps rounding-level singular values of the null space from dim 8 on."""
     s = p1 + p2
     n = s.shape[0]
     ad = np.zeros((n * n, n * n), dtype=complex)
@@ -134,18 +136,46 @@ def kron_lstsq_reference(p1, p2):
             basis[k, l] = 1.0
             ad[:, l * n + k] = (s @ basis - basis @ s).reshape(-1, order="F")
     rhs = (-(p1 @ p2 - p2 @ p1)).reshape(-1, order="F")
-    sol, *_ = scipy.linalg.lstsq(ad, rhs, lapack_driver="gelsd")
+    cond = np.finfo(float).eps * n * n
+    sol, *_ = scipy.linalg.lstsq(ad, rhs, cond=cond, lapack_driver="gelsd")
     return sol.reshape((n, n), order="F")
+
+
+def random_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return u
+
+
+def with_spectrum(p2, lam, seed):
+    """P1 such that P1 + P2 = U diag(i lam) U* for a random unitary U."""
+    u = random_unitary(len(lam), seed)
+    m = u @ np.diag(1j * np.asarray(lam)) @ u.conj().T
+    return (m - m.conj().T) / 2.0 - p2, u
+
+
+def assert_matches_reference(p1, p2):
+    got = solve_second_order_constraint(p1, p2)
+    ref = kron_lstsq_reference(p1, p2)
+    assert op_norm(got - ref) <= 1e-10 * max(1.0, op_norm(ref))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_solver_matches_independent_least_squares(seed):
-    p1 = random_skew_hermitian(4, seed=2 * seed)
-    p2 = random_skew_hermitian(4, seed=2 * seed + 1)
-    got = solve_second_order_constraint(p1, p2)
-    ref = kron_lstsq_reference(p1, p2)
-    scale = max(1.0, op_norm(ref))
-    assert op_norm(got - ref) <= 1e-10 * scale
+    for dim in (4, 8, 16):
+        p1 = random_skew_hermitian(dim, seed=2 * seed)
+        p2 = random_skew_hermitian(dim, seed=2 * seed + 1)
+        assert_matches_reference(p1, p2)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_solver_matches_least_squares_with_a_triple_eigenvalue(dim):
+    # the two routes make the same rank decision on the repeated eigenvalue
+    lam = np.linspace(-2.0, 2.0, dim)
+    lam[1:3] = lam[0]
+    p2 = random_skew_hermitian(dim, seed=dim)
+    p1, _ = with_spectrum(p2, lam, seed=dim + 1)
+    assert_matches_reference(p1, p2)
 
 
 def test_solver_residual_and_skewness():
@@ -187,3 +217,61 @@ def test_solver_dimension_mismatch():
     with pytest.raises(ValueError):
         solve_second_order_constraint(np.eye(2) * 1j, np.eye(3) * 1j)
 
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-12])
+def test_solver_on_clustered_spectra(gap):
+    dim = 8
+    rng = np.random.default_rng(17)
+    lam = rng.standard_normal(dim)
+    lam[1], lam[2], lam[4] = lam[0] + gap, lam[0] + 2 * gap, lam[3] + gap
+    p2 = random_skew_hermitian(dim, seed=18)
+    p1, u = with_spectrum(p2, lam, seed=19)
+    p3 = solve_second_order_constraint(p1, p2)
+    defect = commutator(p1, p2) + commutator(p1, p3) + commutator(p2, p3)
+    assert op_norm(defect) <= 1e-10 * (1.0 + op_norm(commutator(p1, p2)))
+    assert is_skew_hermitian(p3, tol=1e-12)
+    # the minimum-norm solution for the M that was built, to the accuracy a
+    # rounding of M leaves in the eigenvectors of a cluster, eps ||M|| / gap
+    q = u.conj().T @ p2 @ u
+    built = -(p2 - u @ np.diag(np.diag(q)) @ u.conj().T)
+    shift = np.finfo(float).eps * op_norm(p1 + p2) / gap
+    assert op_norm(p3 - built) <= 20 * shift * op_norm(p2)
+    # P3 is orthogonal to the commutant of M: Z = U diag(i r) U* from the
+    # eigenbasis of the M handed over, and, in the basis M was built from,
+    # Z constant on each cluster (the part of the commutant that a rounding
+    # of M cannot rotate)
+    _, v = np.linalg.eigh(-1j * (p1 + p2))
+    r = rng.standard_normal(dim)
+    clustered = r.copy()
+    clustered[1:3], clustered[4] = r[0], r[3]
+    for basis, diag in ((v, r), (u, clustered)):
+        z = basis @ np.diag(1j * diag) @ basis.conj().T
+        assert op_norm(commutator(p1 + p2, z)) <= 1e-12
+        inner = abs(np.vdot(p3, z))
+        assert inner <= 1e-10 * np.linalg.norm(p3) * np.linalg.norm(z)
+
+
+def test_solver_trivial_cases_give_zero():
+    one = random_skew_hermitian(1, seed=5)
+    assert np.array_equal(solve_second_order_constraint(one, 2 * one), np.zeros((1, 1)))
+    p = random_skew_hermitian(6, seed=6)
+    assert np.array_equal(solve_second_order_constraint(p, -p), np.zeros((6, 6)))
+
+
+def test_solver_accepts_large_skew_hermitian_input():
+    # rounding in U diag(i lam) U* grows with the norm; the domain check
+    # must not mistake it for a Hermitian part
+    p2 = random_skew_hermitian(16, seed=22)
+    u = random_unitary(16, seed=23)
+    p1 = u @ np.diag(1e4j * np.random.default_rng(24).standard_normal(16)) @ u.conj().T
+    assert np.max(np.abs(p1 + p1.conj().T)) > 1e-13
+    solve_second_order_constraint(p1, p2)
+
+
+def test_solver_rejects_non_skew_hermitian_input():
+    p2 = random_skew_hermitian(4, seed=21)
+    jordan = np.diag(np.ones(3), k=1) + np.diag(1j * np.arange(4.0))
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        solve_second_order_constraint(jordan, p2)
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        solve_second_order_constraint(p2, jordan)
