@@ -3,8 +3,8 @@
 Subpackage map:
 
 * ``lie_symbolic``   -- exact rational algebra over words in three noncommuting
-  generators; certifies the order conditions and the commutator form of the
-  leading error term.
+  generators, with commutators expanded into words by ``bracket``; certifies
+  the order conditions and the commutator form of the leading error term.
 * ``matrix_core``    -- dense complex-matrix kernel (exponential, commutator,
   spectral norm, constraint solver, structured random operators).
 * ``splitting``      -- splitting schemes as exponential products, error
@@ -19,7 +19,7 @@ Subpackage map:
 * ``cli``            -- command-line front end.
 """
 
-from trisplit.lie_symbolic import FreeElement, BracketTree, expand_bracket
+from trisplit.lie_symbolic import FreeElement, bracket
 from trisplit.matrix_core import (
     commutator,
     expm,
@@ -47,18 +47,17 @@ from trisplit.duhamel import (
 )
 
 __all__ = [
-    "BracketTree",
     "ErrorReport",
     "FreeElement",
     "OperatorSet",
     "QuadratureSpec",
     "SplittingScheme",
     "apply_splitting",
+    "bracket",
     "check_second_order",
     "commutator",
     "duhamel_error",
     "error_bound",
-    "expand_bracket",
     "expm",
     "leading_error_E3",
     "make_lie_trotter",

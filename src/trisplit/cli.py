@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from trisplit.duhamel import QuadratureSpec
+from trisplit.duhamel import QuadratureSpec, ToleranceNotReached
 from trisplit.harness import (
     ConvergenceStudy,
     certify_algebra,
@@ -99,7 +99,10 @@ def _parse_real(token: str) -> float:
 
 
 def _parse_reals(text: str):
-    return tuple(_parse_real(tok) for tok in text.split())
+    values = tuple(_parse_real(tok) for tok in text.split())
+    if not values:
+        raise ConfigError("expected at least one number, got an empty list")
+    return values
 
 
 def _load_section(path, section: str) -> dict:
@@ -188,6 +191,8 @@ def _cmd_convergence(args) -> int:
         schemes = [scheme_override.name]
     else:
         schemes = cfg["schemes"].split()
+        if not schemes:
+            raise ConfigError("schemes must name at least one scheme")
     # a wave study draws nothing from its seed, so it runs once per scheme
     seeds = (seed,) if cfg["problem"] == "schrodinger" else derive_seeds(seed, instances)
     results = []
@@ -381,7 +386,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ToleranceNotReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

@@ -46,8 +46,7 @@ skew-Hermitian generators.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,13 +234,6 @@ class ErrorReport:
     def __post_init__(self):
         if self.sign_factor not in (1, -1):
             raise ValueError("sign_factor must be +1 or -1")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ErrorReport":
-        return cls(**json.loads(text))
 
 
 def build_error_report(p1, p2, p3, t, quad=None) -> ErrorReport:

@@ -323,8 +323,8 @@ class CertificationReport:
 def _faulty_series_form() -> ls.FreeElement:
     # deliberate self-test fault: first coefficient -1/6 -> -1/5
     inner = ls.bracket(1, 2)
-    wrong = ls.expand_bracket(ls.bracket(2, inner)).scale(Fraction(-1, 5))
-    right = ls.expand_bracket(ls.bracket(3, inner)).scale(Fraction(-1, 6))
+    wrong = ls.bracket(2, inner).scale(Fraction(-1, 5))
+    right = ls.bracket(3, inner).scale(Fraction(-1, 6))
     return wrong + right
 
 
@@ -352,14 +352,14 @@ def certify_algebra(inject_fault: bool = False) -> CertificationReport:
     half_condition = ls.second_order_defect().scale(Fraction(1, 2))
     record(
         "degree-2 coefficient equals half the commutator-sum condition",
-        ls.element_equal(taylor[2], half_condition),
+        taylor[2] == half_condition,
         taylor[2] - half_condition,
     )
 
     mixed = ls.third_order_mixed_form()
     record(
         "degree-3 coefficient matches its direct word-by-word expansion",
-        ls.element_equal(taylor[3], mixed),
+        taylor[3] == mixed,
         taylor[3] - mixed,
     )
 
@@ -373,9 +373,9 @@ def certify_algebra(inject_fault: bool = False) -> CertificationReport:
     )
 
     jacobi = (
-        ls.expand_bracket(ls.bracket(1, ls.bracket(2, 3)))
-        + ls.expand_bracket(ls.bracket(2, ls.bracket(3, 1)))
-        + ls.expand_bracket(ls.bracket(3, ls.bracket(1, 2)))
+        ls.bracket(1, ls.bracket(2, 3))
+        + ls.bracket(2, ls.bracket(3, 1))
+        + ls.bracket(3, ls.bracket(1, 2))
     )
     record("Jacobi identity", jacobi.is_zero(), jacobi)
 
@@ -393,7 +393,7 @@ def certify_algebra(inject_fault: bool = False) -> CertificationReport:
     route_b = ls.reduce_mod_condition(ls.third_order_series_form()).residual
     record(
         "intermediate four-term form shares the canonical coset representative",
-        ls.element_equal(route_a, route_b),
+        route_a == route_b,
         route_a - route_b,
     )
 

@@ -1,8 +1,8 @@
 """Exact algebra over words in three noncommuting generators P1, P2, P3.
 
 Everything here runs on arbitrary-precision rationals (`fractions.Fraction`);
-no floating point enters this module.  The engine expands commutator trees
-into the free associative algebra, computes the Taylor coefficients of the
+no floating point enters this module.  The engine expands commutators into
+the free associative algebra, computes the Taylor coefficients of the
 defect
 
     exp(t*P1) exp(t*P2) exp(t*P3) - exp(t*(P1 + P2 + P3)),
@@ -18,7 +18,7 @@ certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 GENERATORS = (1, 2, 3)
@@ -160,51 +160,13 @@ def format_element(element: FreeElement) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class BracketTree:
-    """Binary commutator expression: a generator leaf or a [left, right] node."""
-
-    leaf: int | None = None
-    left: "BracketTree | None" = None
-    right: "BracketTree | None" = None
-    weight: Fraction = field(default=Fraction(1))
-
-    def __post_init__(self):
-        if self.leaf is not None:
-            if self.left is not None or self.right is not None:
-                raise ValueError("leaf node must not have children")
-            if self.leaf not in GENERATORS:
-                raise ValueError(f"leaf index {self.leaf} outside {GENERATORS}")
-        else:
-            if self.left is None or self.right is None:
-                raise ValueError("interior node needs both children")
-        object.__setattr__(self, "weight", Fraction(self.weight))
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf is not None
-
-
-def gen(index: int) -> BracketTree:
-    return BracketTree(leaf=index)
-
-
-def bracket(left, right, weight=1) -> BracketTree:
-    """Build [left, right]; plain ints are promoted to generator leaves."""
+def bracket(left, right) -> FreeElement:
+    """[left, right] = left*right - right*left; plain ints are promoted to generators."""
     if isinstance(left, int):
-        left = gen(left)
+        left = FreeElement.generator(left)
     if isinstance(right, int):
-        right = gen(right)
-    return BracketTree(left=left, right=right, weight=Fraction(weight))
-
-
-def expand_bracket(expr: BracketTree) -> FreeElement:
-    """Expand a commutator tree into the associative algebra ([X,Y] = XY - YX)."""
-    if expr.is_leaf:
-        return FreeElement.generator(expr.leaf).scale(expr.weight)
-    left = expand_bracket(expr.left)
-    right = expand_bracket(expr.right)
-    return (left * right - right * left).scale(expr.weight)
+        right = FreeElement.generator(right)
+    return left * right - right * left
 
 
 def _exp_series(x: FreeElement, max_degree: int) -> FreeElement:
@@ -238,20 +200,15 @@ def splitting_taylor(max_degree: int) -> list:
     return [defect.homogeneous_part(j) for j in range(max_degree + 1)]
 
 
-def element_equal(a: FreeElement, b: FreeElement) -> bool:
-    """Exact equality of coefficient maps."""
-    return a == b
-
-
 # --- closed forms of the low-order defect coefficients ---------------------
 
 
 def second_order_defect() -> FreeElement:
     """C = [P1,P2] + [P1,P3] + [P2,P3], whose vanishing kills the t^2 term."""
     return (
-        expand_bracket(bracket(1, 2))
-        + expand_bracket(bracket(1, 3))
-        + expand_bracket(bracket(2, 3))
+        bracket(1, 2)
+        + bracket(1, 3)
+        + bracket(2, 3)
     )
 
 
@@ -265,17 +222,17 @@ def third_order_mixed_form() -> FreeElement:
     third = Fraction(1, 3)
     half = Fraction(1, 2)
     e = (
-        expand_bracket(bracket(1, bracket(1, 2))).scale(third)
-        + expand_bracket(bracket(2, bracket(1, 2))).scale(sixth)
-        + expand_bracket(bracket(1, bracket(1, 3))).scale(third)
-        + expand_bracket(bracket(3, bracket(1, 3))).scale(sixth)
-        + expand_bracket(bracket(2, bracket(2, 3))).scale(third)
-        + expand_bracket(bracket(3, bracket(2, 3))).scale(sixth)
-        + expand_bracket(bracket(1, bracket(2, 3))).scale(sixth)
-        - expand_bracket(bracket(3, bracket(1, 2))).scale(sixth)
+        bracket(1, bracket(1, 2)).scale(third)
+        + bracket(2, bracket(1, 2)).scale(sixth)
+        + bracket(1, bracket(1, 3)).scale(third)
+        + bracket(3, bracket(1, 3)).scale(sixth)
+        + bracket(2, bracket(2, 3)).scale(third)
+        + bracket(3, bracket(2, 3)).scale(sixth)
+        + bracket(1, bracket(2, 3)).scale(sixth)
+        - bracket(3, bracket(1, 2)).scale(sixth)
     )
     for pair, word in (((1, 2), 1), ((1, 2), 2), ((1, 3), 1), ((1, 3), 3), ((2, 3), 2), ((2, 3), 3)):
-        e = e + expand_bracket(bracket(*pair)).mul_truncated(
+        e = e + bracket(*pair).mul_truncated(
             FreeElement.generator(word), None
         ).scale(half)
     e = e + FreeElement({(1, 2, 3): half, (3, 2, 1): -half})
@@ -286,10 +243,10 @@ def third_order_pre_jacobi_form() -> FreeElement:
     """Commutator form after eliminating word terms, before the Jacobi step."""
     sixth = Fraction(1, 6)
     return (
-        -expand_bracket(bracket(1, bracket(2, 3))).scale(sixth)
-        - expand_bracket(bracket(2, bracket(1, 2))).scale(sixth)
-        + expand_bracket(bracket(2, bracket(1, 3))).scale(sixth)
-        - expand_bracket(bracket(3, bracket(1, 2))).scale(Fraction(1, 3))
+        -bracket(1, bracket(2, 3)).scale(sixth)
+        - bracket(2, bracket(1, 2)).scale(sixth)
+        + bracket(2, bracket(1, 3)).scale(sixth)
+        - bracket(3, bracket(1, 2)).scale(Fraction(1, 3))
     )
 
 
@@ -297,8 +254,8 @@ def third_order_series_form() -> FreeElement:
     """Final series-derived closed form: -1/6 [P2,[P1,P2]] - 1/6 [P3,[P1,P2]]."""
     sixth = Fraction(1, 6)
     return (
-        -expand_bracket(bracket(2, bracket(1, 2))).scale(sixth)
-        - expand_bracket(bracket(3, bracket(1, 2))).scale(sixth)
+        -bracket(2, bracket(1, 2)).scale(sixth)
+        - bracket(3, bracket(1, 2)).scale(sixth)
     )
 
 
@@ -307,8 +264,8 @@ def third_order_integral_form() -> FreeElement:
     1/6 ([P1,[P2,P3]] + [P2,[P2,P3]])."""
     sixth = Fraction(1, 6)
     return (
-        expand_bracket(bracket(1, bracket(2, 3))).scale(sixth)
-        + expand_bracket(bracket(2, bracket(2, 3))).scale(sixth)
+        bracket(1, bracket(2, 3)).scale(sixth)
+        + bracket(2, bracket(2, 3)).scale(sixth)
     )
 
 
@@ -329,10 +286,6 @@ def _ideal_generators() -> list:
     for i in GENERATORS:
         gens.append(FreeElement.generator(i).mul_truncated(c, None))
     return gens
-
-
-class NotReducible(ValueError):
-    """Raised when a degree-3 element is provably outside the condition ideal."""
 
 
 @dataclass(frozen=True)
@@ -416,12 +369,3 @@ def reduce_mod_condition(target: FreeElement) -> CosetReduction:
     combination = dict(zip(IDEAL_GENERATOR_LABELS, combo))
     return CosetReduction(residual=residual, combination=combination)
 
-
-def ideal_combination(target: FreeElement) -> dict:
-    """Exact ideal-membership certificate; raises NotReducible outside the ideal."""
-    reduction = reduce_mod_condition(target)
-    if not reduction.in_ideal:
-        raise NotReducible(
-            "element is not in the degree-3 slice of the condition ideal"
-        )
-    return reduction.combination

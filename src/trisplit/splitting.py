@@ -181,21 +181,6 @@ def leading_error_E3(p1, p2, p3, form: str = "series") -> np.ndarray:
 # float literal.  '#' starts a comment.
 
 
-def _format_coefficient(c: float) -> str:
-    c = float(c)
-    frac = Fraction(c).limit_denominator(10**6)
-    if float(frac) == c:
-        return str(frac)
-    return repr(c)
-
-
-def dump_scheme(scheme: SplittingScheme) -> str:
-    lines = [f"name {scheme.name}", f"canonical {int(scheme.canonical)}"]
-    for ref, c in scheme.operands:
-        lines.append(f"{ref} {_format_coefficient(c)}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_scheme(text: str) -> SplittingScheme:
     name = None
     canonical = False
@@ -225,11 +210,6 @@ def _parse_coefficient(token: str) -> float:
     if "/" in token:
         return float(Fraction(token))
     return float(token)
-
-
-def save_scheme(scheme: SplittingScheme, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_scheme(scheme))
 
 
 def load_scheme(path) -> SplittingScheme:

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from trisplit.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
-from trisplit.splitting import make_strang, save_scheme
 
 SMALL_CONFIG = """\
 [config]
@@ -123,7 +122,7 @@ def test_convergence_seed_flag_changes_rows(config_path, tmp_path):
 
 def test_convergence_with_scheme_file(config_path, tmp_path, capsys):
     scheme_path = tmp_path / "sym.scheme"
-    save_scheme(make_strang(), scheme_path)
+    scheme_path.write_text("name strang\ncanonical 1\nA 1/2\nB 1\nA 1/2\n")
     code = main(["convergence", "--config", config_path, "--scheme", str(scheme_path)])
     assert code == EXIT_PASS
     assert "strang" in capsys.readouterr().out
@@ -212,6 +211,33 @@ def test_config_errors_exit_inconclusive(tmp_path, capsys):
     assert main(["verify-bound", "--config", str(stray)]) == EXIT_INCONCLUSIVE
     err = capsys.readouterr().err
     assert "config" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("verify-duhamel", "t_values"), ("verify-bound", "t_values"), ("convergence", "schemes")],
+)
+def test_empty_list_is_a_config_error(tmp_path, capsys, command, key):
+    # zero comparisons must not print PASS
+    cfg = tmp_path / "empty.ini"
+    cfg.write_text(f"[config]\nversion = 1\n\n[{command}]\n{key} =\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error:")
+
+
+def test_unreachable_quadrature_tolerance_is_inconclusive(tmp_path, capsys):
+    cfg = tmp_path / "tight.ini"
+    cfg.write_text(
+        "[config]\nversion = 1\n\n[verify-duhamel]\ncount = 1\ndim = 4\n"
+        "gauss_order = 2\nt_values = 1.0\ntarget_tol = 1e-30\n"
+    )
+    assert main(["verify-duhamel", "--config", str(cfg)]) == EXIT_INCONCLUSIVE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "target_tol" in err
 
 
 def test_bad_number_token_is_a_config_error(tmp_path):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -191,25 +189,6 @@ def test_bound_dominates_measured_error():
 
 
 # --- report objects -----------------------------------------------------------------
-
-
-def test_error_report_json_roundtrip():
-    report = ErrorReport(
-        measured_error_norm=0.25,
-        duhamel_norm=0.2500001,
-        bound_value=0.5,
-        sign_factor=1,
-        discrepancy=1e-7,
-    )
-    payload = json.loads(report.to_json())
-    assert set(payload) == {
-        "measured_error_norm",
-        "duhamel_norm",
-        "bound_value",
-        "sign_factor",
-        "discrepancy",
-    }
-    assert ErrorReport.from_json(report.to_json()) == report
 
 
 def test_error_report_sign_validation():

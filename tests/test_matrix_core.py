@@ -27,6 +27,8 @@ def test_as_complex_matrix_validation():
         as_complex_matrix(np.array([[np.nan, 0], [0, 0]]))
     with pytest.raises(ValueError):
         as_complex_matrix(np.array([[np.inf, 0], [0, 0]]))
+    with pytest.raises(ValueError):
+        as_complex_matrix(np.array([[complex(0, np.nan), 0], [0, 0]]))
     out = as_complex_matrix([[1, 0], [0, 1]])
     assert out.dtype == np.complex128
 
