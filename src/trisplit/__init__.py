@@ -12,8 +12,8 @@ Subpackage map:
 * ``duhamel``        -- the integral error representation: inner integrals
   exact via block exponentials, Gauss-Legendre only for the outer
   tau-integral; the commutator error bound.
-* ``schrodinger``    -- periodic 1D split-step Fourier solver and commutator
-  structure checks for the kinetic/potential pair.
+* ``schrodinger``    -- periodic 1D split-step Fourier solver and the
+  commutators [A,B]u and [B,[A,B]]u of the kinetic/potential pair.
 * ``harness``        -- convergence studies, certification and verification
   campaigns.
 * ``cli``            -- command-line front end.

@@ -459,6 +459,8 @@ def verify_duhamel(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if len(t_list) == 0:
+        raise ValueError("t_list must not be empty")
     rows = []
     notes = []
     passed = True
@@ -505,6 +507,8 @@ def verify_bound(
     """Check measured ||S(t) - e^{tL}|| against the cubic commutator bound."""
     if count < 1:
         raise ValueError("count must be at least 1")
+    if len(t_list) == 0:
+        raise ValueError("t_list must not be empty")
     rows = []
     violations = 0
     max_saturation = 0.0

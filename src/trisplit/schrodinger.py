@@ -8,29 +8,21 @@ Splitting schemes over the references {A, B} therefore apply exactly
 is the one place the sub-flows are applied: it checks its inputs once, builds
 each operand's multiplier once per call and steps the raw samples.
 
-The commutator structure that drives the splitting error is also computed
-here, numerically: [A,B]u is a first-order differential operator applied to u
-(a combination of V''u and V'u'), and [B,[A,B]]u is plain multiplication by a
-function proportional to (V')^2.  Fits recover the coefficients; the module
-asserts the structure and reports the fitted values.
+The commutators that drive the splitting error are also applied here,
+spectrally and pointwise, without using their closed forms:
+    [A,B]u     = (1/2) V'' u + V' u'   (first order, unbounded),
+    [B,[A,B]]u = -i (V')^2 u           (multiplication, bounded).
+The tests and acceptance criterion 8 compare both applications with these
+closed forms, whose coefficients come from the derivation and are not fitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from trisplit.splitting import SplittingScheme
-
-_DROP_COLUMN_TOL = 1e-12
-_DEPENDENCE_TOL = 1e-8
-_VANISH_TOL = 1e-8
-
-
-class IllConditionedFit(RuntimeError):
-    """The candidate columns cannot support a meaningful least-squares fit."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +63,7 @@ class WaveFunction:
             raise ValueError(
                 f"expected {self.grid.points} samples, got shape {samples.shape}"
             )
-        if not np.all(np.isfinite(samples.real)) or not np.all(np.isfinite(samples.imag)):
+        if not np.isfinite(samples).all():
             raise ValueError("wavefunction has non-finite samples")
         object.__setattr__(self, "samples", samples)
 
@@ -83,9 +75,8 @@ class WaveFunction:
 class Potential:
     """Real potential samples with analytic first/second derivatives.
 
-    Derivative arrays come from the generating formula when the potential is
-    built by a named constructor, and from spectral differentiation when only
-    samples are available.
+    The named constructors take the derivative arrays from the generating
+    formula; a caller of the four-field constructor supplies them.
     """
 
     samples: np.ndarray
@@ -121,13 +112,6 @@ class Potential:
     def linear(cls, grid: Grid1D) -> "Potential":
         x = grid.x
         return cls(x.copy(), np.ones_like(x), np.zeros_like(x), grid)
-
-    @classmethod
-    def from_samples(cls, grid: Grid1D, samples) -> "Potential":
-        samples = np.asarray(samples, dtype=np.float64)
-        d1 = spectral_derivative(samples.astype(np.complex128), grid, order=1)
-        d2 = spectral_derivative(samples.astype(np.complex128), grid, order=2)
-        return cls(samples, d1.real, d2.real, grid)
 
 
 POTENTIALS = ("harmonic", "cosine", "gaussian-well", "linear")
@@ -228,73 +212,6 @@ def double_commutator_apply(u: WaveFunction, v: Potential) -> WaveFunction:
     vu = WaveFunction(1j * v.samples * u.samples, u.grid)
     inner_vu = commutator_apply(vu, v)
     return WaveFunction(1j * v.samples * inner_u.samples - inner_vu.samples, u.grid)
-
-
-@dataclass(frozen=True)
-class FirstOrderFit:
-    """Least-squares expansion of [A,B]u over {V''u, V'u'}."""
-
-    c1: complex
-    c2: complex
-    residual: float
-
-
-def first_order_fit(u: WaveFunction, v: Potential) -> FirstOrderFit:
-    """Fit [A,B]u = c1 (V'' u) + c2 (V' u') and report the relative residual.
-
-    Columns that are negligible relative to the larger one are dropped (their
-    coefficient is reported as 0); if the remaining columns are numerically
-    dependent — or there is nothing left to fit against — the fit is refused.
-    """
-    rhs = commutator_apply(u, v).samples
-    du = spectral_derivative(u.samples, u.grid)
-    columns = [v.deriv2 * u.samples, v.deriv1 * du]
-    norms = [np.linalg.norm(c) for c in columns]
-    scale = max(norms)
-    if scale <= _DROP_COLUMN_TOL * max(np.linalg.norm(rhs), np.linalg.norm(u.samples)):
-        raise IllConditionedFit("both candidate columns are numerically zero")
-    keep = [i for i, n in enumerate(norms) if n > _DROP_COLUMN_TOL * scale]
-    design = np.column_stack([columns[i] for i in keep])
-    normalized = design / np.linalg.norm(design, axis=0)
-    singular_values = np.linalg.svd(normalized, compute_uv=False)
-    if len(keep) > 1 and singular_values[-1] < _DEPENDENCE_TOL * singular_values[0]:
-        raise IllConditionedFit(
-            "candidate columns are numerically linearly dependent"
-        )
-    solution, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    coeffs = [0j, 0j]
-    for i, c in zip(keep, solution):
-        coeffs[i] = complex(c)
-    fitted = design @ solution
-    rhs_norm = np.linalg.norm(rhs)
-    residual = float(np.linalg.norm(fitted - rhs) / rhs_norm) if rhs_norm else 0.0
-    return FirstOrderFit(coeffs[0], coeffs[1], residual)
-
-
-def multiplication_ratio(u: WaveFunction, v: Potential) -> np.ndarray:
-    """Pointwise ([B,[A,B]]u) / u — defined only for nowhere-vanishing u."""
-    moduli = np.abs(u.samples)
-    peak = moduli.max()
-    if peak == 0 or moduli.min() < _VANISH_TOL * peak:
-        raise ValueError("u vanishes on the grid; the pointwise ratio is undefined")
-    return double_commutator_apply(u, v).samples / u.samples
-
-
-def ratio_constant_fit(u: WaveFunction, v: Potential) -> Tuple[complex, float]:
-    """Fit ([B,[A,B]]u)/u = constant * (V')^2; return (constant, sup residual).
-
-    The residual is relative to the peak ratio magnitude, so nodes where V'
-    crosses zero do not inflate it artificially.
-    """
-    ratio = multiplication_ratio(u, v)
-    basis = v.deriv1**2
-    denom = np.dot(basis, basis)
-    if denom == 0:
-        raise IllConditionedFit("(V')^2 vanishes identically; nothing to fit")
-    constant = complex(np.dot(basis, ratio) / denom)
-    scale = np.abs(ratio).max()
-    residual = float(np.abs(ratio - constant * basis).max() / scale) if scale else 0.0
-    return constant, residual
 
 
 def norm_defect(initial: WaveFunction, final: WaveFunction) -> float:

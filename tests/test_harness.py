@@ -172,9 +172,19 @@ def test_verify_duhamel_small_campaign():
 def test_verify_duhamel_argument_validation():
     with pytest.raises(ValueError):
         verify_duhamel(count=0, dim=4, t_list=(0.5,), seed=1)
+    # nothing to compare is not a pass
+    with pytest.raises(ValueError):
+        verify_duhamel(count=1, dim=4, t_list=(), seed=7)
     # no dimension cap: a dim-16 campaign runs and passes
     campaign = verify_duhamel(count=1, dim=16, t_list=(0.5,), seed=1)
     assert campaign.passed, campaign.notes
+
+
+def test_verify_bound_argument_validation():
+    with pytest.raises(ValueError):
+        verify_bound(count=0, dim=4, t_list=(0.5,), seed=1)
+    with pytest.raises(ValueError):
+        verify_bound(count=1, dim=4, t_list=(), seed=7)
 
 
 def test_verify_bound_small_campaign():

@@ -3,20 +3,16 @@ import pytest
 
 from trisplit.schrodinger import (
     Grid1D,
-    IllConditionedFit,
     POTENTIALS,
     Potential,
     WaveFunction,
     commutator_apply,
     double_commutator_apply,
     evolve,
-    first_order_fit,
     free_gaussian_evolution,
     gaussian_packet,
-    multiplication_ratio,
     norm_defect,
     potential_by_name,
-    ratio_constant_fit,
     spectral_derivative,
 )
 from trisplit.splitting import SplittingScheme, make_lie_trotter, make_strang
@@ -25,7 +21,8 @@ GRID = Grid1D(half_width=10.0, points=256)
 
 
 def zero_potential(grid):
-    return Potential.from_samples(grid, np.zeros(grid.points))
+    zero = np.zeros(grid.points)
+    return Potential(zero, zero, zero, grid)
 
 
 def plane_wave(grid, mode):
@@ -55,6 +52,10 @@ def test_wavefunction_validation():
         WaveFunction(np.zeros(100), GRID)
     bad = np.zeros(GRID.points)
     bad[0] = np.nan
+    with pytest.raises(ValueError):
+        WaveFunction(bad, GRID)
+    bad = np.zeros(GRID.points, dtype=complex)
+    bad[0] = complex(0, np.nan)
     with pytest.raises(ValueError):
         WaveFunction(bad, GRID)
 
@@ -183,95 +184,66 @@ def test_self_convergence_ratio(factory, ratio):
 
 
 # --- commutator structure ----------------------------------------------------------
+#
+# Oracles: the closed forms derived by hand for A = -(i/2) d^2/dx^2, B = iV,
+#     [A,B]u     = (1/2) V'' u + V' u',
+#     [B,[A,B]]u = -i (V')^2 u.
+# Their coefficients 1/2, 1 and -i are fixed by the derivation, not fitted.
 
 
-def test_commutator_apply_analytic_oracle():
-    # with V = x^2/2 and u a unit Gaussian: [A,B]u = (1/2) V'' u + V' u'
-    # = (1/2) u + x (-x u) = (1/2 - x^2) u, derived by hand
-    u = gaussian_packet(GRID, sigma=1.0)
-    v = Potential.harmonic(GRID)
+def constant_potential(grid):
+    # both commutators vanish identically
+    zero = np.zeros(grid.points)
+    return Potential(np.full(grid.points, 2.0), zero, zero, grid)
+
+
+# The harmonic and linear potentials are not periodic, so V u is smooth on the
+# periodic grid only when u has decayed to rounding level at its edge.  They
+# are paired with the two Gaussians alone; the nowhere-vanishing states go with
+# the potentials that are periodic on the grid.
+STATE_MAKERS = {
+    "gaussian": gaussian_packet,
+    "moving-gaussian": lambda grid: gaussian_packet(grid, sigma=1.0, center=0.5, momentum=1.0),
+    "plane-wave": lambda grid: plane_wave(grid, mode=2)[0],
+    "two-plus-cos": lambda grid: WaveFunction(
+        2.0 + np.cos(np.pi / grid.half_width * grid.x), grid
+    ),
+}
+PERIODIC_POTENTIALS = ("cosine", "gaussian-well", "constant")
+COMMUTATOR_CASES = [
+    (state, potential)
+    for state in STATE_MAKERS
+    for potential in POTENTIALS + ("constant",)
+    if state in ("gaussian", "moving-gaussian") or potential in PERIODIC_POTENTIALS
+]
+
+
+def closed_form_case(state, potential, points):
+    grid = Grid1D(half_width=10.0, points=points)
+    if potential == "constant":
+        return STATE_MAKERS[state](grid), constant_potential(grid)
+    return STATE_MAKERS[state](grid), potential_by_name(potential, grid)
+
+
+def relative_sup_gap(got, expected, u):
+    # where the closed form vanishes identically, measure against the state
+    scale = np.abs(expected).max() or np.abs(u.samples).max()
+    return np.abs(got - expected).max() / scale
+
+
+@pytest.mark.parametrize("points", [128, 256])
+@pytest.mark.parametrize("state,potential", COMMUTATOR_CASES)
+def test_commutator_apply_analytic_oracle(state, potential, points):
+    u, v = closed_form_case(state, potential, points)
     got = commutator_apply(u, v).samples
-    expected = (0.5 - GRID.x**2) * u.samples
-    peak = np.abs(expected).max()
-    assert np.max(np.abs(got - expected)) <= 1e-10 * peak
+    expected = 0.5 * v.deriv2 * u.samples + v.deriv1 * spectral_derivative(u.samples, u.grid)
+    assert relative_sup_gap(got, expected, u) <= 1e-10
 
 
-def test_double_commutator_apply_analytic_oracle():
-    # same setup: [B,[A,B]]u = -i (V')^2 u = -i x^2 u; compare where the
-    # Gaussian carries its mass
-    u = gaussian_packet(GRID, sigma=1.0)
-    v = Potential.harmonic(GRID)
+@pytest.mark.parametrize("points", [128, 256])
+@pytest.mark.parametrize("state,potential", COMMUTATOR_CASES)
+def test_double_commutator_apply_analytic_oracle(state, potential, points):
+    u, v = closed_form_case(state, potential, points)
     got = double_commutator_apply(u, v).samples
-    expected = -1j * GRID.x**2 * u.samples
-    mask = np.abs(GRID.x) <= 5.0
-    peak = np.abs(expected[mask]).max()
-    assert np.max(np.abs(got[mask] - expected[mask])) <= 1e-9 * peak
-
-
-def test_first_order_fit_recovers_half_and_one():
-    u = gaussian_packet(GRID, sigma=1.0)
-    fit = first_order_fit(u, Potential.harmonic(GRID))
-    assert fit.residual <= 1e-6
-    assert fit.c1 == pytest.approx(0.5, abs=1e-8)
-    assert fit.c2 == pytest.approx(1.0, abs=1e-8)
-
-
-def test_first_order_fit_is_state_independent():
-    v = Potential.gaussian_well(GRID)
-    fits = [
-        first_order_fit(gaussian_packet(GRID, sigma=0.8, center=0.5), v),
-        first_order_fit(gaussian_packet(GRID, sigma=1.3, momentum=1.0), v),
-    ]
-    assert abs(fits[0].c1 - fits[1].c1) <= 1e-6
-    assert abs(fits[0].c2 - fits[1].c2) <= 1e-6
-
-
-def test_first_order_fit_is_resolution_stable():
-    coarse = Grid1D(half_width=10.0, points=128)
-    fine = Grid1D(half_width=10.0, points=256)
-    fit_c = first_order_fit(gaussian_packet(coarse), Potential.harmonic(coarse))
-    fit_f = first_order_fit(gaussian_packet(fine), Potential.harmonic(fine))
-    assert abs(fit_c.c1 - fit_f.c1) <= 1e-8
-    assert abs(fit_c.c2 - fit_f.c2) <= 1e-8
-
-
-def test_first_order_fit_drops_vanishing_column():
-    # linear potential: V'' = 0, so the first column is dropped and reported 0
-    fit = first_order_fit(gaussian_packet(GRID), Potential.linear(GRID))
-    assert fit.c1 == 0j
-    assert fit.c2 == pytest.approx(1.0, abs=1e-8)
-    assert fit.residual <= 1e-6
-
-
-def test_first_order_fit_refuses_constant_potential():
-    flat = Potential.from_samples(GRID, np.full(GRID.points, 2.0))
-    with pytest.raises(IllConditionedFit):
-        first_order_fit(gaussian_packet(GRID), flat)
-
-
-def test_multiplication_ratio_needs_nowhere_vanishing_state():
-    # a Gaussian underflows at the grid edge, so the pointwise ratio is refused
-    with pytest.raises(ValueError):
-        multiplication_ratio(gaussian_packet(GRID), Potential.cosine(GRID))
-    u, _ = plane_wave(GRID, mode=2)  # |u| = 1 everywhere
-    ratio = multiplication_ratio(u, Potential.cosine(GRID))
-    assert ratio.shape == (GRID.points,)
-
-
-def test_ratio_constant_fit_cosine_potential():
-    v = Potential.cosine(GRID)
-    u1, _ = plane_wave(GRID, mode=2)
-    k = np.pi / GRID.half_width
-    u2 = WaveFunction(2.0 + np.cos(k * GRID.x), GRID)  # real, min value 1
-    c1, r1 = ratio_constant_fit(u1, v)
-    c2, r2 = ratio_constant_fit(u2, v)
-    assert r1 <= 1e-6 and r2 <= 1e-6
-    assert c1 == pytest.approx(-1j, abs=1e-8)
-    assert abs(c1 - c2) <= 1e-6  # the constant does not depend on the state
-
-
-def test_ratio_constant_fit_refuses_flat_potential():
-    flat = Potential.from_samples(GRID, np.zeros(GRID.points))
-    u, _ = plane_wave(GRID, mode=1)
-    with pytest.raises(IllConditionedFit):
-        ratio_constant_fit(u, flat)
+    expected = -1j * v.deriv1**2 * u.samples
+    assert relative_sup_gap(got, expected, u) <= 1e-9
