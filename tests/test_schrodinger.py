@@ -218,6 +218,45 @@ COMMUTATOR_CASES = [
 ]
 
 
+def test_commutator_apply_analytic_oracle():
+    # with V = x^2/2 and u a unit Gaussian: [A,B]u = (1/2) V'' u + V' u'
+    # = (1/2) u + x (-x u) = (1/2 - x^2) u, derived by hand
+    u = gaussian_packet(GRID, sigma=1.0)
+    v = Potential.harmonic(GRID)
+    got = commutator_apply(u, v).samples
+    expected = (0.5 - GRID.x**2) * u.samples
+    peak = np.abs(expected).max()
+    assert np.max(np.abs(got - expected)) <= 1e-10 * peak
+
+
+def test_double_commutator_apply_analytic_oracle():
+    # same setup: [B,[A,B]]u = -i (V')^2 u = -i x^2 u; compare where the
+    # Gaussian carries its mass
+    u = gaussian_packet(GRID, sigma=1.0)
+    v = Potential.harmonic(GRID)
+    got = double_commutator_apply(u, v).samples
+    expected = -1j * GRID.x**2 * u.samples
+    mask = np.abs(GRID.x) <= 5.0
+    peak = np.abs(expected[mask]).max()
+    assert np.max(np.abs(got[mask] - expected[mask])) <= 1e-9 * peak
+
+
+def test_first_order_fit_recovers_half_and_one():
+    # least squares of [A,B]u on the columns V'' u and V' u' must land on the
+    # derived coefficients 1/2 and 1 with a rounding-level residual
+    u = gaussian_packet(GRID, sigma=1.0)
+    v = Potential.harmonic(GRID)
+    got = commutator_apply(u, v).samples
+    columns = np.column_stack(
+        [v.deriv2 * u.samples, v.deriv1 * spectral_derivative(u.samples, GRID)]
+    )
+    (c1, c2), *_ = np.linalg.lstsq(columns, got, rcond=None)
+    residual = np.linalg.norm(columns @ [c1, c2] - got) / np.linalg.norm(got)
+    assert residual <= 1e-6
+    assert c1 == pytest.approx(0.5, abs=1e-8)
+    assert c2 == pytest.approx(1.0, abs=1e-8)
+
+
 def closed_form_case(state, potential, points):
     grid = Grid1D(half_width=10.0, points=points)
     if potential == "constant":
@@ -233,7 +272,7 @@ def relative_sup_gap(got, expected, u):
 
 @pytest.mark.parametrize("points", [128, 256])
 @pytest.mark.parametrize("state,potential", COMMUTATOR_CASES)
-def test_commutator_apply_analytic_oracle(state, potential, points):
+def test_commutator_apply_closed_form(state, potential, points):
     u, v = closed_form_case(state, potential, points)
     got = commutator_apply(u, v).samples
     expected = 0.5 * v.deriv2 * u.samples + v.deriv1 * spectral_derivative(u.samples, u.grid)
@@ -242,7 +281,7 @@ def test_commutator_apply_analytic_oracle(state, potential, points):
 
 @pytest.mark.parametrize("points", [128, 256])
 @pytest.mark.parametrize("state,potential", COMMUTATOR_CASES)
-def test_double_commutator_apply_analytic_oracle(state, potential, points):
+def test_double_commutator_apply_closed_form(state, potential, points):
     u, v = closed_form_case(state, potential, points)
     got = double_commutator_apply(u, v).samples
     expected = -1j * v.deriv1**2 * u.samples
