@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trisplit.matrix_core import as_complex_matrix, commutator, expm, op_norm
+from trisplit.matrix_core import ConditionViolated, as_complex_matrix, commutator, expm, op_norm
 from trisplit.splitting import check_second_order, triple_splitting_error
 
 #: Refinement cap: panel counts grow by doubling at most this many times.
@@ -61,11 +61,7 @@ CONDITION_TOL = 1e-8
 
 
 class ToleranceNotReached(RuntimeError):
-    """Panel doubling hit its cap before successive results stabilized."""
-
-
-class ConditionViolated(RuntimeError):
-    """The operator triple does not satisfy the second-order condition."""
+    """Panel doubling hit its cap, or stalled at round-off, above target_tol."""
 
 
 @dataclass(frozen=True)
@@ -113,11 +109,14 @@ def _refined(evaluate, quad: QuadratureSpec, refine: bool) -> np.ndarray:
     for _ in range(MAX_PANEL_DOUBLINGS):
         panels *= 2
         current = evaluate(panels)
-        if op_norm(current - previous) < quad.target_tol / 2.0:
+        gap = op_norm(current - previous)
+        if gap < quad.target_tol / 2.0:
             return current
+        if gap <= 64 * np.finfo(float).eps * op_norm(current):  # stalled at round-off
+            break
         previous = current
     raise ToleranceNotReached(
-        f"duhamel_error: {MAX_PANEL_DOUBLINGS} panel doublings did not reach "
+        f"duhamel_error: gap {gap:.1e} at {panels} panels did not reach "
         f"target_tol {quad.target_tol!r}"
     )
 

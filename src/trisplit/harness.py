@@ -18,9 +18,7 @@ import numpy as np
 from trisplit import lie_symbolic as ls
 from trisplit.duhamel import ErrorReport, QuadratureSpec, build_error_report, error_bound
 from trisplit.matrix_core import (
-    ResidualTooLarge,
     expm,
-    is_skew_hermitian,
     op_norm,
     random_skew_hermitian,
     solve_second_order_constraint,
@@ -53,8 +51,6 @@ ORDER_WINDOW = 0.1
 
 #: local-slope deviation that marks a large-h point as pre-asymptotic
 PREASYMPTOTIC_SLOPE_TOL = 0.25
-
-_MAX_SAMPLING_ATTEMPTS = 10
 
 
 def derive_seeds(seed: int, count: int) -> Tuple[int, ...]:
@@ -170,9 +166,7 @@ def _steps_for(horizon: float, h: float) -> int:
 
 def _matrix_rows(study: ConvergenceStudy, operators, scheme=None):
     if operators is None:
-        seed_a, seed_b = derive_seeds(study.seed, 2)
-        a = random_skew_hermitian(study.dim, seed_a)
-        b = random_skew_hermitian(study.dim, seed_b)
+        a, b = _random_pair(study.dim, study.seed)
     else:
         a, b = operators
     scheme = scheme or scheme_by_name(study.scheme_name)
@@ -403,27 +397,15 @@ def certify_algebra(inject_fault: bool = False) -> CertificationReport:
 # --- constrained-triple sampling ------------------------------------------------
 
 
-def sample_constrained_triple(dim: int, seed: int):
-    """Random skew-Hermitian P1, P2 plus the solved P3, re-verified.
+def _random_pair(dim: int, seed: int):
+    seed_a, seed_b = derive_seeds(seed, 2)
+    return random_skew_hermitian(dim, seed_a), random_skew_hermitian(dim, seed_b)
 
-    Resamples on solver rejection; gives up after 10 attempts (which, at desk
-    scale, indicates something structurally wrong rather than bad luck).
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(_MAX_SAMPLING_ATTEMPTS):
-        seed_a, seed_b = (int(s) for s in rng.integers(0, 2**63, size=2))
-        p1 = random_skew_hermitian(dim, seed_a)
-        p2 = random_skew_hermitian(dim, seed_b)
-        try:
-            p3 = solve_second_order_constraint(p1, p2)
-        except ResidualTooLarge:
-            continue
-        if not is_skew_hermitian(p3, tol=1e-10):
-            continue
-        return p1, p2, p3
-    raise RuntimeError(
-        f"constraint sampling exhausted {_MAX_SAMPLING_ATTEMPTS} attempts"
-    )
+
+def sample_constrained_triple(dim: int, seed: int):
+    """P1, P2 drawn once from the seed and the solver's P3; a rejection raises."""
+    p1, p2 = _random_pair(dim, seed)
+    return p1, p2, solve_second_order_constraint(p1, p2)
 
 
 # --- verification campaigns -----------------------------------------------------

@@ -9,7 +9,8 @@ the constraint solver manufactures a third operator P3 satisfying
 
 i.e. [M, P3] = -[M, P2] with M = P1 + P2 = U diag(i lam) U*, by one ``eigh``:
 P3 = -U (Q o K) U* with Q = U* P2 U and K zero where |lam_i - lam_j| is at most
-eps n^2 max|lam_k - lam_l|, the minimum-norm least-squares solution.
+eps n^2 max|lam_k - lam_l|, the minimum-norm least-squares solution.  A P3
+that misses the condition's gate raises ConditionViolated.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import scipy.linalg
 _SKEW_HERMITIAN_TOL = 1e-13
 
 
-class ResidualTooLarge(RuntimeError):
-    """Constraint solver produced a solution whose defect exceeds the gate."""
+class ConditionViolated(RuntimeError):
+    """An operator triple does not satisfy the second-order condition."""
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -86,7 +87,7 @@ def solve_second_order_constraint(p1, p2, residual_tol: float = 1e-10) -> np.nda
     of [M, P3] = -[M, P2] is P3 = -U (Q o K) U*, Q = U* P2 U.  K keeps (i, j)
     where |lam_i - lam_j| > eps n^2 max|lam_k - lam_l|, the rank cutoff of least
     squares on the n^2 x n^2 system.  The defect is re-verified before P3 is
-    returned; ResidualTooLarge signals the caller to resample.
+    returned; a miss raises ConditionViolated, a fault to report, not redraw.
     """
     p1 = as_complex_matrix(p1)
     p2 = as_complex_matrix(p2)
@@ -103,5 +104,5 @@ def solve_second_order_constraint(p1, p2, residual_tol: float = 1e-10) -> np.nda
     defect = op_norm(bracket + commutator(p1, p3) + commutator(p2, p3))
     gate = residual_tol * (1.0 + op_norm(bracket))
     if defect > gate:
-        raise ResidualTooLarge(f"constraint defect {defect:.3e} exceeds gate {gate:.3e}")
+        raise ConditionViolated(f"constraint defect {defect:.3e} exceeds gate {gate:.3e}")
     return p3

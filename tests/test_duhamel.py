@@ -139,6 +139,16 @@ def test_duhamel_error_unconverged_quadrature_raises():
         duhamel_error(p1, p2, p3, 1.0, quad=QuadratureSpec(gauss_order=2, target_tol=1e-30))
 
 
+def test_duhamel_error_stops_doubling_at_round_off():
+    # at gauss order 8 the gap between successive estimates is at round-off by
+    # 8 panels; no further doubling can reach 1e-30, so refinement stops there
+    # rather than at the 256-panel cap
+    p1, p2, p3 = constrained_triple(4, seed=55)
+    quad = QuadratureSpec(gauss_order=8, target_tol=1e-30)
+    with pytest.raises(ToleranceNotReached, match=r"gap \S+ at 8 panels"):
+        duhamel_error(p1, p2, p3, 1.0, quad=quad)
+
+
 def test_duhamel_error_cubic_scaling():
     p1, p2, p3 = constrained_triple(4, seed=74)
     norms = [op_norm(duhamel_error(p1, p2, p3, t)) for t in (0.2, 0.1, 0.05)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trisplit import cli, duhamel, harness
 from trisplit.harness import (
     ConvergenceStudy,
     certify_algebra,
@@ -12,7 +13,7 @@ from trisplit.harness import (
     verify_bound,
     verify_duhamel,
 )
-from trisplit.matrix_core import commutator, is_skew_hermitian, op_norm
+from trisplit.matrix_core import ConditionViolated, commutator, is_skew_hermitian, op_norm
 from trisplit.splitting import make_strang
 
 
@@ -196,3 +197,47 @@ def test_verify_bound_small_campaign():
     for row in campaign.rows:
         assert row.measured <= row.bound + campaign.slack
         assert not row.violated
+
+
+# --- campaigns that can fail ---------------------------------------------------------
+
+
+def test_solver_fault_is_reported_not_redrawn(monkeypatch):
+    # each campaign triple is one draw: a P3 the solver rejects must surface,
+    # not be replaced by a fresh pair that hides the fault
+    original = harness.solve_second_order_constraint
+    calls = []
+
+    def rejects_first_call(p1, p2):
+        calls.append(None)
+        if len(calls) == 1:
+            raise ConditionViolated("planted solver fault")
+        return original(p1, p2)
+
+    monkeypatch.setattr(harness, "solve_second_order_constraint", rejects_first_call)
+    with pytest.raises(ConditionViolated):
+        verify_bound(count=3, dim=6, t_list=(0.5,), seed=7)
+    calls.clear()
+    with pytest.raises(ConditionViolated):
+        verify_duhamel(count=1, dim=4, t_list=(0.25,), seed=7)
+    calls.clear()
+    with pytest.raises(ConditionViolated):
+        cli.main(["verify-bound"])
+
+
+def test_halved_bound_fails_the_default_campaign(monkeypatch):
+    original = harness.error_bound
+    monkeypatch.setattr(harness, "error_bound", lambda *args: original(*args) / 2.0)
+    campaign = verify_bound(100, 6, (0.1, 0.5, 1.0), seed=7)
+    assert not campaign.passed
+    assert campaign.violations > 0
+
+
+def test_representation_off_by_a_thousandth_fails_the_default_campaign(monkeypatch):
+    original = duhamel.duhamel_error
+    monkeypatch.setattr(
+        duhamel, "duhamel_error", lambda *args, **kwargs: (1 + 1e-3) * original(*args, **kwargs)
+    )
+    campaign = verify_duhamel(20, 4, (0.25, 0.5), seed=7)
+    assert not campaign.passed
+    assert all(row.report.discrepancy > campaign.discrepancy_tol for row in campaign.rows)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from trisplit.matrix_core import (
-    ResidualTooLarge,
+    ConditionViolated,
     as_complex_matrix,
     commutator,
     expm,
@@ -211,7 +211,7 @@ def test_solver_is_minimum_norm():
 def test_solver_residual_gate():
     p1 = random_skew_hermitian(4, seed=13)
     p2 = random_skew_hermitian(4, seed=14)
-    with pytest.raises(ResidualTooLarge):
+    with pytest.raises(ConditionViolated):
         solve_second_order_constraint(p1, p2, residual_tol=0.0)
 
 
