@@ -6,7 +6,8 @@ Subpackage map:
   generators, with commutators expanded into words by ``bracket``; certifies
   the order conditions and the commutator form of the leading error term.
 * ``matrix_core``    -- dense complex-matrix kernel (exponential, commutator,
-  spectral norm, constraint solver, structured random operators).
+  spectral norm, the second-order condition check and the double commutators,
+  constraint solver, structured random operators).
 * ``splitting``      -- splitting schemes as exponential products, error
   measurement and the closed-form leading error term.
 * ``duhamel``        -- the integral error representation: inner integrals
@@ -21,6 +22,7 @@ Subpackage map:
 
 from trisplit.lie_symbolic import FreeElement, bracket
 from trisplit.matrix_core import (
+    check_second_order,
     commutator,
     expm,
     op_norm,
@@ -31,7 +33,6 @@ from trisplit.splitting import (
     OperatorSet,
     SplittingScheme,
     apply_splitting,
-    check_second_order,
     leading_error_E3,
     make_lie_trotter,
     make_strang,

@@ -15,7 +15,6 @@ import configparser
 import json
 import os
 import sys
-from fractions import Fraction
 
 from trisplit.duhamel import QuadratureSpec, ToleranceNotReached
 from trisplit.harness import (
@@ -27,7 +26,7 @@ from trisplit.harness import (
     verify_bound,
     verify_duhamel,
 )
-from trisplit.splitting import load_scheme
+from trisplit.splitting import _parse_coefficient, load_scheme
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -85,15 +84,14 @@ class ConfigError(Exception):
 
 
 def _parse_real(token: str) -> float:
-    """Accept float literals, p/q fractions, and base^exponent powers."""
+    """Accept base^exponent powers, and otherwise the scheme-file number
+    grammar of ``splitting._parse_coefficient`` (p/q fractions, float literals)."""
     token = token.strip()
     try:
         if "^" in token:
             base, _, exponent = token.partition("^")
             return float(base) ** int(exponent)
-        if "/" in token:
-            return float(Fraction(token))
-        return float(token)
+        return _parse_coefficient(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse number {token!r}") from exc
 

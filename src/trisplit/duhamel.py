@@ -36,6 +36,8 @@ K2 = [P2,K23] and I the identity:
 
 Only the outer tau-integral of E(t) uses quadrature, composite Gauss-Legendre
 with panel doubling: its factor e^{tau P2} e^{tau P3} is not one exponential.
+``duhamel_error`` checks the condition and forms K1, K2 (``double_commutators``)
+once; each tau node makes six exponentials, e^{tau P2} shared by W and the factor.
 The error bound
 
     ||E(t)|| <= (t^3/6) (||[P1,[P2,P3]]|| + ||[P2,[P2,P3]]||)
@@ -47,17 +49,23 @@ skew-Hermitian generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from trisplit.matrix_core import ConditionViolated, as_complex_matrix, commutator, expm, op_norm
-from trisplit.splitting import check_second_order, triple_splitting_error
+from trisplit.matrix_core import (
+    ConditionViolated,
+    as_complex_matrix,
+    check_second_order,
+    commutator,
+    double_commutators,
+    expm,
+    op_norm,
+)
+from trisplit.splitting import triple_splitting_error
 
 #: Refinement cap: panel counts grow by doubling at most this many times.
 MAX_PANEL_DOUBLINGS = 8
-
-#: Second-order-condition gate for the full error representation.
-CONDITION_TOL = 1e-8
 
 
 class ToleranceNotReached(RuntimeError):
@@ -79,15 +87,9 @@ class QuadratureSpec:
             raise ValueError("target_tol must be positive")
 
 
-_LEGENDRE_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _gauss_rule(order: int):
-    rule = _LEGENDRE_CACHE.get(order)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(order)
-        _LEGENDRE_CACHE[order] = rule
-    return rule
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_nodes(upper: float, order: int, panels: int):
@@ -151,6 +153,13 @@ def z_integral(p, q, t) -> np.ndarray:
 W_FORMS = ("double_integral", "defining")
 
 
+def _w_double_integral(tau, p1, p2, k1, k2, e2) -> np.ndarray:
+    """Double-integral W(tau) from checked P1, P2, K1, K2 and e2 = e^{tau P2}."""
+    eye = np.eye(p1.shape[0], dtype=np.complex128)
+    inner = _van_loan(tau, -p2, eye, -p2, k2, -p2)
+    return _van_loan(tau, p1, eye, p1, k1, p1) + expm(p1, tau) @ e2 @ inner
+
+
 def w_integral(p1, p2, p3, tau, form="double_integral") -> np.ndarray:
     """The W(tau) kernel of the error representation, in either form.
 
@@ -158,19 +167,14 @@ def w_integral(p1, p2, p3, tau, form="double_integral") -> np.ndarray:
     variation-of-constants identity and does not use the second-order
     condition.
     """
-    p1 = as_complex_matrix(p1)
-    p2 = as_complex_matrix(p2)
-    p3 = as_complex_matrix(p3)
+    p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
     if form not in W_FORMS:
         raise ValueError(f"form must be one of {W_FORMS}, got {form!r}")
-    k23 = commutator(p2, p3)
-    forward = expm(p1, tau) @ expm(p2, tau)
+    k23, k1, k2 = double_commutators(p1, p2, p3)
+    e2 = expm(p2, tau)
     if form == "defining":
-        return forward @ _van_loan(tau, -p2, k23, -p2) - _van_loan(tau, p1, k23, p1)
-    eye = np.eye(p1.shape[0], dtype=np.complex128)
-    return _van_loan(tau, p1, eye, p1, commutator(p1, k23), p1) + forward @ _van_loan(
-        tau, -p2, eye, -p2, commutator(p2, k23), -p2
-    )
+        return expm(p1, tau) @ e2 @ _van_loan(tau, -p2, k23, -p2) - _van_loan(tau, p1, k23, p1)
+    return _w_double_integral(tau, p1, p2, k1, k2, e2)
 
 
 def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
@@ -181,25 +185,25 @@ def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
     the surviving single-commutator term and cannot match the measured error.
     """
     quad = quad or QuadratureSpec()
-    p1 = as_complex_matrix(p1)
-    p2 = as_complex_matrix(p2)
-    p3 = as_complex_matrix(p3)
-    ok, residual = check_second_order(p1, p2, p3, CONDITION_TOL)
+    p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
+    ok, residual = check_second_order(p1, p2, p3)
     if not ok:
         raise ConditionViolated(
-            f"second-order condition residual {residual:.3e} exceeds the "
-            f"{CONDITION_TOL!r} gate; the integral representation does not apply"
+            f"second-order condition residual {residual:.3e} exceeds its gate; "
+            "the integral representation does not apply"
         )
+    _, k1, k2 = double_commutators(p1, p2, p3)
     total_generator = p1 + p2 + p3
 
     def once(panels):
         nodes, weights = _panel_nodes(t, quad.gauss_order, panels)
         total = np.zeros_like(p1)
         for tau, w in zip(nodes, weights):
+            e2 = expm(p2, tau)
             total += w * (
                 expm(total_generator, t - tau)
-                @ w_integral(p1, p2, p3, tau)
-                @ expm(p2, tau)
+                @ _w_double_integral(tau, p1, p2, k1, k2, e2)
+                @ e2
                 @ expm(p3, tau)
             )
         return total
@@ -214,10 +218,8 @@ def error_bound(p1, p2, p3, t) -> float:
     has norm one (isometric semigroups; skew-Hermitian generators at desk
     scale).
     """
-    inner = commutator(p2, p3)
-    return (abs(t) ** 3 / 6.0) * (
-        op_norm(commutator(p1, inner)) + op_norm(commutator(p2, inner))
-    )
+    _, k1, k2 = double_commutators(p1, p2, p3)
+    return (abs(t) ** 3 / 6.0) * (op_norm(k1) + op_norm(k2))
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,7 @@ import numpy as np
 
 from trisplit import lie_symbolic as ls
 from trisplit.duhamel import ErrorReport, QuadratureSpec, build_error_report, error_bound
-from trisplit.matrix_core import (
-    expm,
-    op_norm,
-    random_skew_hermitian,
-    solve_second_order_constraint,
-)
+from trisplit.matrix_core import expm, op_norm, random_skew_hermitian, solve_second_order_constraint
 from trisplit.schrodinger import (
     Grid1D,
     WaveFunction,
@@ -164,11 +159,8 @@ def _steps_for(horizon: float, h: float) -> int:
     return steps
 
 
-def _matrix_rows(study: ConvergenceStudy, operators, scheme=None):
-    if operators is None:
-        a, b = _random_pair(study.dim, study.seed)
-    else:
-        a, b = operators
+def _matrix_rows(study: ConvergenceStudy, scheme=None):
+    a, b = _random_pair(study.dim, study.seed)
     scheme = scheme or scheme_by_name(study.scheme_name)
     if set(scheme.references) - {"A", "B"}:
         raise ValueError(f"scheme {study.scheme_name!r} is not an A/B scheme")
@@ -211,18 +203,15 @@ def _l2_distance(u: WaveFunction, v: WaveFunction) -> float:
     return WaveFunction(u.samples - v.samples, u.grid).l2_norm()
 
 
-def run_convergence(study: ConvergenceStudy, operators=None, scheme=None) -> StudyResult:
+def run_convergence(study: ConvergenceStudy, scheme=None) -> StudyResult:
     """Measure errors over the study's step sizes and fit an order.
 
-    ``operators`` overrides the sampled matrix pair (matrix problems only) —
-    used to drive degenerate cases deliberately.  ``scheme`` overrides the
-    named scheme with an explicit SplittingScheme (e.g. loaded from a file).
+    ``scheme`` overrides the named scheme with an explicit SplittingScheme
+    (e.g. loaded from a file).
     """
     if study.problem == "matrix":
-        rows, extra = _matrix_rows(study, operators, scheme)
+        rows, extra = _matrix_rows(study, scheme)
     else:
-        if operators is not None:
-            raise ValueError("operators override applies to matrix problems only")
         rows, extra = _schrodinger_rows(study, scheme)
     metadata = {
         "problem": study.problem,

@@ -197,7 +197,10 @@ def evolve(
 
 
 def commutator_apply(u: WaveFunction, v: Potential) -> WaveFunction:
-    """[A, B] u = A(iVu) - iV(Au), all pieces computed spectrally/pointwise."""
+    """[A, B] u = A(iVu) - iV(Au), all pieces computed spectrally/pointwise.
+
+    On the harmonic and linear potentials, not periodic on the grid, it equals
+    (1/2) V''u + V'u' only where u has decayed to rounding at the grid edge."""
     if v.grid != u.grid:
         raise ValueError("wavefunction and potential live on different grids")
     bu = 1j * v.samples * u.samples
@@ -207,7 +210,8 @@ def commutator_apply(u: WaveFunction, v: Potential) -> WaveFunction:
 
 
 def double_commutator_apply(u: WaveFunction, v: Potential) -> WaveFunction:
-    """[B, [A, B]] u = iV ([A,B]u) - [A,B](iVu)."""
+    """[B, [A, B]] u = iV ([A,B]u) - [A,B](iVu); -i (V')^2 u under the same
+    edge condition as ``commutator_apply``."""
     inner_u = commutator_apply(u, v)
     vu = WaveFunction(1j * v.samples * u.samples, u.grid)
     inner_vu = commutator_apply(vu, v)

@@ -16,7 +16,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from trisplit.matrix_core import as_complex_matrix, commutator, expm, op_norm
+from trisplit.matrix_core import as_complex_matrix, commutator, double_commutators, expm
 
 _CANONICAL_SUM_TOL = 1e-12
 
@@ -139,20 +139,6 @@ def triple_splitting_error(p1, p2, p3, t: float) -> np.ndarray:
     return splitting_error(make_triple(), triple_operator_set(p1, p2, p3), t)
 
 
-def check_second_order(p1, p2, p3, tol: float) -> Tuple[bool, float]:
-    """Residual of [P1,P2] + [P1,P3] + [P2,P3] = 0 and a scaled verdict.
-
-    The gate is relative to 1 + sum of squared operator norms, the natural
-    size of a commutator sum built from the inputs.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    defect = commutator(p1, p2) + commutator(p1, p3) + commutator(p2, p3)
-    residual = op_norm(defect)
-    scale = 1.0 + op_norm(p1) ** 2 + op_norm(p2) ** 2 + op_norm(p3) ** 2
-    return residual <= tol * scale, residual
-
-
 #: Closed forms of the cubic leading error coefficient of e^{tP1}e^{tP2}e^{tP3},
 #: valid once the second-order condition holds.  "series" is the form the
 #: Taylor-expansion route produces; "integral" the one the integral error
@@ -169,8 +155,8 @@ def leading_error_E3(p1, p2, p3, form: str = "series") -> np.ndarray:
         inner = commutator(p1, p2)
         return -commutator(p2, inner) / 6.0 - commutator(p3, inner) / 6.0
     if form == "integral":
-        inner = commutator(p2, p3)
-        return (commutator(p1, inner) + commutator(p2, inner)) / 6.0
+        _, k1, k2 = double_commutators(p1, p2, p3)
+        return (k1 + k2) / 6.0
     raise ValueError(f"unknown form {form!r}; expected one of {E3_FORMS}")
 
 

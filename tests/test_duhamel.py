@@ -149,6 +149,35 @@ def test_duhamel_error_stops_doubling_at_round_off():
         duhamel_error(p1, p2, p3, 1.0, quad=quad)
 
 
+def test_duhamel_error_makes_six_exponentials_per_node(monkeypatch):
+    # inputs validated and commutators formed once per call; each tau node
+    # reuses e^{tau P2} and does not go through the public w_integral
+    p1, p2, p3 = constrained_triple(4, seed=75)
+    calls = {"expm": 0, "nodes": 0}
+    expm_, panel_nodes = duhamel.expm, duhamel._panel_nodes
+
+    def counted_expm(*args, **kwargs):
+        calls["expm"] += 1
+        return expm_(*args, **kwargs)
+
+    def counted_nodes(*args, **kwargs):
+        nodes, weights = panel_nodes(*args, **kwargs)
+        calls["nodes"] += len(nodes)
+        return nodes, weights
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("duhamel_error called w_integral")
+
+    monkeypatch.setattr(duhamel, "expm", counted_expm)
+    monkeypatch.setattr(duhamel, "_panel_nodes", counted_nodes)
+    monkeypatch.setattr(duhamel, "w_integral", forbidden)
+    represented = duhamel_error(p1, p2, p3, 0.5)
+    assert calls["nodes"] >= 16  # at least one panel doubling
+    assert calls["expm"] == 6 * calls["nodes"]
+    measured = triple_splitting_error(p1, p2, p3, 0.5)
+    assert op_norm(represented - measured) <= 1e-8
+
+
 def test_duhamel_error_cubic_scaling():
     p1, p2, p3 = constrained_triple(4, seed=74)
     norms = [op_norm(duhamel_error(p1, p2, p3, t)) for t in (0.2, 0.1, 0.05)]

@@ -85,10 +85,9 @@ def test_matrix_convergence_orders(scheme, window):
 
 
 def test_matrix_convergence_degenerate_for_commuting_pair():
-    study = ConvergenceStudy("matrix", "strang", dyadic(4, 6), 1.0, seed=1)
-    a = np.diag([1j, -2j, 0.5j, 1j])
-    b = np.diag([2j, 1j, 1j, -1j])
-    result = run_convergence(study, operators=(a, b))
+    # 1 x 1 operators commute, so the splitting is exact up to rounding
+    study = ConvergenceStudy("matrix", "strang", dyadic(4, 6), 1.0, seed=5, dim=1)
+    result = run_convergence(study)
     assert result.verdict == "degenerate"
     assert result.fitted_order is None
 

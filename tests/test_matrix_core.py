@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from trisplit import matrix_core
+from trisplit.harness import derive_seeds, sample_constrained_triple
 from trisplit.matrix_core import (
     ConditionViolated,
     as_complex_matrix,
+    check_second_order,
     commutator,
     expm,
     is_skew_hermitian,
@@ -208,11 +211,13 @@ def test_solver_is_minimum_norm():
     assert op_norm(residual_direct) <= 1e-14
 
 
-def test_solver_residual_gate():
+def test_solver_residual_gate(monkeypatch):
+    # the solver gates its own P3 through check_second_order at CONDITION_TOL
+    monkeypatch.setattr(matrix_core, "CONDITION_TOL", 1e-300)
     p1 = random_skew_hermitian(4, seed=13)
     p2 = random_skew_hermitian(4, seed=14)
     with pytest.raises(ConditionViolated):
-        solve_second_order_constraint(p1, p2, residual_tol=0.0)
+        solve_second_order_constraint(p1, p2)
 
 
 def test_solver_dimension_mismatch():
@@ -277,3 +282,79 @@ def test_solver_rejects_non_skew_hermitian_input():
         solve_second_order_constraint(jordan, p2)
     with pytest.raises(ValueError, match="skew-Hermitian"):
         solve_second_order_constraint(p2, jordan)
+
+
+# --- the second-order condition ---------------------------------------------------
+
+
+def constrained_triple(dim, seed):
+    p1 = random_skew_hermitian(dim, seed=seed)
+    p2 = random_skew_hermitian(dim, seed=seed + 1000)
+    p3 = solve_second_order_constraint(p1, p2)
+    return p1, p2, p3
+
+
+def test_check_second_order_exact_for_symmetrized_pair():
+    # P1 = A/2, P2 = B, P3 = A/2 satisfies the condition identically
+    a = random_skew_hermitian(5, seed=71)
+    b = random_skew_hermitian(5, seed=72)
+    ok, residual = check_second_order(a / 2, b, a / 2, tol=1e-12)
+    assert ok
+    assert residual <= 1e-14 * (1 + op_norm(a) * op_norm(b))
+
+
+def test_check_second_order_generic_triple_fails():
+    p1, p2, p3 = (random_skew_hermitian(4, seed=s) for s in (81, 82, 83))
+    ok, residual = check_second_order(p1, p2, p3, tol=1e-10)
+    assert not ok
+    defect = commutator(p1, p2) + commutator(p1, p3) + commutator(p2, p3)
+    assert residual == pytest.approx(op_norm(defect), rel=1e-12)
+
+
+def test_check_second_order_accepts_constructed_triple():
+    p1, p2, p3 = constrained_triple(6, seed=90)
+    ok, _ = check_second_order(p1, p2, p3, tol=1e-10)
+    assert ok
+
+
+def test_check_second_order_rejects_bad_tol():
+    with pytest.raises(ValueError):
+        check_second_order(np.eye(2), np.eye(2), np.eye(2), tol=0.0)
+
+
+def frobenius_scale(*ps):
+    return 1.0 + sum(np.linalg.norm(p) ** 2 for p in ps)
+
+
+@pytest.mark.parametrize("size", [1e3, 1e4])
+def test_solver_accepts_its_answer_for_large_nearly_commuting_pairs(size):
+    # P1, P2 share an eigenbasis up to a 1e-3 perturbation; rounding leaves a
+    # defect of order eps ||P1|| ||P2||, far above 1e-10 (1 + ||[P1,P2]||), the
+    # scale the solver once gated on, which rejected these correct answers
+    rng = np.random.default_rng(0)
+    _, u = np.linalg.eigh(-1j * random_skew_hermitian(8, seed=0))
+
+    def near_diagonal(seed):
+        lam = size * rng.standard_normal(8)
+        return u @ np.diag(1j * lam) @ u.conj().T + 1e-3 * random_skew_hermitian(8, seed=seed)
+
+    p1, p2 = near_diagonal(1), near_diagonal(2)
+    p3 = solve_second_order_constraint(p1, p2)
+    ok, residual = check_second_order(p1, p2, p3)
+    assert ok
+    assert residual > 1e-10 * (1.0 + op_norm(commutator(p1, p2)))
+    assert residual <= 1e-10 * frobenius_scale(p1, p2, p3)
+
+
+def test_gate_rejects_p3_moved_off_the_condition():
+    # the triples of the default verify-bound campaign: each solved P3 passes,
+    # and P3 + 1e-6 ||P3|| Z/||Z|| fails by a wide margin (at least 877x the
+    # gate over these 100 triples)
+    for child in derive_seeds(7, 100):
+        p1, p2, p3 = sample_constrained_triple(6, child)
+        assert check_second_order(p1, p2, p3)[0]
+        z = random_skew_hermitian(6, seed=child)
+        moved = p3 + 1e-6 * op_norm(p3) * z / op_norm(z)
+        ok, residual = check_second_order(p1, p2, moved)
+        assert not ok
+        assert residual >= 500 * matrix_core.CONDITION_TOL * frobenius_scale(p1, p2, moved)

@@ -13,7 +13,6 @@ from trisplit.splitting import (
     OperatorSet,
     SplittingScheme,
     apply_splitting,
-    check_second_order,
     generator_matrix,
     leading_error_E3,
     load_scheme,
@@ -136,37 +135,6 @@ def test_triple_splitting_error_definition():
     t = 0.3
     direct = expm(p1, t) @ expm(p2, t) @ expm(p3, t) - expm(p1 + p2 + p3, t)
     assert np.allclose(triple_splitting_error(p1, p2, p3, t), direct, atol=1e-14)
-
-
-# --- the second-order condition -----------------------------------------------
-
-
-def test_check_second_order_exact_for_symmetrized_pair():
-    # P1 = A/2, P2 = B, P3 = A/2 satisfies the condition identically
-    a = random_skew_hermitian(5, seed=71)
-    b = random_skew_hermitian(5, seed=72)
-    ok, residual = check_second_order(a / 2, b, a / 2, tol=1e-12)
-    assert ok
-    assert residual <= 1e-14 * (1 + op_norm(a) * op_norm(b))
-
-
-def test_check_second_order_generic_triple_fails():
-    p1, p2, p3 = (random_skew_hermitian(4, seed=s) for s in (81, 82, 83))
-    ok, residual = check_second_order(p1, p2, p3, tol=1e-10)
-    assert not ok
-    defect = commutator(p1, p2) + commutator(p1, p3) + commutator(p2, p3)
-    assert residual == pytest.approx(op_norm(defect), rel=1e-12)
-
-
-def test_check_second_order_accepts_constructed_triple():
-    p1, p2, p3 = constrained_triple(6, seed=90)
-    ok, _ = check_second_order(p1, p2, p3, tol=1e-10)
-    assert ok
-
-
-def test_check_second_order_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        check_second_order(np.eye(2), np.eye(2), np.eye(2), tol=0.0)
 
 
 # --- the cubic error coefficient ----------------------------------------------
