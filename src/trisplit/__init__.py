@@ -11,8 +11,9 @@ Subpackage map:
 * ``splitting``      -- splitting schemes as exponential products, error
   measurement and the closed-form leading error term.
 * ``duhamel``        -- the integral error representation: inner integrals
-  exact via block exponentials, Gauss-Legendre only for the outer
-  tau-integral; the commutator error bound.
+  exact via block exponentials, or elementwise in the eigenbasis for
+  skew-Hermitian triples; Gauss-Legendre only for the outer tau-integral;
+  the commutator error bound.
 * ``schrodinger``    -- periodic 1D split-step Fourier solver and the
   commutators [A,B]u and [B,[A,B]]u of the kinetic/potential pair.
 * ``harness``        -- convergence studies, certification and verification

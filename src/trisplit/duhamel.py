@@ -37,7 +37,27 @@ K2 = [P2,K23] and I the identity:
 Only the outer tau-integral of E(t) uses quadrature, composite Gauss-Legendre
 with panel doubling: its factor e^{tau P2} e^{tau P3} is not one exponential.
 ``duhamel_error`` checks the condition and forms K1, K2 (``double_commutators``)
-once; each tau node makes six exponentials, e^{tau P2} shared by W and the factor.
+once, then takes one of two paths.
+
+* P1, P2 and P3 all skew-Hermitian (every campaign): in the eigenbasis of
+  P = U diag(mu) U*, mu = i lam, each VL block is elementwise (the
+  Daleckii-Krein form; Higham, "Functions of Matrices", 2008).  With
+  X~ = U* X U,
+
+      VL(tau; P, B, P)       = U (B~ o F) U*,  F_ij = tau e^{tau mu_j} phi1(tau (mu_i - mu_j)),
+      VL(tau; P, I, P, K, P) = U (K~ o G) U*,  G_ij = tau^2 e^{tau mu_j} psi(tau (mu_i - mu_j)),
+
+  where phi1(z) = int_0^1 e^{xz} dx, exact as phi1(i theta) =
+  e^{i theta/2} sinc(theta/2pi), and psi(z) = int_0^1 x e^{xz} dx =
+  (e^z - phi1(z))/z, summed as a Taylor series for |z| < 1/2.  Nothing
+  divides by an eigenvalue gap, so repeated and clustered spectra need no
+  special case.  One ``eigh`` each of P1, P2, P3 and L serves every panel
+  level, all nodes of a level are one stacked (nodes, n, n) computation, and
+  the eigenvectors of L and P3 are applied once to the weighted sum.
+* Any other input: each tau node makes six exponentials, e^{tau P2} shared by
+  W and the factor, two of them of 3n x 3n Van Loan blocks.  This loop is
+  also the reference the eigenbasis path is tested against.
+
 The error bound
 
     ||E(t)|| <= (t^3/6) (||[P1,[P2,P3]]|| + ||[P2,[P2,P3]]||)
@@ -60,6 +80,7 @@ from trisplit.matrix_core import (
     commutator,
     double_commutators,
     expm,
+    is_skew_hermitian,
     op_norm,
 )
 from trisplit.splitting import triple_splitting_error
@@ -177,12 +198,76 @@ def w_integral(p1, p2, p3, tau, form="double_integral") -> np.ndarray:
     return _w_double_integral(tau, p1, p2, k1, k2, e2)
 
 
+#: Taylor coefficients 1/(k! (k+2)), k = 15..0, of psi(z) = int_0^1 x e^{xz} dx.
+_PSI_TAYLOR = (1.0 / (np.cumprod(np.r_[1.0, np.arange(1.0, 16.0)]) * np.arange(2.0, 18.0)))[::-1]
+
+#: Entries per stacked (nodes, n, n) array; bounds the memory of one pass.
+_STACK_ENTRIES = 1 << 21
+
+
+def _psi(theta) -> np.ndarray:
+    """psi(i theta) elementwise for real theta: (e^{i theta} - phi1)/(i theta)
+    for |theta| >= 1/2, the Taylor series below."""
+    small = np.abs(theta) < 0.5
+    out = np.empty(theta.shape, dtype=np.complex128)
+    out[small] = np.polyval(_PSI_TAYLOR, 1j * theta[small])
+    wide = theta[~small]
+    half = np.exp(0.5j * wide)
+    out[~small] = half * (half - np.sinc(wide / (2 * np.pi))) / (1j * wide)
+    return out
+
+
+def _eigenbasis_error(p1, p2, p3, k1, k2, t, quad, refine) -> np.ndarray:
+    """E(t) for skew-Hermitian P1, P2, P3 from one eigh of each and of L.
+
+    With Pk = Uk diag(i lam_k) Uk*, Cjk = Uj* Uk and Dk = diag(e^{i tau lam_k}),
+    the integrand in the bases of L and P3 is
+
+        DL(t - tau) CL1 [A~ C12 D2 + D1 C12 H~] C23 D3(tau),
+
+    A~ = U1* VL(tau; P1, I, P1, K1, P1) U1 and H~ = D2 U2* VL(tau; -P2, I,
+    -P2, K2, -P2) U2 D2, whose entries are K2~_ij tau^2 e^{i tau lam2_i}
+    psi(tau (lam2_j - lam2_i)).
+    """
+    (lam1, u1), (lam2, u2), (lam3, u3), (lam_l, u_l) = (
+        np.linalg.eigh(-1j * p) for p in (p1, p2, p3, p1 + p2 + p3)
+    )
+    k1_t = u1.conj().T @ k1 @ u1
+    k2_t = u2.conj().T @ k2 @ u2
+    c12 = u1.conj().T @ u2
+    cl1 = u_l.conj().T @ u1
+    c23 = u2.conj().T @ u3
+    gap1 = lam1[:, None] - lam1[None, :]
+    gap2 = lam2[:, None] - lam2[None, :]
+
+    def level(nodes, weights):
+        tau = nodes[:, None, None]
+        a = k1_t * tau**2 * np.exp(1j * tau * lam1) * _psi(tau * gap1)
+        h = k2_t * tau**2 * np.exp(1j * tau * lam2[:, None]) * _psi(-tau * gap2)
+        x = a @ (c12 * np.exp(1j * tau * lam2)) + (np.exp(1j * tau * lam1[:, None]) * c12) @ h
+        y = cl1 @ x @ c23
+        left = weights[:, None, None] * np.exp(1j * (t - tau) * lam_l[:, None])
+        return (left * y * np.exp(1j * tau * lam3)).sum(axis=0)
+
+    def once(panels):
+        nodes, weights = _panel_nodes(t, quad.gauss_order, panels)
+        step = max(1, _STACK_ENTRIES // lam1.size**2)
+        total = sum(
+            level(nodes[i : i + step], weights[i : i + step]) for i in range(0, len(nodes), step)
+        )
+        return u_l @ total @ u3.conj().T
+
+    return _refined(once, quad, refine)
+
+
 def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
     """The exact error representation E(t): Gauss-Legendre over tau of the
     exact double-integral W(tau).
 
     Requires the second-order condition: without it the representation misses
     the surviving single-commutator term and cannot match the measured error.
+    Skew-Hermitian triples take the eigenbasis path; any other input makes
+    six exponentials per tau node.
     """
     quad = quad or QuadratureSpec()
     p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
@@ -193,6 +278,8 @@ def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
             "the integral representation does not apply"
         )
     _, k1, k2 = double_commutators(p1, p2, p3)
+    if all(is_skew_hermitian(p) for p in (p1, p2, p3)):
+        return _eigenbasis_error(p1, p2, p3, k1, k2, t, quad, refine)
     total_generator = p1 + p2 + p3
 
     def once(panels):

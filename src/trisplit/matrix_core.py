@@ -20,7 +20,7 @@ import scipy.linalg
 _SKEW_HERMITIAN_TOL = 1e-13
 
 #: Relative tolerance of the second-order-condition gate, check_second_order.
-CONDITION_TOL = 1e-10
+CONDITION_TOL = 1e-12
 
 
 class ConditionViolated(RuntimeError):

@@ -148,7 +148,7 @@ def test_criterion_4_duhamel_representation():
         f"40 comparisons: max discrepancy {worst:.2e} (tol 1e-6); "
         f"coarse-rule gap {gaps[0]:.1e} -> {gaps[1]:.1e} -> {gaps[2]:.1e} under panel doubling",
         elapsed,
-        budget=300.0,
+        budget=10.0,
     )
 
 

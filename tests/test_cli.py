@@ -188,6 +188,19 @@ def test_verify_bound_at_dim_64(tmp_path, capsys):
     assert len(lines) == 10  # 3 instances x 3 default times + header
 
 
+def test_verify_duhamel_at_dim_64(tmp_path, capsys):
+    path = tmp_path / "dim64.ini"
+    path.write_text(
+        "[config]\nversion = 1\n\n[verify-duhamel]\ncount = 1\ndim = 64\nt_values = 0.25 0.5\n"
+    )
+    out_dir = tmp_path / "duhamel64"
+    code = main(["verify-duhamel", "--config", str(path), "--out", str(out_dir)])
+    assert code == EXIT_PASS
+    assert "PASS verify-duhamel" in capsys.readouterr().out
+    lines = (out_dir / "verify_duhamel.csv").read_text().splitlines()
+    assert len(lines) == 3  # 1 instance x 2 times + header
+
+
 def test_schrodinger_bench_artifact(config_path, tmp_path, capsys):
     out_dir = tmp_path / "bench"
     code = main(["schrodinger-bench", "--config", config_path, "--out", str(out_dir)])

@@ -38,6 +38,53 @@ def non_normal(dim, seed):
     return jordan + np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
 
+def with_eigenvalues(lam, seed):
+    """U diag(i lam) U*, skew-Hermitian to the last bit, U a random unitary."""
+    _, u = np.linalg.eigh(-1j * random_skew_hermitian(len(lam), seed=seed))
+    m = (u * 1j * np.asarray(lam)) @ u.conj().T
+    return (m - m.conj().T) / 2.0
+
+
+def off_minimum_norm_triple(dim, seed):
+    """P3 = -P2 + Z, Z = U diag(i r) U* commuting with P1 + P2: a solution of
+    the condition away from the minimum-norm point the solver returns."""
+    q1 = random_skew_hermitian(dim, seed=seed)
+    q2 = random_skew_hermitian(dim, seed=seed + 1)
+    _, u = np.linalg.eigh(-1j * (q1 + q2))
+    r = np.random.default_rng(seed + 2).standard_normal(dim)
+    return q1, q2, -q2 + (u * 1j * r) @ u.conj().T
+
+
+def clustered_triple(dim, seed, gap, size):
+    """P1 and P2 each with `size` eigenvalues `gap` apart, P3 from the solver."""
+    lam = np.random.default_rng(seed).standard_normal((2, dim))
+    lam[:, 1:size] = lam[:, :1] + gap * np.arange(1, size)
+    p1 = with_eigenvalues(lam[0], seed + 1)
+    p2 = with_eigenvalues(lam[1], seed + 2)
+    return p1, p2, solve_second_order_constraint(p1, p2)
+
+
+def commuting_pair_triple(dim, seed):
+    """(P1, P2, P1): P1 and P3 commute, and the condition reduces to
+    [P1,P2] + [P2,P1] = 0."""
+    p1 = random_skew_hermitian(dim, seed=seed)
+    return p1, random_skew_hermitian(dim, seed=seed + 1), p1
+
+
+def non_normal_triple(dim, seed):
+    """(N, -N, Q): [N,-N] = 0 and [N,Q] + [-N,Q] = 0 hold exactly in floating
+    point, so the condition holds for non-normal N and Q."""
+    n = non_normal(dim, seed)
+    return n, -n, non_normal(dim, seed + 1)
+
+
+def block_expm_error(monkeypatch, p1, p2, p3, t):
+    """duhamel_error through the per-node block-expm loop."""
+    with monkeypatch.context() as patched:
+        patched.setattr(duhamel, "is_skew_hermitian", lambda p: False)
+        return duhamel_error(p1, p2, p3, t)
+
+
 def direct_bracket(p, q, t):
     """[e^{tP}, Q] evaluated directly, no quadrature."""
     u = expm(p, t)
@@ -119,14 +166,14 @@ def test_duhamel_error_requires_the_condition():
 
 
 def test_duhamel_error_reproduces_measured_error():
-    # P3 = -P2 + Z with Z commuting with P1 + P2 solves the condition away
-    # from the minimum-norm point the constraint solver returns
-    q1 = random_skew_hermitian(16, seed=76)
-    q2 = random_skew_hermitian(16, seed=77)
-    _, u = np.linalg.eigh(-1j * (q1 + q2))
-    r = np.random.default_rng(78).standard_normal(16)
-    z = (u * 1j * r) @ u.conj().T
-    for p1, p2, p3 in (constrained_triple(4, seed=73), (q1, q2, -q2 + z)):
+    # the minimum-norm P3, an off-minimum-norm P3 and a non-normal triple,
+    # which takes the block-expm path
+    triples = (
+        constrained_triple(4, seed=73),
+        off_minimum_norm_triple(16, seed=76),
+        non_normal_triple(4, seed=79),
+    )
+    for p1, p2, p3 in triples:
         for t in (0.25, 0.5):
             represented = duhamel_error(p1, p2, p3, t)
             measured = triple_splitting_error(p1, p2, p3, t)
@@ -149,33 +196,102 @@ def test_duhamel_error_stops_doubling_at_round_off():
         duhamel_error(p1, p2, p3, 1.0, quad=quad)
 
 
-def test_duhamel_error_makes_six_exponentials_per_node(monkeypatch):
-    # inputs validated and commutators formed once per call; each tau node
-    # reuses e^{tau P2} and does not go through the public w_integral
-    p1, p2, p3 = constrained_triple(4, seed=75)
-    calls = {"expm": 0, "nodes": 0}
-    expm_, panel_nodes = duhamel.expm, duhamel._panel_nodes
+def count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
 
-    def counted_expm(*args, **kwargs):
-        calls["expm"] += 1
-        return expm_(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def count_nodes(monkeypatch, calls):
+    panel_nodes = duhamel._panel_nodes
 
     def counted_nodes(*args, **kwargs):
         nodes, weights = panel_nodes(*args, **kwargs)
         calls["nodes"] += len(nodes)
         return nodes, weights
 
+    monkeypatch.setattr(duhamel, "_panel_nodes", counted_nodes)
+
+
+def test_duhamel_error_makes_six_exponentials_per_node(monkeypatch):
+    # non-normal input keeps the block-expm loop: inputs validated and
+    # commutators formed once per call; each tau node reuses e^{tau P2} and
+    # does not go through the public w_integral
+    p1, p2, p3 = non_normal_triple(4, seed=75)
+    calls = {"expm": 0, "nodes": 0}
+    count_calls(monkeypatch, duhamel, "expm", calls)
+    count_nodes(monkeypatch, calls)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("duhamel_error called w_integral")
 
-    monkeypatch.setattr(duhamel, "expm", counted_expm)
-    monkeypatch.setattr(duhamel, "_panel_nodes", counted_nodes)
     monkeypatch.setattr(duhamel, "w_integral", forbidden)
     represented = duhamel_error(p1, p2, p3, 0.5)
     assert calls["nodes"] >= 16  # at least one panel doubling
     assert calls["expm"] == 6 * calls["nodes"]
     measured = triple_splitting_error(p1, p2, p3, 0.5)
     assert op_norm(represented - measured) <= 1e-8
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_duhamel_error_eigenbasis_path_makes_four_eigendecompositions(monkeypatch, t):
+    # a skew-Hermitian triple makes one eigh each of P1, P2, P3 and L per
+    # call, however many panel levels refinement visits, and no exponential
+    p1, p2, p3 = constrained_triple(4, seed=75)
+    calls = {"expm": 0, "eigh": 0, "nodes": 0}
+    count_calls(monkeypatch, duhamel, "expm", calls)
+    count_calls(monkeypatch, np.linalg, "eigh", calls)
+    count_nodes(monkeypatch, calls)
+    represented = duhamel_error(p1, p2, p3, t)
+    assert calls["nodes"] >= 24  # at least two panel levels
+    assert calls["expm"] == 0
+    assert calls["eigh"] == 4
+    measured = triple_splitting_error(p1, p2, p3, t)
+    assert op_norm(represented - measured) <= 1e-8
+
+
+def norm_one(triple, dim):
+    """A random triple scaled to spectral norms O(1) at every dim; the
+    condition is homogeneous, so it still holds."""
+    return tuple(p / np.sqrt(dim) for p in triple)
+
+
+TRIPLES = {
+    "minimum_norm": lambda dim: norm_one(constrained_triple(dim, seed=90), dim),
+    "off_minimum_norm": lambda dim: norm_one(off_minimum_norm_triple(dim, seed=91), dim),
+    "gap_1e-9": lambda dim: clustered_triple(dim, seed=94, gap=1e-9, size=2),
+    "gap_1e-12": lambda dim: clustered_triple(dim, seed=97, gap=1e-12, size=2),
+    "triple_eigenvalue": lambda dim: clustered_triple(dim, seed=100, gap=0.0, size=3),
+    "commuting_pair": lambda dim: norm_one(commuting_pair_triple(dim, seed=103), dim),
+}
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+@pytest.mark.parametrize("kind", sorted(TRIPLES))
+def test_eigenbasis_path_matches_block_expm_path(monkeypatch, kind, dim):
+    p1, p2, p3 = TRIPLES[kind](dim)
+    for t in (0.0, 1e-8, 0.25, 1.0, -0.5):
+        fast = duhamel_error(p1, p2, p3, t)
+        reference = block_expm_error(monkeypatch, p1, p2, p3, t)
+        if t == 0.0:
+            assert not fast.any() and not reference.any()
+        else:
+            assert op_norm(reference) > 0.0
+            assert op_norm(fast - reference) <= 1e-12 * op_norm(reference)
+
+
+def test_eigenbasis_path_splits_large_levels_into_blocks(monkeypatch):
+    # levels larger than _STACK_ENTRIES are summed block by block; 8-node
+    # blocks at dim 4 split every level past the first
+    p1, p2, p3 = constrained_triple(4, seed=87)
+    whole = duhamel_error(p1, p2, p3, 1.0)
+    monkeypatch.setattr(duhamel, "_STACK_ENTRIES", 8 * 4 * 4)
+    blocked = duhamel_error(p1, p2, p3, 1.0)
+    assert op_norm(blocked - whole) <= 1e-14 * op_norm(whole)
 
 
 def test_duhamel_error_cubic_scaling():

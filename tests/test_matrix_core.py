@@ -348,8 +348,8 @@ def test_solver_accepts_its_answer_for_large_nearly_commuting_pairs(size):
 
 def test_gate_rejects_p3_moved_off_the_condition():
     # the triples of the default verify-bound campaign: each solved P3 passes,
-    # and P3 + 1e-6 ||P3|| Z/||Z|| fails by a wide margin (at least 877x the
-    # gate over these 100 triples)
+    # and P3 + 1e-6 ||P3|| Z/||Z|| fails by a wide margin (at least 87,000x
+    # the gate over these 100 triples)
     for child in derive_seeds(7, 100):
         p1, p2, p3 = sample_constrained_triple(6, child)
         assert check_second_order(p1, p2, p3)[0]
@@ -358,3 +358,13 @@ def test_gate_rejects_p3_moved_off_the_condition():
         ok, residual = check_second_order(p1, p2, moved)
         assert not ok
         assert residual >= 500 * matrix_core.CONDITION_TOL * frobenius_scale(p1, p2, moved)
+
+
+def test_gate_rejects_p3_moved_off_the_condition_by_1e_9():
+    # solved P3 leave a defect of at most 6.2e-16 of the scale on these
+    # triples; moved by 1e-9 ||P3||, every one reads at least 87x the gate
+    for child in derive_seeds(7, 100):
+        p1, p2, p3 = sample_constrained_triple(6, child)
+        z = random_skew_hermitian(6, seed=child)
+        moved = p3 + 1e-9 * op_norm(p3) * z / op_norm(z)
+        assert not check_second_order(p1, p2, moved)[0]
