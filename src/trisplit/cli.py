@@ -4,7 +4,8 @@ Subcommands: certify-algebra, convergence, verify-duhamel, verify-bound,
 schrodinger-bench.  Each takes --config (INI file, versioned), --seed,
 --out (artifact directory) and --format (csv or json).  Exit code 0 means
 every verdict passed, 1 means at least one failure, 2 means the run was
-inconclusive or the configuration was unusable.
+inconclusive or the configuration was unusable.  A numerical fault, such as
+numpy's LinAlgError, is not inconclusive: it surfaces with its traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import configparser
 import json
 import os
 import sys
+
+import numpy as np
 
 from trisplit.duhamel import QuadratureSpec, ToleranceNotReached
 from trisplit.harness import (
@@ -384,6 +387,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except np.linalg.LinAlgError:  # a ValueError, but a numerical fault: let it surface
+        raise
     except (OSError, ValueError, ToleranceNotReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

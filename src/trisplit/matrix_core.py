@@ -2,7 +2,9 @@
 skew-Hermitian operators, the second-order condition and its solver.
 
 Matrices are plain square ``numpy`` arrays of complex128.  The exponential is
-scaling-and-squaring with degree-13 diagonal Pade (scipy's implementation).
+scaling and squaring with diagonal Pade of degree 3 to 13 (Higham, SIAM J.
+Matrix Anal. Appl. 26, 2005), for one matrix or a stack.  Public functions
+validate their arguments once; the private helpers take checked arrays.
 ``check_second_order`` is the one gate on [P1,P2] + [P1,P3] + [P2,P3] = 0,
 used by the constraint solver and by ``duhamel_error``.  The solver meets it
 by one ``eigh`` of M = P1 + P2 = U diag(i lam) U*: P3 = -U (Q o K) U* with
@@ -14,8 +16,9 @@ which the error representation, its bound and the integral E3 are built.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 _SKEW_HERMITIAN_TOL = 1e-13
 
@@ -39,23 +42,75 @@ def as_complex_matrix(m) -> np.ndarray:
 
 def is_skew_hermitian(m, tol: float = _SKEW_HERMITIAN_TOL) -> bool:
     """max|M + M*| <= tol, relative to max|M| once that exceeds 1."""
-    a = as_complex_matrix(m)
+    return _is_skew(as_complex_matrix(m), tol)
+
+
+def _is_skew(a, tol=_SKEW_HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(a + a.conj().T)) <= tol * max(1.0, np.max(np.abs(a))))
 
 
-def expm(m, t: float = 1.0) -> np.ndarray:
-    """e^{t M} by scaling-and-squaring with diagonal Pade.
+def _pade(m, theta):
+    """theta_m, the largest ||A||_1 at which r_m(A) = p_m(-A)^{-1} p_m(A) meets
+    unit roundoff (Higham 2005, Table 2.3), and the rows that map the powers
+    [I, A^2, A^4, ...] to [U', V] with p_m(A) = A U' + V; for m = 13 two more
+    rows give the parts that A^6 multiplies."""
+    f = math.factorial
+    b = [f(2 * m - j) // (f(j) * f(m - j)) for j in range(m + 1)]
+    if m < 13:
+        return theta, np.array([b[1::2], b[::2]], dtype=float)
+    return theta, np.array([b[1:8:2], b[0:7:2], [0] + b[9::2], [0] + b[8::2]], dtype=float)
+
+
+_PADE = tuple(_pade(m, theta) for m, theta in (
+    (3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
+    (9, 2.097847961257068e0), (13, 5.371920351148152e0)))
+
+
+def expm(m, t=1.0) -> np.ndarray:
+    """e^{tM} by Higham's Algorithm 2.3 ("The scaling and squaring method for
+    the matrix exponential revisited", 2005), for one matrix or a (k, n, n)
+    stack with t a scalar or k values.  A stack takes the Pade degree its
+    largest ||tM||_1 needs; each matrix keeps its own 2^-s and s squarings.
 
     Raises OverflowError when the result does not fit in double precision.
     The size of t M alone decides nothing: for skew-Hermitian M the
     exponential is unitary at any norm.
     """
-    a = as_complex_matrix(m)
+    a = np.asarray(m, dtype=np.complex128)
+    single = a.ndim == 2
+    a = a[None] if single else a
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or not np.isfinite(a).all():
+        raise ValueError(f"expected a finite square matrix or (k, n, n) stack, got shape {a.shape}")
+    k, n, _ = a.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        result = scipy.linalg.expm(t * a)
-    if not np.all(np.isfinite(result)):
+        a = np.reshape(np.asarray(t, dtype=float), (-1, 1, 1)) * a
+        if len(a) != k:
+            raise ValueError(f"expected one t or {k}, got {np.size(t)}")
+        norms = np.abs(a).sum(axis=1).max(axis=1)
+        top = norms.max()
+        if not math.isfinite(top):
+            raise OverflowError("e^{tM} overflows double precision")
+        for theta, rows in _PADE:  # the lowest degree that fits, else 13
+            if top <= theta:
+                break
+        s = [math.ceil(math.log2(x / theta)) if x > theta else 0 for x in norms.tolist()]
+        if max(s):
+            a = a / np.exp2(s)[:, None, None]
+        powers = np.empty((rows.shape[1], k, n, n), dtype=np.complex128)
+        powers[0], powers[1] = np.eye(n), a @ a
+        for j in range(2, len(powers)):
+            powers[j] = powers[j - 1] @ powers[1]
+        uv = (rows @ powers.reshape(len(powers), -1)).reshape(len(rows), k, n, n)
+        if len(rows) == 4:
+            uv = uv[:2] + powers[-1] @ uv[2:]
+        u = a @ uv[0]
+        result = np.linalg.solve(uv[1] - u, uv[1] + u)
+        for j in range(max(s)):  # only the matrices scaled by more than 2^-j
+            sel = slice(None) if min(s) > j else [i for i, si in enumerate(s) if si > j]
+            result[sel] = result[sel] @ result[sel]
+    if not np.isfinite(result).all():
         raise OverflowError("e^{tM} overflows double precision")
-    return result
+    return result[0] if single else result
 
 
 def commutator(a, b) -> np.ndarray:
@@ -69,8 +124,9 @@ def commutator(a, b) -> np.ndarray:
 
 def double_commutators(p1, p2, p3):
     """K23 = [P2,P3], K1 = [P1,K23] and K2 = [P2,K23]."""
-    k23 = commutator(p2, p3)
-    return k23, commutator(p1, k23), commutator(p2, k23)
+    p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
+    k23 = p2 @ p3 - p3 @ p2
+    return k23, p1 @ k23 - k23 @ p1, p2 @ k23 - k23 @ p2
 
 
 def op_norm(m) -> float:
@@ -92,11 +148,15 @@ def check_second_order(p1, p2, p3, tol: float | None = None) -> tuple[bool, floa
     against tol (1 + ||P1||_F^2 + ||P2||_F^2 + ||P3||_F^2), tol defaulting to
     CONDITION_TOL.  The scale covers the eps ||Pi|| ||Pj|| rounding of the
     defect; Frobenius norms add no SVD."""
+    return _second_order(*(as_complex_matrix(p) for p in (p1, p2, p3)), tol)
+
+
+def _second_order(p1, p2, p3, tol=None):
     tol = CONDITION_TOL if tol is None else tol
     if tol <= 0:
         raise ValueError("tol must be positive")
-    defect = commutator(p1, p2) + commutator(p1, p3) + commutator(p2, p3)
-    residual = op_norm(defect)
+    defect = (p1 @ p2 - p2 @ p1) + (p1 @ p3 - p3 @ p1) + (p2 @ p3 - p3 @ p2)
+    residual = float(np.linalg.norm(defect, 2))
     scale = 1.0 + sum(np.linalg.norm(p) ** 2 for p in (p1, p2, p3))
     return residual <= tol * scale, residual
 
@@ -115,13 +175,13 @@ def solve_second_order_constraint(p1, p2) -> np.ndarray:
     p2 = as_complex_matrix(p2)
     if p1.shape != p2.shape:
         raise ValueError(f"dimension mismatch: {p1.shape} vs {p2.shape}")
-    if not (is_skew_hermitian(p1) and is_skew_hermitian(p2)):
+    if not (_is_skew(p1) and _is_skew(p2)):
         raise ValueError("P1 and P2 must be skew-Hermitian")
     lam, u = np.linalg.eigh(-1j * (p1 + p2))
     gap = np.abs(lam[:, None] - lam[None, :])
     keep = gap > np.finfo(float).eps * lam.size**2 * gap.max()
     p3 = -u @ np.where(keep, u.conj().T @ p2 @ u, 0.0) @ u.conj().T
-    ok, residual = check_second_order(p1, p2, p3)
+    ok, residual = _second_order(p1, p2, p3)
     if not ok:
         raise ConditionViolated(f"constraint defect {residual:.3e} exceeds its gate")
     return p3

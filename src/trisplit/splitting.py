@@ -126,13 +126,17 @@ def generator_matrix(scheme: SplittingScheme, ops: OperatorSet) -> np.ndarray:
 
 
 def apply_splitting(scheme: SplittingScheme, ops: OperatorSet, t: float) -> np.ndarray:
-    factors = [expm(ops[ref], c * t) for ref, c in scheme.operands]
-    return reduce(np.matmul, factors)
+    refs, coeffs = zip(*scheme.operands)
+    return reduce(np.matmul, expm(np.stack([ops[r] for r in refs]), np.multiply(coeffs, t)))
 
 
 def splitting_error(scheme: SplittingScheme, ops: OperatorSet, t: float) -> np.ndarray:
-    """S(t) - e^{tG}: the fixed sign convention used throughout this package."""
-    return apply_splitting(scheme, ops, t) - expm(generator_matrix(scheme, ops), t)
+    """S(t) - e^{tG}: the fixed sign convention used throughout this package.
+    One stacked ``expm`` gives the factors of S(t) and e^{tG}."""
+    refs, coeffs = zip(*scheme.operands)
+    stack = np.stack([ops[r] for r in refs] + [generator_matrix(scheme, ops)])
+    *factors, exact = expm(stack, np.multiply(coeffs + (1.0,), t))
+    return reduce(np.matmul, factors) - exact
 
 
 def triple_splitting_error(p1, p2, p3, t: float) -> np.ndarray:

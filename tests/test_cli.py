@@ -1,7 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from trisplit import harness
 from trisplit.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
 
 SMALL_CONFIG = """\
@@ -257,3 +262,28 @@ def test_bad_number_token_is_a_config_error(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[config]\nversion = 1\n\n[verify-bound]\ncount = 5\nslack = 1e--9\n")
     assert main(["verify-bound", "--config", str(cfg)]) == EXIT_INCONCLUSIVE
+
+
+def test_linalg_error_is_a_fault_not_inconclusive(monkeypatch):
+    # LinAlgError subclasses ValueError, which exits 2; a failed eigh or a
+    # singular Pade denominator is a numerical fault and must surface
+    def fail(p1, p2):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(harness, "solve_second_order_constraint", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["verify-bound"])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only cross-check; a fresh interpreter importing the CLI
+    # from this checkout's src/ must not load any of it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import trisplit.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

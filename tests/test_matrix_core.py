@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -91,6 +93,105 @@ def test_expm_of_large_skew_hermitian_is_unitary():
     assert t * np.linalg.norm(m, 1) > 700
     u = expm(m, t)
     assert np.linalg.norm(u.conj().T @ u - np.eye(16), 2) <= 1e-10
+
+
+# --- the Pade exponential against scipy.linalg.expm ------------------------
+
+#: Higham (2005), Table 2.3: the 1-norm up to which degree 3, 5, 7, 9, 13 serves
+HIGHAM_THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                 2.097847961257068e0, 5.371920351148152e0)
+
+
+def gaussian_with_norm(n, norm1, seed):
+    """Complex Gaussian (non-normal) matrix scaled to a given 1-norm."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return x * (norm1 / np.linalg.norm(x, 1))
+
+
+def rel_gap(got, ref):
+    return np.linalg.norm(got - ref, 2) / np.linalg.norm(ref, 2)
+
+
+@pytest.mark.parametrize("theta", HIGHAM_THETAS)
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_expm_matches_scipy_either_side_of_each_theta(theta, factor):
+    m = gaussian_with_norm(8, factor * theta, seed=int(1e6 * theta))
+    assert rel_gap(expm(m), scipy.linalg.expm(m)) <= 1e-14
+
+
+@pytest.mark.parametrize("factor", [3.0, 40.0])
+def test_expm_matches_scipy_above_theta13(factor):
+    # degree 13 with s > 0 squarings, on a non-normal input
+    m = gaussian_with_norm(8, factor * HIGHAM_THETAS[-1], seed=7)
+    assert rel_gap(expm(m), scipy.linalg.expm(m)) <= 1e-13
+
+
+def test_expm_of_jordan_block_matches_scipy_and_closed_form():
+    # e^{lam I + c N} = e^lam sum_k (c N)^k / k!, N the nilpotent shift
+    n, lam, c = 6, -1.0 + 0.5j, 3.0
+    shift = np.diag(np.ones(n - 1), 1)
+    m = lam * np.eye(n) + c * shift
+    exact = np.exp(lam) * sum(
+        np.linalg.matrix_power(c * shift, k) / math.factorial(k) for k in range(n)
+    )
+    got = expm(m)
+    assert rel_gap(got, exact) <= 1e-14
+    assert rel_gap(got, scipy.linalg.expm(m)) <= 1e-14
+
+
+def test_expm_of_zero_and_tiny_norm_matches_scipy():
+    assert np.array_equal(expm(np.zeros((4, 4))), np.eye(4))
+    m = gaussian_with_norm(5, 1e-12, seed=3)
+    got = expm(m)
+    assert rel_gap(got, scipy.linalg.expm(m)) <= 1e-15
+    off = ~np.eye(5, dtype=bool)  # e^M = I + M + O(|M|^2) off the diagonal too
+    assert np.max(np.abs(got[off] - m[off])) <= 1e-23
+
+
+def test_expm_of_skew_hermitian_at_huge_norm_matches_scipy():
+    m = random_skew_hermitian(12, seed=44)
+    t = 1000.0
+    assert t * np.linalg.norm(m, 1) > 1e4
+    got = expm(m, t)
+    assert rel_gap(got, scipy.linalg.expm(t * m)) <= 1e-10
+    assert rel_gap(got, eig_expm(m, t)) <= 1e-10
+    assert np.linalg.norm(got.conj().T @ got - np.eye(12), 2) <= 1e-10
+
+
+def test_expm_overflow_where_scipy_gives_inf():
+    m = np.diag([800.0, 0.0])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(scipy.linalg.expm(m)).all()
+    with pytest.raises(OverflowError):
+        expm(m)
+
+
+def test_stacked_expm_equals_per_matrix_calls():
+    # mixed norms: one stack needs degree 13, s from 0 to 7
+    ms = [random_skew_hermitian(6, seed=s) for s in range(4)]
+    ms.append(gaussian_with_norm(6, 1e-3, seed=9))
+    ts = [0.01, 0.3, 2.0, 40.0, 1.0]
+    stacked = expm(np.stack(ms), ts)
+    assert stacked.shape == (5, 6, 6)
+    for m, t, got in zip(ms, ts, stacked):
+        assert rel_gap(got, expm(m, t)) <= 1e-14
+    # a scalar t applies to every matrix
+    for m, got in zip(ms, expm(np.stack(ms), 0.5)):
+        assert rel_gap(got, expm(m, 0.5)) <= 1e-14
+
+
+def test_expm_validation():
+    with pytest.raises(ValueError):
+        expm(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        expm(np.zeros((2, 3, 3, 3)))
+    with pytest.raises(ValueError):
+        expm(np.array([[np.nan, 0], [0, 0]]))
+    with pytest.raises(ValueError):
+        expm(np.zeros((3, 2, 2)), [1.0, 2.0])  # neither one t nor three
+    with pytest.raises(ValueError):
+        expm(np.zeros((2, 2)), [1.0, 2.0])
 
 
 def test_commutator_basics():
@@ -368,3 +469,15 @@ def test_gate_rejects_p3_moved_off_the_condition_by_1e_9():
         z = random_skew_hermitian(6, seed=child)
         moved = p3 + 1e-9 * op_norm(p3) * z / op_norm(z)
         assert not check_second_order(p1, p2, moved)[0]
+
+
+def test_solver_validates_its_inputs_once(monkeypatch):
+    # one as_complex_matrix scan per argument; the skewness check, the
+    # condition gate and its commutators take the checked arrays
+    calls = []
+    original = matrix_core.as_complex_matrix
+    monkeypatch.setattr(matrix_core, "as_complex_matrix", lambda m: calls.append(1) or original(m))
+    p1 = random_skew_hermitian(6, seed=21)
+    p2 = random_skew_hermitian(6, seed=22)
+    solve_second_order_constraint(p1, p2)
+    assert len(calls) == 2

@@ -137,6 +137,37 @@ def test_triple_splitting_error_definition():
     assert np.allclose(triple_splitting_error(p1, p2, p3, t), direct, atol=1e-14)
 
 
+def test_splitting_error_is_one_stacked_expm(monkeypatch):
+    # the factors and e^{tG} come from one expm call on the operator set's
+    # already validated matrices, and agree with the per-factor product
+    import trisplit.matrix_core as mc
+    import trisplit.splitting as sp
+
+    a = random_skew_hermitian(5, seed=31)
+    b = random_skew_hermitian(5, seed=32)
+    ops = pair_operator_set(a, b)
+    scheme = make_strang()
+    t = 0.4
+    direct = expm(a, 0.2) @ expm(b, 0.4) @ expm(a, 0.2) - expm(a + b, 0.4)
+    calls = {"expm": 0, "scan": 0}
+
+    def counted_expm(*args):
+        calls["expm"] += 1
+        return mc.expm(*args)
+
+    def counted_scan(m):
+        calls["scan"] += 1
+        return mc.as_complex_matrix(m)
+
+    monkeypatch.setattr(sp, "expm", counted_expm)
+    monkeypatch.setattr(sp, "as_complex_matrix", counted_scan)
+    got = splitting_error(scheme, ops, t)
+    assert calls == {"expm": 1, "scan": 0}
+    assert op_norm(got - direct) <= 1e-14
+    apply_splitting(scheme, ops, t)
+    assert calls == {"expm": 2, "scan": 0}
+
+
 # --- the cubic error coefficient ----------------------------------------------
 
 
