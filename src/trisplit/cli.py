@@ -16,11 +16,13 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
-from trisplit.duhamel import QuadratureSpec, ToleranceNotReached
+from trisplit.duhamel import ErrorReport, QuadratureSpec, ToleranceNotReached
 from trisplit.harness import (
+    BoundCampaignRow,
     ConvergenceStudy,
     certify_algebra,
     derive_seeds,
@@ -129,13 +131,9 @@ def _load_section(path, section: str) -> dict:
     return values
 
 
-def _bool_cell(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def _cell(value):
     if isinstance(value, bool):
-        return _bool_cell(value)
+        return "true" if value else "false"
     if isinstance(value, float):
         return repr(float(value))  # plain-float repr even for numpy scalars
     return value
@@ -179,11 +177,25 @@ def _study_exit(results) -> int:
     return EXIT_PASS
 
 
+def _study(cfg, scheme_name, scheme_override, **problem) -> ConvergenceStudy:
+    """The study a [convergence] or [schrodinger-bench] section describes;
+    ``problem`` gives the keys only one of them has.  A built-in scheme is
+    held to its nominal order, a scheme file to none."""
+    return ConvergenceStudy(
+        scheme_name=scheme_name,
+        step_sizes=_parse_reals(cfg["steps"]),
+        horizon=_parse_real(cfg["horizon"]),
+        potential=cfg["potential"],
+        half_width=_parse_real(cfg["half_width"]),
+        points=int(cfg["points"]),
+        expected_order=None if scheme_override else NOMINAL_ORDERS.get(scheme_name),
+        **problem,
+    )
+
+
 def _cmd_convergence(args) -> int:
     cfg = _load_section(args.config, "convergence")
     seed = args.seed if args.seed is not None else int(cfg["seed"])
-    steps = _parse_reals(cfg["steps"])
-    horizon = _parse_real(cfg["horizon"])
     instances = int(cfg["instances"])
     if instances < 1:
         raise ConfigError("instances must be at least 1")
@@ -195,24 +207,13 @@ def _cmd_convergence(args) -> int:
         if not schemes:
             raise ConfigError("schemes must name at least one scheme")
     # a wave study draws nothing from its seed, so it runs once per scheme
-    seeds = (seed,) if cfg["problem"] == "schrodinger" else derive_seeds(seed, instances)
+    problem, dim = cfg["problem"], int(cfg["dim"])
+    seeds = (seed,) if problem == "schrodinger" else derive_seeds(seed, instances)
     results = []
     rows = []
     for scheme_name in schemes:
-        expected = None if scheme_override else NOMINAL_ORDERS.get(scheme_name)
         for child in seeds:
-            study = ConvergenceStudy(
-                problem=cfg["problem"],
-                scheme_name=scheme_name,
-                step_sizes=steps,
-                horizon=horizon,
-                seed=child,
-                dim=int(cfg["dim"]),
-                potential=cfg["potential"],
-                half_width=_parse_real(cfg["half_width"]),
-                points=int(cfg["points"]),
-                expected_order=expected,
-            )
+            study = _study(cfg, scheme_name, scheme_override, problem=problem, seed=child, dim=dim)
             result = run_convergence(study, scheme=scheme_override)
             results.append(result)
             order = "" if result.fitted_order is None else repr(float(result.fitted_order))
@@ -223,13 +224,8 @@ def _cmd_convergence(args) -> int:
                 f"order={order or 'n/a'} r2={r2 or 'n/a'}"
             )
     if args.out:
-        _write_artifact(
-            args.out,
-            "convergence",
-            ("scheme", "seed", "fitted_order", "fit_r2", "verdict", "notes"),
-            rows,
-            args.format,
-        )
+        columns = ("scheme", "seed", "fitted_order", "fit_r2", "verdict", "notes")
+        _write_artifact(args.out, "convergence", columns, rows, args.format)
     return _study_exit(results)
 
 
@@ -257,28 +253,9 @@ def _cmd_verify_duhamel(args) -> int:
     if campaign.notes:
         print(campaign.notes)
     if args.out:
-        fields = (
-            "instance",
-            "t",
-            "measured_error_norm",
-            "duhamel_norm",
-            "bound_value",
-            "sign_factor",
-            "discrepancy",
-        )
-        rows = [
-            (
-                r.instance,
-                r.t,
-                r.report.measured_error_norm,
-                r.report.duhamel_norm,
-                r.report.bound_value,
-                r.report.sign_factor,
-                r.report.discrepancy,
-            )
-            for r in campaign.rows
-        ]
-        _write_artifact(args.out, "verify_duhamel", fields, rows, args.format)
+        columns = ("instance", "t", *(f.name for f in fields(ErrorReport)))
+        rows = [(r.instance, r.t, *astuple(r.report)) for r in campaign.rows]
+        _write_artifact(args.out, "verify_duhamel", columns, rows, args.format)
     return EXIT_PASS if campaign.passed else EXIT_FAIL
 
 
@@ -298,12 +275,9 @@ def _cmd_verify_bound(args) -> int:
         f"max saturation {campaign.max_saturation:.3f}"
     )
     if args.out:
-        fields = ("instance", "t", "measured", "bound", "saturation", "violated")
-        rows = [
-            (r.instance, r.t, r.measured, r.bound, r.saturation, r.violated)
-            for r in campaign.rows
-        ]
-        _write_artifact(args.out, "verify_bound", fields, rows, args.format)
+        columns = [f.name for f in fields(BoundCampaignRow)]
+        rows = [astuple(r) for r in campaign.rows]
+        _write_artifact(args.out, "verify_bound", columns, rows, args.format)
     return EXIT_PASS if campaign.passed else EXIT_FAIL
 
 
@@ -311,27 +285,16 @@ def _cmd_schrodinger_bench(args) -> int:
     cfg = _load_section(args.config, "schrodinger-bench")
     scheme_override = load_scheme(args.scheme) if args.scheme else None
     scheme_name = scheme_override.name if scheme_override else cfg["scheme"]
-    study = ConvergenceStudy(
-        problem="schrodinger",
-        scheme_name=scheme_name,
-        step_sizes=_parse_reals(cfg["steps"]),
-        horizon=_parse_real(cfg["horizon"]),
-        seed=0,
-        potential=cfg["potential"],
-        half_width=_parse_real(cfg["half_width"]),
-        points=int(cfg["points"]),
-        expected_order=None if scheme_override else NOMINAL_ORDERS.get(scheme_name),
-    )
+    study = _study(cfg, scheme_name, scheme_override, problem="schrodinger", seed=0)
     rows, result = run_schrodinger_benchmark(study, scheme=scheme_override)
     order = "n/a" if result.fitted_order is None else f"{result.fitted_order:.4f}"
     print(f"{result.verdict.upper()} schrodinger-bench: fitted order {order}")
     for row in rows:
         print(f"  h={row.h!r}  L2_error={row.l2_error!r}  norm_defect={row.norm_defect!r}")
     if args.out:
-        table = [(r.h, r.l2_error, r.norm_defect) for r in rows]
-        _write_artifact(
-            args.out, "schrodinger_bench", ("h", "L2_error", "norm_defect"), table, args.format
-        )
+        columns = ("h", "L2_error", "norm_defect")
+        table = [astuple(r) for r in rows]
+        _write_artifact(args.out, "schrodinger_bench", columns, table, args.format)
     return _study_exit([result])
 
 

@@ -36,8 +36,8 @@ K2 = [P2,K23] and I the identity:
 
 Only the outer tau-integral of E(t) uses quadrature, composite Gauss-Legendre
 with panel doubling: its factor e^{tau P2} e^{tau P3} is not one exponential.
-``duhamel_error`` checks the condition and forms K1, K2 (``double_commutators``)
-once, then takes one of two paths.
+``duhamel_error`` validates its inputs, checks the condition and forms K1, K2
+(``double_commutators``) once, then takes one of two paths.
 
 * P1, P2 and P3 all skew-Hermitian (every campaign): in the eigenbasis of
   P = U diag(mu) U*, mu = i lam, each VL block is elementwise (the
@@ -54,9 +54,10 @@ once, then takes one of two paths.
   special case.  One ``eigh`` each of P1, P2, P3 and L serves every panel
   level, all nodes of a level are one stacked (nodes, n, n) computation, and
   the eigenvectors of L and P3 are applied once to the weighted sum.
-* Any other input: each tau node makes six exponentials, e^{tau P2} shared by
-  W and the factor, two of them of 3n x 3n Van Loan blocks.  This loop is
-  also the reference the eigenbasis path is tested against.
+* Any other input: each tau node makes three exponential calls, one stack of
+  e^{tau P1}, e^{tau P2}, e^{tau P3} and e^{(t-tau)L}, shared by W and the
+  factor, and the two 3n x 3n Van Loan blocks of W.  This loop is also the
+  reference the eigenbasis path is tested against.
 
 The error bound
 
@@ -75,12 +76,13 @@ import numpy as np
 
 from trisplit.matrix_core import (
     ConditionViolated,
+    _double_commutators,
+    _is_skew,
+    _second_order,
     as_complex_matrix,
-    check_second_order,
     commutator,
     double_commutators,
     expm,
-    is_skew_hermitian,
     op_norm,
 )
 from trisplit.splitting import triple_splitting_error
@@ -132,10 +134,10 @@ def _refined(evaluate, quad: QuadratureSpec, refine: bool) -> np.ndarray:
     for _ in range(MAX_PANEL_DOUBLINGS):
         panels *= 2
         current = evaluate(panels)
-        gap = op_norm(current - previous)
+        gap = np.linalg.norm(current - previous, 2)
         if gap < quad.target_tol / 2.0:
             return current
-        if gap <= 64 * np.finfo(float).eps * op_norm(current):  # stalled at round-off
+        if gap <= 64 * np.finfo(float).eps * np.linalg.norm(current, 2):  # stalled at round-off
             break
         previous = current
     raise ToleranceNotReached(
@@ -174,11 +176,12 @@ def z_integral(p, q, t) -> np.ndarray:
 W_FORMS = ("double_integral", "defining")
 
 
-def _w_double_integral(tau, p1, p2, k1, k2, e2) -> np.ndarray:
-    """Double-integral W(tau) from checked P1, P2, K1, K2 and e2 = e^{tau P2}."""
+def _w_double_integral(tau, p1, p2, k1, k2, e12) -> np.ndarray:
+    """Double-integral W(tau) from checked P1, P2, K1, K2 and
+    e12 = e^{tau P1} e^{tau P2}."""
     eye = np.eye(p1.shape[0], dtype=np.complex128)
     inner = _van_loan(tau, -p2, eye, -p2, k2, -p2)
-    return _van_loan(tau, p1, eye, p1, k1, p1) + expm(p1, tau) @ e2 @ inner
+    return _van_loan(tau, p1, eye, p1, k1, p1) + e12 @ inner
 
 
 def w_integral(p1, p2, p3, tau, form="double_integral") -> np.ndarray:
@@ -191,11 +194,11 @@ def w_integral(p1, p2, p3, tau, form="double_integral") -> np.ndarray:
     p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
     if form not in W_FORMS:
         raise ValueError(f"form must be one of {W_FORMS}, got {form!r}")
-    k23, k1, k2 = double_commutators(p1, p2, p3)
-    e2 = expm(p2, tau)
+    k23, k1, k2 = _double_commutators(p1, p2, p3)
+    e1, e2 = expm(np.stack((p1, p2)), tau)
     if form == "defining":
-        return expm(p1, tau) @ e2 @ _van_loan(tau, -p2, k23, -p2) - _van_loan(tau, p1, k23, p1)
-    return _w_double_integral(tau, p1, p2, k1, k2, e2)
+        return e1 @ e2 @ _van_loan(tau, -p2, k23, -p2) - _van_loan(tau, p1, k23, p1)
+    return _w_double_integral(tau, p1, p2, k1, k2, e1 @ e2)
 
 
 #: Taylor coefficients 1/(k! (k+2)), k = 15..0, of psi(z) = int_0^1 x e^{xz} dx.
@@ -267,32 +270,28 @@ def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
     Requires the second-order condition: without it the representation misses
     the surviving single-commutator term and cannot match the measured error.
     Skew-Hermitian triples take the eigenbasis path; any other input makes
-    six exponentials per tau node.
+    three exponential calls per tau node, one of them a stack of the four
+    n x n factors.  The inputs are validated once, here.
     """
     quad = quad or QuadratureSpec()
     p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
-    ok, residual = check_second_order(p1, p2, p3)
+    ok, residual = _second_order(p1, p2, p3)
     if not ok:
         raise ConditionViolated(
             f"second-order condition residual {residual:.3e} exceeds its gate; "
             "the integral representation does not apply"
         )
-    _, k1, k2 = double_commutators(p1, p2, p3)
-    if all(is_skew_hermitian(p) for p in (p1, p2, p3)):
+    _, k1, k2 = _double_commutators(p1, p2, p3)
+    if all(_is_skew(p) for p in (p1, p2, p3)):
         return _eigenbasis_error(p1, p2, p3, k1, k2, t, quad, refine)
-    total_generator = p1 + p2 + p3
+    generators = np.stack((p1, p2, p3, p1 + p2 + p3))
 
     def once(panels):
         nodes, weights = _panel_nodes(t, quad.gauss_order, panels)
         total = np.zeros_like(p1)
         for tau, w in zip(nodes, weights):
-            e2 = expm(p2, tau)
-            total += w * (
-                expm(total_generator, t - tau)
-                @ _w_double_integral(tau, p1, p2, k1, k2, e2)
-                @ e2
-                @ expm(p3, tau)
-            )
+            e1, e2, e3, e_l = expm(generators, (tau, tau, tau, t - tau))
+            total += w * (e_l @ _w_double_integral(tau, p1, p2, k1, k2, e1 @ e2) @ e2 @ e3)
         return total
 
     return _refined(once, quad, refine)

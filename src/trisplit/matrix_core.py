@@ -124,7 +124,10 @@ def commutator(a, b) -> np.ndarray:
 
 def double_commutators(p1, p2, p3):
     """K23 = [P2,P3], K1 = [P1,K23] and K2 = [P2,K23]."""
-    p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
+    return _double_commutators(*(as_complex_matrix(p) for p in (p1, p2, p3)))
+
+
+def _double_commutators(p1, p2, p3):
     k23 = p2 @ p3 - p3 @ p2
     return k23, p1 @ k23 - k23 @ p1, p2 @ k23 - k23 @ p2
 

@@ -107,13 +107,20 @@ def test_wave_convergence_runs_once_per_scheme(tmp_path, capsys):
     assert rows == [["lie-trotter", "11"], ["strang", "11"]]
 
 
-def test_convergence_artifacts_are_reproducible(config_path, tmp_path):
-    dirs = [tmp_path / "run1", tmp_path / "run2"]
-    for d in dirs:
-        assert main(["convergence", "--config", config_path, "--out", str(d)]) == EXIT_PASS
-    a = (dirs[0] / "convergence.csv").read_bytes()
-    b = (dirs[1] / "convergence.csv").read_bytes()
-    assert a == b
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command",
+    ["certify-algebra", "convergence", "verify-duhamel", "verify-bound", "schrodinger-bench"],
+)
+def test_artifacts_are_reproducible(config_path, tmp_path, capsys, command, fmt):
+    # two runs at one seed print the same report and write the same bytes
+    runs = []
+    for d in (tmp_path / "run1", tmp_path / "run2"):
+        argv = [command, "--config", config_path, "--seed", "11", "--out", str(d), "--format", fmt]
+        assert main(argv) == EXIT_PASS
+        artifact = d / f"{command.replace('-', '_')}.{fmt}"
+        runs.append((capsys.readouterr().out, artifact.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_convergence_seed_flag_changes_rows(config_path, tmp_path):
@@ -203,6 +210,8 @@ def test_verify_duhamel_at_dim_64(tmp_path, capsys):
     assert code == EXIT_PASS
     assert "PASS verify-duhamel" in capsys.readouterr().out
     lines = (out_dir / "verify_duhamel.csv").read_text().splitlines()
+    header = "instance,t,measured_error_norm,duhamel_norm,bound_value,sign_factor,discrepancy"
+    assert lines[0] == header
     assert len(lines) == 3  # 1 instance x 2 times + header
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trisplit import duhamel
+from trisplit import duhamel, matrix_core
 from trisplit.duhamel import (
     ConditionViolated,
     ErrorReport,
@@ -13,7 +13,7 @@ from trisplit.duhamel import (
     w_integral,
     z_integral,
 )
-from trisplit.harness import verify_duhamel
+from trisplit.harness import sample_constrained_triple, verify_duhamel
 from trisplit.matrix_core import (
     commutator,
     expm,
@@ -79,10 +79,13 @@ def non_normal_triple(dim, seed):
 
 
 def block_expm_error(monkeypatch, p1, p2, p3, t):
-    """duhamel_error through the per-node block-expm loop."""
+    """duhamel_error through the per-node block-expm loop, and the number of
+    expm calls it made: none means the loop did not run."""
+    calls = {"expm": 0}
     with monkeypatch.context() as patched:
-        patched.setattr(duhamel, "is_skew_hermitian", lambda p: False)
-        return duhamel_error(p1, p2, p3, t)
+        patched.setattr(duhamel, "_is_skew", lambda p: False)
+        count_calls(patched, duhamel, "expm", calls)
+        return duhamel_error(p1, p2, p3, t), calls["expm"]
 
 
 def direct_bracket(p, q, t):
@@ -217,10 +220,11 @@ def count_nodes(monkeypatch, calls):
     monkeypatch.setattr(duhamel, "_panel_nodes", counted_nodes)
 
 
-def test_duhamel_error_makes_six_exponentials_per_node(monkeypatch):
+def test_duhamel_error_makes_three_exponential_calls_per_node(monkeypatch):
     # non-normal input keeps the block-expm loop: inputs validated and
-    # commutators formed once per call; each tau node reuses e^{tau P2} and
-    # does not go through the public w_integral
+    # commutators formed once per call; each tau node makes one stacked call
+    # for e^{tau P1}, e^{tau P2}, e^{tau P3} and e^{(t - tau)L} plus the two
+    # Van Loan blocks, and does not go through the public w_integral
     p1, p2, p3 = non_normal_triple(4, seed=75)
     calls = {"expm": 0, "nodes": 0}
     count_calls(monkeypatch, duhamel, "expm", calls)
@@ -232,7 +236,7 @@ def test_duhamel_error_makes_six_exponentials_per_node(monkeypatch):
     monkeypatch.setattr(duhamel, "w_integral", forbidden)
     represented = duhamel_error(p1, p2, p3, 0.5)
     assert calls["nodes"] >= 16  # at least one panel doubling
-    assert calls["expm"] == 6 * calls["nodes"]
+    assert calls["expm"] == 3 * calls["nodes"]
     measured = triple_splitting_error(p1, p2, p3, 0.5)
     assert op_norm(represented - measured) <= 1e-8
 
@@ -276,12 +280,35 @@ def test_eigenbasis_path_matches_block_expm_path(monkeypatch, kind, dim):
     p1, p2, p3 = TRIPLES[kind](dim)
     for t in (0.0, 1e-8, 0.25, 1.0, -0.5):
         fast = duhamel_error(p1, p2, p3, t)
-        reference = block_expm_error(monkeypatch, p1, p2, p3, t)
+        reference, expm_calls = block_expm_error(monkeypatch, p1, p2, p3, t)
+        assert expm_calls > 0
         if t == 0.0:
             assert not fast.any() and not reference.any()
         else:
             assert op_norm(reference) > 0.0
             assert op_norm(fast - reference) <= 1e-12 * op_norm(reference)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [sample_constrained_triple(6, 3), non_normal_triple(4, seed=75)],
+    ids=["eigenbasis", "block_expm"],
+)
+def test_duhamel_error_validates_its_inputs_once(monkeypatch, triple):
+    # one as_complex_matrix scan per argument on either path: the condition
+    # gate, the double commutators, the skewness test and the refinement
+    # norms all take the checked arrays
+    calls = []
+    original = matrix_core.as_complex_matrix
+
+    def counted(m):
+        calls.append(1)
+        return original(m)
+
+    monkeypatch.setattr(matrix_core, "as_complex_matrix", counted)
+    monkeypatch.setattr(duhamel, "as_complex_matrix", counted)
+    duhamel_error(*triple, 0.5)
+    assert len(calls) == 3
 
 
 def test_eigenbasis_path_splits_large_levels_into_blocks(monkeypatch):
