@@ -298,17 +298,11 @@ def test_duhamel_error_validates_its_inputs_once(monkeypatch, triple):
     # one as_complex_matrix scan per argument on either path: the condition
     # gate, the double commutators, the skewness test and the refinement
     # norms all take the checked arrays
-    calls = []
-    original = matrix_core.as_complex_matrix
-
-    def counted(m):
-        calls.append(1)
-        return original(m)
-
-    monkeypatch.setattr(matrix_core, "as_complex_matrix", counted)
-    monkeypatch.setattr(duhamel, "as_complex_matrix", counted)
+    calls = {"as_complex_matrix": 0}
+    for module in (matrix_core, duhamel):
+        count_calls(monkeypatch, module, "as_complex_matrix", calls)
     duhamel_error(*triple, 0.5)
-    assert len(calls) == 3
+    assert calls["as_complex_matrix"] == 3
 
 
 def test_eigenbasis_path_splits_large_levels_into_blocks(monkeypatch):
