@@ -24,6 +24,7 @@ from trisplit.duhamel import ErrorReport, QuadratureSpec, ToleranceNotReached
 from trisplit.harness import (
     BoundCampaignRow,
     ConvergenceStudy,
+    _wave_reference,
     certify_algebra,
     derive_seeds,
     run_convergence,
@@ -206,23 +207,28 @@ def _cmd_convergence(args) -> int:
         schemes = cfg["schemes"].split()
         if not schemes:
             raise ConfigError("schemes must name at least one scheme")
-    # a wave study draws nothing from its seed, so it runs once per scheme
+    # a wave study draws nothing from its seed, so it runs once per scheme,
+    # and its reference does not depend on the scheme, so all of them share one
     problem, dim = cfg["problem"], int(cfg["dim"])
     seeds = (seed,) if problem == "schrodinger" else derive_seeds(seed, instances)
+    studies = [
+        _study(cfg, scheme_name, scheme_override, problem=problem, seed=child, dim=dim)
+        for scheme_name in schemes
+        for child in seeds
+    ]
+    reference = _wave_reference(studies[0]) if problem == "schrodinger" else None
     results = []
     rows = []
-    for scheme_name in schemes:
-        for child in seeds:
-            study = _study(cfg, scheme_name, scheme_override, problem=problem, seed=child, dim=dim)
-            result = run_convergence(study, scheme=scheme_override)
-            results.append(result)
-            order = "" if result.fitted_order is None else repr(float(result.fitted_order))
-            r2 = "" if result.fit_r2 is None else repr(float(result.fit_r2))
-            rows.append((scheme_name, child, order, r2, result.verdict, result.notes))
-            print(
-                f"{result.verdict.upper():12s} {scheme_name:12s} seed={child} "
-                f"order={order or 'n/a'} r2={r2 or 'n/a'}"
-            )
+    for study in studies:
+        result = run_convergence(study, scheme=scheme_override, reference=reference)
+        results.append(result)
+        order = "" if result.fitted_order is None else repr(float(result.fitted_order))
+        r2 = "" if result.fit_r2 is None else repr(float(result.fit_r2))
+        rows.append((study.scheme_name, study.seed, order, r2, result.verdict, result.notes))
+        print(
+            f"{result.verdict.upper():12s} {study.scheme_name:12s} seed={study.seed} "
+            f"order={order or 'n/a'} r2={r2 or 'n/a'}"
+        )
     if args.out:
         columns = ("scheme", "seed", "fitted_order", "fit_r2", "verdict", "notes")
         _write_artifact(args.out, "convergence", columns, rows, args.format)

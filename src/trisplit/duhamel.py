@@ -76,14 +76,13 @@ import numpy as np
 
 from trisplit.matrix_core import (
     ConditionViolated,
+    _commutator,
     _double_commutators,
     _is_skew,
     _second_order,
     as_complex_matrix,
-    commutator,
     double_commutators,
     expm,
-    op_norm,
 )
 from trisplit.splitting import triple_splitting_error
 
@@ -170,7 +169,7 @@ def z_integral(p, q, t) -> np.ndarray:
     int_0^t e^{(t-s)P} [P,Q] e^{sP} ds, evaluated exactly."""
     p = as_complex_matrix(p)
     q = as_complex_matrix(q)
-    return _van_loan(t, p, commutator(p, q), p)
+    return _van_loan(t, p, _commutator(p, q), p)
 
 
 W_FORMS = ("double_integral", "defining")
@@ -263,6 +262,19 @@ def _eigenbasis_error(p1, p2, p3, k1, k2, t, quad, refine) -> np.ndarray:
     return _refined(once, quad, refine)
 
 
+def _condition_checked(p1, p2, p3):
+    """Validated P1, P2, P3 that meet the second-order condition, with K1 and K2."""
+    p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
+    ok, residual = _second_order(p1, p2, p3)
+    if not ok:
+        raise ConditionViolated(
+            f"second-order condition residual {residual:.3e} exceeds its gate; "
+            "the integral representation does not apply"
+        )
+    _, k1, k2 = _double_commutators(p1, p2, p3)
+    return p1, p2, p3, k1, k2
+
+
 def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
     """The exact error representation E(t): Gauss-Legendre over tau of the
     exact double-integral W(tau).
@@ -273,15 +285,11 @@ def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
     three exponential calls per tau node, one of them a stack of the four
     n x n factors.  The inputs are validated once, here.
     """
-    quad = quad or QuadratureSpec()
-    p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
-    ok, residual = _second_order(p1, p2, p3)
-    if not ok:
-        raise ConditionViolated(
-            f"second-order condition residual {residual:.3e} exceeds its gate; "
-            "the integral representation does not apply"
-        )
-    _, k1, k2 = _double_commutators(p1, p2, p3)
+    return _represented(*_condition_checked(p1, p2, p3), t, quad or QuadratureSpec(), refine)
+
+
+def _represented(p1, p2, p3, k1, k2, t, quad, refine) -> np.ndarray:
+    """E(t) from checked P1, P2, P3 and their K1, K2."""
     if all(_is_skew(p) for p in (p1, p2, p3)):
         return _eigenbasis_error(p1, p2, p3, k1, k2, t, quad, refine)
     generators = np.stack((p1, p2, p3, p1 + p2 + p3))
@@ -305,7 +313,11 @@ def error_bound(p1, p2, p3, t) -> float:
     scale).
     """
     _, k1, k2 = double_commutators(p1, p2, p3)
-    return (abs(t) ** 3 / 6.0) * (op_norm(k1) + op_norm(k2))
+    return _bound(k1, k2, t)
+
+
+def _bound(k1, k2, t) -> float:
+    return (abs(t) ** 3 / 6.0) * float(np.linalg.norm(k1, 2) + np.linalg.norm(k2, 2))
 
 
 @dataclass(frozen=True)
@@ -328,14 +340,17 @@ def build_error_report(p1, p2, p3, t, quad=None) -> ErrorReport:
     and compare.
 
     The representation is compared as it stands, with sign +1: a sign error
-    in it shows as a discrepancy near twice the error norm.
+    in it shows as a discrepancy near twice the error norm.  The inputs are
+    validated and K1, K2 formed once, for the representation and the bound;
+    the measured error comes from ``triple_splitting_error`` alone.
     """
+    p1, p2, p3, k1, k2 = _condition_checked(p1, p2, p3)
     measured = triple_splitting_error(p1, p2, p3, t)
-    represented = duhamel_error(p1, p2, p3, t, quad=quad)
+    represented = _represented(p1, p2, p3, k1, k2, t, quad or QuadratureSpec(), True)
     return ErrorReport(
-        measured_error_norm=op_norm(measured),
-        duhamel_norm=op_norm(represented),
-        bound_value=error_bound(p1, p2, p3, t),
+        measured_error_norm=float(np.linalg.norm(measured, 2)),
+        duhamel_norm=float(np.linalg.norm(represented, 2)),
+        bound_value=_bound(k1, k2, t),
         sign_factor=1,
-        discrepancy=op_norm(measured - represented),
+        discrepancy=float(np.linalg.norm(measured - represented, 2)),
     )

@@ -174,21 +174,38 @@ def _matrix_rows(study: ConvergenceStudy, scheme=None):
     return rows, {}
 
 
-def _schrodinger_rows(study: ConvergenceStudy, scheme=None):
+def _wave_key(study: ConvergenceStudy):
+    """What a wave study's reference depends on: not its scheme or seed."""
+    return study.half_width, study.points, study.potential, study.horizon, min(study.step_sizes)
+
+
+def _wave_reference(study: ConvergenceStudy):
+    """The state a wave study's errors are measured against: Strang at h_min/4
+    from the unit Gaussian, with its distance to Strang at h_min/2 as the
+    reference's own consistency.  Studies that differ only in scheme or seed
+    can share it; nothing keeps it past the caller."""
     grid = Grid1D(study.half_width, study.points)
     potential = potential_by_name(study.potential, grid)
-    scheme = scheme or scheme_by_name(study.scheme_name)
     initial = gaussian_packet(grid)
     h_min = min(study.step_sizes)
     strang = make_strang()
     reference = evolve(
         initial, potential, study.horizon, _steps_for(study.horizon, h_min / 4), strang
     )
-    # consistency of the reference itself: one level up must already be close
     coarser_reference = evolve(
         initial, potential, study.horizon, _steps_for(study.horizon, h_min / 2), strang
     )
-    ref_gap = _l2_distance(coarser_reference, reference)
+    return _wave_key(study), reference, _l2_distance(coarser_reference, reference)
+
+
+def _schrodinger_rows(study: ConvergenceStudy, scheme=None, reference=None):
+    key, reference, ref_gap = reference or _wave_reference(study)
+    if key != _wave_key(study):
+        raise ValueError("the wave reference was built for another grid, potential or step range")
+    grid = reference.grid
+    potential = potential_by_name(study.potential, grid)
+    scheme = scheme or scheme_by_name(study.scheme_name)
+    initial = gaussian_packet(grid)
     rows = []
     defects = []
     for h in study.step_sizes:
@@ -203,16 +220,20 @@ def _l2_distance(u: WaveFunction, v: WaveFunction) -> float:
     return WaveFunction(u.samples - v.samples, u.grid).l2_norm()
 
 
-def run_convergence(study: ConvergenceStudy, scheme=None) -> StudyResult:
+def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> StudyResult:
     """Measure errors over the study's step sizes and fit an order.
 
     ``scheme`` overrides the named scheme with an explicit SplittingScheme
-    (e.g. loaded from a file).
+    (e.g. loaded from a file).  ``reference``, for a wave study, is a
+    ``_wave_reference`` of a study that differs at most in scheme and seed;
+    without it the study builds its own.
     """
     if study.problem == "matrix":
+        if reference is not None:
+            raise ValueError("a matrix study takes no wave reference")
         rows, extra = _matrix_rows(study, scheme)
     else:
-        rows, extra = _schrodinger_rows(study, scheme)
+        rows, extra = _schrodinger_rows(study, scheme, reference)
     metadata = {
         "problem": study.problem,
         "scheme": study.scheme_name,

@@ -119,6 +119,10 @@ def commutator(a, b) -> np.ndarray:
     b = as_complex_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return _commutator(a, b)
+
+
+def _commutator(a, b):
     return a @ b - b @ a
 
 
@@ -128,8 +132,8 @@ def double_commutators(p1, p2, p3):
 
 
 def _double_commutators(p1, p2, p3):
-    k23 = p2 @ p3 - p3 @ p2
-    return k23, p1 @ k23 - k23 @ p1, p2 @ k23 - k23 @ p2
+    k23 = _commutator(p2, p3)
+    return k23, _commutator(p1, k23), _commutator(p2, k23)
 
 
 def op_norm(m) -> float:
@@ -158,7 +162,7 @@ def _second_order(p1, p2, p3, tol=None):
     tol = CONDITION_TOL if tol is None else tol
     if tol <= 0:
         raise ValueError("tol must be positive")
-    defect = (p1 @ p2 - p2 @ p1) + (p1 @ p3 - p3 @ p1) + (p2 @ p3 - p3 @ p2)
+    defect = _commutator(p1, p2) + _commutator(p1, p3) + _commutator(p2, p3)
     residual = float(np.linalg.norm(defect, 2))
     scale = 1.0 + sum(np.linalg.norm(p) ** 2 for p in (p1, p2, p3))
     return residual <= tol * scale, residual

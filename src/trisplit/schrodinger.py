@@ -5,8 +5,11 @@ both sub-flows have closed forms on a periodic grid: e^{tA} is the Fourier
 multiplier e^{i t k^2 / 2} and e^{tB} is the pointwise phase e^{i t V(x)}.
 Splitting schemes over the references {A, B} therefore apply exactly
 (sub-flow-wise); the only approximation is the splitting itself.  ``evolve``
-is the one place the sub-flows are applied: it checks its inputs once, builds
-each operand's multiplier once per call and steps the raw samples.
+is the one place the sub-flows are applied: it checks its inputs once, merges
+neighbouring sub-flows of one reference (first same as last across steps;
+McLachlan and Quispel, "Splitting methods", Acta Numerica 2002), builds each
+merged flow's multiplier once per call, copies the samples once and steps
+that copy in place.
 
 The commutators that drive the splitting error are also applied here,
 spectrally and pointwise, without using their closed forms:
@@ -19,6 +22,7 @@ closed forms, whose coefficients come from the derivation and are not fitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -165,7 +169,15 @@ def evolve(
     Operands are listed in operator-product order (leftmost acts last on the
     state), so each step applies them right-to-left: an A operand with
     coefficient c is the Fourier multiplier e^{i c h k^2 / 2}, a B operand the
-    pointwise phase e^{i c h V}.  Both are built once per call.
+    pointwise phase e^{i c h V}.  Sub-flows of one reference commute, so
+    neighbours in application order merge into one flow with the summed
+    coefficient, inside a step and across the step boundary: when a step
+    starts and ends with the same reference, the run is the first flow once,
+    ``steps - 1`` bodies whose last flow carries both coefficients, and one
+    step without its first flow.  Strang (A/2, B, A/2) thus takes n + 1 FFT
+    pairs for n steps, not 2n.  Each multiplier is built once per call; the
+    samples are copied once and every flow acts in place on the copy, so the
+    caller's array is never written.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -175,21 +187,38 @@ def evolve(
         )
     if v.grid != u.grid:
         raise ValueError("wavefunction and potential live on different grids")
+    flows = []  # (reference, coefficient) in application order, neighbours merged
+    for ref, c in reversed(scheme.operands):
+        if flows and flows[-1][0] == ref:
+            flows[-1] = (ref, flows[-1][1] + c)
+        else:
+            flows.append((ref, c))
+    if len(flows) == 1:  # one reference: all steps are one flow
+        steps = 1
     h = horizon / steps
     k = u.grid.wavenumbers
-    flows = []
-    for ref, c in reversed(scheme.operands):
+
+    def multiplier(ref, c):
         if ref == "A":
-            flows.append((True, np.exp(0.5j * (c * h) * k * k)))
-        else:
-            flows.append((False, np.exp(1j * (c * h) * v.samples)))
-    samples = u.samples
-    for _ in range(steps):
-        for spectral, multiplier in flows:
+            return True, np.exp(0.5j * (c * h) * k * k)
+        return False, np.exp(1j * (c * h) * v.samples)
+
+    step = [multiplier(ref, c) for ref, c in flows]
+    if steps > 1 and flows[0][0] == flows[-1][0]:
+        (ref, last), (_, first) = flows[-1], flows[0]
+        body = step[1:-1] + [multiplier(ref, last + first)]
+        runs = chain([step[:1]], repeat(body, steps - 1), [step[1:]])
+    else:
+        runs = repeat(step, steps)
+    samples = u.samples.copy()
+    for run in runs:
+        for spectral, m in run:
             if spectral:
-                samples = np.fft.ifft(multiplier * np.fft.fft(samples))
+                np.fft.fft(samples, out=samples)
+                samples *= m
+                np.fft.ifft(samples, out=samples)
             else:
-                samples = multiplier * samples
+                samples *= m
     return WaveFunction(samples, u.grid)
 
 

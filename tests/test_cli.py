@@ -107,6 +107,37 @@ def test_wave_convergence_runs_once_per_scheme(tmp_path, capsys):
     assert rows == [["lie-trotter", "11"], ["strang", "11"]]
 
 
+def count_evolve_steps(monkeypatch):
+    steps = []
+    original = harness.evolve
+
+    def counted(u, v, horizon, n, scheme):
+        steps.append(n)
+        return original(u, v, horizon, n, scheme)
+
+    monkeypatch.setattr(harness, "evolve", counted)
+    return steps
+
+
+def test_wave_convergence_takes_one_reference_per_call(tmp_path, monkeypatch, capsys):
+    # both schemes at 256 points and the default steps 2^-4 .. 2^-9: each
+    # scheme's rows take 16 + 32 + ... + 512 = 1,008 steps, and the one Strang
+    # reference 2,048 at h_min/4 plus 1,024 at h_min/2
+    path = tmp_path / "wave.ini"
+    path.write_text("[config]\nversion = 1\n\n[convergence]\nproblem = schrodinger\npoints = 256\n")
+    steps = count_evolve_steps(monkeypatch)
+    assert main(["convergence", "--config", str(path)]) == EXIT_PASS
+    assert sum(steps) == 3072 + 2 * 1008
+
+
+def test_schrodinger_bench_keeps_no_reference_between_calls(monkeypatch, capsys):
+    steps = count_evolve_steps(monkeypatch)
+    for _ in range(2):
+        steps.clear()
+        assert main(["schrodinger-bench"]) == EXIT_PASS
+        assert sum(steps) == 3072 + 1008
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "command",

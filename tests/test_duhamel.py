@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trisplit import duhamel, matrix_core
+from trisplit import duhamel, matrix_core, splitting
 from trisplit.duhamel import (
     ConditionViolated,
     ErrorReport,
@@ -305,6 +305,27 @@ def test_duhamel_error_validates_its_inputs_once(monkeypatch, triple):
     assert calls["as_complex_matrix"] == 3
 
 
+def test_error_report_validates_its_inputs_once(monkeypatch):
+    # three scans for the report's own validation, shared by the representation
+    # and the bound, and three inside triple_splitting_error, which measures
+    # the error on its own
+    triple = sample_constrained_triple(6, 3)
+    calls = {"as_complex_matrix": 0}
+    for module in (matrix_core, duhamel, splitting):
+        count_calls(monkeypatch, module, "as_complex_matrix", calls)
+    build_error_report(*triple, 0.5)
+    assert calls["as_complex_matrix"] <= 6
+
+
+def test_z_integral_validates_its_inputs_once(monkeypatch):
+    p, q, _ = sample_constrained_triple(6, 3)
+    calls = {"as_complex_matrix": 0}
+    for module in (matrix_core, duhamel):
+        count_calls(monkeypatch, module, "as_complex_matrix", calls)
+    z_integral(p, q, 0.5)
+    assert calls["as_complex_matrix"] == 2
+
+
 def test_eigenbasis_path_splits_large_levels_into_blocks(monkeypatch):
     # levels larger than _STACK_ENTRIES are summed block by block; 8-node
     # blocks at dim 4 split every level past the first
@@ -383,9 +404,9 @@ def test_build_error_report_end_to_end():
 def test_sign_error_in_the_representation_is_reported(monkeypatch):
     p1, p2, p3 = constrained_triple(4, seed=86)
     exact = duhamel_error(p1, p2, p3, 0.25)
-    original = duhamel.duhamel_error
+    original = duhamel._represented
     monkeypatch.setattr(
-        duhamel, "duhamel_error", lambda *args, **kwargs: -original(*args, **kwargs)
+        duhamel, "_represented", lambda *args, **kwargs: -original(*args, **kwargs)
     )
     report = build_error_report(p1, p2, p3, 0.25)
     assert report.discrepancy == pytest.approx(2 * op_norm(exact), rel=1e-6)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,22 @@ def test_schrodinger_convergence_passes():
     defects = result.metadata["norm_defects"]
     assert len(defects) == 6
     assert max(defects) <= 1e-10
+
+
+def test_shared_wave_reference_gives_the_studys_own_rows():
+    study = ConvergenceStudy(
+        "schrodinger", "lie-trotter", dyadic(4, 4), horizon=0.5, seed=0,
+        potential="gaussian-well", half_width=8.0, points=64,
+    )
+    reference = harness._wave_reference(replace(study, scheme_name="strang", seed=9))
+    shared, own = run_convergence(study, reference=reference), run_convergence(study)
+    assert (shared.rows, shared.metadata) == (own.rows, own.metadata)
+    for other in (replace(study, points=128), replace(study, horizon=1.0), replace(study, potential="cosine")):
+        with pytest.raises(ValueError):
+            run_convergence(other, reference=reference)
+    matrix = ConvergenceStudy("matrix", "strang", dyadic(4, 4), 1.0, seed=5, dim=2)
+    with pytest.raises(ValueError):
+        run_convergence(matrix, reference=reference)
 
 
 def test_schrodinger_benchmark_rows():
@@ -233,9 +251,9 @@ def test_halved_bound_fails_the_default_campaign(monkeypatch):
 
 
 def test_representation_off_by_a_thousandth_fails_the_default_campaign(monkeypatch):
-    original = duhamel.duhamel_error
+    original = duhamel._represented
     monkeypatch.setattr(
-        duhamel, "duhamel_error", lambda *args, **kwargs: (1 + 1e-3) * original(*args, **kwargs)
+        duhamel, "_represented", lambda *args, **kwargs: (1 + 1e-3) * original(*args, **kwargs)
     )
     campaign = verify_duhamel(20, 4, (0.25, 0.5), seed=7)
     assert not campaign.passed

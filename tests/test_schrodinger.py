@@ -150,6 +150,67 @@ def test_free_gaussian_closed_form():
     assert gap <= 1e-8
 
 
+# --- merged sub-flows, against a plain one-operand-at-a-time loop -------------
+
+MERGE_SCHEMES = {
+    "strang": make_strang(),
+    "lie-trotter": make_lie_trotter(),
+    "b-a-b": SplittingScheme("b-a-b", (("B", 0.5), ("A", 1.0), ("B", 0.5)), canonical=True),
+    "a-a-b-a": SplittingScheme(
+        "a-a-b-a", (("A", 0.25), ("A", 0.25), ("B", 1.0), ("A", 0.5)), canonical=True
+    ),
+    "kinetic": KINETIC,
+}
+
+
+def plain_evolve(u, v, horizon, steps, scheme):
+    # every operand of every step on its own, rightmost first, as written
+    h = horizon / steps
+    k = u.grid.wavenumbers
+    samples = np.array(u.samples)
+    for _ in range(steps):
+        for ref, c in reversed(scheme.operands):
+            if ref == "A":
+                samples = np.fft.ifft(np.exp(0.5j * c * h * k**2) * np.fft.fft(samples))
+            else:
+                samples = np.exp(1j * c * h * v.samples) * samples
+    return samples
+
+
+@pytest.mark.parametrize("steps", [1, 2, 64])
+@pytest.mark.parametrize("name", sorted(MERGE_SCHEMES))
+def test_merged_evolve_matches_the_plain_loop(name, steps):
+    scheme = MERGE_SCHEMES[name]
+    u = gaussian_packet(GRID, sigma=1.3, center=0.4, momentum=0.7)
+    v = Potential.gaussian_well(GRID)
+    before = u.samples.copy()
+    out = evolve(u, v, 0.8, steps, scheme)
+    assert np.array_equal(u.samples, before)  # the caller's array is not written
+    expected = plain_evolve(u, v, 0.8, steps, scheme)
+    assert np.linalg.norm(out.samples - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+#: forward FFTs in n steps: one per A flow left once neighbours merge, within
+#: a step and across the step boundary (first same as last)
+MERGED_FFTS = {
+    "strang": lambda n: n + 1,
+    "lie-trotter": lambda n: n,
+    "b-a-b": lambda n: n,
+    "a-a-b-a": lambda n: n + 1,
+    "kinetic": lambda n: 1,
+}
+
+
+@pytest.mark.parametrize("steps", [1, 2, 64])
+@pytest.mark.parametrize("name", sorted(MERGED_FFTS))
+def test_merged_evolve_fft_count(monkeypatch, name, steps):
+    calls = []
+    original = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    evolve(gaussian_packet(GRID), Potential.harmonic(GRID), 1.0, steps, MERGE_SCHEMES[name])
+    assert len(calls) == MERGED_FFTS[name](steps)
+
+
 def test_evolve_rejects_nonpositive_steps():
     with pytest.raises(ValueError):
         evolve(gaussian_packet(GRID), zero_potential(GRID), 1.0, 0, make_strang())
