@@ -14,6 +14,7 @@ import argparse
 import csv
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import astuple, fields
@@ -91,15 +92,20 @@ class ConfigError(Exception):
 
 def _parse_real(token: str) -> float:
     """Accept base^exponent powers, and otherwise the scheme-file number
-    grammar of ``splitting._parse_coefficient`` (p/q fractions, float literals)."""
+    grammar of ``splitting._parse_coefficient`` (p/q fractions, float literals).
+    nan, inf and anything that overflows a double are config errors."""
     token = token.strip()
     try:
         if "^" in token:
             base, _, exponent = token.partition("^")
-            return float(base) ** int(exponent)
-        return _parse_coefficient(token)
-    except (ValueError, ZeroDivisionError) as exc:
+            value = float(base) ** int(exponent)
+        else:
+            value = _parse_coefficient(token)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"cannot parse number {token!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"number {token!r} is not finite")
+    return value
 
 
 def _parse_reals(text: str):

@@ -81,10 +81,10 @@ from trisplit.matrix_core import (
     _is_skew,
     _second_order,
     as_complex_matrix,
-    double_commutators,
+    as_times,
     expm,
 )
-from trisplit.splitting import triple_splitting_error
+from trisplit.splitting import triple_operator_set, triple_splitting_error
 
 #: Refinement cap: panel counts grow by doubling at most this many times.
 MAX_PANEL_DOUBLINGS = 8
@@ -305,19 +305,31 @@ def _represented(p1, p2, p3, k1, k2, t, quad, refine) -> np.ndarray:
     return _refined(once, quad, refine)
 
 
-def error_bound(p1, p2, p3, t) -> float:
+def error_bound(p1, p2, p3, t):
     """(|t|^3/6) (||[P1,[P2,P3]]|| + ||[P2,[P2,P3]]||).
 
     An upper bound for ||S(t) - e^{tL}|| whenever every exponential involved
     has norm one (isometric semigroups; skew-Hermitian generators at desk
     scale).
+
+    Broadcasting as in ``triple_splitting_error``: P1, P2 and P3 are n x n
+    matrices or (k, n, n) stacks of one shape, t a scalar or m values, and
+    the result has shape (k, m), without the k axis for matrices and the m
+    axis for a scalar t; matrices at a scalar t give a Python float.  K1 and
+    K2 are formed and their norms taken once per triple, whatever m is.
     """
-    _, k1, k2 = double_commutators(p1, p2, p3)
+    _, k1, k2 = _double_commutators(*triple_operator_set(p1, p2, p3).bindings.values())
     return _bound(k1, k2, t)
 
 
-def _bound(k1, k2, t) -> float:
-    return (abs(t) ** 3 / 6.0) * float(np.linalg.norm(k1, 2) + np.linalg.norm(k2, 2))
+def _bound(k1, k2, t):
+    # |t|^3/6 in Python floats, as the scalar bound has always taken it:
+    # numpy's vectorised power may round the last bit differently
+    t = as_times(t)
+    cubes = np.reshape([abs(x) ** 3 / 6.0 for x in t.ravel().tolist()], t.shape)
+    norms = np.linalg.norm(k1, 2, axis=(-2, -1)) + np.linalg.norm(k2, 2, axis=(-2, -1))
+    bound = np.multiply.outer(norms, cubes)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 @dataclass(frozen=True)

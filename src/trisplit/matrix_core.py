@@ -40,6 +40,29 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+def as_complex_stack(m) -> np.ndarray:
+    """``as_complex_matrix`` for one square matrix or a (k, n, n) stack."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 3:
+        return as_complex_matrix(a)
+    if a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a (k, n, n) stack of square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("stack has non-finite entries")
+    return a
+
+
+def as_times(t) -> np.ndarray:
+    """t as a float array of a scalar or m finite values: the time axis a
+    stacked splitting error or bound broadcasts over."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a scalar or a 1-d array, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError("t must be finite")
+    return times
+
+
 def is_skew_hermitian(m, tol: float = _SKEW_HERMITIAN_TOL) -> bool:
     """max|M + M*| <= tol, relative to max|M| once that exceeds 1."""
     return _is_skew(as_complex_matrix(m), tol)
@@ -72,7 +95,8 @@ def expm(m, t=1.0) -> np.ndarray:
     stack with t a scalar or k values.  A stack takes the Pade degree its
     largest ||tM||_1 needs; each matrix keeps its own 2^-s and s squarings.
 
-    Raises OverflowError when the result does not fit in double precision.
+    Raises ValueError for a non-finite t, and OverflowError when the result
+    does not fit in double precision.
     The size of t M alone decides nothing: for skew-Hermitian M the
     exponential is unitary at any norm.
     """
@@ -82,8 +106,11 @@ def expm(m, t=1.0) -> np.ndarray:
     if a.ndim != 3 or a.shape[1] != a.shape[2] or not np.isfinite(a).all():
         raise ValueError(f"expected a finite square matrix or (k, n, n) stack, got shape {a.shape}")
     k, n, _ = a.shape
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("t must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.reshape(np.asarray(t, dtype=float), (-1, 1, 1)) * a
+        a = np.reshape(t, (-1, 1, 1)) * a
         if len(a) != k:
             raise ValueError(f"expected one t or {k}, got {np.size(t)}")
         norms = np.abs(a).sum(axis=1).max(axis=1)

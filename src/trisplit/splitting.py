@@ -3,7 +3,9 @@
 A scheme is an ordered list of (operator reference, coefficient) pairs; applied
 to an operator set it becomes S(t) = e^{t c_1 X_1} e^{t c_2 X_2} ... with the
 leftmost factor acting *last* on a state vector.  The exact flow it
-approximates is e^{tG} with G = sum_k c_k X_k.
+approximates is e^{tG} with G = sum_k c_k X_k.  Products and errors
+broadcast over stacked operators and over t as ``triple_splitting_error``
+states.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from trisplit.matrix_core import as_complex_matrix, commutator, double_commutators, expm
+from trisplit.matrix_core import (
+    as_complex_matrix,
+    as_complex_stack,
+    as_times,
+    commutator,
+    double_commutators,
+    expm,
+)
 
 _CANONICAL_SUM_TOL = 1e-12
 
@@ -62,21 +71,20 @@ class SplittingScheme:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Binds operator references to square complex matrices of one dimension."""
+    """Binds operator references to square complex matrices, or (k, n, n)
+    stacks of them, all of one shape."""
 
     bindings: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         validated = {}
-        dim = None
+        shape = None
         for ref, m in dict(self.bindings).items():
-            a = as_complex_matrix(m)
-            if dim is None:
-                dim = a.shape[0]
-            elif a.shape[0] != dim:
-                raise ValueError(
-                    f"operator {ref!r} has dimension {a.shape[0]}, expected {dim}"
-                )
+            a = as_complex_stack(m)
+            if shape is None:
+                shape = a.shape
+            elif a.shape != shape:
+                raise ValueError(f"operator {ref!r} has shape {a.shape}, expected {shape}")
             validated[str(ref)] = a
         if not validated:
             raise ValueError("operator set is empty")
@@ -84,7 +92,7 @@ class OperatorSet:
 
     @property
     def dim(self) -> int:
-        return next(iter(self.bindings.values())).shape[0]
+        return next(iter(self.bindings.values())).shape[-1]
 
     def __getitem__(self, ref: str) -> np.ndarray:
         try:
@@ -125,21 +133,44 @@ def generator_matrix(scheme: SplittingScheme, ops: OperatorSet) -> np.ndarray:
     return sum(c * ops[ref] for ref, c in scheme.operands)
 
 
+def _exponentials(generators, coeffs, t) -> np.ndarray:
+    """e^{t c X} for each generator X and its coefficient c, from one stacked
+    ``expm``: shape (len(generators), k, m, n, n), k and m as in
+    ``triple_splitting_error``."""
+    t = as_times(t)
+    stack = np.stack(generators)
+    n = stack.shape[-1]
+    shape = stack.shape[:-2] + t.shape
+    a = np.broadcast_to(stack.reshape(stack.shape[:-2] + (1,) * t.ndim + (n, n)), shape + (n, n))
+    scale = np.multiply.outer(coeffs, t).reshape((len(coeffs),) + (1,) * (stack.ndim - 3) + t.shape)
+    return expm(a.reshape(-1, n, n), np.broadcast_to(scale, shape).ravel()).reshape(a.shape)
+
+
 def apply_splitting(scheme: SplittingScheme, ops: OperatorSet, t: float) -> np.ndarray:
     refs, coeffs = zip(*scheme.operands)
-    return reduce(np.matmul, expm(np.stack([ops[r] for r in refs]), np.multiply(coeffs, t)))
+    return reduce(np.matmul, _exponentials([ops[r] for r in refs], coeffs, t))
 
 
-def splitting_error(scheme: SplittingScheme, ops: OperatorSet, t: float) -> np.ndarray:
+def splitting_error(scheme: SplittingScheme, ops: OperatorSet, t) -> np.ndarray:
     """S(t) - e^{tG}: the fixed sign convention used throughout this package.
-    One stacked ``expm`` gives the factors of S(t) and e^{tG}."""
+    One stacked ``expm`` gives the factors of S(t) and e^{tG} at every t, and
+    one batched product forms S(t)."""
     refs, coeffs = zip(*scheme.operands)
-    stack = np.stack([ops[r] for r in refs] + [generator_matrix(scheme, ops)])
-    *factors, exact = expm(stack, np.multiply(coeffs + (1.0,), t))
+    generators = [ops[r] for r in refs] + [generator_matrix(scheme, ops)]
+    *factors, exact = _exponentials(generators, coeffs + (1.0,), t)
     return reduce(np.matmul, factors) - exact
 
 
-def triple_splitting_error(p1, p2, p3, t: float) -> np.ndarray:
+def triple_splitting_error(p1, p2, p3, t) -> np.ndarray:
+    """e^{tP1} e^{tP2} e^{tP3} - e^{t(P1+P2+P3)}.
+
+    Broadcasting: P1, P2 and P3 are n x n matrices or (k, n, n) stacks of
+    one shape, and t is a scalar or a 1-d array of m values; the result has
+    shape (k, m, n, n), without the k axis for matrices and without the m
+    axis for a scalar t, and entry [i, j] is the i-th triple's error at the
+    j-th t.  Non-finite entries or t, non-square or mismatched shapes and a
+    2-d t raise ValueError.
+    """
     return splitting_error(make_triple(), triple_operator_set(p1, p2, p3), t)
 
 

@@ -286,6 +286,24 @@ def test_empty_list_is_a_config_error(tmp_path, capsys, command, key):
     assert captured.err.startswith("config error:")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize(
+    "command, key",
+    [("verify-bound", "t_values"), ("verify-duhamel", "t_values"), ("convergence", "horizon")],
+)
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, key, value):
+    # a config error exits 2 with one line, where a nan or inf used to reach
+    # expm (or the step count of a study) and end in a traceback
+    cfg = tmp_path / "nonfinite.ini"
+    cfg.write_text(f"[config]\nversion = 1\n\n[{command}]\n{key} = {value}\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
+
+
 def test_unreachable_quadrature_tolerance_is_inconclusive(tmp_path, capsys):
     cfg = tmp_path / "tight.ini"
     cfg.write_text(

@@ -385,6 +385,53 @@ def test_bound_dominates_measured_error():
             assert measured <= error_bound(p1, p2, p3, t) + 1e-9
 
 
+def test_stacked_error_bound_matches_scalar_calls():
+    triples = [constrained_triple(5, seed=s) for s in (88, 89, 90)]
+    triples.append(tuple(np.diag(np.diag(p)) for p in triples[0]))  # a commuting triple
+    p1, p2, p3 = (np.stack(p) for p in zip(*triples))
+    times = (0.0, 0.1, 1.0, -2.0)
+    stacked = error_bound(p1, p2, p3, times)
+    assert stacked.shape == (4, 4)
+    for i, triple in enumerate(triples):
+        for j, t in enumerate(times):
+            scalar = error_bound(*triple, t)
+            assert type(scalar) is float
+            assert stacked[i, j] == pytest.approx(scalar, rel=1e-14, abs=0.0)
+    assert not stacked[3].any()
+    assert error_bound(*triples[0], times).shape == (4,)
+    assert error_bound(p1, p2, p3, 0.5).shape == (4,)
+
+
+def test_scalar_error_bound_keeps_its_value_bit_for_bit():
+    for p1, p2, p3 in (
+        constrained_triple(4, seed=61),
+        tuple(random_skew_hermitian(5, seed=s) for s in (80, 81, 82)),
+    ):
+        k1 = commutator(p1, commutator(p2, p3))
+        k2 = commutator(p2, commutator(p2, p3))
+        for t in (0.0, 0.1, 0.5, 0.7, 1.0, -0.3, 200.0):
+            expected = (abs(t) ** 3 / 6.0) * float(np.linalg.norm(k1, 2) + np.linalg.norm(k2, 2))
+            got = error_bound(p1, p2, p3, t)
+            assert type(got) is float and got == expected
+
+
+def test_stacked_error_bound_validation():
+    p1, p2, p3 = (np.stack(p) for p in zip(*(constrained_triple(4, seed=s) for s in (91, 92))))
+    bad = p3.copy()
+    bad[0, 1, 1] = np.nan
+    wide = np.zeros((2, 4, 3))
+    for case in (
+        (p1, p2, bad, 0.5),
+        (wide, p2, p3, 0.5),
+        (p1, p2[:1], p3, 0.5),
+        (p1[0], p2, p3, 0.5),
+        (p1, p2, p3, [[0.5]]),
+        (p1, p2, p3, [0.5, np.nan]),
+    ):
+        with pytest.raises(ValueError):
+            error_bound(*case)
+
+
 # --- report objects -----------------------------------------------------------------
 
 

@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trisplit import cli, duhamel, harness
+from test_duhamel import count_calls
+from trisplit import cli, duhamel, harness, splitting
+from trisplit.duhamel import error_bound
 from trisplit.harness import (
     ConvergenceStudy,
     certify_algebra,
@@ -16,7 +18,7 @@ from trisplit.harness import (
     verify_duhamel,
 )
 from trisplit.matrix_core import ConditionViolated, commutator, is_skew_hermitian, op_norm
-from trisplit.splitting import make_strang
+from trisplit.splitting import make_strang, triple_splitting_error
 
 
 def dyadic(start_exp, count):
@@ -202,6 +204,8 @@ def test_verify_bound_argument_validation():
     with pytest.raises(ValueError):
         verify_bound(count=0, dim=4, t_list=(0.5,), seed=1)
     with pytest.raises(ValueError):
+        verify_bound(count=1, dim=0, t_list=(0.5,), seed=1)
+    with pytest.raises(ValueError):
         verify_bound(count=1, dim=4, t_list=(), seed=7)
 
 
@@ -214,6 +218,75 @@ def test_verify_bound_small_campaign():
     for row in campaign.rows:
         assert row.measured <= row.bound + campaign.slack
         assert not row.violated
+
+
+ALIGNMENT_TIMES = (0.0, 0.1, 1.0, 200.0)
+
+
+def stack_size(dim, times):
+    """Triples per stack of the bound campaign."""
+    return max(1, harness._STACK_ENTRIES // (4 * len(times) * dim * dim))
+
+
+def misaligned_rows(campaign, dim, times, seed):
+    """Rows whose values differ from scalar calls on their own instance's
+    triple: measured to 1e-12 relative (1e-15 absolute at t = 0), the bound
+    to 1e-14 relative."""
+    seeds = derive_seeds(seed, len(campaign.rows) // len(times))
+    bad = []
+    for row in campaign.rows:
+        p1, p2, p3 = sample_constrained_triple(dim, seeds[row.instance])
+        measured = op_norm(triple_splitting_error(p1, p2, p3, row.t))
+        bound = error_bound(p1, p2, p3, row.t)
+        floor = 1e-15 if row.t == 0 else 0.0
+        if abs(row.measured - measured) > max(1e-12 * measured, floor):
+            bad.append(row)
+        elif abs(row.bound - bound) > 1e-14 * bound:
+            bad.append(row)
+    return bad
+
+
+def test_bound_campaign_rows_align_with_scalar_calls():
+    # two full stacks and a partial one; each row carries its own triple's
+    # numbers, in instance-major, t-minor order
+    dim = 6
+    step = stack_size(dim, ALIGNMENT_TIMES)
+    assert step >= 2
+    count = 2 * step + step // 2
+    campaign = verify_bound(count, dim, ALIGNMENT_TIMES, seed=23)
+    assert [(r.instance, r.t) for r in campaign.rows] == [
+        (i, t) for i in range(count) for t in ALIGNMENT_TIMES
+    ]
+    assert misaligned_rows(campaign, dim, ALIGNMENT_TIMES, seed=23) == []
+    assert campaign.passed
+
+
+def test_bound_campaign_alignment_check_catches_a_shifted_stack(monkeypatch):
+    # each stack's errors moved by one instance: the check must see it
+    def shifted(*args):
+        return np.roll(triple_splitting_error(*args), 1, axis=0)
+
+    monkeypatch.setattr(harness, "triple_splitting_error", shifted)
+    dim = 6
+    count = 2 * stack_size(dim, ALIGNMENT_TIMES) + 1
+    campaign = verify_bound(count, dim, ALIGNMENT_TIMES, seed=23)
+    assert misaligned_rows(campaign, dim, ALIGNMENT_TIMES, seed=23)
+
+
+def test_default_bound_campaign_makes_one_call_per_stack(monkeypatch):
+    # the default campaign (100 instances, dim 6, three t) in stacks of
+    # several triples: one stacked expm, one error and one error_bound call
+    # per stack, and no per-row op_norm
+    calls = {"expm": 0, "error_bound": 0, "triple_splitting_error": 0, "op_norm": 0}
+    count_calls(monkeypatch, splitting, "expm", calls)
+    for name in ("error_bound", "triple_splitting_error", "op_norm"):
+        count_calls(monkeypatch, harness, name, calls)
+    campaign = verify_bound(100, 6, (0.1, 0.5, 1.0), seed=7)
+    stacks = -(-100 // stack_size(6, (0.1, 0.5, 1.0)))
+    assert stacks <= 13
+    per_stack = {"expm": stacks, "error_bound": stacks, "triple_splitting_error": stacks}
+    assert calls == {**per_stack, "op_norm": 0}
+    assert len(campaign.rows) == 300 and campaign.passed
 
 
 # --- campaigns that can fail ---------------------------------------------------------

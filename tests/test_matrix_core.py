@@ -9,6 +9,8 @@ from trisplit.harness import derive_seeds, sample_constrained_triple
 from trisplit.matrix_core import (
     ConditionViolated,
     as_complex_matrix,
+    as_complex_stack,
+    as_times,
     check_second_order,
     commutator,
     expm,
@@ -36,6 +38,28 @@ def test_as_complex_matrix_validation():
         as_complex_matrix(np.array([[complex(0, np.nan), 0], [0, 0]]))
     out = as_complex_matrix([[1, 0], [0, 1]])
     assert out.dtype == np.complex128
+
+
+def test_as_complex_stack_validation():
+    stack = np.zeros((3, 2, 2))
+    assert as_complex_stack(stack).shape == (3, 2, 2)
+    assert as_complex_stack(stack).dtype == np.complex128
+    assert as_complex_stack(np.eye(2)).shape == (2, 2)
+    stack[1, 0, 1] = np.nan  # one matrix of the stack
+    with pytest.raises(ValueError, match="non-finite"):
+        as_complex_stack(stack)
+    for shape in ((3, 2, 3), (2, 3), (2, 2, 2, 2), (4,)):
+        with pytest.raises(ValueError):
+            as_complex_stack(np.zeros(shape))
+
+
+def test_as_times_takes_a_scalar_or_one_axis_of_finite_values():
+    assert as_times(0.5).shape == ()
+    assert as_times([0.1, 0.5]).shape == (2,)
+    with pytest.raises(ValueError):
+        as_times([[0.1, 0.5]])
+    with pytest.raises(ValueError, match="t must be finite"):
+        as_times([0.1, math.inf])
 
 
 def test_is_skew_hermitian():
@@ -192,6 +216,16 @@ def test_expm_validation():
         expm(np.zeros((3, 2, 2)), [1.0, 2.0])  # neither one t nor three
     with pytest.raises(ValueError):
         expm(np.zeros((2, 2)), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_expm_rejects_a_non_finite_t(bad):
+    # a non-finite t is an input error, not an overflow, even for the zero
+    # matrix, where inf * 0 is nan
+    m = random_skew_hermitian(3, seed=5)
+    for a, t in ((m, bad), (np.zeros((3, 3)), bad), (np.stack((m, m)), [0.5, bad])):
+        with pytest.raises(ValueError, match="t must be finite"):
+            expm(a, t)
 
 
 def test_commutator_basics():

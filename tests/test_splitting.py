@@ -168,6 +168,77 @@ def test_splitting_error_is_one_stacked_expm(monkeypatch):
     assert calls == {"expm": 2, "scan": 0}
 
 
+# --- stacks of triples ----------------------------------------------------------
+
+
+def stacked_triples(dim, seeds):
+    """(P1, P2, P3) as three (k, n, n) stacks of constrained triples."""
+    return tuple(np.stack(p) for p in zip(*(constrained_triple(dim, s) for s in seeds)))
+
+
+def test_stacked_triple_splitting_error_matches_scalar_calls():
+    p1, p2, p3 = stacked_triples(5, (11, 12, 13))
+    times = (0.0, 0.3, 2.0, -0.7)
+    stacked = triple_splitting_error(p1, p2, p3, times)
+    assert stacked.shape == (3, 4, 5, 5)
+    for i in range(3):
+        for j, t in enumerate(times):
+            scalar = triple_splitting_error(p1[i], p2[i], p3[i], t)
+            assert op_norm(stacked[i, j] - scalar) <= 1e-14 * max(1.0, op_norm(scalar))
+    # one axis at a time: matrices over m times, or a stack at one time
+    assert triple_splitting_error(p1[0], p2[0], p3[0], times).shape == (4, 5, 5)
+    assert triple_splitting_error(p1, p2, p3, 0.3).shape == (3, 5, 5)
+    assert np.array_equal(
+        triple_splitting_error(p1[0], p2[0], p3[0], times)[2], stacked[0, 2]
+    )
+
+
+def test_stacked_splitting_error_is_one_expm(monkeypatch):
+    import trisplit.splitting as sp
+
+    p1, p2, p3 = stacked_triples(4, (21, 22))
+    calls = []
+    original = sp.expm
+    monkeypatch.setattr(sp, "expm", lambda *args: calls.append(args[0].shape) or original(*args))
+    triple_splitting_error(p1, p2, p3, (0.1, 0.5, 1.0))
+    assert calls == [(2 * 3 * 4, 4, 4)]  # 2 triples x 3 times x 4 exponentials
+
+
+def test_stacked_splitting_error_validation():
+    p1, p2, p3 = stacked_triples(4, (31, 32, 33))
+    bad = p2.copy()
+    bad[1, 2, 3] = np.inf  # one entry of one triple of the stack
+    wide = np.zeros((3, 4, 5))
+    cases = (
+        (p1, bad, p3, 0.5),
+        (p1, p2, wide, 0.5),
+        (wide, wide, wide, 0.5),
+        (p1, p2[:2], p3, 0.5),
+        (p1, p2[0], p3, 0.5),
+        (p1, p2, p3, [[0.1, 0.5]]),
+    )
+    for case in cases:
+        with pytest.raises(ValueError):
+            triple_splitting_error(*case)
+    for t in (np.nan, [0.1, np.inf]):
+        with pytest.raises(ValueError, match="t must be finite"):
+            triple_splitting_error(p1, p2, p3, t)
+
+
+def test_scalar_splitting_error_keeps_its_values_bit_for_bit():
+    # matrices at a scalar t: the stacked expm of the three factors and
+    # e^{tL}, and the product of the factors, exactly as before stacks
+    for p1, p2, p3 in (
+        constrained_triple(4, seed=61),
+        tuple(random_skew_hermitian(5, seed=s) for s in (61, 62, 63)),
+    ):
+        for t in (0.0, 0.1, 0.5, 1.0, -0.3, 200.0):
+            e1, e2, e3, e_l = expm(np.stack((p1, p2, p3, p1 + p2 + p3)), np.multiply((1.0,) * 4, t))
+            got = triple_splitting_error(p1, p2, p3, t)
+            assert got.shape == (p1.shape[0],) * 2
+            assert np.array_equal(got, e1 @ e2 @ e3 - e_l)
+
+
 # --- the cubic error coefficient ----------------------------------------------
 
 
