@@ -64,7 +64,8 @@ The error bound
     ||E(t)|| <= (t^3/6) (||[P1,[P2,P3]]|| + ||[P2,[P2,P3]]||)
 
 holds whenever all the exponentials involved are isometries, e.g. for
-skew-Hermitian generators.
+skew-Hermitian generators.  ``harness.verify_duhamel`` compares E(t) with the
+measured S(t) - e^{tL} and with this bound, one ``ErrorReport`` per triple and t.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from trisplit.matrix_core import (
     as_times,
     expm,
 )
-from trisplit.splitting import triple_operator_set, triple_splitting_error
+from trisplit.splitting import triple_operator_set
 
 #: Refinement cap: panel counts grow by doubling at most this many times.
 MAX_PANEL_DOUBLINGS = 8
@@ -262,19 +263,6 @@ def _eigenbasis_error(p1, p2, p3, k1, k2, t, quad, refine) -> np.ndarray:
     return _refined(once, quad, refine)
 
 
-def _condition_checked(p1, p2, p3):
-    """Validated P1, P2, P3 that meet the second-order condition, with K1 and K2."""
-    p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
-    ok, residual = _second_order(p1, p2, p3)
-    if not ok:
-        raise ConditionViolated(
-            f"second-order condition residual {residual:.3e} exceeds its gate; "
-            "the integral representation does not apply"
-        )
-    _, k1, k2 = _double_commutators(p1, p2, p3)
-    return p1, p2, p3, k1, k2
-
-
 def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
     """The exact error representation E(t): Gauss-Legendre over tau of the
     exact double-integral W(tau).
@@ -285,11 +273,15 @@ def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
     three exponential calls per tau node, one of them a stack of the four
     n x n factors.  The inputs are validated once, here.
     """
-    return _represented(*_condition_checked(p1, p2, p3), t, quad or QuadratureSpec(), refine)
-
-
-def _represented(p1, p2, p3, k1, k2, t, quad, refine) -> np.ndarray:
-    """E(t) from checked P1, P2, P3 and their K1, K2."""
+    p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
+    ok, residual = _second_order(p1, p2, p3)
+    if not ok:
+        raise ConditionViolated(
+            f"second-order condition residual {residual:.3e} exceeds its gate; "
+            "the integral representation does not apply"
+        )
+    _, k1, k2 = _double_commutators(p1, p2, p3)
+    quad = quad or QuadratureSpec()
     if all(_is_skew(p) for p in (p1, p2, p3)):
         return _eigenbasis_error(p1, p2, p3, k1, k2, t, quad, refine)
     generators = np.stack((p1, p2, p3, p1 + p2 + p3))
@@ -319,10 +311,6 @@ def error_bound(p1, p2, p3, t):
     K2 are formed and their norms taken once per triple, whatever m is.
     """
     _, k1, k2 = _double_commutators(*triple_operator_set(p1, p2, p3).bindings.values())
-    return _bound(k1, k2, t)
-
-
-def _bound(k1, k2, t):
     # |t|^3/6 in Python floats, as the scalar bound has always taken it:
     # numpy's vectorised power may round the last bit differently
     t = as_times(t)
@@ -334,7 +322,8 @@ def _bound(k1, k2, t):
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Side-by-side record of one measured-vs-represented error comparison."""
+    """Side-by-side record of one measured-vs-represented error comparison:
+    a row of ``harness.verify_duhamel``."""
 
     measured_error_norm: float
     duhamel_norm: float
@@ -345,24 +334,3 @@ class ErrorReport:
     def __post_init__(self):
         if self.sign_factor not in (1, -1):
             raise ValueError("sign_factor must be +1 or -1")
-
-
-def build_error_report(p1, p2, p3, t, quad=None) -> ErrorReport:
-    """Measure S(t) - e^{tL} directly, evaluate the integral representation,
-    and compare.
-
-    The representation is compared as it stands, with sign +1: a sign error
-    in it shows as a discrepancy near twice the error norm.  The inputs are
-    validated and K1, K2 formed once, for the representation and the bound;
-    the measured error comes from ``triple_splitting_error`` alone.
-    """
-    p1, p2, p3, k1, k2 = _condition_checked(p1, p2, p3)
-    measured = triple_splitting_error(p1, p2, p3, t)
-    represented = _represented(p1, p2, p3, k1, k2, t, quad or QuadratureSpec(), True)
-    return ErrorReport(
-        measured_error_norm=float(np.linalg.norm(measured, 2)),
-        duhamel_norm=float(np.linalg.norm(represented, 2)),
-        bound_value=_bound(k1, k2, t),
-        sign_factor=1,
-        discrepancy=float(np.linalg.norm(measured - represented, 2)),
-    )

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from trisplit import lie_symbolic as ls
-from trisplit.duhamel import ErrorReport, QuadratureSpec, build_error_report, error_bound
+from trisplit.duhamel import ErrorReport, QuadratureSpec, duhamel_error, error_bound
 from trisplit.matrix_core import expm, op_norm, random_skew_hermitian, solve_second_order_constraint
 from trisplit.schrodinger import (
     Grid1D,
@@ -335,72 +335,58 @@ def _faulty_series_form() -> ls.FreeElement:
 def certify_algebra(inject_fault: bool = False) -> CertificationReport:
     """Run the exact-rational certification chain end to end.
 
-    ``inject_fault`` corrupts one coefficient of the reduction target
-    (-1/6 -> -1/5) to prove the chain can fail; the default run must be
-    all-PASS.
+    Each check names an element that must vanish, exactly or modulo the
+    condition ideal.  ``inject_fault`` corrupts one coefficient of the
+    reduction target (-1/6 -> -1/5) to prove the chain can fail; the default
+    run must be all-PASS.
     """
-    checks = []
-
-    def record(name: str, passed: bool, element: Optional[ls.FreeElement] = None):
-        detail = ""
-        if element is not None and not passed:
-            detail = "offending element:\n" + ls.format_element(element)
-        checks.append(CertificationCheck(name, passed, detail))
-
     taylor = ls.splitting_taylor(3)
-
-    consistency = taylor[0].is_zero() and taylor[1].is_zero()
-    record("consistency: degree-0 and degree-1 coefficients vanish", consistency,
-           taylor[0] + taylor[1])
-
-    half_condition = ls.second_order_defect().scale(Fraction(1, 2))
-    record(
-        "degree-2 coefficient equals half the commutator-sum condition",
-        taylor[2] == half_condition,
-        taylor[2] - half_condition,
-    )
-
-    mixed = ls.third_order_mixed_form()
-    record(
-        "degree-3 coefficient matches its direct word-by-word expansion",
-        taylor[3] == mixed,
-        taylor[3] - mixed,
-    )
-
-    target = _faulty_series_form() if inject_fault else ls.third_order_series_form()
-    reduction = ls.reduce_mod_condition(taylor[3] - target)
-    record(
-        "degree-3 coefficient reduces to the nested-commutator form "
-        "modulo the condition ideal",
-        reduction.in_ideal,
-        reduction.residual,
-    )
-
+    series = ls.third_order_series_form()
+    target = _faulty_series_form() if inject_fault else series
     jacobi = (
         ls.bracket(1, ls.bracket(2, 3))
         + ls.bracket(2, ls.bracket(3, 1))
         + ls.bracket(3, ls.bracket(1, 2))
     )
-    record("Jacobi identity", jacobi.is_zero(), jacobi)
-
-    equivalence = ls.reduce_mod_condition(
-        ls.third_order_series_form() - ls.third_order_integral_form()
+    # (name, element that must vanish, whether modulo the condition ideal)
+    chain = (
+        ("consistency: degree-0 and degree-1 coefficients vanish", taylor[0] + taylor[1], False),
+        (
+            "degree-2 coefficient equals half the commutator-sum condition",
+            taylor[2] - ls.second_order_defect().scale(Fraction(1, 2)),
+            False,
+        ),
+        (
+            "degree-3 coefficient matches its direct word-by-word expansion",
+            taylor[3] - ls.third_order_mixed_form(),
+            False,
+        ),
+        (
+            "degree-3 coefficient reduces to the nested-commutator form "
+            "modulo the condition ideal",
+            taylor[3] - target,
+            True,
+        ),
+        ("Jacobi identity", jacobi, False),
+        (
+            "nested-commutator form and integral-representation form agree "
+            "modulo the condition ideal",
+            series - ls.third_order_integral_form(),
+            True,
+        ),
+        (
+            "intermediate four-term form shares the canonical coset representative",
+            ls.third_order_pre_jacobi_form() - series,
+            True,
+        ),
     )
-    record(
-        "nested-commutator form and integral-representation form agree "
-        "modulo the condition ideal",
-        equivalence.in_ideal,
-        equivalence.residual,
-    )
-
-    route_a = ls.reduce_mod_condition(ls.third_order_pre_jacobi_form()).residual
-    route_b = ls.reduce_mod_condition(ls.third_order_series_form()).residual
-    record(
-        "intermediate four-term form shares the canonical coset representative",
-        route_a == route_b,
-        route_a - route_b,
-    )
-
+    checks = []
+    for name, element, modulo_ideal in chain:
+        if modulo_ideal:
+            element = ls.reduce_mod_condition(element).residual
+        passed = element.is_zero()
+        detail = "" if passed else "offending element:\n" + ls.format_element(element)
+        checks.append(CertificationCheck(name, passed, detail))
     return CertificationReport(tuple(checks))
 
 
@@ -419,6 +405,43 @@ def sample_constrained_triple(dim: int, seed: int):
 
 
 # --- verification campaigns -----------------------------------------------------
+
+
+#: Entries of the one stacked expm a campaign stack makes: its triples times
+#: the t values times 4 exponentials (three factors and e^{tL}) times n^2.
+#: expm holds about 15 arrays of that size, so the default bound campaign
+#: (dim 6, three t, 9 triples per stack) adds about 1 MB of peak memory; one
+#: stack for all 100 triples adds about 10 MB.
+_STACK_ENTRIES = 1 << 12
+
+
+def _campaign(count: int, dim: int, t_list: Sequence[float], seed: int):
+    """(instance, t, triple, S(t) - e^{tL}, its spectral norm, the bound) for
+    every instance and t, instance-major and t-minor.
+
+    Triples are drawn one per instance, in seed order, and checked in stacks
+    of up to _STACK_ENTRIES / (4 len(t_list) dim^2) of them: per stack one
+    ``triple_splitting_error`` over every triple and t, one batched spectral
+    norm and one ``error_bound``.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if len(t_list) == 0:
+        raise ValueError("t_list must not be empty")
+    times = np.asarray(t_list, dtype=float)
+    seeds = derive_seeds(seed, count)
+    step = max(1, _STACK_ENTRIES // (4 * times.size * dim * dim))
+    for start in range(0, count, step):
+        triples = [sample_constrained_triple(dim, child) for child in seeds[start : start + step]]
+        p1, p2, p3 = (np.stack(p) for p in zip(*triples))
+        errors = triple_splitting_error(p1, p2, p3, times)
+        measured = np.linalg.norm(errors, 2, axis=(-2, -1)).tolist()
+        bounds = error_bound(p1, p2, p3, times).tolist()
+        for i, triple in enumerate(triples):
+            for j, t in enumerate(times.tolist()):
+                yield start + i, t, triple, errors[i, j], measured[i][j], bounds[i][j]
 
 
 @dataclass(frozen=True)
@@ -447,27 +470,30 @@ def verify_duhamel(
     """Compare the integral error representation against the measured error.
 
     For every sampled constraint-satisfying triple and every t, the
-    discrepancy must sit below ``discrepancy_tol``.
+    discrepancy ||(S(t) - e^{tL}) - E(t)|| must sit below
+    ``discrepancy_tol``.  The measured error and the bound come from the
+    campaign's stacks, E(t) from one ``duhamel_error`` per row, compared
+    as it stands (sign +1): a sign error in it shows as a discrepancy near
+    twice the error norm.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if len(t_list) == 0:
-        raise ValueError("t_list must not be empty")
     rows = []
     notes = []
-    passed = True
-    for index, child in enumerate(derive_seeds(seed, count)):
-        p1, p2, p3 = sample_constrained_triple(dim, child)
-        for t in t_list:
-            report = build_error_report(p1, p2, p3, t, quad=quad)
-            rows.append(DuhamelCampaignRow(index, float(t), report))
-            if report.discrepancy > discrepancy_tol:
-                passed = False
-                notes.append(
-                    f"instance {index}, t={t!r}: discrepancy "
-                    f"{report.discrepancy:.3e} above {discrepancy_tol!r}"
-                )
-    return DuhamelCampaign(tuple(rows), discrepancy_tol, passed, "; ".join(notes))
+    for index, t, triple, error, measured, bound in _campaign(count, dim, t_list, seed):
+        represented = duhamel_error(*triple, t, quad=quad)
+        report = ErrorReport(
+            measured_error_norm=measured,
+            duhamel_norm=float(np.linalg.norm(represented, 2)),
+            bound_value=bound,
+            sign_factor=1,
+            discrepancy=float(np.linalg.norm(error - represented, 2)),
+        )
+        rows.append(DuhamelCampaignRow(index, t, report))
+        if report.discrepancy > discrepancy_tol:
+            notes.append(
+                f"instance {index}, t={t!r}: discrepancy "
+                f"{report.discrepancy:.3e} above {discrepancy_tol!r}"
+            )
+    return DuhamelCampaign(tuple(rows), discrepancy_tol, not notes, "; ".join(notes))
 
 
 @dataclass(frozen=True)
@@ -489,14 +515,6 @@ class BoundCampaign:
     passed: bool
 
 
-#: Entries of the one stacked expm a bound-campaign stack makes: its triples
-#: times the t values times 4 exponentials (three factors and e^{tL}) times
-#: n^2.  expm holds about 15 arrays of that size, so the default campaign
-#: (dim 6, three t, 9 triples per stack) adds about 1 MB of peak memory; one
-#: stack for all 100 triples adds about 10 MB.
-_STACK_ENTRIES = 1 << 12
-
-
 def verify_bound(
     count: int,
     dim: int,
@@ -504,34 +522,12 @@ def verify_bound(
     seed: int,
     slack: float = 1e-9,
 ) -> BoundCampaign:
-    """Check measured ||S(t) - e^{tL}|| against the cubic commutator bound.
-
-    Triples are drawn one per instance, in seed order, and checked in
-    stacks of up to _STACK_ENTRIES / (4 len(t_list) dim^2) of them: per
-    stack one ``triple_splitting_error`` over every triple and t, one
-    batched spectral norm and one ``error_bound``.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if len(t_list) == 0:
-        raise ValueError("t_list must not be empty")
-    times = np.asarray(t_list, dtype=float)
-    seeds = derive_seeds(seed, count)
-    step = max(1, _STACK_ENTRIES // (4 * times.size * dim * dim))
+    """Check measured ||S(t) - e^{tL}|| against the cubic commutator bound,
+    from the campaign's stacks."""
     rows = []
-    for start in range(0, count, step):
-        triples = [sample_constrained_triple(dim, child) for child in seeds[start : start + step]]
-        p1, p2, p3 = (np.stack(p) for p in zip(*triples))
-        measured = np.linalg.norm(triple_splitting_error(p1, p2, p3, times), 2, axis=(-2, -1))
-        bounds = error_bound(p1, p2, p3, times)
-        for index, row_measured, row_bounds in zip(
-            range(start, count), measured.tolist(), bounds.tolist()
-        ):
-            for t, m, b in zip(times.tolist(), row_measured, row_bounds):
-                saturation = m / b if b > 0 else 0.0
-                rows.append(BoundCampaignRow(index, t, m, b, saturation, m > b + slack))
+    for index, t, _, _, m, b in _campaign(count, dim, t_list, seed):
+        saturation = m / b if b > 0 else 0.0
+        rows.append(BoundCampaignRow(index, t, m, b, saturation, m > b + slack))
     violations = sum(row.violated for row in rows)
     max_saturation = max((row.saturation for row in rows), default=0.0)
     return BoundCampaign(tuple(rows), slack, violations, max_saturation, violations == 0)

@@ -19,11 +19,11 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from trisplit.matrix_core import (
+    _commutator,
+    _double_commutators,
     as_complex_matrix,
     as_complex_stack,
     as_times,
-    commutator,
-    double_commutators,
     expm,
 )
 
@@ -187,10 +187,10 @@ def leading_error_E3(p1, p2, p3, form: str = "series") -> np.ndarray:
     p2 = as_complex_matrix(p2)
     p3 = as_complex_matrix(p3)
     if form == "series":
-        inner = commutator(p1, p2)
-        return -commutator(p2, inner) / 6.0 - commutator(p3, inner) / 6.0
+        inner = _commutator(p1, p2)
+        return -_commutator(p2, inner) / 6.0 - _commutator(p3, inner) / 6.0
     if form == "integral":
-        _, k1, k2 = double_commutators(p1, p2, p3)
+        _, k1, k2 = _double_commutators(p1, p2, p3)
         return (k1 + k2) / 6.0
     raise ValueError(f"unknown form {form!r}; expected one of {E3_FORMS}")
 

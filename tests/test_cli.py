@@ -316,6 +316,19 @@ def test_unreachable_quadrature_tolerance_is_inconclusive(tmp_path, capsys):
     assert "target_tol" in err
 
 
+@pytest.mark.parametrize("command", ["verify-bound", "verify-duhamel"])
+def test_t_too_large_to_evaluate_is_inconclusive(tmp_path, capsys, command):
+    # a finite t whose t P overflows a double cannot be evaluated: one error
+    # line and exit 2, not an OverflowError traceback and exit 1
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[config]\nversion = 1\n\n[{command}]\ncount = 1\nt_values = 1e300\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:")
+
+
 def test_bad_number_token_is_a_config_error(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[config]\nversion = 1\n\n[verify-bound]\ncount = 5\nslack = 1e--9\n")

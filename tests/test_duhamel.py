@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from trisplit import duhamel, matrix_core, splitting
+from trisplit import duhamel, harness, matrix_core
 from trisplit.duhamel import (
     ConditionViolated,
     ErrorReport,
     QuadratureSpec,
     ToleranceNotReached,
-    build_error_report,
     duhamel_error,
     error_bound,
     w_integral,
@@ -305,18 +304,6 @@ def test_duhamel_error_validates_its_inputs_once(monkeypatch, triple):
     assert calls["as_complex_matrix"] == 3
 
 
-def test_error_report_validates_its_inputs_once(monkeypatch):
-    # three scans for the report's own validation, shared by the representation
-    # and the bound, and three inside triple_splitting_error, which measures
-    # the error on its own
-    triple = sample_constrained_triple(6, 3)
-    calls = {"as_complex_matrix": 0}
-    for module in (matrix_core, duhamel, splitting):
-        count_calls(monkeypatch, module, "as_complex_matrix", calls)
-    build_error_report(*triple, 0.5)
-    assert calls["as_complex_matrix"] <= 6
-
-
 def test_z_integral_validates_its_inputs_once(monkeypatch):
     p, q, _ = sample_constrained_triple(6, 3)
     calls = {"as_complex_matrix": 0}
@@ -440,22 +427,15 @@ def test_error_report_sign_validation():
         ErrorReport(0.1, 0.1, 0.2, sign_factor=0, discrepancy=0.0)
 
 
-def test_build_error_report_end_to_end():
-    p1, p2, p3 = constrained_triple(4, seed=86)
-    report = build_error_report(p1, p2, p3, 0.25)
-    assert report.sign_factor == 1
-    assert report.discrepancy <= 1e-8
-    assert report.measured_error_norm <= report.bound_value + 1e-9
-
-
 def test_sign_error_in_the_representation_is_reported(monkeypatch):
-    p1, p2, p3 = constrained_triple(4, seed=86)
-    exact = duhamel_error(p1, p2, p3, 0.25)
-    original = duhamel._represented
+    # a negated representation leaves |error - represented| near twice the
+    # error norm in every row, and the campaign fails
+    original = harness.duhamel_error
     monkeypatch.setattr(
-        duhamel, "_represented", lambda *args, **kwargs: -original(*args, **kwargs)
+        harness, "duhamel_error", lambda *args, **kwargs: -original(*args, **kwargs)
     )
-    report = build_error_report(p1, p2, p3, 0.25)
-    assert report.discrepancy == pytest.approx(2 * op_norm(exact), rel=1e-6)
     campaign = verify_duhamel(count=1, dim=4, t_list=(0.25,), seed=11)
+    for row in campaign.rows:
+        assert row.report.discrepancy == pytest.approx(2 * row.report.duhamel_norm, rel=1e-6)
+        assert row.report.discrepancy == pytest.approx(2 * row.report.measured_error_norm, rel=1e-6)
     assert not campaign.passed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from test_duhamel import count_calls
-from trisplit import cli, duhamel, harness, splitting
+from trisplit import cli, duhamel, harness, matrix_core, splitting
 from trisplit.duhamel import error_bound
 from trisplit.harness import (
     ConvergenceStudy,
@@ -185,7 +185,8 @@ def test_verify_duhamel_small_campaign():
     assert campaign.passed, campaign.notes
     assert len(campaign.rows) == 6
     for row in campaign.rows:
-        assert row.report.discrepancy <= campaign.discrepancy_tol
+        assert row.report.discrepancy <= 1e-8
+        assert row.report.measured_error_norm <= row.report.bound_value + 1e-9
     assert all(row.report.sign_factor == 1 for row in campaign.rows)
 
 
@@ -228,20 +229,29 @@ def stack_size(dim, times):
     return max(1, harness._STACK_ENTRIES // (4 * len(times) * dim * dim))
 
 
-def misaligned_rows(campaign, dim, times, seed):
-    """Rows whose values differ from scalar calls on their own instance's
-    triple: measured to 1e-12 relative (1e-15 absolute at t = 0), the bound
-    to 1e-14 relative."""
+def bound_row_values(row):
+    return row.measured, row.bound
+
+
+def duhamel_row_values(row):
+    return row.report.measured_error_norm, row.report.bound_value
+
+
+def misaligned_rows(campaign, dim, times, seed, values=bound_row_values):
+    """Rows whose (measured, bound) ``values`` differ from scalar calls on
+    their own instance's triple: measured to 1e-12 relative (1e-15 absolute
+    at t = 0), the bound to 1e-14 relative."""
     seeds = derive_seeds(seed, len(campaign.rows) // len(times))
     bad = []
     for row in campaign.rows:
         p1, p2, p3 = sample_constrained_triple(dim, seeds[row.instance])
         measured = op_norm(triple_splitting_error(p1, p2, p3, row.t))
         bound = error_bound(p1, p2, p3, row.t)
+        row_measured, row_bound = values(row)
         floor = 1e-15 if row.t == 0 else 0.0
-        if abs(row.measured - measured) > max(1e-12 * measured, floor):
+        if abs(row_measured - measured) > max(1e-12 * measured, floor):
             bad.append(row)
-        elif abs(row.bound - bound) > 1e-14 * bound:
+        elif abs(row_bound - bound) > 1e-14 * bound:
             bad.append(row)
     return bad
 
@@ -289,6 +299,63 @@ def test_default_bound_campaign_makes_one_call_per_stack(monkeypatch):
     assert len(campaign.rows) == 300 and campaign.passed
 
 
+DUHAMEL_TIMES = (0.0, 0.25, 0.5)
+
+
+def test_duhamel_campaign_rows_align_with_scalar_calls():
+    # two full stacks and a partial one; each row carries its own triple's
+    # measured error and bound, and the norm of one duhamel_error call on it,
+    # in instance-major, t-minor order
+    dim = 6
+    step = stack_size(dim, DUHAMEL_TIMES)
+    assert step >= 2
+    count = 2 * step + step // 2
+    campaign = verify_duhamel(count, dim, DUHAMEL_TIMES, seed=23)
+    assert [(r.instance, r.t) for r in campaign.rows] == [
+        (i, t) for i in range(count) for t in DUHAMEL_TIMES
+    ]
+    assert misaligned_rows(campaign, dim, DUHAMEL_TIMES, 23, duhamel_row_values) == []
+    seeds = derive_seeds(23, count)
+    for row in campaign.rows:
+        triple = sample_constrained_triple(dim, seeds[row.instance])
+        assert row.report.duhamel_norm == op_norm(duhamel.duhamel_error(*triple, row.t))
+    assert campaign.passed, campaign.notes
+
+
+def test_duhamel_campaign_alignment_check_catches_a_shifted_stack(monkeypatch):
+    # each stack's errors moved by one instance: the check must see it
+    def shifted(*args):
+        return np.roll(triple_splitting_error(*args), 1, axis=0)
+
+    monkeypatch.setattr(harness, "triple_splitting_error", shifted)
+    dim = 6
+    count = 2 * stack_size(dim, DUHAMEL_TIMES) + 1
+    campaign = verify_duhamel(count, dim, DUHAMEL_TIMES, seed=23)
+    assert misaligned_rows(campaign, dim, DUHAMEL_TIMES, 23, duhamel_row_values)
+    assert not campaign.passed
+
+
+def test_default_duhamel_campaign_makes_one_stack(monkeypatch):
+    # the default campaign (20 instances, dim 4, two t) is one stack: one
+    # error and one error_bound call, and one duhamel_error per row
+    calls = {"error_bound": 0, "triple_splitting_error": 0, "duhamel_error": 0}
+    for name in calls:
+        count_calls(monkeypatch, harness, name, calls)
+    campaign = verify_duhamel(20, 4, (0.25, 0.5), seed=7)
+    assert calls == {"error_bound": 1, "triple_splitting_error": 1, "duhamel_error": 40}
+    assert len(campaign.rows) == 40 and campaign.passed
+
+
+def test_duhamel_campaign_validates_each_input_once(monkeypatch):
+    # the solver scans each instance's P1 and P2 and duhamel_error each row's
+    # three inputs; the stacked error and bound validate their stacks whole
+    calls = {"as_complex_matrix": 0}
+    for module in (matrix_core, duhamel, splitting):
+        count_calls(monkeypatch, module, "as_complex_matrix", calls)
+    verify_duhamel(count=2, dim=6, t_list=(0.25, 0.5), seed=3)
+    assert calls["as_complex_matrix"] == 2 * 2 + 3 * 2 * 2
+
+
 # --- campaigns that can fail ---------------------------------------------------------
 
 
@@ -324,9 +391,9 @@ def test_halved_bound_fails_the_default_campaign(monkeypatch):
 
 
 def test_representation_off_by_a_thousandth_fails_the_default_campaign(monkeypatch):
-    original = duhamel._represented
+    original = harness.duhamel_error
     monkeypatch.setattr(
-        duhamel, "_represented", lambda *args, **kwargs: (1 + 1e-3) * original(*args, **kwargs)
+        harness, "duhamel_error", lambda *args, **kwargs: (1 + 1e-3) * original(*args, **kwargs)
     )
     campaign = verify_duhamel(20, 4, (0.25, 0.5), seed=7)
     assert not campaign.passed

@@ -1,11 +1,15 @@
-"""The README's library quick start runs against this checkout's program.
+"""The README's library quick start runs against this checkout's program,
+and its config sample lists the CLI's defaults.
 
-Deleting or renaming a public name the quick start uses fails here rather
-than leaving the README broken.
+Deleting or renaming a public name the quick start uses, or changing a
+default the sample shows, fails here rather than leaving the README broken.
 """
 
+import configparser
 import re
 from pathlib import Path
+
+from trisplit import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +21,14 @@ def test_readme_quick_start_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     # the last line is the measured error over the leading term, advertised ~1
     assert abs(float(printed[-1]) - 1.0) <= 0.05
+
+
+def test_readme_config_sample_is_the_defaults():
+    # "defaults above": every section, key and value of the sample is cli.DEFAULTS
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(blocks[0])
+    assert parser.get("config", "version") == cli.CONFIG_VERSION
+    sample = {name: dict(parser.items(name)) for name in parser.sections() if name != "config"}
+    assert sample == cli.DEFAULTS

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from test_duhamel import count_calls
+from trisplit import matrix_core, splitting
+from trisplit.harness import sample_constrained_triple
 from trisplit.matrix_core import (
     commutator,
     expm,
@@ -264,6 +267,18 @@ def test_e3_vanishes_for_commuting_triple():
     p3 = np.diag([2j, 2j, -1j])
     for form in E3_FORMS:
         assert op_norm(leading_error_E3(p1, p2, p3, form=form)) <= 1e-15
+
+
+@pytest.mark.parametrize("form", E3_FORMS)
+def test_e3_validates_its_inputs_once(monkeypatch, form):
+    # one as_complex_matrix scan per argument: the commutators take the
+    # checked arrays
+    triple = sample_constrained_triple(6, 3)
+    calls = {"as_complex_matrix": 0}
+    for module in (matrix_core, splitting):
+        count_calls(monkeypatch, module, "as_complex_matrix", calls)
+    leading_error_E3(*triple, form=form)
+    assert calls["as_complex_matrix"] == 3
 
 
 def test_e3_unknown_form():
