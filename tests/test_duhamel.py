@@ -427,6 +427,24 @@ def test_error_report_sign_validation():
         ErrorReport(0.1, 0.1, 0.2, sign_factor=0, discrepancy=0.0)
 
 
+def test_build_error_report_end_to_end():
+    # one ErrorReport assembled from the public pieces, as a row of
+    # verify_duhamel is: measured error, its representation and the bound
+    p1, p2, p3 = constrained_triple(4, seed=86)
+    error = triple_splitting_error(p1, p2, p3, 0.25)
+    represented = duhamel_error(p1, p2, p3, 0.25)
+    report = ErrorReport(
+        measured_error_norm=op_norm(error),
+        duhamel_norm=op_norm(represented),
+        bound_value=error_bound(p1, p2, p3, 0.25),
+        sign_factor=1,
+        discrepancy=op_norm(error - represented),
+    )
+    assert report.sign_factor == 1
+    assert report.discrepancy <= 1e-8
+    assert report.measured_error_norm <= report.bound_value + 1e-9
+
+
 def test_sign_error_in_the_representation_is_reported(monkeypatch):
     # a negated representation leaves |error - represented| near twice the
     # error norm in every row, and the campaign fails
