@@ -309,14 +309,20 @@ def error_bound(p1, p2, p3, t):
     the result has shape (k, m), without the k axis for matrices and the m
     axis for a scalar t; matrices at a scalar t give a Python float.  K1 and
     K2 are formed and their norms taken once per triple, whatever m is.
+    Raises OverflowError, naming the largest |t|, when a bound overflows.
     """
     _, k1, k2 = _double_commutators(*triple_operator_set(p1, p2, p3).bindings.values())
+    norms = np.linalg.norm(k1, 2, axis=(-2, -1)) + np.linalg.norm(k2, 2, axis=(-2, -1))
     # |t|^3/6 in Python floats, as the scalar bound has always taken it:
     # numpy's vectorised power may round the last bit differently
     t = as_times(t)
-    cubes = np.reshape([abs(x) ** 3 / 6.0 for x in t.ravel().tolist()], t.shape)
-    norms = np.linalg.norm(k1, 2, axis=(-2, -1)) + np.linalg.norm(k2, 2, axis=(-2, -1))
-    bound = np.multiply.outer(norms, cubes)
+    try:
+        with np.errstate(over="raise"):
+            cubes = np.reshape([abs(x) ** 3 / 6.0 for x in t.ravel().tolist()], t.shape)
+            bound = np.multiply.outer(norms, cubes)
+    except (OverflowError, FloatingPointError):
+        big = max(t.ravel().tolist(), key=abs)
+        raise OverflowError(f"t = {big!r}: the cubic bound overflows a double") from None
     return float(bound) if bound.ndim == 0 else bound
 
 

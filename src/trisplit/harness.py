@@ -21,7 +21,7 @@ from trisplit.matrix_core import expm, op_norm, random_skew_hermitian, solve_sec
 from trisplit.schrodinger import (
     Grid1D,
     WaveFunction,
-    evolve,
+    evolve_runs,
     gaussian_packet,
     norm_defect,
     potential_by_name,
@@ -188,12 +188,9 @@ def _wave_reference(study: ConvergenceStudy):
     potential = potential_by_name(study.potential, grid)
     initial = gaussian_packet(grid)
     h_min = min(study.step_sizes)
-    strang = make_strang()
-    reference = evolve(
-        initial, potential, study.horizon, _steps_for(study.horizon, h_min / 4), strang
-    )
-    coarser_reference = evolve(
-        initial, potential, study.horizon, _steps_for(study.horizon, h_min / 2), strang
+    steps = tuple(_steps_for(study.horizon, h) for h in (h_min / 4, h_min / 2))
+    reference, coarser_reference = evolve_runs(
+        initial, potential, study.horizon, steps, make_strang()
     )
     return _wave_key(study), reference, _l2_distance(coarser_reference, reference)
 
@@ -206,13 +203,11 @@ def _schrodinger_rows(study: ConvergenceStudy, scheme=None, reference=None):
     potential = potential_by_name(study.potential, grid)
     scheme = scheme or scheme_by_name(study.scheme_name)
     initial = gaussian_packet(grid)
-    rows = []
-    defects = []
-    for h in study.step_sizes:
-        final = evolve(initial, potential, study.horizon, _steps_for(study.horizon, h), scheme)
-        rows.append((h, _l2_distance(final, reference)))
-        defects.append(norm_defect(initial, final))
-    extra = {"norm_defects": tuple(defects), "reference_consistency": ref_gap}
+    steps = tuple(_steps_for(study.horizon, h) for h in study.step_sizes)
+    finals = evolve_runs(initial, potential, study.horizon, steps, scheme)
+    rows = [(h, _l2_distance(final, reference)) for h, final in zip(study.step_sizes, finals)]
+    defects = tuple(norm_defect(initial, final) for final in finals)
+    extra = {"norm_defects": defects, "reference_consistency": ref_gap}
     return rows, extra
 
 

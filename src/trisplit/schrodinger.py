@@ -4,12 +4,15 @@ Writing the equation as u_t = (A + B) u with A = -(i/2) d^2/dx^2 and B = i V,
 both sub-flows have closed forms on a periodic grid: e^{tA} is the Fourier
 multiplier e^{i t k^2 / 2} and e^{tB} is the pointwise phase e^{i t V(x)}.
 Splitting schemes over the references {A, B} therefore apply exactly
-(sub-flow-wise); the only approximation is the splitting itself.  ``evolve``
-is the one place the sub-flows are applied: it checks its inputs once, merges
-neighbouring sub-flows of one reference (first same as last across steps;
-McLachlan and Quispel, "Splitting methods", Acta Numerica 2002), builds each
-merged flow's multiplier once per call, copies the samples once and steps
-that copy in place.
+(sub-flow-wise); the only approximation is the splitting itself.
+``evolve_runs`` is the one place the sub-flows are applied: it makes one run
+per requested step count from one initial state, advanced as the rows of one
+(k, N) stack so that every FFT call serves all the runs still going.  It
+checks its inputs once, merges neighbouring sub-flows of one reference (first
+same as last across steps; McLachlan and Quispel, "Splitting methods", Acta
+Numerica 2002), builds each merged flow's multipliers once per call, copies
+the samples once and steps that copy in place.  ``evolve`` is its one-run
+case.
 
 The commutators that drive the splitting error are also applied here,
 spectrally and pointwise, without using their closed forms:
@@ -22,7 +25,7 @@ closed forms, whose coefficients come from the derivation and are not fitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -164,7 +167,16 @@ def free_gaussian_evolution(grid: Grid1D, sigma: float, t: float) -> WaveFunctio
 def evolve(
     u: WaveFunction, v: Potential, horizon: float, steps: int, scheme: SplittingScheme
 ) -> WaveFunction:
-    """``steps`` steps of ``scheme`` with step size h = horizon / steps.
+    """``steps`` steps of ``scheme`` with step size h = horizon / steps: the
+    one run of ``evolve_runs``."""
+    return evolve_runs(u, v, horizon, (steps,), scheme)[0]
+
+
+def evolve_runs(
+    u: WaveFunction, v: Potential, horizon: float, steps: Sequence[int], scheme: SplittingScheme
+) -> Tuple[WaveFunction, ...]:
+    """One run of ``scheme`` from ``u`` per entry n of ``steps``, each taking
+    n steps of size h = horizon / n, returned in the order of ``steps``.
 
     Operands are listed in operator-product order (leftmost acts last on the
     state), so each step applies them right-to-left: an A operand with
@@ -172,14 +184,19 @@ def evolve(
     pointwise phase e^{i c h V}.  Sub-flows of one reference commute, so
     neighbours in application order merge into one flow with the summed
     coefficient, inside a step and across the step boundary: when a step
-    starts and ends with the same reference, the run is the first flow once,
-    ``steps - 1`` bodies whose last flow carries both coefficients, and one
-    step without its first flow.  Strang (A/2, B, A/2) thus takes n + 1 FFT
-    pairs for n steps, not 2n.  Each multiplier is built once per call; the
-    samples are copied once and every flow acts in place on the copy, so the
-    caller's array is never written.
+    starts and ends with the same reference, a run is the first flow once,
+    n - 1 bodies whose last flow carries both coefficients, and one step
+    without its first flow.  Strang (A/2, B, A/2) thus takes n + 1 FFT pairs
+    for n steps, not 2n.
+
+    The runs are the rows of one (k, N) stack, largest n first, and each
+    merged flow has one multiplier row per run, built once per call.  The
+    first flow (or step) and the last step act on all rows, each body in
+    place on the leading rows that still take it, so the longest n sets the
+    FFT calls and each row is bitwise what it would be alone.  The samples
+    are copied once, so the caller's array is never written.
     """
-    if steps < 1:
+    if not steps or min(steps) < 1:
         raise ValueError("steps must be positive")
     if not scheme.canonical or set(scheme.references) - {"A", "B"}:
         raise ValueError(
@@ -193,9 +210,10 @@ def evolve(
             flows[-1] = (ref, flows[-1][1] + c)
         else:
             flows.append((ref, c))
-    if len(flows) == 1:  # one reference: all steps are one flow
-        steps = 1
-    h = horizon / steps
+    order = sorted(range(len(steps)), key=lambda j: -steps[j])
+    # one reference: every run is one flow over the whole horizon
+    n = [1 if len(flows) == 1 else steps[j] for j in order]
+    h = (horizon / np.array(n, dtype=np.float64))[:, None]
     k = u.grid.wavenumbers
 
     def multiplier(ref, c):
@@ -204,22 +222,30 @@ def evolve(
         return False, np.exp(1j * (c * h) * v.samples)
 
     step = [multiplier(ref, c) for ref, c in flows]
-    if steps > 1 and flows[0][0] == flows[-1][0]:
+    if n[0] > 1 and flows[0][0] == flows[-1][0]:
         (ref, last), (_, first) = flows[-1], flows[0]
-        body = step[1:-1] + [multiplier(ref, last + first)]
-        runs = chain([step[:1]], repeat(body, steps - 1), [step[1:]])
+        head, body, tail = step[:1], step[1:-1] + [multiplier(ref, last + first)], step[1:]
     else:
-        runs = repeat(step, steps)
-    samples = u.samples.copy()
-    for run in runs:
-        for spectral, m in run:
-            if spectral:
-                np.fft.fft(samples, out=samples)
-                samples *= m
-                np.fft.ifft(samples, out=samples)
-            else:
-                samples *= m
-    return WaveFunction(samples, u.grid)
+        head, body, tail = step, step, []
+    x = np.repeat(u.samples[None, :], len(n), axis=0)
+    _advance(x, head)
+    for rows, (longer, shorter) in enumerate(zip(n, n[1:] + [1]), 1):
+        run = [(spectral, m[:rows]) for spectral, m in body]
+        for _ in range(longer - shorter):  # the bodies that the rows below do not take
+            _advance(x[:rows], run)
+    _advance(x, tail)
+    return tuple(WaveFunction(x[order.index(j)], u.grid) for j in range(len(n)))
+
+
+def _advance(x: np.ndarray, flows) -> None:
+    """Apply ``flows`` (spectral flag, multiplier) in order to ``x`` in place."""
+    for spectral, m in flows:
+        if spectral:
+            np.fft.fft(x, out=x)
+            x *= m
+            np.fft.ifft(x, out=x)
+        else:
+            x *= m
 
 
 # --- commutator structure ----------------------------------------------------

@@ -108,34 +108,38 @@ def test_wave_convergence_runs_once_per_scheme(tmp_path, capsys):
 
 
 def count_evolve_steps(monkeypatch):
-    steps = []
-    original = harness.evolve
+    # one step tuple per evolve_runs call
+    calls = []
+    original = harness.evolve_runs
 
-    def counted(u, v, horizon, n, scheme):
-        steps.append(n)
-        return original(u, v, horizon, n, scheme)
+    def counted(u, v, horizon, steps, scheme):
+        calls.append(tuple(steps))
+        return original(u, v, horizon, steps, scheme)
 
-    monkeypatch.setattr(harness, "evolve", counted)
-    return steps
+    monkeypatch.setattr(harness, "evolve_runs", counted)
+    return calls
 
 
 def test_wave_convergence_takes_one_reference_per_call(tmp_path, monkeypatch, capsys):
     # both schemes at 256 points and the default steps 2^-4 .. 2^-9: each
     # scheme's rows take 16 + 32 + ... + 512 = 1,008 steps, and the one Strang
-    # reference 2,048 at h_min/4 plus 1,024 at h_min/2
+    # reference 2,048 at h_min/4 plus 1,024 at h_min/2; the reference and each
+    # scheme's rows are one call each
     path = tmp_path / "wave.ini"
     path.write_text("[config]\nversion = 1\n\n[convergence]\nproblem = schrodinger\npoints = 256\n")
-    steps = count_evolve_steps(monkeypatch)
+    calls = count_evolve_steps(monkeypatch)
     assert main(["convergence", "--config", str(path)]) == EXIT_PASS
-    assert sum(steps) == 3072 + 2 * 1008
+    assert sum(map(sum, calls)) == 3072 + 2 * 1008
+    assert len(calls) == 3
 
 
 def test_schrodinger_bench_keeps_no_reference_between_calls(monkeypatch, capsys):
-    steps = count_evolve_steps(monkeypatch)
+    calls = count_evolve_steps(monkeypatch)
     for _ in range(2):
-        steps.clear()
+        calls.clear()
         assert main(["schrodinger-bench"]) == EXIT_PASS
-        assert sum(steps) == 3072 + 1008
+        assert sum(map(sum, calls)) == 3072 + 1008
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -417,6 +419,14 @@ def test_stacked_error_bound_validation():
     ):
         with pytest.raises(ValueError):
             error_bound(*case)
+
+
+@pytest.mark.parametrize("t", [1e103, -5e102])
+def test_error_bound_names_a_t_too_large_for_the_bound(t):
+    # |t|^3 leaves double precision near |t| = 5.6e102; on this triple the
+    # bound, |t|^3/6 times the commutator norms, already leaves it near 4e102
+    with pytest.raises(OverflowError, match=re.escape(f"t = {t!r}: the cubic bound")):
+        error_bound(*sample_constrained_triple(4, 1), t)
 
 
 # --- report objects -----------------------------------------------------------------

@@ -9,6 +9,7 @@ from trisplit.schrodinger import (
     commutator_apply,
     double_commutator_apply,
     evolve,
+    evolve_runs,
     free_gaussian_evolution,
     gaussian_packet,
     norm_defect,
@@ -209,6 +210,55 @@ def test_merged_evolve_fft_count(monkeypatch, name, steps):
     monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(1) or original(*a, **kw))
     evolve(gaussian_packet(GRID), Potential.harmonic(GRID), 1.0, steps, MERGE_SCHEMES[name])
     assert len(calls) == MERGED_FFTS[name](steps)
+
+
+# --- stacked runs, against lone evolve calls ----------------------------------------
+
+RUN_STEPS = (64, 1, 2, 64, 17)
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_SCHEMES))
+def test_evolve_runs_rows_equal_lone_evolve(name):
+    scheme = MERGE_SCHEMES[name]
+    u = gaussian_packet(GRID, sigma=1.3, center=0.4, momentum=0.7)
+    v = Potential.gaussian_well(GRID)
+    before = u.samples.copy()
+    runs = evolve_runs(u, v, 0.8, RUN_STEPS, scheme)
+    assert np.array_equal(u.samples, before)  # the caller's array is not written
+    assert len(runs) == len(RUN_STEPS)
+    for n, run in zip(RUN_STEPS, runs):
+        assert run.grid == GRID
+        assert np.array_equal(run.samples, evolve(u, v, 0.8, n, scheme).samples)
+
+
+def test_evolve_runs_of_one_reference_are_identical():
+    runs = evolve_runs(gaussian_packet(GRID), Potential.harmonic(GRID), 1.0, RUN_STEPS, KINETIC)
+    for run in runs[1:]:
+        assert np.array_equal(run.samples, runs[0].samples)
+
+
+@pytest.mark.parametrize("steps", [(), (4, 0, 2), (0,)])
+def test_evolve_runs_rejects_empty_or_nonpositive_steps(steps):
+    with pytest.raises(ValueError):
+        evolve_runs(gaussian_packet(GRID), zero_potential(GRID), 1.0, steps, make_strang())
+
+
+def test_evolve_runs_rejects_a_grid_mismatch():
+    other = Grid1D(half_width=10.0, points=128)
+    with pytest.raises(ValueError):
+        evolve_runs(gaussian_packet(GRID), zero_potential(other), 1.0, (4, 8), make_strang())
+
+
+@pytest.mark.parametrize("name,ffts", [("strang", 513), ("lie-trotter", 512)])
+def test_evolve_runs_share_their_ffts(monkeypatch, name, ffts):
+    # the rows of one stack share each FFT call, so the longest run's n sets
+    # the count; run one at a time, 16 .. 512 took 1,014 (Strang) and 1,008
+    calls = []
+    original = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    steps = tuple(2**j for j in range(4, 10))
+    evolve_runs(gaussian_packet(GRID), Potential.harmonic(GRID), 1.0, steps, MERGE_SCHEMES[name])
+    assert len(calls) == ffts
 
 
 def test_evolve_rejects_nonpositive_steps():
