@@ -24,6 +24,7 @@ import numpy as np
 
 from trisplit.duhamel import ErrorReport, QuadratureSpec, ToleranceNotReached
 from trisplit.harness import (
+    VACUOUS_BOUND,
     BoundCampaignRow,
     ConvergenceStudy,
     _wave_reference,
@@ -285,7 +286,8 @@ def _cmd_verify_bound(args) -> int:
     print(
         f"{'PASS' if campaign.passed else 'FAIL'} verify-bound: "
         f"{len(campaign.rows)} comparisons, {campaign.violations} violations, "
-        f"max saturation {campaign.max_saturation:.3f}"
+        f"max saturation {campaign.max_saturation:.3f}, "
+        f"{campaign.vacuous} vacuous (bound >= {VACUOUS_BOUND:g})"
     )
     if args.out:
         columns = [f.name for f in fields(BoundCampaignRow)]

@@ -123,14 +123,15 @@ def count_evolve_steps(monkeypatch):
 def test_wave_convergence_takes_one_reference_per_call(tmp_path, monkeypatch, capsys):
     # both schemes at 256 points and the default steps 2^-4 .. 2^-9: each
     # scheme's rows take 16 + 32 + ... + 512 = 1,008 steps, and the one Strang
-    # reference 2,048 at h_min/4 plus 1,024 at h_min/2; the reference and each
-    # scheme's rows are one call each
+    # reference 1,024 + 512 + 256 at h_min/2, h_min and 2 h_min (extrapolated);
+    # the reference and each scheme's rows are one call each
     path = tmp_path / "wave.ini"
     path.write_text("[config]\nversion = 1\n\n[convergence]\nproblem = schrodinger\npoints = 256\n")
     calls = count_evolve_steps(monkeypatch)
     assert main(["convergence", "--config", str(path)]) == EXIT_PASS
-    assert sum(map(sum, calls)) == 3072 + 2 * 1008
+    assert sum(map(sum, calls)) == 1792 + 2 * 1008
     assert len(calls) == 3
+    assert calls[0] == (1024, 512, 256)
 
 
 def test_schrodinger_bench_keeps_no_reference_between_calls(monkeypatch, capsys):
@@ -138,7 +139,7 @@ def test_schrodinger_bench_keeps_no_reference_between_calls(monkeypatch, capsys)
     for _ in range(2):
         calls.clear()
         assert main(["schrodinger-bench"]) == EXIT_PASS
-        assert sum(map(sum, calls)) == 3072 + 1008
+        assert sum(map(sum, calls)) == 1792 + 1008
         assert len(calls) == 2
 
 
@@ -222,6 +223,18 @@ def test_verify_bound_at_long_times(tmp_path, capsys):
     path.write_text("[config]\nversion = 1\n\n[verify-bound]\ncount = 2\nt_values = 200\n")
     assert main(["verify-bound", "--config", str(path)]) == EXIT_PASS
     assert "0 violations" in capsys.readouterr().out
+
+
+def test_verify_bound_counts_vacuous_rows(tmp_path, capsys):
+    # the default campaign's bound is 2 or more at all 100 rows at t = 1 and 25
+    # at t = 0.5; at t = 1e14 every row's is
+    assert main(["verify-bound"]) == EXIT_PASS
+    assert capsys.readouterr().out.endswith(", 125 vacuous (bound >= 2)\n")
+    path = tmp_path / "far.ini"
+    path.write_text("[config]\nversion = 1\n\n[verify-bound]\ncount = 3\nt_values = 1e14\n")
+    assert main(["verify-bound", "--config", str(path)]) == EXIT_PASS
+    summary = "3 comparisons, 0 violations, max saturation 0.000, 3 vacuous (bound >= 2)\n"
+    assert capsys.readouterr().out.endswith(summary)
 
 
 def test_verify_bound_at_dim_64(tmp_path, capsys):

@@ -18,6 +18,7 @@ from trisplit.harness import (
     verify_duhamel,
 )
 from trisplit.matrix_core import ConditionViolated, commutator, is_skew_hermitian, op_norm
+from trisplit.schrodinger import gaussian_packet, potential_by_name
 from trisplit.splitting import make_strang, triple_splitting_error
 
 
@@ -126,6 +127,69 @@ def test_shared_wave_reference_gives_the_studys_own_rows():
         run_convergence(matrix, reference=reference)
 
 
+def grid_flow(samples, potential, t, half_width):
+    """e^{itH} u for the grid Hamiltonian H = K + V, by one eigh.  K conjugates
+    diag(k^2/2) by the DFT, with k from the index; k^2 is even in k and the
+    Nyquist phases are +-1, so K is real symmetric."""
+    n = len(samples)
+    index = np.arange(n)
+    k = np.pi / half_width * np.where(index < n // 2, index, index - n)
+    dft = np.exp(-2j * np.pi * np.outer(index, index) / n)
+    kinetic = (dft.conj().T @ np.diag(k**2 / 2) @ dft / n).real
+    energies, modes = np.linalg.eigh(kinetic + np.diag(potential))
+    return modes @ (np.exp(1j * t * energies) * (modes.T @ samples))
+
+
+@pytest.mark.parametrize("potential", ["harmonic", "gaussian-well", "cosine"])
+def test_wave_reference_is_the_exact_grid_flow(potential):
+    # the shipped 256-point study; a Strang reference at h_min/4 sits
+    # 1.2e-9 to 2.5e-8 from the exact flow here
+    study = ConvergenceStudy(
+        "schrodinger", "strang", dyadic(4, 6), horizon=1.0, seed=0,
+        potential=potential, points=256,
+    )
+    _, reference, gap = harness._wave_reference(study)
+    grid = reference.grid
+    initial = gaussian_packet(grid).samples
+    samples = potential_by_name(potential, grid).samples
+    exact = grid_flow(initial, samples, 1.0, grid.half_width)
+    if potential == "harmonic":
+        # the unit Gaussian is the ground state, energy 1/2
+        closed_form = np.exp(0.5j) * initial
+        assert np.sqrt(grid.dx) * np.linalg.norm(exact - closed_form) <= 1e-10
+        exact = closed_form
+    assert np.sqrt(grid.dx) * np.linalg.norm(reference.samples - exact) <= 1e-10
+    assert gap <= 1e-10
+
+
+def test_first_order_reference_is_not_converged(monkeypatch):
+    # Richardson's h^2 cancellation is wrong for a first-order reference, so
+    # the consistency gap must stop the study
+    monkeypatch.setattr(harness, "make_strang", splitting.make_lie_trotter)
+    study = ConvergenceStudy(
+        "schrodinger", "strang", dyadic(4, 6), horizon=1.0, seed=0,
+        points=256, expected_order=2.0,
+    )
+    result = run_convergence(study)
+    assert not result.passed
+    assert "reference not converged" in result.notes
+
+
+@pytest.mark.parametrize(
+    "config", [None, "[schrodinger-bench]\npotential = gaussian-well\npoints = 2048\n"]
+)
+def test_schrodinger_bench_fits_strang_at_order_two(tmp_path, capsys, config):
+    argv = ["schrodinger-bench"]
+    if config is not None:
+        path = tmp_path / "bench.ini"
+        path.write_text("[config]\nversion = 1\n\n" + config)
+        argv += ["--config", str(path)]
+    assert cli.main(argv) == cli.EXIT_PASS
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.startswith("PASS schrodinger-bench: fitted order ")
+    assert float(summary.rsplit(" ", 1)[1]) == pytest.approx(2.0, abs=0.005)
+
+
 def test_schrodinger_benchmark_rows():
     study = ConvergenceStudy(
         "schrodinger", "strang", dyadic(4, 4), horizon=0.5, seed=0, points=128,
@@ -219,6 +283,15 @@ def test_verify_bound_small_campaign():
     for row in campaign.rows:
         assert row.measured <= row.bound + campaign.slack
         assert not row.violated
+
+
+def test_bound_campaign_counts_vacuous_rows():
+    # a bound of 2 or more says nothing about unitary flows
+    campaign = verify_bound(100, 6, (0.1, 0.5, 1.0), seed=7)
+    vacuous = [row.t for row in campaign.rows if row.bound >= 2]
+    assert campaign.vacuous == len(vacuous) == 125
+    assert (vacuous.count(0.5), vacuous.count(1.0)) == (25, 100)
+    assert campaign.passed
 
 
 ALIGNMENT_TIMES = (0.0, 0.1, 1.0, 200.0)
