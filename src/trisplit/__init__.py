@@ -10,10 +10,10 @@ Subpackage map:
   constraint solver, structured random operators).
 * ``splitting``      -- splitting schemes as exponential products, error
   measurement and the closed-form leading error term.
-* ``duhamel``        -- the integral error representation: inner integrals
-  exact via block exponentials, or elementwise in the eigenbasis for
-  skew-Hermitian triples; Gauss-Legendre only for the outer tau-integral;
-  the commutator error bound.
+* ``duhamel``        -- the integral error representation in forward flows
+  only: inner integrals exact via block exponentials, or elementwise in the
+  eigenbasis for skew-Hermitian triples; Gauss-Legendre only for the outer
+  tau-integral; the commutator error bound for contractive flows.
 * ``schrodinger``    -- periodic 1D split-step Fourier solver and the
   commutators [A,B]u and [B,[A,B]]u of the kinetic/potential pair.
 * ``harness``        -- convergence studies, certification and verification
@@ -44,7 +44,6 @@ from trisplit.duhamel import (
     QuadratureSpec,
     duhamel_error,
     error_bound,
-    w_integral,
     z_integral,
 )
 
@@ -68,7 +67,6 @@ __all__ = [
     "random_skew_hermitian",
     "solve_second_order_constraint",
     "splitting_error",
-    "w_integral",
     "z_integral",
 ]
 

@@ -1,71 +1,62 @@
 """Integral error representation of the three-factor splitting.
 
-The product e^{tP1}e^{tP2}e^{tP3} deviates from e^{t(P1+P2+P3)} by an error
-that, once [P1,P2] + [P1,P3] + [P2,P3] = 0 holds, admits an *exact* integral
-representation built from two double commutators:
+The product e^{tP1}e^{tP2}e^{tP3} deviates from e^{tL}, L = P1 + P2 + P3, by
+an error that, once [P1,P2] + [P1,P3] + [P2,P3] = 0 holds, admits an *exact*
+integral representation built from the double commutators K1 = [P1,[P2,P3]]
+and K2 = [P2,[P2,P3]], in which every flow runs forward:
 
-    E(t) = int_0^t e^{(t-tau)L} W(tau) e^{tau P2} e^{tau P3} dtau,
+    E(t) = int_0^t e^{(t-tau)L} [V1(tau) e^{tau P2} + e^{tau P1} V2(tau)] e^{tau P3} dtau,
 
-    W(tau) = int_0^tau e^{(tau-eta)P1} G1(eta) e^{eta P1} deta
-             + e^{tau P1} int_0^tau G2(eta) deta,
+    V1(tau) = int_0^tau (tau-r) e^{(tau-r)P1} K1 e^{r P1} dr,
+    V2(tau) = int_0^tau r e^{(tau-r)P2} K2 e^{r P2} dr.
 
-    G1(eta) = int_0^eta e^{xi P1} [P1,[P2,P3]] e^{-xi P1} dxi,
-    G2(eta) = int_0^eta e^{xi P2} [P2,[P2,P3]] e^{-xi P2} dxi.
-
-W also has a one-level "defining" form (no double commutators, no condition
-needed):
-
-    W(tau) = e^{tau P1} int_0^tau e^{eta P2}[P2,P3]e^{-eta P2} deta
-             - int_0^tau e^{eta P1}[P2,P3]e^{-eta P1} deta  e^{tau P1},
-
-and the variation-of-constants kernel for a single pair is
+No flow is ever inverted, so the form makes sense for semigroups that have no
+backward flow.  The bracket kernel for a single pair is
 
     [e^{tP}, Q] = int_0^t e^{(t-s)P} [P,Q] e^{sP} ds.
 
 The inner integrals are exact.  Each is the top-right block of the exponential
 of one block upper-bidiagonal matrix (Van Loan, "Computing integrals involving
 the matrix exponential", IEEE TAC 1978).  Writing VL(t; A1, B1, A2, ..., Ak)
-for that block (see ``_van_loan``), K23 = [P2,P3], K1 = [P1,K23],
-K2 = [P2,K23] and I the identity:
+for that block (see ``_van_loan``) and I for the identity:
 
     [e^{tP}, Q] = VL(t; P, [P,Q], P),
-    W(tau) = VL(tau; P1, I, P1, K1, P1)
-             + e^{tau P1} e^{tau P2} VL(tau; -P2, I, -P2, K2, -P2)   (double integral)
-           = e^{tau P1} e^{tau P2} VL(tau; -P2, K23, -P2)
-             - VL(tau; P1, K23, P1)                                  (defining).
+    V1(tau) = VL(tau; P1, I, P1, K1, P1),   V2(tau) = VL(tau; P2, K2, P2, I, P2).
 
 Only the outer tau-integral of E(t) uses quadrature, composite Gauss-Legendre
-with panel doubling: its factor e^{tau P2} e^{tau P3} is not one exponential.
+with panel doubling: its flows of L, P1, P2 and P3 are not one exponential.
 ``duhamel_error`` validates its inputs, checks the condition and forms K1, K2
 (``double_commutators``) once, then takes one of two paths.
 
 * P1, P2 and P3 all skew-Hermitian (every campaign): in the eigenbasis of
-  P = U diag(mu) U*, mu = i lam, each VL block is elementwise (the
+  P = U diag(mu) U*, mu = i lam, V1 and V2 are elementwise (the
   Daleckii-Krein form; Higham, "Functions of Matrices", 2008).  With
   X~ = U* X U,
 
-      VL(tau; P, B, P)       = U (B~ o F) U*,  F_ij = tau e^{tau mu_j} phi1(tau (mu_i - mu_j)),
       VL(tau; P, I, P, K, P) = U (K~ o G) U*,  G_ij = tau^2 e^{tau mu_j} psi(tau (mu_i - mu_j)),
+      VL(tau; P, K, P, I, P) = U (K~ o H) U*,  H_ij = tau^2 e^{tau mu_i} psi(tau (mu_j - mu_i)),
 
-  where phi1(z) = int_0^1 e^{xz} dx, exact as phi1(i theta) =
-  e^{i theta/2} sinc(theta/2pi), and psi(z) = int_0^1 x e^{xz} dx =
-  (e^z - phi1(z))/z, summed as a Taylor series for |z| < 1/2.  Nothing
-  divides by an eigenvalue gap, so repeated and clustered spectra need no
-  special case.  One ``eigh`` each of P1, P2, P3 and L serves every panel
-  level, all nodes of a level are one stacked (nodes, n, n) computation, and
-  the eigenvectors of L and P3 are applied once to the weighted sum.
+  where psi(z) = int_0^1 x e^{xz} dx = (e^z - phi1(z))/z, phi1(z) =
+  int_0^1 e^{xz} dx exact as phi1(i theta) = e^{i theta/2} sinc(theta/2pi),
+  summed as a Taylor series for |z| < 1/2.  Nothing divides by an
+  eigenvalue gap, so repeated and clustered spectra need no special case.
+  One ``eigh`` each of P1, P2, P3 and L serves every panel level, all nodes
+  of a level are one stacked (nodes, n, n) computation, and the
+  eigenvectors of L and P3 are applied once to the weighted sum.
 * Any other input: each tau node makes three exponential calls, one stack of
-  e^{tau P1}, e^{tau P2}, e^{tau P3} and e^{(t-tau)L}, shared by W and the
-  factor, and the two 3n x 3n Van Loan blocks of W.  This loop is also the
-  reference the eigenbasis path is tested against.
+  e^{tau P1}, e^{tau P2}, e^{tau P3} and e^{(t-tau)L}, and the two 3n x 3n
+  Van Loan blocks V1 and V2.  This loop is also the reference the
+  eigenbasis path is tested against.
 
 The error bound
 
-    ||E(t)|| <= (t^3/6) (||[P1,[P2,P3]]|| + ||[P2,[P2,P3]]||)
+    ||E(t)|| <= (t^3/6) (||K1|| + ||K2||)
 
-holds whenever all the exponentials involved are isometries, e.g. for
-skew-Hermitian generators.  ``harness.verify_duhamel`` compares E(t) with the
-measured S(t) - e^{tL} and with this bound, one ``ErrorReport`` per triple and t.
+follows from the forward form whenever every flow in it is a contraction:
+then ||V1(tau)|| <= (tau^2/2) ||K1|| and ||V2(tau)|| <= (tau^2/2) ||K2||.
+Skew-Hermitian generators give isometries.  ``harness.verify_duhamel``
+compares E(t) with the measured S(t) - e^{tL} and with this bound, one
+``ErrorReport`` per triple and t.
 """
 
 from __future__ import annotations
@@ -173,32 +164,11 @@ def z_integral(p, q, t) -> np.ndarray:
     return _van_loan(t, p, _commutator(p, q), p)
 
 
-W_FORMS = ("double_integral", "defining")
-
-
-def _w_double_integral(tau, p1, p2, k1, k2, e12) -> np.ndarray:
-    """Double-integral W(tau) from checked P1, P2, K1, K2 and
-    e12 = e^{tau P1} e^{tau P2}."""
+def _forward_kernel(tau, p1, p2, k1, k2, e1, e2) -> np.ndarray:
+    """V1(tau) e^{tau P2} + e^{tau P1} V2(tau) from checked P1, P2, K1, K2,
+    e1 = e^{tau P1} and e2 = e^{tau P2}."""
     eye = np.eye(p1.shape[0], dtype=np.complex128)
-    inner = _van_loan(tau, -p2, eye, -p2, k2, -p2)
-    return _van_loan(tau, p1, eye, p1, k1, p1) + e12 @ inner
-
-
-def w_integral(p1, p2, p3, tau, form="double_integral") -> np.ndarray:
-    """The W(tau) kernel of the error representation, in either form.
-
-    The two forms are equal for *any* operator triple — the equivalence is a
-    variation-of-constants identity and does not use the second-order
-    condition.
-    """
-    p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
-    if form not in W_FORMS:
-        raise ValueError(f"form must be one of {W_FORMS}, got {form!r}")
-    k23, k1, k2 = _double_commutators(p1, p2, p3)
-    e1, e2 = expm(np.stack((p1, p2)), tau)
-    if form == "defining":
-        return e1 @ e2 @ _van_loan(tau, -p2, k23, -p2) - _van_loan(tau, p1, k23, p1)
-    return _w_double_integral(tau, p1, p2, k1, k2, e1 @ e2)
+    return _van_loan(tau, p1, eye, p1, k1, p1) @ e2 + e1 @ _van_loan(tau, p2, k2, p2, eye, p2)
 
 
 #: Taylor coefficients 1/(k! (k+2)), k = 15..0, of psi(z) = int_0^1 x e^{xz} dx.
@@ -228,8 +198,8 @@ def _eigenbasis_error(p1, p2, p3, k1, k2, t, quad, refine) -> np.ndarray:
 
         DL(t - tau) CL1 [A~ C12 D2 + D1 C12 H~] C23 D3(tau),
 
-    A~ = U1* VL(tau; P1, I, P1, K1, P1) U1 and H~ = D2 U2* VL(tau; -P2, I,
-    -P2, K2, -P2) U2 D2, whose entries are K2~_ij tau^2 e^{i tau lam2_i}
+    A~ = U1* VL(tau; P1, I, P1, K1, P1) U1 and H~ = U2* VL(tau; P2, K2, P2,
+    I, P2) U2, whose entries are K2~_ij tau^2 e^{i tau lam2_i}
     psi(tau (lam2_j - lam2_i)).
     """
     (lam1, u1), (lam2, u2), (lam3, u3), (lam_l, u_l) = (
@@ -265,7 +235,7 @@ def _eigenbasis_error(p1, p2, p3, k1, k2, t, quad, refine) -> np.ndarray:
 
 def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
     """The exact error representation E(t): Gauss-Legendre over tau of the
-    exact double-integral W(tau).
+    forward-flow integrand, whose inner integrals V1 and V2 are exact.
 
     Requires the second-order condition: without it the representation misses
     the surviving single-commutator term and cannot match the measured error.
@@ -291,7 +261,7 @@ def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
         total = np.zeros_like(p1)
         for tau, w in zip(nodes, weights):
             e1, e2, e3, e_l = expm(generators, (tau, tau, tau, t - tau))
-            total += w * (e_l @ _w_double_integral(tau, p1, p2, k1, k2, e1 @ e2) @ e2 @ e3)
+            total += w * (e_l @ _forward_kernel(tau, p1, p2, k1, k2, e1, e2) @ e3)
         return total
 
     return _refined(once, quad, refine)
@@ -300,9 +270,10 @@ def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
 def error_bound(p1, p2, p3, t):
     """(|t|^3/6) (||[P1,[P2,P3]]|| + ||[P2,[P2,P3]]||).
 
-    An upper bound for ||S(t) - e^{tL}|| whenever every exponential involved
-    has norm one (isometric semigroups; skew-Hermitian generators at desk
-    scale).
+    An upper bound for ||S(t) - e^{tL}|| whenever every flow of P1, P2, P3
+    and L between 0 and t is a contraction (dissipative generators at
+    t >= 0; skew-Hermitian generators, whose flows are isometries, at
+    either sign of t).
 
     Broadcasting as in ``triple_splitting_error``: P1, P2 and P3 are n x n
     matrices or (k, n, n) stacks of one shape, t a scalar or m values, and

@@ -11,7 +11,6 @@ from trisplit.duhamel import (
     ToleranceNotReached,
     duhamel_error,
     error_bound,
-    w_integral,
     z_integral,
 )
 from trisplit.harness import sample_constrained_triple, verify_duhamel
@@ -79,6 +78,24 @@ def non_normal_triple(dim, seed):
     return n, -n, non_normal(dim, seed + 1)
 
 
+def dissipative(dim, strength, rng):
+    """S/(2 sqrt(dim)) - strength GG*/dim: S random skew-Hermitian, G complex
+    Gaussian.  Its Hermitian part is negative semidefinite, so every forward
+    flow is a contraction; for large strength the backward flows blow up."""
+    x, g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(2))
+    return (x - x.conj().T) / (4 * np.sqrt(dim)) - strength * (g @ g.conj().T) / dim
+
+
+def contractive_triple(dim, strength, seed):
+    """(P1, P2, aP1 + (a-1)P2), a in [1, 3]: the condition's defect is
+    (1 + (a-1) - a)[P1,P2] = 0, and P3 and L stay dissipative."""
+    rng = np.random.default_rng(seed)
+    p1 = dissipative(dim, strength, rng)
+    p2 = dissipative(dim, strength, rng)
+    a = rng.uniform(1, 3)
+    return p1, p2, a * p1 + (a - 1) * p2
+
+
 def block_expm_error(monkeypatch, p1, p2, p3, t):
     """duhamel_error through the per-node block-expm loop, and the number of
     expm calls it made: none means the loop did not run."""
@@ -130,34 +147,45 @@ def test_z_integral_zero_cases():
     assert op_norm(z_integral(d1, d2, 0.7)) <= 1e-14
 
 
-# --- the W kernel ---------------------------------------------------------------
+# --- the forward kernel ---------------------------------------------------------
 
 
-def test_w_integral_forms_agree_for_any_triple():
-    # the two forms are an unconditional identity; use unconstrained triples
-    skew = tuple(random_skew_hermitian(4, seed=s) for s in (60, 61, 62))
-    general = tuple(non_normal(4, seed=s) for s in (67, 68, 69))
-    for p1, p2, p3 in (skew, general):
-        for tau in (0.2, 0.9):
-            a = w_integral(p1, p2, p3, tau, form="double_integral")
-            b = w_integral(p1, p2, p3, tau, form="defining")
-            assert op_norm(a - b) <= 1e-10 * max(1.0, op_norm(a))
+def defining_kernel(p1, p2, p3, tau):
+    """The forward kernel from K23 = [P2,P3] alone, with forward flows only:
+    e^{tau P1} [e^{tau P2}, P3] - (int_0^tau e^{(tau-s)P1} K23 e^{sP1} ds) e^{tau P2}."""
+    e2 = expm(p2, tau)
+    k23 = commutator(p2, p3)
+    return expm(p1, tau) @ z_integral(p2, p3, tau) - duhamel._van_loan(tau, p1, k23, p1) @ e2
 
 
-def test_w_integral_zero_cases():
+def forward_kernel(p1, p2, p3, tau):
+    k1 = commutator(p1, commutator(p2, p3))
+    k2 = commutator(p2, commutator(p2, p3))
+    e1, e2 = expm(np.stack((p1, p2)), tau)
+    return duhamel._forward_kernel(tau, p1, p2, k1, k2, e1, e2)
+
+
+def test_forward_kernel_matches_the_defining_form_for_any_triple():
+    # an unconditional variation-of-constants identity: unconstrained
+    # skew-Hermitian and non-normal triples, either sign of tau
+    skew = [tuple(random_skew_hermitian(4, seed=s + i) for i in range(3)) for s in (60, 63)]
+    general = [tuple(non_normal(4, seed=s + i) for i in range(3)) for s in (67, 70)]
+    for p1, p2, p3 in skew + general:
+        for tau in (0.2, 0.9, -0.5):
+            a = forward_kernel(p1, p2, p3, tau)
+            b = defining_kernel(p1, p2, p3, tau)
+            assert op_norm(a) > 0.0
+            assert op_norm(a - b) <= 1e-12 * max(1.0, op_norm(a))
+
+
+def test_forward_kernel_zero_cases():
     p1, p2, p3 = (random_skew_hermitian(3, seed=s) for s in (63, 64, 65))
-    assert op_norm(w_integral(p1, p2, p3, 0.0)) == 0.0
-    # [P2,P3] = 0 kills both kernels
+    assert op_norm(forward_kernel(p1, p2, p3, 0.0)) == 0.0
+    # [P2,P3] = 0 kills both forms
     d2 = np.diag([1j, -1j, 2j])
     d3 = np.diag([2j, 1j, 1j])
-    for form in ("double_integral", "defining"):
-        assert op_norm(w_integral(p1, d2, d3, 0.5, form=form)) <= 1e-13
-
-
-def test_w_integral_form_validation():
-    p = random_skew_hermitian(2, seed=66)
-    with pytest.raises(ValueError):
-        w_integral(p, p, p, 0.5, form="triple_integral")
+    for kernel in (forward_kernel, defining_kernel):
+        assert op_norm(kernel(p1, d2, d3, 0.5)) <= 1e-13
 
 
 # --- the exact error representation ---------------------------------------------
@@ -225,21 +253,31 @@ def test_duhamel_error_makes_three_exponential_calls_per_node(monkeypatch):
     # non-normal input keeps the block-expm loop: inputs validated and
     # commutators formed once per call; each tau node makes one stacked call
     # for e^{tau P1}, e^{tau P2}, e^{tau P3} and e^{(t - tau)L} plus the two
-    # Van Loan blocks, and does not go through the public w_integral
+    # Van Loan blocks
     p1, p2, p3 = non_normal_triple(4, seed=75)
     calls = {"expm": 0, "nodes": 0}
     count_calls(monkeypatch, duhamel, "expm", calls)
     count_nodes(monkeypatch, calls)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("duhamel_error called w_integral")
-
-    monkeypatch.setattr(duhamel, "w_integral", forbidden)
     represented = duhamel_error(p1, p2, p3, 0.5)
     assert calls["nodes"] >= 16  # at least one panel doubling
     assert calls["expm"] == 3 * calls["nodes"]
     measured = triple_splitting_error(p1, p2, p3, 0.5)
     assert op_norm(represented - measured) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_duhamel_error_reproduces_stiff_contractive_error(seed, t):
+    # strongly dissipative, non-normal triples: the backward flows e^{-tP1}
+    # and e^{-tP2} reach norms of 1e11 to 1e32 on these rows, so an evaluation
+    # through them does not converge; the forward form must match the
+    # measured error in absolute and relative terms
+    p1, p2, p3 = contractive_triple(6, 10.0, seed)
+    represented = duhamel_error(p1, p2, p3, t)
+    measured = triple_splitting_error(p1, p2, p3, t)
+    gap = op_norm(represented - measured)
+    assert gap <= 1e-9
+    assert gap <= 1e-5 * op_norm(measured)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0])
@@ -372,6 +410,19 @@ def test_bound_dominates_measured_error():
         for t in (0.1, 0.5):
             measured = op_norm(triple_splitting_error(p1, p2, p3, t))
             assert measured <= error_bound(p1, p2, p3, t) + 1e-9
+
+
+@pytest.mark.parametrize("strength", [0.1, 1.0])
+def test_bound_dominates_error_of_contractive_triples(strength):
+    # the bound needs contractions, not isometries: dissipative non-normal
+    # triples over 20 seeds, t up to 3
+    times = (0.25, 0.5, 1.0, 2.0, 3.0)
+    p1, p2, p3 = (np.stack(p) for p in zip(*(contractive_triple(6, strength, s) for s in range(20))))
+    measured = np.linalg.norm(triple_splitting_error(p1, p2, p3, times), 2, axis=(-2, -1))
+    bound = error_bound(p1, p2, p3, times)
+    assert measured.shape == bound.shape == (20, 5)
+    assert (measured > 0.0).all()
+    assert (measured <= bound).all()
 
 
 def test_stacked_error_bound_matches_scalar_calls():
