@@ -35,7 +35,7 @@ from trisplit.harness import (
     verify_bound,
     verify_duhamel,
 )
-from trisplit.splitting import _parse_coefficient, load_scheme
+from trisplit.splitting import _parse_coefficient, load_scheme, scheme_by_name
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -215,8 +215,8 @@ def _cmd_convergence(args) -> int:
         schemes = cfg["schemes"].split()
         if not schemes:
             raise ConfigError("schemes must name at least one scheme")
-    # a wave study draws nothing from its seed, so it runs once per scheme,
-    # and its reference does not depend on the scheme, so all of them share one
+    # a wave study draws nothing from its seed, so it runs once per scheme; its
+    # reference, the same for every scheme, is made with a Strang study's rows
     problem, dim = cfg["problem"], int(cfg["dim"])
     seeds = (seed,) if problem == "schrodinger" else derive_seeds(seed, instances)
     studies = [
@@ -224,7 +224,10 @@ def _cmd_convergence(args) -> int:
         for scheme_name in schemes
         for child in seeds
     ]
-    reference = _wave_reference(studies[0]) if problem == "schrodinger" else None
+    reference = None
+    if problem == "schrodinger":
+        resolved = [scheme_override] if scheme_override else map(scheme_by_name, schemes)
+        reference = _wave_reference(studies[0], *resolved)
     results = []
     rows = []
     for study in studies:

@@ -175,42 +175,54 @@ def _matrix_rows(study: ConvergenceStudy, scheme=None):
 
 
 def _wave_key(study: ConvergenceStudy):
-    """What a wave study's reference depends on: not its scheme or seed."""
-    return study.half_width, study.points, study.potential, study.horizon, min(study.step_sizes)
+    """What a wave study's reference and its shared runs depend on: not its scheme or seed."""
+    return study.half_width, study.points, study.potential, study.horizon, study.step_sizes
 
 
-def _wave_reference(study: ConvergenceStudy):
+def _is_strang(scheme) -> bool:
+    """Strang's operands and canonical flag, whatever the name."""
+    strang = make_strang()
+    return (scheme.operands, scheme.canonical) == (strang.operands, strang.canonical)
+
+
+def _wave_reference(study: ConvergenceStudy, *schemes):
     """The state a wave study's errors are measured against: Strang from the
     unit Gaussian at 2n, n and n/2 steps (n = horizon / h_min) in one stacked
     call.  Strang is symmetric, so its global error expands in even powers of
     h, and for step counts a > b Richardson's R = (a^2 S_a - b^2 S_b) /
     (a^2 - b^2) cancels the h^2 term.  The reference is R from (2n, n), its
     own consistency its distance to R from (n, n/2).  Studies that differ
-    only in scheme or seed can share it; nothing keeps it past the caller."""
+    only in scheme or seed share it; nothing keeps it past the caller.  With
+    Strang among their ``schemes``, the study's runs join the call and come
+    fourth, bitwise as alone: each ``evolve_runs`` row is independent."""
     grid = Grid1D(study.half_width, study.points)
     potential = potential_by_name(study.potential, grid)
     n = _steps_for(study.horizon, min(study.step_sizes))
-    steps = (2 * n, n, n // 2)
-    fine, mid, coarse = evolve_runs(
-        gaussian_packet(grid), potential, study.horizon, steps, make_strang()
-    )
+    own = [_steps_for(study.horizon, h) for h in study.step_sizes]
+    own = own if any(map(_is_strang, schemes)) else []
+    steps = sorted({2 * n, n, n // 2, *own}, reverse=True)
+    runs = evolve_runs(gaussian_packet(grid), potential, study.horizon, steps, make_strang())
+    runs = dict(zip(steps, runs))
     reference, coarser = (
-        WaveFunction((a * a * s_a.samples - b * b * s_b.samples) / (a * a - b * b), grid)
-        for s_a, s_b, a, b in ((fine, mid, 2 * n, n), (mid, coarse, n, n // 2))
+        WaveFunction((a * a * runs[a].samples - b * b * runs[b].samples) / (a * a - b * b), grid)
+        for a, b in ((2 * n, n), (n, n // 2))
     )
-    return _wave_key(study), reference, _l2_distance(coarser, reference)
+    finals = [tuple(runs[s] for s in own)] if own else []
+    return (_wave_key(study), reference, _l2_distance(coarser, reference), *finals)
 
 
 def _schrodinger_rows(study: ConvergenceStudy, scheme=None, reference=None):
-    key, reference, ref_gap = reference or _wave_reference(study)
+    """A Strang study's finals come with a reference built with them; others run their own."""
+    scheme = scheme or scheme_by_name(study.scheme_name)
+    key, reference, ref_gap, *shared = reference or _wave_reference(study, scheme)
     if key != _wave_key(study):
         raise ValueError("the wave reference was built for another grid, potential or step range")
     grid = reference.grid
     potential = potential_by_name(study.potential, grid)
-    scheme = scheme or scheme_by_name(study.scheme_name)
     initial = gaussian_packet(grid)
     steps = tuple(_steps_for(study.horizon, h) for h in study.step_sizes)
-    finals = evolve_runs(initial, potential, study.horizon, steps, scheme)
+    shared = shared if _is_strang(scheme) else []
+    finals = shared[0] if shared else evolve_runs(initial, potential, study.horizon, steps, scheme)
     rows = [(h, _l2_distance(final, reference)) for h, final in zip(study.step_sizes, finals)]
     defects = tuple(norm_defect(initial, final) for final in finals)
     extra = {"norm_defects": defects, "reference_consistency": ref_gap}

@@ -124,14 +124,15 @@ def test_wave_convergence_takes_one_reference_per_call(tmp_path, monkeypatch, ca
     # both schemes at 256 points and the default steps 2^-4 .. 2^-9: each
     # scheme's rows take 16 + 32 + ... + 512 = 1,008 steps, and the one Strang
     # reference 1,024 + 512 + 256 at h_min/2, h_min and 2 h_min (extrapolated);
-    # the reference and each scheme's rows are one call each
+    # Strang's rows are rows of the reference's call, which adds only 1,024
+    # steps to them, and lie-trotter's rows are one call of their own
     path = tmp_path / "wave.ini"
     path.write_text("[config]\nversion = 1\n\n[convergence]\nproblem = schrodinger\npoints = 256\n")
     calls = count_evolve_steps(monkeypatch)
     assert main(["convergence", "--config", str(path)]) == EXIT_PASS
-    assert sum(map(sum, calls)) == 1792 + 2 * 1008
-    assert len(calls) == 3
-    assert calls[0] == (1024, 512, 256)
+    assert sum(map(sum, calls)) == 2032 + 1008
+    assert len(calls) == 2
+    assert calls[0] == (1024, 512, 256, 128, 64, 32, 16)
 
 
 def test_schrodinger_bench_keeps_no_reference_between_calls(monkeypatch, capsys):
@@ -139,8 +140,42 @@ def test_schrodinger_bench_keeps_no_reference_between_calls(monkeypatch, capsys)
     for _ in range(2):
         calls.clear()
         assert main(["schrodinger-bench"]) == EXIT_PASS
-        assert sum(map(sum, calls)) == 1792 + 1008
-        assert len(calls) == 2
+        assert calls == [(1024, 512, 256, 128, 64, 32, 16)]
+
+
+@pytest.mark.parametrize("schemes", ["strang lie-trotter", "lie-trotter strang"])
+def test_wave_convergence_runs_strang_in_the_reference_call(
+    tmp_path, monkeypatch, capsys, schemes
+):
+    # whichever scheme is listed first, the reference is built with Strang's rows
+    path = tmp_path / "wave.ini"
+    path.write_text(
+        "[config]\nversion = 1\n\n[convergence]\nproblem = schrodinger\n"
+        f"points = 256\nschemes = {schemes}\n"
+    )
+    calls = count_evolve_steps(monkeypatch)
+    assert main(["convergence", "--config", str(path)]) == EXIT_PASS
+    assert calls == [(1024, 512, 256, 128, 64, 32, 16), (16, 32, 64, 128, 256, 512)]
+    assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == schemes.split()
+
+
+def test_lie_trotter_bench_makes_its_own_call(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bench.ini"
+    path.write_text("[config]\nversion = 1\n\n[schrodinger-bench]\nscheme = lie-trotter\n")
+    calls = count_evolve_steps(monkeypatch)
+    assert main(["schrodinger-bench", "--config", str(path)]) == EXIT_PASS
+    assert calls == [(1024, 512, 256), (16, 32, 64, 128, 256, 512)]
+
+
+@pytest.mark.parametrize("command", ["schrodinger-bench", "convergence"])
+def test_non_canonical_file_with_strangs_operands_is_refused(tmp_path, capsys, command):
+    config = tmp_path / "wave.ini"
+    config.write_text("[config]\nversion = 1\n\n[convergence]\nproblem = schrodinger\n")
+    scheme = tmp_path / "strang.txt"
+    scheme.write_text("name strang\ncanonical 0\nA 1/2\nB 1\nA 1/2\n")
+    argv = [command, "--config", str(config), "--scheme", str(scheme)]
+    assert main(argv) == EXIT_INCONCLUSIVE
+    assert "not canonical" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from exact_flow import grid_flow
+from test_cli import count_evolve_steps
 from test_duhamel import count_calls
 from trisplit import cli, duhamel, harness, matrix_core, splitting
 from trisplit.duhamel import error_bound
@@ -18,7 +20,7 @@ from trisplit.harness import (
     verify_duhamel,
 )
 from trisplit.matrix_core import ConditionViolated, commutator, is_skew_hermitian, op_norm
-from trisplit.schrodinger import gaussian_packet, potential_by_name
+from trisplit.schrodinger import WaveFunction, evolve_runs, gaussian_packet, potential_by_name
 from trisplit.splitting import make_strang, triple_splitting_error
 
 
@@ -127,17 +129,41 @@ def test_shared_wave_reference_gives_the_studys_own_rows():
         run_convergence(matrix, reference=reference)
 
 
-def grid_flow(samples, potential, t, half_width):
-    """e^{itH} u for the grid Hamiltonian H = K + V, by one eigh.  K conjugates
-    diag(k^2/2) by the DFT, with k from the index; k^2 is even in k and the
-    Nyquist phases are +-1, so K is real symmetric."""
-    n = len(samples)
-    index = np.arange(n)
-    k = np.pi / half_width * np.where(index < n // 2, index, index - n)
-    dft = np.exp(-2j * np.pi * np.outer(index, index) / n)
-    kinetic = (dft.conj().T @ np.diag(k**2 / 2) @ dft / n).real
-    energies, modes = np.linalg.eigh(kinetic + np.diag(potential))
-    return modes @ (np.exp(1j * t * energies) * (modes.T @ samples))
+#: a wave study at 8, 16, 32 and 64 steps; its reference runs 128, 64 and 32
+SMALL_STRANG = ConvergenceStudy(
+    "schrodinger", "strang", dyadic(4, 4), horizon=0.5, seed=0,
+    potential="gaussian-well", half_width=8.0, points=64,
+)
+
+
+def test_strang_study_runs_in_its_references_call(monkeypatch):
+    # its runs join the reference's in one call, and every number it reports
+    # is exactly what two calls give
+    calls = count_evolve_steps(monkeypatch)
+    shared = run_convergence(SMALL_STRANG)
+    assert calls == [(128, 64, 32, 16, 8)]
+    calls.clear()
+    lone = run_convergence(SMALL_STRANG, reference=harness._wave_reference(SMALL_STRANG))
+    assert calls == [(128, 64, 32), (8, 16, 32, 64)]
+    assert (shared.rows, shared.metadata) == (lone.rows, lone.metadata)
+    assert {"norm_defects", "reference_consistency"} <= shared.metadata.keys()
+
+
+def test_scheme_named_strang_without_its_operands_runs_alone(monkeypatch):
+    # a first-order file that calls itself strang: only operands and the
+    # canonical flag decide whether a scheme's runs join the reference's call
+    mislabelled = splitting.parse_scheme("name strang\ncanonical 1\nA 0.4\nB 1\nA 0.6\n")
+    calls = count_evolve_steps(monkeypatch)
+    result = run_convergence(SMALL_STRANG, scheme=mislabelled)
+    assert calls == [(128, 64, 32), (8, 16, 32, 64)]
+    _, reference, _ = harness._wave_reference(SMALL_STRANG)
+    grid = reference.grid
+    finals = evolve_runs(
+        gaussian_packet(grid), potential_by_name("gaussian-well", grid), 0.5, (8, 16, 32, 64),
+        mislabelled,
+    )
+    lone = [WaveFunction(f.samples - reference.samples, grid).l2_norm() for f in finals]
+    assert result.rows == tuple(zip(SMALL_STRANG.step_sizes, lone))
 
 
 @pytest.mark.parametrize("potential", ["harmonic", "gaussian-well", "cosine"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exact_flow import grid_flow
 from trisplit.schrodinger import (
     Grid1D,
     POTENTIALS,
@@ -259,6 +260,20 @@ def test_evolve_runs_share_their_ffts(monkeypatch, name, ffts):
     steps = tuple(2**j for j in range(4, 10))
     evolve_runs(gaussian_packet(GRID), Potential.harmonic(GRID), 1.0, steps, MERGE_SCHEMES[name])
     assert len(calls) == ffts
+
+
+@pytest.mark.parametrize("potential", ["gaussian-well", "cosine"])
+def test_extrapolated_strang_follows_a_moving_packet(potential):
+    # a packet that is not stationary, so a wrong phase of the potential flow
+    # shows (e^{-ichV} sits 2 to 2.5 away); Richardson's (4 S_1024 - S_512)/3
+    # is the wave reference's form, and the exact flow is an eigh of the grid
+    # Hamiltonian
+    initial = gaussian_packet(GRID, sigma=1.3, center=0.4, momentum=0.7)
+    v = potential_by_name(potential, GRID)
+    fine, coarse = evolve_runs(initial, v, 1.0, (1024, 512), make_strang())
+    extrapolated = (4 * fine.samples - coarse.samples) / 3
+    exact = grid_flow(initial.samples, v.samples, 1.0, GRID.half_width)
+    assert np.sqrt(GRID.dx) * np.linalg.norm(extrapolated - exact) <= 1e-10
 
 
 def test_evolve_rejects_nonpositive_steps():
