@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -271,7 +271,8 @@ def _cmd_verify_duhamel(args) -> int:
         print(campaign.notes)
     if args.out:
         columns = ("instance", "t", *(f.name for f in fields(ErrorReport)))
-        rows = [(r.instance, r.t, *astuple(r.report)) for r in campaign.rows]
+        # a dataclass's vars are its fields in order; astuple would deep-copy each
+        rows = [(r.instance, r.t, *vars(r.report).values()) for r in campaign.rows]
         _write_artifact(args.out, "verify_duhamel", columns, rows, args.format)
     return EXIT_PASS if campaign.passed else EXIT_FAIL
 
@@ -294,7 +295,7 @@ def _cmd_verify_bound(args) -> int:
     )
     if args.out:
         columns = [f.name for f in fields(BoundCampaignRow)]
-        rows = [astuple(r) for r in campaign.rows]
+        rows = [tuple(vars(r).values()) for r in campaign.rows]
         _write_artifact(args.out, "verify_bound", columns, rows, args.format)
     return EXIT_PASS if campaign.passed else EXIT_FAIL
 
@@ -311,7 +312,7 @@ def _cmd_schrodinger_bench(args) -> int:
         print(f"  h={row.h!r}  L2_error={row.l2_error!r}  norm_defect={row.norm_defect!r}")
     if args.out:
         columns = ("h", "L2_error", "norm_defect")
-        table = [astuple(r) for r in rows]
+        table = [(r.h, r.l2_error, r.norm_defect) for r in rows]
         _write_artifact(args.out, "schrodinger_bench", columns, table, args.format)
     return _study_exit([result])
 

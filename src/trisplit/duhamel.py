@@ -24,9 +24,9 @@ for that block (see ``_van_loan``) and I for the identity:
     V1(tau) = VL(tau; P1, I, P1, K1, P1),   V2(tau) = VL(tau; P2, K2, P2, I, P2).
 
 Only the outer tau-integral of E(t) uses quadrature, composite Gauss-Legendre
-with panel doubling: its flows of L, P1, P2 and P3 are not one exponential.
-``duhamel_error`` validates its inputs, checks the condition and forms K1, K2
-(``double_commutators``) once, then takes one of two paths.
+with panel doubling per (triple, t) row: its flows are not one exponential.
+``duhamel_error`` validates a triple or a stack, checks the condition and forms
+K1, K2 (``double_commutators``) once, then takes one of two paths.
 
 * P1, P2 and P3 all skew-Hermitian (every campaign): in the eigenbasis of
   P = U diag(mu) U*, mu = i lam, V1 and V2 are elementwise (the
@@ -40,12 +40,12 @@ with panel doubling: its flows of L, P1, P2 and P3 are not one exponential.
   int_0^1 e^{xz} dx exact as phi1(i theta) = e^{i theta/2} sinc(theta/2pi),
   summed as a Taylor series for |z| < 1/2.  Nothing divides by an
   eigenvalue gap, so repeated and clustered spectra need no special case.
-  One ``eigh`` each of P1, P2, P3 and L serves every panel level, all nodes
-  of a level are one stacked (nodes, n, n) computation, and the
-  eigenvectors of L and P3 are applied once to the weighted sum.
-* Any other input: each tau node makes three exponential calls, one stack of
-  e^{tau P1}, e^{tau P2}, e^{tau P3} and e^{(t-tau)L}, and the two 3n x 3n
-  Van Loan blocks V1 and V2.  This loop is also the reference the
+  One batched ``eigh`` each of P1, P2, P3 and L serves every row and level,
+  a level's pending rows and nodes are one stacked (rows, nodes, n, n)
+  computation, and the eigenvectors of L and P3 meet each weighted sum once.
+* Any other input, row by row: each tau node makes three exponential calls,
+  one stack of e^{tau P1}, e^{tau P2}, e^{tau P3} and e^{(t-tau)L}, and the
+  two 3n x 3n Van Loan blocks V1 and V2.  This loop is also the reference the
   eigenbasis path is tested against.
 
 The error bound
@@ -54,9 +54,9 @@ The error bound
 
 follows from the forward form whenever every flow in it is a contraction:
 then ||V1(tau)|| <= (tau^2/2) ||K1|| and ||V2(tau)|| <= (tau^2/2) ||K2||.
-Skew-Hermitian generators give isometries.  ``harness.verify_duhamel``
-compares E(t) with the measured S(t) - e^{tL} and with this bound, one
-``ErrorReport`` per triple and t.
+Skew-Hermitian generators give isometries.  ``harness.verify_duhamel`` makes
+one call per campaign stack and compares E(t) with the measured S(t) - e^{tL}
+and with this bound, one ``ErrorReport`` per triple and t.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ import numpy as np
 
 from trisplit.matrix_core import (
     ConditionViolated,
+    _Located,
     _commutator,
     _double_commutators,
     _is_skew,
@@ -82,7 +83,7 @@ from trisplit.splitting import triple_operator_set
 MAX_PANEL_DOUBLINGS = 8
 
 
-class ToleranceNotReached(RuntimeError):
+class ToleranceNotReached(_Located):
     """Panel doubling hit its cap, or stalled at round-off, above target_tol."""
 
 
@@ -117,24 +118,34 @@ def _panel_nodes(upper: float, order: int, panels: int):
     return nodes, weights
 
 
-def _refined(evaluate, quad: QuadratureSpec, refine: bool) -> np.ndarray:
-    panels = quad.panels
-    previous = evaluate(panels)
+def _refined(evaluate, shape, quad: QuadratureSpec, refine: bool) -> np.ndarray:
+    """evaluate(panels, rows) estimates those flat rows of ``shape``.  Each row
+    doubles its panels until its gap is below target_tol/2, and fails at a
+    round-off stall or the cap; only pending rows are evaluated again.  Once
+    all have stopped, the first failing row raises with its index in shape."""
+    panels, pending = quad.panels, np.arange(np.prod(shape, dtype=int))
+    result = evaluate(panels, pending)
     if not refine:
-        return previous
-    for _ in range(MAX_PANEL_DOUBLINGS):
+        return result
+    previous, gaps, reached = result.copy(), np.full(len(pending), np.inf), np.zeros_like(pending)
+    while len(pending) and panels < quad.panels << MAX_PANEL_DOUBLINGS:
         panels *= 2
-        current = evaluate(panels)
-        gap = np.linalg.norm(current - previous, 2)
-        if gap < quad.target_tol / 2.0:
-            return current
-        if gap <= 64 * np.finfo(float).eps * np.linalg.norm(current, 2):  # stalled at round-off
-            break
-        previous = current
-    raise ToleranceNotReached(
-        f"duhamel_error: gap {gap:.1e} at {panels} panels did not reach "
-        f"target_tol {quad.target_tol!r}"
-    )
+        current = evaluate(panels, pending)
+        gap = np.linalg.norm(current - previous, 2, axis=(-2, -1))
+        gaps[pending], reached[pending] = gap, panels
+        live = ~(gap < quad.target_tol / 2.0)
+        result[pending[~live]] = current[~live]
+        scale = np.linalg.norm(current[live], 2, axis=(-2, -1))
+        live[live] = ~(gap[live] <= 64 * np.finfo(float).eps * scale)  # stalled at round-off
+        pending, previous = pending[live], current[live]
+    failed = np.flatnonzero(~(gaps < quad.target_tol / 2.0))
+    if len(failed):
+        row = failed[0]
+        raise ToleranceNotReached(
+            f"duhamel_error: gap {gaps[row]:.1e} at {reached[row]} panels did not reach "
+            f"target_tol {quad.target_tol!r}", tuple(map(int, np.unravel_index(row, shape)))
+        )
+    return result
 
 
 def _van_loan(t: float, *blocks) -> np.ndarray:
@@ -190,8 +201,9 @@ def _psi(theta) -> np.ndarray:
     return out
 
 
-def _eigenbasis_error(p1, p2, p3, k1, k2, t, quad, refine) -> np.ndarray:
-    """E(t) for skew-Hermitian P1, P2, P3 from one eigh of each and of L.
+def _eigenbasis_levels(p1, p2, p3, k1, k2, times, quad):
+    """``_refined``'s evaluate for (k, n, n) skew-Hermitian stacks at m times,
+    row r being triple r // m at time r % m.
 
     With Pk = Uk diag(i lam_k) Uk*, Cjk = Uj* Uk and Dk = diag(e^{i tau lam_k}),
     the integrand in the bases of L and P3 is
@@ -205,66 +217,81 @@ def _eigenbasis_error(p1, p2, p3, k1, k2, t, quad, refine) -> np.ndarray:
     (lam1, u1), (lam2, u2), (lam3, u3), (lam_l, u_l) = (
         np.linalg.eigh(-1j * p) for p in (p1, p2, p3, p1 + p2 + p3)
     )
-    k1_t = u1.conj().T @ k1 @ u1
-    k2_t = u2.conj().T @ k2 @ u2
-    c12 = u1.conj().T @ u2
-    cl1 = u_l.conj().T @ u1
-    c23 = u2.conj().T @ u3
-    gap1 = lam1[:, None] - lam1[None, :]
-    gap2 = lam2[:, None] - lam2[None, :]
+    k1_t = u1.conj().swapaxes(-1, -2) @ k1 @ u1
+    k2_t = u2.conj().swapaxes(-1, -2) @ k2 @ u2
+    c12 = u1.conj().swapaxes(-1, -2) @ u2
+    cl1 = u_l.conj().swapaxes(-1, -2) @ u1
+    c23 = u2.conj().swapaxes(-1, -2) @ u3
+    gap1 = lam1[:, :, None] - lam1[:, None, :]
+    gap2 = lam2[:, :, None] - lam2[:, None, :]
 
-    def level(nodes, weights):
-        tau = nodes[:, None, None]
-        a = k1_t * tau**2 * np.exp(1j * tau * lam1) * _psi(tau * gap1)
-        h = k2_t * tau**2 * np.exp(1j * tau * lam2[:, None]) * _psi(-tau * gap2)
-        x = a @ (c12 * np.exp(1j * tau * lam2)) + (np.exp(1j * tau * lam1[:, None]) * c12) @ h
-        y = cl1 @ x @ c23
-        left = weights[:, None, None] * np.exp(1j * (t - tau) * lam_l[:, None])
-        return (left * y * np.exp(1j * tau * lam3)).sum(axis=0)
+    def level(i, t, nodes, weights):  # triples i at times t, axes (row, node, n, n)
+        tau, t = nodes[:, :, None, None], t[:, None, None, None]
+        r1, r2, r3 = (lam[i, None, None, :] for lam in (lam1, lam2, lam3))
+        c1, c2, c_l = (lam[i, None, :, None] for lam in (lam1, lam2, lam_l))
+        a = k1_t[i, None] * tau**2 * np.exp(1j * tau * r1) * _psi(tau * gap1[i, None])
+        h = k2_t[i, None] * tau**2 * np.exp(1j * tau * c2) * _psi(-tau * gap2[i, None])
+        x = a @ (c12[i, None] * np.exp(1j * tau * r2)) + (np.exp(1j * tau * c1) * c12[i, None]) @ h
+        y = cl1[i, None] @ x @ c23[i, None]
+        left = weights[:, :, None, None] * np.exp(1j * (t - tau) * c_l)
+        return (left * y * np.exp(1j * tau * r3)).sum(axis=1)
 
-    def once(panels):
-        nodes, weights = _panel_nodes(t, quad.gauss_order, panels)
-        step = max(1, _STACK_ENTRIES // lam1.size**2)
-        total = sum(
-            level(nodes[i : i + step], weights[i : i + step]) for i in range(0, len(nodes), step)
-        )
-        return u_l @ total @ u3.conj().T
+    def once(panels, rows):
+        i, j = np.divmod(rows, len(times))
+        rules = zip(*(_panel_nodes(t, quad.gauss_order, panels) for t in times.tolist()))
+        nodes, weights = (np.stack(rule)[j] for rule in rules)
+        # a pass holds whole rows, or blocks of one row's nodes, as one call does
+        step = max(1, _STACK_ENTRIES // lam1.shape[-1] ** 2)
+        group = max(1, step // min(step, nodes.shape[1]))
+        passes = ((slice(r, r + group), slice(q, q + step)) for r in range(0, len(rows), group)
+                  for q in range(0, nodes.shape[1], step))
+        total = np.zeros_like(u_l[i])
+        for g, q in passes:
+            total[g] += level(i[g], times[j[g]], nodes[g, q], weights[g, q])
+        return u_l[i] @ total @ u3[i].conj().swapaxes(-1, -2)
 
-    return _refined(once, quad, refine)
+    return once
 
 
 def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
     """The exact error representation E(t): Gauss-Legendre over tau of the
     forward-flow integrand, whose inner integrals V1 and V2 are exact.
 
+    Broadcasting as in ``error_bound``, with (k, m, n, n) for (k, m); each
+    row equals the call on its triple and t alone.
+
     Requires the second-order condition: without it the representation misses
     the surviving single-commutator term and cannot match the measured error.
-    Skew-Hermitian triples take the eigenbasis path; any other input makes
-    three exponential calls per tau node, one of them a stack of the four
-    n x n factors.  The inputs are validated once, here.
+    Skew-Hermitian stacks take the eigenbasis path, other input the block path
+    row by row.  The inputs are validated once, here.
     """
-    p1, p2, p3 = (as_complex_matrix(p) for p in (p1, p2, p3))
+    p1, p2, p3 = triple_operator_set(p1, p2, p3).bindings.values()
+    times = as_times(t)
+    shape, n = p1.shape[:-2] + times.shape, p1.shape[-1]
+    p1, p2, p3, times = *(p.reshape(-1, n, n) for p in (p1, p2, p3)), times.ravel()
     ok, residual = _second_order(p1, p2, p3)
-    if not ok:
+    if not ok.all():
         raise ConditionViolated(
-            f"second-order condition residual {residual:.3e} exceeds its gate; "
+            f"second-order condition residual {residual.max():.3e} exceeds its gate; "
             "the integral representation does not apply"
         )
     _, k1, k2 = _double_commutators(p1, p2, p3)
     quad = quad or QuadratureSpec()
     if all(_is_skew(p) for p in (p1, p2, p3)):
-        return _eigenbasis_error(p1, p2, p3, k1, k2, t, quad, refine)
-    generators = np.stack((p1, p2, p3, p1 + p2 + p3))
+        levels = _eigenbasis_levels(p1, p2, p3, k1, k2, times, quad)
+    else:
+        generators = np.stack((p1, p2, p3, p1 + p2 + p3), axis=1)
 
-    def once(panels):
-        nodes, weights = _panel_nodes(t, quad.gauss_order, panels)
-        total = np.zeros_like(p1)
-        for tau, w in zip(nodes, weights):
-            e1, e2, e3, e_l = expm(generators, (tau, tau, tau, t - tau))
-            total += w * (e_l @ _forward_kernel(tau, p1, p2, k1, k2, e1, e2) @ e3)
-        return total
+        def levels(panels, rows):  # one row at a time
+            out = np.zeros((len(rows), n, n), dtype=np.complex128)
+            for total, (i, j) in zip(out, zip(*np.divmod(rows, len(times)))):
+                for tau, w in zip(*_panel_nodes(times[j], quad.gauss_order, panels)):
+                    e1, e2, e3, e_l = expm(generators[i], (tau, tau, tau, times[j] - tau))
+                    kernel = _forward_kernel(tau, p1[i], p2[i], k1[i], k2[i], e1, e2)
+                    total += w * (e_l @ kernel @ e3)
+            return out
 
-    return _refined(once, quad, refine)
+    return _refined(levels, shape, quad, refine).reshape(shape + (n, n))
 
 
 def error_bound(p1, p2, p3, t):

@@ -9,6 +9,7 @@ are computed only from numbers that appear in the emitted rows.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -16,7 +17,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from trisplit import lie_symbolic as ls
-from trisplit.duhamel import ErrorReport, QuadratureSpec, duhamel_error, error_bound
+from trisplit.duhamel import ErrorReport, QuadratureSpec, _Located, duhamel_error, error_bound
 from trisplit.matrix_core import expm, op_norm, random_skew_hermitian, solve_second_order_constraint
 from trisplit.schrodinger import (
     Grid1D,
@@ -411,10 +412,15 @@ def _random_pair(dim: int, seed: int):
     return random_skew_hermitian(dim, seed_a), random_skew_hermitian(dim, seed_b)
 
 
+def _constrained_triples(dim: int, seeds: Sequence[int]):
+    """Stacks of P1 and P2, one pair drawn from each seed, and P3 from one solve."""
+    p1, p2 = (np.stack(p) for p in zip(*(_random_pair(dim, seed) for seed in seeds)))
+    return p1, p2, solve_second_order_constraint(p1, p2)
+
+
 def sample_constrained_triple(dim: int, seed: int):
     """P1, P2 drawn once from the seed and the solver's P3; a rejection raises."""
-    p1, p2 = _random_pair(dim, seed)
-    return p1, p2, solve_second_order_constraint(p1, p2)
+    return tuple(p[0] for p in _constrained_triples(dim, (seed,)))
 
 
 # --- verification campaigns -----------------------------------------------------
@@ -428,14 +434,28 @@ def sample_constrained_triple(dim: int, seed: int):
 _STACK_ENTRIES = 1 << 12
 
 
-def _campaign(count: int, dim: int, t_list: Sequence[float], seed: int):
-    """(instance, t, triple, S(t) - e^{tL}, its spectral norm, the bound) for
-    every instance and t, instance-major and t-minor.
+@contextmanager
+def _naming_rows(start: int, seeds: Sequence[int], times: Sequence[float] = ()):
+    """Re-raise a stack's fault, naming the instance, child seed and t it locates."""
+    try:
+        yield
+    except _Located as exc:
+        if not exc.index:
+            raise
+        i, *j = exc.index
+        t = "".join(f", t={times[x]!r}" for x in j)
+        message = f"instance {start + i} (child seed {seeds[i]}){t}: {exc}"
+        raise type(exc)(message, exc.index) from exc
 
-    Triples are drawn one per instance, in seed order, and checked in stacks
-    of up to _STACK_ENTRIES / (4 len(t_list) dim^2) of them: per stack one
-    ``triple_splitting_error`` over every triple and t, one batched spectral
-    norm and one ``error_bound``.
+
+def _campaign(count: int, dim: int, t_list: Sequence[float], seed: int):
+    """Per stack: (first instance, child seeds, triple stacks, S(t) - e^{tL} for
+    every triple and t, and ((instance, t), its spectral norm, the bound) rows).
+
+    Each instance's pair is drawn from its own child seed, in seed order, and
+    checked in stacks of up to _STACK_ENTRIES / (4 len(t_list) dim^2) of them:
+    per stack one constraint solve, one ``triple_splitting_error`` over every
+    triple and t, one batched spectral norm and one ``error_bound``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -447,14 +467,14 @@ def _campaign(count: int, dim: int, t_list: Sequence[float], seed: int):
     seeds = derive_seeds(seed, count)
     step = max(1, _STACK_ENTRIES // (4 * times.size * dim * dim))
     for start in range(0, count, step):
-        triples = [sample_constrained_triple(dim, child) for child in seeds[start : start + step]]
-        p1, p2, p3 = (np.stack(p) for p in zip(*triples))
-        errors = triple_splitting_error(p1, p2, p3, times)
-        measured = np.linalg.norm(errors, 2, axis=(-2, -1)).tolist()
-        bounds = error_bound(p1, p2, p3, times).tolist()
-        for i, triple in enumerate(triples):
-            for j, t in enumerate(times.tolist()):
-                yield start + i, t, triple, errors[i, j], measured[i][j], bounds[i][j]
+        stack = seeds[start : start + step]
+        with _naming_rows(start, stack):
+            triples = _constrained_triples(dim, stack)
+        errors = triple_splitting_error(*triples, times)
+        measured = np.linalg.norm(errors, 2, axis=(-2, -1)).ravel().tolist()
+        bounds = error_bound(*triples, times).ravel().tolist()
+        cells = [(start + i, t) for i in range(len(stack)) for t in times.tolist()]
+        yield start, stack, triples, errors, list(zip(cells, measured, bounds))
 
 
 @dataclass(frozen=True)
@@ -485,27 +505,26 @@ def verify_duhamel(
     For every sampled constraint-satisfying triple and every t, the
     discrepancy ||(S(t) - e^{tL}) - E(t)|| must sit below
     ``discrepancy_tol``.  The measured error and the bound come from the
-    campaign's stacks, E(t) from one ``duhamel_error`` per row, compared
+    campaign's stacks, E(t) from one ``duhamel_error`` per stack, compared
     as it stands (sign +1): a sign error in it shows as a discrepancy near
-    twice the error norm.
+    twice the error norm; its norms and the discrepancies are batched.
     """
     rows = []
     notes = []
-    for index, t, triple, error, measured, bound in _campaign(count, dim, t_list, seed):
-        represented = duhamel_error(*triple, t, quad=quad)
-        report = ErrorReport(
-            measured_error_norm=measured,
-            duhamel_norm=float(np.linalg.norm(represented, 2)),
-            bound_value=bound,
-            sign_factor=1,
-            discrepancy=float(np.linalg.norm(error - represented, 2)),
-        )
-        rows.append(DuhamelCampaignRow(index, t, report))
-        if report.discrepancy > discrepancy_tol:
-            notes.append(
-                f"instance {index}, t={t!r}: discrepancy "
-                f"{report.discrepancy:.3e} above {discrepancy_tol!r}"
-            )
+    times = np.asarray(t_list, dtype=float).tolist()
+    for start, seeds, triples, errors, cells in _campaign(count, dim, t_list, seed):
+        with _naming_rows(start, seeds, times):
+            represented = duhamel_error(*triples, times, quad=quad)
+        norms = np.linalg.norm(represented, 2, axis=(-2, -1)).ravel().tolist()
+        gaps = np.linalg.norm(errors - represented, 2, axis=(-2, -1)).ravel().tolist()
+        for ((index, t), measured, bound), norm, gap in zip(cells, norms, gaps):
+            report = ErrorReport(measured, norm, bound, sign_factor=1, discrepancy=gap)
+            rows.append(DuhamelCampaignRow(index, t, report))
+            if report.discrepancy > discrepancy_tol:
+                notes.append(
+                    f"instance {index}, t={t!r}: discrepancy "
+                    f"{report.discrepancy:.3e} above {discrepancy_tol!r}"
+                )
     return DuhamelCampaign(tuple(rows), discrepancy_tol, not notes, "; ".join(notes))
 
 
@@ -543,9 +562,10 @@ def verify_bound(
     """Check measured ||S(t) - e^{tL}|| against the cubic commutator bound,
     from the campaign's stacks."""
     rows = []
-    for index, t, _, _, m, b in _campaign(count, dim, t_list, seed):
-        saturation = m / b if b > 0 else 0.0
-        rows.append(BoundCampaignRow(index, t, m, b, saturation, m > b + slack))
+    for *_, cells in _campaign(count, dim, t_list, seed):
+        for (index, t), m, b in cells:
+            saturation = m / b if b > 0 else 0.0
+            rows.append(BoundCampaignRow(index, t, m, b, saturation, m > b + slack))
     violations = sum(row.violated for row in rows)
     vacuous = sum(row.bound >= VACUOUS_BOUND for row in rows)
     max_saturation = max((row.saturation for row in rows), default=0.0)

@@ -26,7 +26,15 @@ _SKEW_HERMITIAN_TOL = 1e-13
 CONDITION_TOL = 1e-12
 
 
-class ConditionViolated(RuntimeError):
+class _Located(RuntimeError):
+    """A fault whose ``index`` locates its row in a stack, () for one."""
+
+    def __init__(self, message="", index=()):
+        super().__init__(message)
+        self.index = index
+
+
+class ConditionViolated(_Located):
     """An operator triple does not satisfy the second-order condition."""
 
 
@@ -69,7 +77,8 @@ def is_skew_hermitian(m, tol: float = _SKEW_HERMITIAN_TOL) -> bool:
 
 
 def _is_skew(a, tol=_SKEW_HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(a + a.conj().T)) <= tol * max(1.0, np.max(np.abs(a))))
+    defect = np.abs(a + np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1))
+    return bool(np.all(defect <= tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))))
 
 
 def _pade(m, theta):
@@ -182,7 +191,8 @@ def check_second_order(p1, p2, p3, tol: float | None = None) -> tuple[bool, floa
     against tol (1 + ||P1||_F^2 + ||P2||_F^2 + ||P3||_F^2), tol defaulting to
     CONDITION_TOL.  The scale covers the eps ||Pi|| ||Pj|| rounding of the
     defect; Frobenius norms add no SVD."""
-    return _second_order(*(as_complex_matrix(p) for p in (p1, p2, p3)), tol)
+    ok, residual = _second_order(*(as_complex_matrix(p) for p in (p1, p2, p3)), tol)
+    return bool(ok), float(residual)
 
 
 def _second_order(p1, p2, p3, tol=None):
@@ -190,32 +200,34 @@ def _second_order(p1, p2, p3, tol=None):
     if tol <= 0:
         raise ValueError("tol must be positive")
     defect = _commutator(p1, p2) + _commutator(p1, p3) + _commutator(p2, p3)
-    residual = float(np.linalg.norm(defect, 2))
-    scale = 1.0 + sum(np.linalg.norm(p) ** 2 for p in (p1, p2, p3))
+    residual = np.linalg.norm(defect, 2, axis=(-2, -1))
+    scale = 1.0 + sum(np.linalg.norm(p, axis=(-2, -1)) ** 2 for p in (p1, p2, p3))
     return residual <= tol * scale, residual
 
 
 def solve_second_order_constraint(p1, p2) -> np.ndarray:
-    """Return P3 with [P1,P2] + [P1,P3] + [P2,P3] = 0 for skew-Hermitian P1, P2.
+    """Return P3 with [P1,P2] + [P1,P3] + [P2,P3] = 0 for skew-Hermitian P1, P2,
+    n x n matrices or (k, n, n) stacks of one shape, one P3 per pair.
 
     With M = P1 + P2 = U diag(i lam) U*, ad_M is diagonal in the eigenbasis with
     singular values |lam_i - lam_j|, so the minimum-norm least-squares solution
     of [M, P3] = -[M, P2] is P3 = -U (Q o K) U*, Q = U* P2 U.  K keeps (i, j)
     where |lam_i - lam_j| > eps n^2 max|lam_k - lam_l|, the rank cutoff of least
-    squares on the n^2 x n^2 system.  check_second_order re-verifies P3; a miss
-    raises ConditionViolated, a fault to report, not redraw.
+    squares on the n^2 x n^2 system, per pair.  The condition gate re-verifies
+    P3; a miss raises ConditionViolated, a fault to report, not redraw.
     """
-    p1 = as_complex_matrix(p1)
-    p2 = as_complex_matrix(p2)
+    p1 = as_complex_stack(p1)
+    p2 = as_complex_stack(p2)
     if p1.shape != p2.shape:
         raise ValueError(f"dimension mismatch: {p1.shape} vs {p2.shape}")
     if not (_is_skew(p1) and _is_skew(p2)):
         raise ValueError("P1 and P2 must be skew-Hermitian")
     lam, u = np.linalg.eigh(-1j * (p1 + p2))
-    gap = np.abs(lam[:, None] - lam[None, :])
-    keep = gap > np.finfo(float).eps * lam.size**2 * gap.max()
-    p3 = -u @ np.where(keep, u.conj().T @ p2 @ u, 0.0) @ u.conj().T
+    gap = np.abs(lam[..., :, None] - lam[..., None, :])
+    keep = gap > np.finfo(float).eps * lam.shape[-1] ** 2 * gap.max(axis=(-2, -1), keepdims=True)
+    p3 = -u @ np.where(keep, u.conj().swapaxes(-1, -2) @ p2 @ u, 0.0) @ u.conj().swapaxes(-1, -2)
     ok, residual = _second_order(p1, p2, p3)
-    if not ok:
-        raise ConditionViolated(f"constraint defect {residual:.3e} exceeds its gate")
+    if not ok.all():
+        index = (int(np.argmin(ok)),) if ok.ndim else ()  # the first failing pair
+        raise ConditionViolated(f"constraint defect {residual[index]:.3e} exceeds its gate", index)
     return p3

@@ -363,6 +363,101 @@ def test_eigenbasis_path_splits_large_levels_into_blocks(monkeypatch):
     assert op_norm(blocked - whole) <= 1e-14 * op_norm(whole)
 
 
+def stacked(triples):
+    return tuple(np.stack(p) for p in zip(*triples))
+
+
+def psi_rows(monkeypatch):
+    """The (rows, nodes, n, n) shapes of the first _psi call of every pass."""
+    shapes = []
+    psi = duhamel._psi
+
+    def recorded(theta):
+        shapes.append(theta.shape)
+        return psi(theta)
+
+    monkeypatch.setattr(duhamel, "_psi", recorded)
+    return shapes
+
+
+def assert_rows_are_lone_calls(p1, p2, p3, times, stack, quad=None):
+    for i, j in np.ndindex(stack.shape[:2]):
+        lone = duhamel_error(p1[i], p2[i], p3[i], times[j], quad=quad)
+        assert np.array_equal(stack[i, j], lone)
+
+
+def test_duhamel_error_broadcasts_over_triples_and_t():
+    triples = [constrained_triple(4, seed=s) for s in (110, 111, 112)]
+    p1, p2, p3 = stacked(triples)
+    times = (0.25, 0.5)
+    assert duhamel_error(*triples[0], 0.25).shape == (4, 4)
+    assert duhamel_error(*triples[0], times).shape == (2, 4, 4)
+    assert duhamel_error(p1, p2, p3, 0.25).shape == (3, 4, 4)
+    stack = duhamel_error(p1, p2, p3, times)
+    assert stack.shape == (3, 2, 4, 4)
+    assert_rows_are_lone_calls(p1, p2, p3, times, stack)
+    assert np.array_equal(duhamel_error(*triples[1], times), stack[1])
+    assert np.array_equal(duhamel_error(p1, p2, p3, 0.5), stack[:, 1])
+
+
+def test_stacked_rows_stop_at_their_own_panel_counts(monkeypatch):
+    # at gauss order 3 the t = 0.05 rows converge at 2 panels and the t = 1.0
+    # rows at 32 and 16; each level evaluates only the rows whose lone call
+    # reaches it, and every row is bitwise its lone call
+    p1, p2, p3 = stacked([constrained_triple(4, seed=s) for s in (113, 114)])
+    times = (0.05, 1.0)
+    quad = QuadratureSpec(gauss_order=3)
+    shapes = psi_rows(monkeypatch)
+    levels = {}
+    for i, j in np.ndindex(2, 2):
+        shapes.clear()
+        duhamel_error(p1[i], p2[i], p3[i], times[j], quad=quad)
+        levels[i, j] = len(shapes) // 2
+    assert levels == {(0, 0): 2, (0, 1): 6, (1, 0): 2, (1, 1): 5}
+    shapes.clear()
+    stack = duhamel_error(p1, p2, p3, times, quad=quad)
+    assert [shape[0] for shape in shapes[::2]] == [4, 4, 2, 2, 2, 1]
+    assert_rows_are_lone_calls(p1, p2, p3, times, stack, quad)
+
+
+def test_non_normal_stack_takes_the_block_path(monkeypatch):
+    p1, p2, p3 = stacked([non_normal_triple(4, seed=s) for s in (75, 77)])
+    times = (0.25, 0.5)
+    calls = {"expm": 0}
+    count_calls(monkeypatch, duhamel, "expm", calls)
+    stack = duhamel_error(p1, p2, p3, times)
+    assert calls["expm"] > 0
+    assert_rows_are_lone_calls(p1, p2, p3, times, stack)
+    measured = triple_splitting_error(p1, p2, p3, times)
+    assert np.linalg.norm(stack - measured, 2, axis=(-2, -1)).max() <= 1e-8
+
+
+def test_stacked_levels_split_across_rows(monkeypatch):
+    # 256 entries hold two rows of 8 nodes at dim 4: the first level runs in
+    # passes of two rows, later ones one row, or one row's node blocks, at a
+    # time; rows stay bitwise their lone calls under the same split
+    p1, p2, p3 = stacked([constrained_triple(4, seed=s) for s in (115, 116, 117)])
+    times = (0.25, 0.5)
+    whole = duhamel_error(p1, p2, p3, times)
+    monkeypatch.setattr(duhamel, "_STACK_ENTRIES", 2 * 8 * 4 * 4)
+    shapes = psi_rows(monkeypatch)
+    split = duhamel_error(p1, p2, p3, times)
+    passes = shapes[::2]
+    assert max(np.prod(shape) for shape in passes) <= duhamel._STACK_ENTRIES
+    assert passes[:3] == [(2, 8, 4, 4)] * 3
+    assert any(shape[:2] == (1, 16) for shape in passes)
+    assert_rows_are_lone_calls(p1, p2, p3, times, split)
+    gaps = np.linalg.norm(split - whole, 2, axis=(-2, -1))
+    assert (gaps <= 1e-14 * np.linalg.norm(whole, 2, axis=(-2, -1))).all()
+
+
+def test_stacked_condition_gate_rejects_one_bad_triple():
+    good = constrained_triple(4, seed=118)
+    bad = tuple(random_skew_hermitian(4, seed=s) for s in (70, 71, 72))
+    with pytest.raises(ConditionViolated):
+        duhamel_error(*stacked([good, bad]), 0.5)
+
+
 def test_duhamel_error_cubic_scaling():
     p1, p2, p3 = constrained_triple(4, seed=74)
     norms = [op_norm(duhamel_error(p1, p2, p3, t)) for t in (0.2, 0.1, 0.05)]

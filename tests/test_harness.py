@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -436,23 +437,32 @@ def test_duhamel_campaign_alignment_check_catches_a_shifted_stack(monkeypatch):
 
 def test_default_duhamel_campaign_makes_one_stack(monkeypatch):
     # the default campaign (20 instances, dim 4, two t) is one stack: one
-    # error and one error_bound call, and one duhamel_error per row
-    calls = {"error_bound": 0, "triple_splitting_error": 0, "duhamel_error": 0}
+    # constraint solve, one error, one error_bound and one duhamel_error call
+    calls = {
+        "error_bound": 0,
+        "triple_splitting_error": 0,
+        "duhamel_error": 0,
+        "solve_second_order_constraint": 0,
+    }
     for name in calls:
         count_calls(monkeypatch, harness, name, calls)
     campaign = verify_duhamel(20, 4, (0.25, 0.5), seed=7)
-    assert calls == {"error_bound": 1, "triple_splitting_error": 1, "duhamel_error": 40}
+    assert calls == dict.fromkeys(calls, 1)
     assert len(campaign.rows) == 40 and campaign.passed
 
 
 def test_duhamel_campaign_validates_each_input_once(monkeypatch):
-    # the solver scans each instance's P1 and P2 and duhamel_error each row's
-    # three inputs; the stacked error and bound validate their stacks whole
-    calls = {"as_complex_matrix": 0}
+    # each stack is scanned whole, once per consumer: the solver its P1 and
+    # P2 stacks, and the splitting error, the bound and duhamel_error their
+    # three stacks, 2 + 3 + 3 + 3 = 11 however many instances and t it holds;
+    # no (n, n) matrix is scanned on its own
+    calls = {"as_complex_matrix": 0, "as_complex_stack": 0}
     for module in (matrix_core, duhamel, splitting):
-        count_calls(monkeypatch, module, "as_complex_matrix", calls)
+        for name in calls:
+            if hasattr(module, name):
+                count_calls(monkeypatch, module, name, calls)
     verify_duhamel(count=2, dim=6, t_list=(0.25, 0.5), seed=3)
-    assert calls["as_complex_matrix"] == 2 * 2 + 3 * 2 * 2
+    assert calls == {"as_complex_matrix": 0, "as_complex_stack": 11}
 
 
 # --- campaigns that can fail ---------------------------------------------------------
@@ -479,6 +489,49 @@ def test_solver_fault_is_reported_not_redrawn(monkeypatch):
     calls.clear()
     with pytest.raises(ConditionViolated):
         cli.main(["verify-bound"])
+
+
+def test_solver_fault_names_its_instance_and_child_seed(monkeypatch):
+    # a P3 moved off the condition in one row of the second stack: the gate
+    # rejects it, and the campaign names that instance and its child seed
+    original = matrix_core._second_order
+    dim, times = 6, (0.5,)
+    step = stack_size(dim, times)
+    count = step + 5
+
+    def moved_in_last_stack(p1, p2, p3, tol=None):
+        if len(p3) == 5:
+            p3 = p3.copy()
+            p3[2] += 1e-6 * matrix_core.random_skew_hermitian(dim, 0)
+        return original(p1, p2, p3, tol)
+
+    monkeypatch.setattr(matrix_core, "_second_order", moved_in_last_stack)
+    seed = derive_seeds(7, count)[step + 2]
+    with pytest.raises(ConditionViolated, match=rf"^instance {step + 2} \(child seed {seed}\): "):
+        verify_bound(count, dim, times, seed=7)
+
+
+def test_unconverged_row_names_its_instance_child_seed_and_t():
+    # at gauss order 2 and target_tol 1e-10 the t = 0.05 rows converge and some
+    # t = 0.6 rows reach the 256-panel cap; the campaign names the first row
+    # whose lone call raises, with that call's own message
+    quad = duhamel.QuadratureSpec(gauss_order=2, target_tol=1e-10)
+    seeds = derive_seeds(2, 4)
+    first = None
+    for instance, child in enumerate(seeds):
+        for t in (0.05, 0.6):
+            try:
+                duhamel.duhamel_error(*sample_constrained_triple(4, child), t, quad=quad)
+            except duhamel.ToleranceNotReached as exc:
+                first = first or (instance, child, t, str(exc))
+    instance, child, t, lone = first
+    assert (instance, t) == (2, 0.6)
+    with pytest.raises(duhamel.ToleranceNotReached) as raised:
+        verify_duhamel(4, 4, (0.05, 0.6), seed=2, quad=quad)
+    message = str(raised.value)
+    assert message.startswith(f"instance {instance} (child seed {child}), t={t!r}: ")
+    assert lone.split(": ", 1)[1] in message
+    assert re.search(r"gap \S+ at 256 panels", message)
 
 
 def test_halved_bound_fails_the_default_campaign(monkeypatch):

@@ -400,6 +400,43 @@ def test_solver_trivial_cases_give_zero():
     assert np.array_equal(solve_second_order_constraint(p, -p), np.zeros((6, 6)))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 6])
+def test_stacked_solver_rows_equal_lone_solves(dim):
+    # random pairs, a zero-gap pair (P2 = -P1, so M = 0 and P3 = 0) and a pair
+    # scaled by 1e14: each row keeps its own rank cutoff; one taken over the
+    # whole stack, eps n^2 times its largest gap, would zero the unit-scale
+    # rows' gaps
+    pairs = [
+        (random_skew_hermitian(dim, 2 * s), random_skew_hermitian(dim, 2 * s + 1)) for s in range(4)
+    ]
+    p = random_skew_hermitian(dim, 9)
+    pairs[1:1] = [(p, -p), (1e14 * p, 1e14 * random_skew_hermitian(dim, 10))]
+    p1, p2 = (np.stack(x) for x in zip(*pairs))
+    stacked = solve_second_order_constraint(p1, p2)
+    assert stacked.shape == (len(pairs), dim, dim)
+    for row, (a, b) in zip(stacked, pairs):
+        assert np.array_equal(row, solve_second_order_constraint(a, b))
+    assert not stacked[1].any()
+
+
+def test_stacked_solver_locates_the_failing_pair(monkeypatch):
+    # a commuting diagonal pair gets P3 = 0 and a defect of exactly 0, so it
+    # passes even a 1e-300 gate; the random pairs after it do not, and the
+    # stack's ConditionViolated locates the first of them; one pair, none
+    monkeypatch.setattr(matrix_core, "CONDITION_TOL", 1e-300)
+    diagonal = (np.diag(1j * np.arange(4.0)), np.diag(1j * np.arange(4.0) ** 2))
+    pairs = [diagonal]
+    pairs += [(random_skew_hermitian(4, s), random_skew_hermitian(4, s + 1)) for s in (13, 15)]
+    p1, p2 = (np.stack(x) for x in zip(*pairs))
+    with pytest.raises(ConditionViolated) as raised:
+        solve_second_order_constraint(p1, p2)
+    assert raised.value.index == (1,)
+    assert not solve_second_order_constraint(*diagonal).any()
+    with pytest.raises(ConditionViolated, match="^constraint defect [^ ]+ exceeds") as raised:
+        solve_second_order_constraint(*pairs[1])
+    assert raised.value.index == ()
+
+
 def test_solver_accepts_large_skew_hermitian_input():
     # rounding in U diag(i lam) U* grows with the norm; the domain check
     # must not mistake it for a Hermitian part
