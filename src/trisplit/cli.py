@@ -160,8 +160,7 @@ def _write_artifact(out_dir, name, fieldnames, rows, fmt):
     else:
         payload = [dict(zip(fieldnames, row)) for row in rows]
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
     return path
 
 

@@ -26,7 +26,7 @@ for that block (see ``_van_loan``) and I for the identity:
 Only the outer tau-integral of E(t) uses quadrature, composite Gauss-Legendre
 with panel doubling per (triple, t) row: its flows are not one exponential.
 ``duhamel_error`` validates a triple or a stack, checks the condition and forms
-K1, K2 (``double_commutators``) once, then takes one of two paths.
+K1, K2 (``_double_commutators``) once, then takes one of two paths.
 
 * P1, P2 and P3 all skew-Hermitian (every campaign): in the eigenbasis of
   P = U diag(mu) U*, mu = i lam, V1 and V2 are elementwise (the

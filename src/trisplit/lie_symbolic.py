@@ -10,10 +10,10 @@ defect
 and decides membership of degree-3 elements in the two-sided ideal generated
 by the second-order defect
 
-    C = [P1,P2] + [P1,P3] + [P2,P3],
+    C = [P1,P2] + [P1,P3] + [P2,P3]
 
-which is how the commutator closed forms of the leading error term are
-certified.
+by rewriting to a normal form, which is how the commutator closed forms of
+the leading error term are certified.
 """
 
 from __future__ import annotations
@@ -58,6 +58,13 @@ class FreeElement:
         self._terms = {w: c for w, c in data.items() if c != 0}
 
     @classmethod
+    def _trusted(cls, data: dict) -> "FreeElement":
+        """Element from a map of checked words to Fractions, dropping zeros only."""
+        element = object.__new__(cls)
+        element._terms = {w: c for w, c in data.items() if c}
+        return element
+
+    @classmethod
     def zero(cls) -> "FreeElement":
         return cls()
 
@@ -67,7 +74,7 @@ class FreeElement:
 
     @classmethod
     def generator(cls, index: int) -> "FreeElement":
-        return cls({(index,): Fraction(1)})
+        return cls._trusted({_validated_word((index,)): Fraction(1)})
 
     @property
     def terms(self) -> dict:
@@ -86,7 +93,7 @@ class FreeElement:
         return self.is_zero() or self.degrees() == {degree}
 
     def homogeneous_part(self, degree: int) -> "FreeElement":
-        return FreeElement({w: c for w, c in self._terms.items() if len(w) == degree})
+        return FreeElement._trusted({w: c for w, c in self._terms.items() if len(w) == degree})
 
     def max_degree(self) -> int:
         return max((len(w) for w in self._terms), default=0)
@@ -94,18 +101,18 @@ class FreeElement:
     def __add__(self, other: "FreeElement") -> "FreeElement":
         merged = dict(self._terms)
         for w, c in other._terms.items():
-            merged[w] = merged.get(w, Fraction(0)) + c
-        return FreeElement(merged)
+            merged[w] = merged[w] + c if w in merged else c
+        return FreeElement._trusted(merged)
 
     def __sub__(self, other: "FreeElement") -> "FreeElement":
         return self + (-other)
 
     def __neg__(self) -> "FreeElement":
-        return FreeElement({w: -c for w, c in self._terms.items()})
+        return FreeElement._trusted({w: -c for w, c in self._terms.items()})
 
     def scale(self, scalar) -> "FreeElement":
         scalar = Fraction(scalar)
-        return FreeElement({w: scalar * c for w, c in self._terms.items()})
+        return FreeElement._trusted({w: scalar * c for w, c in self._terms.items()})
 
     def __rmul__(self, scalar) -> "FreeElement":
         return self.scale(scalar)
@@ -128,7 +135,7 @@ class FreeElement:
                     out[w] += c
                 else:
                     out[w] = c
-        return FreeElement(out)
+        return FreeElement._trusted(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeElement):
@@ -273,28 +280,17 @@ def third_order_integral_form() -> FreeElement:
 
 IDEAL_GENERATOR_LABELS = ("C*P1", "C*P2", "C*P3", "P1*C", "P2*C", "P3*C")
 
-
-def _degree3_words() -> list:
-    return [(i, j, k) for i in GENERATORS for j in GENERATORS for k in GENERATORS]
-
-
-def _ideal_generators() -> list:
-    c = second_order_defect()
-    gens = []
-    for i in GENERATORS:
-        gens.append(c.mul_truncated(FreeElement.generator(i), None))
-    for i in GENERATORS:
-        gens.append(FreeElement.generator(i).mul_truncated(c, None))
-    return gens
+#: Leading word of C in deglex order with 3 > 2 > 1, rewritten as the rest of C.
+_LEADING = (3, 2)
 
 
 @dataclass(frozen=True)
 class CosetReduction:
     """Outcome of reducing a degree-3 element modulo the condition ideal.
 
-    residual is the canonical coset representative (zero iff the input lies
-    in the ideal); combination holds the exact coefficients of the removed
-    ideal part over the six generators C*Pj and Pj*C.
+    residual is the normal form (zero iff the input lies in the ideal);
+    combination holds the exact coefficients of the removed ideal part over
+    the six generators C*Pj and Pj*C.
     """
 
     residual: FreeElement
@@ -305,67 +301,41 @@ class CosetReduction:
         return self.residual.is_zero()
 
 
-def _rref(rows: list) -> tuple:
-    """Reduced row echelon form over Fractions.
-
-    Returns (rref_rows, transform, pivot_columns) with
-    rref_rows[i] == sum_j transform[i][j] * rows[j], zero rows dropped.
-    """
-    n = len(rows)
-    width = len(rows[0]) if rows else 0
-    work = [list(r) for r in rows]
-    trans = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(width):
-        pivot = next((r for r in range(row, n) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        trans[row], trans[pivot] = trans[pivot], trans[row]
-        inv = 1 / work[row][col]
-        work[row] = [v * inv for v in work[row]]
-        trans[row] = [v * inv for v in trans[row]]
-        for r in range(n):
-            if r != row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * p for v, p in zip(work[r], work[row])]
-                trans[r] = [v - factor * p for v, p in zip(trans[r], trans[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    return work[:row], trans[:row], pivots
+def _leading_at(word: Word):
+    """Position of the first factor P3P2 in word, None when there is none."""
+    return next((i for i in range(len(word) - 1) if word[i : i + 2] == _LEADING), None)
 
 
 def reduce_mod_condition(target: FreeElement) -> CosetReduction:
     """Reduce a homogeneous degree-3 element modulo the ideal generated by C.
 
-    The degree-3 slice of the two-sided ideal is spanned by the six elements
-    C*Pj and Pj*C; membership is decided by exact linear algebra over the 27
-    degree-3 words.  The residual is the canonical representative left after
-    eliminating against the reduced row echelon basis of that span.
+    Every factor P3P2 is rewritten as P1P2 - P2P1 + P1P3 - P3P1 + P2P3 until
+    no word contains one.  P3P2 is the leading word of C in deglex order with
+    3 > 2 > 1 and cannot overlap itself, so this one rule is a Groebner basis
+    of the ideal: the normal form is unique and vanishes exactly on the ideal.
+    Rewriting c * u P3P2 v removes c * u C v, so it adds -c to the
+    coefficient of u*C*v; in degree 3 that is one of C*Pj and Pj*C.
     """
     if not target.is_homogeneous(3):
         raise ValueError("target must be homogeneous of degree 3")
-    words = _degree3_words()
-    gens = _ideal_generators()
-    rows = [[g.coeff(w) for w in words] for g in gens]
-    rref_rows, transform, pivots = _rref(rows)
-
-    vec = [target.coeff(w) for w in words]
-    combo = [Fraction(0)] * len(gens)
-    for row, pivot in zip(range(len(rref_rows)), pivots):
-        factor = vec[pivot]
-        if factor == 0:
+    tail = [(w, c) for w, c in second_order_defect()._terms.items() if w != _LEADING]
+    work = dict(target._terms)
+    combination = dict.fromkeys(IDEAL_GENERATOR_LABELS, Fraction(0))
+    pending = [w for w in work if _leading_at(w) is not None]
+    while pending:
+        word = pending.pop()
+        c = work.pop(word)
+        if not c:
             continue
-        vec = [v - factor * p for v, p in zip(vec, rref_rows[row])]
-        for j in range(len(gens)):
-            combo[j] += factor * transform[row][j]
-
-    residual = FreeElement(
-        {w: c for w, c in zip(words, vec) if c != 0}
-    )
-    combination = dict(zip(IDEAL_GENERATOR_LABELS, combo))
-    return CosetReduction(residual=residual, combination=combination)
-
+        i = _leading_at(word)
+        u, v = word[:i], word[i + 2 :]
+        combination["*".join([f"P{ell}" for ell in u] + ["C"] + [f"P{ell}" for ell in v])] -= c
+        for w, d in tail:
+            new = u + w + v
+            if new in work:
+                work[new] += c * d
+            else:
+                work[new] = c * d
+                if _leading_at(new) is not None:
+                    pending.append(new)
+    return CosetReduction(residual=FreeElement._trusted(work), combination=combination)

@@ -10,7 +10,7 @@ used by the constraint solver and by ``duhamel_error``.  The solver meets it
 by one ``eigh`` of M = P1 + P2 = U diag(i lam) U*: P3 = -U (Q o K) U* with
 Q = U* P2 U and K zero where |lam_i - lam_j| is at most eps n^2 max|lam_k -
 lam_l|, the minimum-norm solution of [M, P3] = -[M, P2].
-``double_commutators`` forms [P2,P3], [P1,[P2,P3]] and [P2,[P2,P3]], from
+``_double_commutators`` forms [P2,P3], [P1,[P2,P3]] and [P2,[P2,P3]], from
 which the error representation, its bound and the integral E3 are built.
 """
 
@@ -162,12 +162,8 @@ def _commutator(a, b):
     return a @ b - b @ a
 
 
-def double_commutators(p1, p2, p3):
-    """K23 = [P2,P3], K1 = [P1,K23] and K2 = [P2,K23]."""
-    return _double_commutators(*(as_complex_matrix(p) for p in (p1, p2, p3)))
-
-
 def _double_commutators(p1, p2, p3):
+    """K23 = [P2,P3], K1 = [P1,K23] and K2 = [P2,K23] of checked matrices."""
     k23 = _commutator(p2, p3)
     return k23, _commutator(p1, k23), _commutator(p2, k23)
 

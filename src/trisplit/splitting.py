@@ -146,7 +146,8 @@ def _exponentials(generators, coeffs, t) -> np.ndarray:
     return expm(a.reshape(-1, n, n), np.broadcast_to(scale, shape).ravel()).reshape(a.shape)
 
 
-def apply_splitting(scheme: SplittingScheme, ops: OperatorSet, t: float) -> np.ndarray:
+def apply_splitting(scheme: SplittingScheme, ops: OperatorSet, t) -> np.ndarray:
+    """S(t), broadcasting over stacked operators and m values of t like ``splitting_error``."""
     refs, coeffs = zip(*scheme.operands)
     return reduce(np.matmul, _exponentials([ops[r] for r in refs], coeffs, t))
 

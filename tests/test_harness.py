@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from exact_flow import grid_flow
 from test_cli import count_evolve_steps
 from test_duhamel import count_calls
 from trisplit import cli, duhamel, harness, matrix_core, splitting
+from trisplit import lie_symbolic as ls
 from trisplit.duhamel import error_bound
 from trisplit.harness import (
     ConvergenceStudy,
@@ -98,6 +100,25 @@ def test_matrix_convergence_degenerate_for_commuting_pair():
     result = run_convergence(study)
     assert result.verdict == "degenerate"
     assert result.fitted_order is None
+
+
+def test_matrix_study_makes_one_splitting_call(monkeypatch):
+    # every step size in one apply_splitting call and one stacked expm, each
+    # row within round-off of the study's lone per-step computation
+    study = ConvergenceStudy("matrix", "strang", dyadic(4, 6), 1.0, seed=314, dim=8)
+    calls = {"apply_splitting": 0, "expm": 0}
+    count_calls(monkeypatch, harness, "apply_splitting", calls)
+    count_calls(monkeypatch, splitting, "expm", calls)
+    rows = run_convergence(study).rows
+    assert calls == {"apply_splitting": 1, "expm": 1}
+    a, b = harness._random_pair(study.dim, study.seed)
+    ops = splitting.pair_operator_set(a, b)
+    scheme = make_strang()
+    reference = matrix_core.expm(splitting.generator_matrix(scheme, ops), study.horizon)
+    for h, error in rows:
+        stepper = splitting.apply_splitting(scheme, ops, h)
+        lone = op_norm(np.linalg.matrix_power(stepper, round(study.horizon / h)) - reference)
+        assert error == pytest.approx(lone, rel=1e-9, abs=0)
 
 
 def test_schrodinger_convergence_passes():
@@ -258,6 +279,15 @@ def test_certify_algebra_fault_injection_fails():
     assert "P" in text.split("FAIL", 1)[1]
 
 
+def test_injected_fault_is_reported_as_its_normal_form():
+    # the fault moves -1/6 [P2,[P1,P2]] to -1/5 [P2,[P1,P2]]; the normal form
+    # of the difference is the fault itself, (1/30)[P2,[P1,P2]]
+    fault = ls.bracket(2, ls.bracket(1, 2)).scale(Fraction(1, 30))
+    failing = [c for c in certify_algebra(inject_fault=True).checks if not c.passed]
+    assert len(failing) == 1
+    assert failing[0].detail == "offending element:\n" + ls.format_element(fault)
+
+
 # --- sampled campaigns ---------------------------------------------------------------
 
 
@@ -386,11 +416,12 @@ def test_bound_campaign_alignment_check_catches_a_shifted_stack(monkeypatch):
 def test_default_bound_campaign_makes_one_call_per_stack(monkeypatch):
     # the default campaign (100 instances, dim 6, three t) in stacks of
     # several triples: one stacked expm, one error and one error_bound call
-    # per stack, and no per-row op_norm
+    # per stack, and no per-row op_norm (the harness binds none at all)
     calls = {"expm": 0, "error_bound": 0, "triple_splitting_error": 0, "op_norm": 0}
     count_calls(monkeypatch, splitting, "expm", calls)
-    for name in ("error_bound", "triple_splitting_error", "op_norm"):
+    for name in ("error_bound", "triple_splitting_error"):
         count_calls(monkeypatch, harness, name, calls)
+    assert not hasattr(harness, "op_norm")
     campaign = verify_bound(100, 6, (0.1, 0.5, 1.0), seed=7)
     stacks = -(-100 // stack_size(6, (0.1, 0.5, 1.0)))
     assert stacks <= 13

@@ -240,8 +240,9 @@ def test_reduction_certificate_reconstructs_target():
 
 
 def test_reduction_certificate_frozen_coefficients():
-    # the particular combination is determined by the RREF pivot choice; pin
-    # it so silent solver changes are surfaced
+    # the six generators C*Pj and Pj*C are linearly independent, so an ideal
+    # element has exactly one combination; pin it so a wrong certificate
+    # shows
     target = splitting_taylor(3)[3] - third_order_series_form()
     red = reduce_mod_condition(target)
     assert red.in_ideal
@@ -336,3 +337,25 @@ def test_random_degree3_elements_agree_with_sympy():
         # residual must itself reduce to itself (idempotence of the reduction)
         again = reduce_mod_condition(got.residual)
         assert again.residual == got.residual
+
+
+def test_normal_form_of_each_word_against_sympy():
+    # the rewriting rule P3P2 -> P1P2 - P2P1 + P1P3 - P3P1 + P2P3 leaves no
+    # factor P3P2, and what it removes from a word lies in the sympy span of
+    # C*Pj and Pj*C; 27 - 6 words are already normal
+    words = sorted(itertools.product(GENERATORS, repeat=3))
+    gens = _ideal_generator_elements()
+    basis = sympy.Matrix(
+        [[sympy.Rational(gens[label].coeff(w)) for w in words] for label in IDEAL_GENERATOR_LABELS]
+    ).T
+    assert basis.rank() == 6
+    normal = 0
+    for word in words:
+        element = FreeElement({word: 1})
+        residual = reduce_mod_condition(element).residual
+        assert all((3, 2) not in zip(w, w[1:]) for w in residual.terms), word
+        removed = element - residual
+        vec = sympy.Matrix([sympy.Rational(removed.coeff(w)) for w in words])
+        assert basis.row_join(vec).rank() == 6, word
+        normal += residual == element
+    assert normal == 21
