@@ -7,6 +7,10 @@ every verdict passed, 1 means at least one failure, 2 means the run was
 inconclusive or the configuration was unusable, as when a t is too large for
 the exponentials to fit in a double.  A numerical fault, such as numpy's
 LinAlgError, is not inconclusive: it surfaces with its traceback.
+
+``main`` loads the subcommand's config section, puts --seed in place of its
+seed, calls the handler, which prints and returns (exit status, columns,
+rows), and writes those rows as the artifact named after the subcommand.
 """
 
 from __future__ import annotations
@@ -167,13 +171,10 @@ def _write_artifact(out_dir, name, fieldnames, rows, fmt):
 # --- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_certify_algebra(args) -> int:
+def _cmd_certify_algebra(args, cfg):
     report = certify_algebra(inject_fault=args.inject_fault)
     sys.stdout.write(report.format())
-    if args.out:
-        rows = [(c.name, c.passed) for c in report.checks]
-        _write_artifact(args.out, "certify_algebra", ("check", "passed"), rows, args.format)
-    return report.exit_status
+    return report.exit_status, ("check", "passed"), [(c.name, c.passed) for c in report.checks]
 
 
 def _study_exit(results) -> int:
@@ -201,9 +202,8 @@ def _study(cfg, scheme_name, scheme_override, **problem) -> ConvergenceStudy:
     )
 
 
-def _cmd_convergence(args) -> int:
-    cfg = _load_section(args.config, "convergence")
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
+def _cmd_convergence(args, cfg):
+    seed = int(cfg["seed"])
     instances = int(cfg["instances"])
     if instances < 1:
         raise ConfigError("instances must be at least 1")
@@ -239,26 +239,21 @@ def _cmd_convergence(args) -> int:
             f"{result.verdict.upper():12s} {study.scheme_name:12s} seed={study.seed} "
             f"order={order or 'n/a'} r2={r2 or 'n/a'}"
         )
-    if args.out:
-        columns = ("scheme", "seed", "fitted_order", "fit_r2", "verdict", "notes")
-        _write_artifact(args.out, "convergence", columns, rows, args.format)
-    return _study_exit(results)
+    columns = ("scheme", "seed", "fitted_order", "fit_r2", "verdict", "notes")
+    return _study_exit(results), columns, rows
 
 
-def _cmd_verify_duhamel(args) -> int:
-    cfg = _load_section(args.config, "verify-duhamel")
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
-    quad = QuadratureSpec(
-        gauss_order=int(cfg["gauss_order"]),
-        panels=int(cfg["panels"]),
-        target_tol=_parse_real(cfg["target_tol"]),
-    )
+def _cmd_verify_duhamel(args, cfg):
     campaign = verify_duhamel(
+        seed=int(cfg["seed"]),
+        quad=QuadratureSpec(
+            gauss_order=int(cfg["gauss_order"]),
+            panels=int(cfg["panels"]),
+            target_tol=_parse_real(cfg["target_tol"]),
+        ),
         count=int(cfg["count"]),
         dim=int(cfg["dim"]),
         t_list=_parse_reals(cfg["t_values"]),
-        seed=seed,
-        quad=quad,
         discrepancy_tol=_parse_real(cfg["discrepancy_tol"]),
     )
     worst = max((r.report.discrepancy for r in campaign.rows), default=0.0)
@@ -268,22 +263,18 @@ def _cmd_verify_duhamel(args) -> int:
     )
     if campaign.notes:
         print(campaign.notes)
-    if args.out:
-        columns = ("instance", "t", *(f.name for f in fields(ErrorReport)))
-        # a dataclass's vars are its fields in order; astuple would deep-copy each
-        rows = [(r.instance, r.t, *vars(r.report).values()) for r in campaign.rows]
-        _write_artifact(args.out, "verify_duhamel", columns, rows, args.format)
-    return EXIT_PASS if campaign.passed else EXIT_FAIL
+    columns = ("instance", "t", *(f.name for f in fields(ErrorReport)))
+    # a dataclass's vars are its fields in order; astuple would deep-copy each
+    rows = [(r.instance, r.t, *vars(r.report).values()) for r in campaign.rows]
+    return EXIT_PASS if campaign.passed else EXIT_FAIL, columns, rows
 
 
-def _cmd_verify_bound(args) -> int:
-    cfg = _load_section(args.config, "verify-bound")
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
+def _cmd_verify_bound(args, cfg):
     campaign = verify_bound(
+        seed=int(cfg["seed"]),
         count=int(cfg["count"]),
         dim=int(cfg["dim"]),
         t_list=_parse_reals(cfg["t_values"]),
-        seed=seed,
         slack=_parse_real(cfg["slack"]),
     )
     print(
@@ -292,15 +283,12 @@ def _cmd_verify_bound(args) -> int:
         f"max saturation {campaign.max_saturation:.3f}, "
         f"{campaign.vacuous} vacuous (bound >= {VACUOUS_BOUND:g})"
     )
-    if args.out:
-        columns = [f.name for f in fields(BoundCampaignRow)]
-        rows = [tuple(vars(r).values()) for r in campaign.rows]
-        _write_artifact(args.out, "verify_bound", columns, rows, args.format)
-    return EXIT_PASS if campaign.passed else EXIT_FAIL
+    columns = [f.name for f in fields(BoundCampaignRow)]
+    rows = [tuple(vars(r).values()) for r in campaign.rows]
+    return EXIT_PASS if campaign.passed else EXIT_FAIL, columns, rows
 
 
-def _cmd_schrodinger_bench(args) -> int:
-    cfg = _load_section(args.config, "schrodinger-bench")
+def _cmd_schrodinger_bench(args, cfg):
     scheme_override = load_scheme(args.scheme) if args.scheme else None
     scheme_name = scheme_override.name if scheme_override else cfg["scheme"]
     study = _study(cfg, scheme_name, scheme_override, problem="schrodinger", seed=0)
@@ -309,11 +297,8 @@ def _cmd_schrodinger_bench(args) -> int:
     print(f"{result.verdict.upper()} schrodinger-bench: fitted order {order}")
     for row in rows:
         print(f"  h={row.h!r}  L2_error={row.l2_error!r}  norm_defect={row.norm_defect!r}")
-    if args.out:
-        columns = ("h", "L2_error", "norm_defect")
-        table = [(r.h, r.l2_error, r.norm_defect) for r in rows]
-        _write_artifact(args.out, "schrodinger_bench", columns, table, args.format)
-    return _study_exit([result])
+    table = [(r.h, r.l2_error, r.norm_defect) for r in rows]
+    return _study_exit([result]), ("h", "L2_error", "norm_defect"), table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -364,7 +349,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        cfg = _load_section(args.config, args.command) if args.command in DEFAULTS else {}
+        if args.seed is not None and "seed" in cfg:
+            cfg["seed"] = str(args.seed)
+        status, columns, rows = args.handler(args, cfg)
+        if args.out:
+            _write_artifact(args.out, args.command.replace("-", "_"), columns, rows, args.format)
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -71,14 +71,14 @@ def as_times(t) -> np.ndarray:
     return times
 
 
-def is_skew_hermitian(m, tol: float = _SKEW_HERMITIAN_TOL) -> bool:
-    """max|M + M*| <= tol, relative to max|M| once that exceeds 1."""
-    return _is_skew(as_complex_matrix(m), tol)
+def is_skew_hermitian(m) -> bool:
+    """max|M + M*| <= 1e-13, relative to max|M| once that exceeds 1."""
+    return _is_skew(as_complex_matrix(m))
 
 
-def _is_skew(a, tol=_SKEW_HERMITIAN_TOL) -> bool:
+def _is_skew(a) -> bool:
     defect = np.abs(a + np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1))
-    return bool(np.all(defect <= tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))))
+    return bool(np.all(defect <= _SKEW_HERMITIAN_TOL * np.abs(a).max(axis=(-2, -1), initial=1.0)))
 
 
 def _pade(m, theta):
@@ -182,23 +182,20 @@ def random_skew_hermitian(n: int, seed: int) -> np.ndarray:
     return (x - x.conj().T) / 2.0
 
 
-def check_second_order(p1, p2, p3, tol: float | None = None) -> tuple[bool, float]:
+def check_second_order(p1, p2, p3) -> tuple[bool, float]:
     """(verdict, residual): the spectral norm of [P1,P2] + [P1,P3] + [P2,P3]
-    against tol (1 + ||P1||_F^2 + ||P2||_F^2 + ||P3||_F^2), tol defaulting to
-    CONDITION_TOL.  The scale covers the eps ||Pi|| ||Pj|| rounding of the
-    defect; Frobenius norms add no SVD."""
-    ok, residual = _second_order(*(as_complex_matrix(p) for p in (p1, p2, p3)), tol)
+    against CONDITION_TOL (1 + ||P1||_F^2 + ||P2||_F^2 + ||P3||_F^2).  The
+    scale covers the eps ||Pi|| ||Pj|| rounding of the defect; Frobenius norms
+    add no SVD.  The tolerance is fixed: no caller can loosen the gate."""
+    ok, residual = _second_order(*(as_complex_matrix(p) for p in (p1, p2, p3)))
     return bool(ok), float(residual)
 
 
-def _second_order(p1, p2, p3, tol=None):
-    tol = CONDITION_TOL if tol is None else tol
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def _second_order(p1, p2, p3):
     defect = _commutator(p1, p2) + _commutator(p1, p3) + _commutator(p2, p3)
     residual = np.linalg.norm(defect, 2, axis=(-2, -1))
     scale = 1.0 + sum(np.linalg.norm(p, axis=(-2, -1)) ** 2 for p in (p1, p2, p3))
-    return residual <= tol * scale, residual
+    return residual <= CONDITION_TOL * scale, residual
 
 
 def solve_second_order_constraint(p1, p2) -> np.ndarray:

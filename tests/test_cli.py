@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trisplit import harness
+from trisplit import cli, harness
 from trisplit.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
+
+COMMANDS = ["certify-algebra", "convergence", "verify-duhamel", "verify-bound", "schrodinger-bench"]
 
 SMALL_CONFIG = """\
 [config]
@@ -179,10 +181,7 @@ def test_non_canonical_file_with_strangs_operands_is_refused(tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize(
-    "command",
-    ["certify-algebra", "convergence", "verify-duhamel", "verify-bound", "schrodinger-bench"],
-)
+@pytest.mark.parametrize("command", COMMANDS)
 def test_artifacts_are_reproducible(config_path, tmp_path, capsys, command, fmt):
     # two runs at one seed print the same report and write the same bytes
     runs = []
@@ -321,6 +320,101 @@ def test_config_errors_exit_inconclusive(tmp_path, capsys):
     assert main(["verify-bound", "--config", str(stray)]) == EXIT_INCONCLUSIVE
     err = capsys.readouterr().err
     assert "config" in err.lower()
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "case.ini"
+    path.write_text("[config]\nversion = 1\n\n" + text)
+    return str(path)
+
+
+def test_degenerate_studies_exit_inconclusive(tmp_path, capsys):
+    # 1 x 1 operators commute: neither study can measure an order
+    path = write_config(tmp_path, "[convergence]\ndim = 1\ninstances = 1\n")
+    assert main(["convergence", "--config", path]) == EXIT_INCONCLUSIVE
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["DEGENERATE", "lie-trotter"], ["DEGENERATE", "strang"]
+    ]
+
+
+def test_fit_below_the_r2_gate_exits_fail(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        "[convergence]\ndim = 2\ninstances = 1\nschemes = lie-trotter\nhorizon = 4\n"
+        "steps = 2^-1 2^-2 2^-3 2^-4\n",
+    )
+    out_dir = tmp_path / "conv"
+    argv = ["convergence", "--config", path, "--seed", "0", "--out", str(out_dir)]
+    assert main(argv) == EXIT_FAIL
+    assert capsys.readouterr().out.startswith("FAIL         lie-trotter")
+    row = (out_dir / "convergence.csv").read_text().splitlines()[1]
+    assert row.endswith(",fail,dropped pre-asymptotic steps: 0.5; fit r2 0.997520 below gate 0.999")
+
+
+def test_duhamel_discrepancy_above_its_tolerance_exits_fail(tmp_path, capsys):
+    path = write_config(tmp_path, "[verify-duhamel]\ncount = 2\ndiscrepancy_tol = 1e-30\n")
+    assert main(["verify-duhamel", "--config", path]) == EXIT_FAIL
+    summary, notes = capsys.readouterr().out.splitlines()
+    assert summary.startswith("FAIL verify-duhamel: 4 comparisons")
+    assert notes.startswith("instance 0, t=0.25: discrepancy ")
+    assert notes.count("above 1e-30") == 4
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[config]\nversion = 1\n\n[convergence]\ninstances = 0\n", "instances must be at least 1"),
+        ("[convergence]\ndim = 2\n", "config file is missing its [config] section"),
+    ],
+    ids=["no-instances", "no-config-section"],
+)
+def test_unusable_config_exits_inconclusive(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["convergence", "--config", str(path)]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_writes_exactly_one_artifact_named_after_the_command(
+    config_path, tmp_path, monkeypatch, capsys, command, fmt
+):
+    # without --out nothing is written, not even into the working directory
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main([command, "--config", config_path, "--format", fmt]) == EXIT_PASS
+    assert not any(cwd.iterdir())
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", config_path, "--out", str(out_dir), "--format", fmt]) == 0
+    assert [p.name for p in out_dir.iterdir()] == [f"{command.replace('-', '_')}.{fmt}"]
+
+
+@pytest.mark.parametrize("command", ["convergence", "verify-duhamel", "verify-bound"])
+def test_seed_flag_stands_for_the_config_seed(tmp_path, capsys, command):
+    # --seed 5 runs exactly what a section with seed = 5 runs
+    seeded = write_config(tmp_path, f"[{command}]\nseed = 5\n")
+    runs = []
+    for argv in (["--seed", "5"], ["--config", seeded]):
+        out_dir = tmp_path / str(len(runs))
+        assert main([command, *argv, "--out", str(out_dir)]) == EXIT_PASS
+        runs.append((capsys.readouterr().out, next(out_dir.iterdir()).read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_handlers_leave_seed_out_and_format_to_main(config_path, capsys, command):
+    # a handler gets its resolved section and returns its artifact; the seed,
+    # the artifact directory and its format are main's
+    args = cli._build_parser().parse_args([command])
+    for name in ("config", "seed", "out", "format"):
+        delattr(args, name)
+    cfg = cli._load_section(config_path, command) if command in cli.DEFAULTS else {}
+    status, columns, rows = args.handler(args, cfg)
+    assert status == EXIT_PASS
+    assert rows and all(len(row) == len(columns) for row in rows)
 
 
 @pytest.mark.parametrize(

@@ -325,7 +325,7 @@ def test_solver_residual_and_skewness():
     defect = commutator(p1, p2) + commutator(p1, p3) + commutator(p2, p3)
     assert op_norm(defect) <= 1e-10 * (1.0 + op_norm(commutator(p1, p2)))
     # minimum-norm solution inherits skew-Hermitian structure from the data
-    assert is_skew_hermitian(p3, tol=1e-12)
+    assert is_skew_hermitian(p3)
 
 
 def test_solver_commuting_pair_gives_zero():
@@ -371,7 +371,7 @@ def test_solver_on_clustered_spectra(gap):
     p3 = solve_second_order_constraint(p1, p2)
     defect = commutator(p1, p2) + commutator(p1, p3) + commutator(p2, p3)
     assert op_norm(defect) <= 1e-10 * (1.0 + op_norm(commutator(p1, p2)))
-    assert is_skew_hermitian(p3, tol=1e-12)
+    assert is_skew_hermitian(p3)
     # the minimum-norm solution for the M that was built, to the accuracy a
     # rounding of M leaves in the eigenvectors of a cluster, eps ||M|| / gap
     q = u.conj().T @ p2 @ u
@@ -470,28 +470,31 @@ def test_check_second_order_exact_for_symmetrized_pair():
     # P1 = A/2, P2 = B, P3 = A/2 satisfies the condition identically
     a = random_skew_hermitian(5, seed=71)
     b = random_skew_hermitian(5, seed=72)
-    ok, residual = check_second_order(a / 2, b, a / 2, tol=1e-12)
+    ok, residual = check_second_order(a / 2, b, a / 2)
     assert ok
     assert residual <= 1e-14 * (1 + op_norm(a) * op_norm(b))
 
 
 def test_check_second_order_generic_triple_fails():
     p1, p2, p3 = (random_skew_hermitian(4, seed=s) for s in (81, 82, 83))
-    ok, residual = check_second_order(p1, p2, p3, tol=1e-10)
+    ok, residual = check_second_order(p1, p2, p3)
     assert not ok
+    # rejected at any gate up to 1e-10, not only at CONDITION_TOL
+    assert residual > 1e-10 * frobenius_scale(p1, p2, p3)
     defect = commutator(p1, p2) + commutator(p1, p3) + commutator(p2, p3)
     assert residual == pytest.approx(op_norm(defect), rel=1e-12)
 
 
 def test_check_second_order_accepts_constructed_triple():
     p1, p2, p3 = constrained_triple(6, seed=90)
-    ok, _ = check_second_order(p1, p2, p3, tol=1e-10)
+    ok, _ = check_second_order(p1, p2, p3)
     assert ok
 
 
-def test_check_second_order_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        check_second_order(np.eye(2), np.eye(2), np.eye(2), tol=0.0)
+def test_check_second_order_takes_no_tolerance():
+    # the gate is CONDITION_TOL for every caller; none can loosen it
+    with pytest.raises(TypeError):
+        check_second_order(np.eye(2), np.eye(2), np.eye(2), tol=1e-6)
 
 
 def frobenius_scale(*ps):
