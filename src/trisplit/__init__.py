@@ -17,7 +17,7 @@ Subpackage map:
 * ``schrodinger``    -- periodic 1D split-step Fourier solver and the
   commutators [A,B]u and [B,[A,B]]u of the kinetic/potential pair.
 * ``harness``        -- convergence studies, certification and verification
-  campaigns.
+  campaigns, whose rows are flat named tuples in artifact column order.
 * ``cli``            -- command-line front end.
 """
 
@@ -40,7 +40,6 @@ from trisplit.splitting import (
     splitting_error,
 )
 from trisplit.duhamel import (
-    ErrorReport,
     QuadratureSpec,
     duhamel_error,
     error_bound,
@@ -48,7 +47,6 @@ from trisplit.duhamel import (
 )
 
 __all__ = [
-    "ErrorReport",
     "FreeElement",
     "OperatorSet",
     "QuadratureSpec",

@@ -22,15 +22,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
-from trisplit.duhamel import ErrorReport, QuadratureSpec, ToleranceNotReached
+from trisplit.duhamel import QuadratureSpec, ToleranceNotReached
 from trisplit.harness import (
     VACUOUS_BOUND,
     BoundCampaignRow,
     ConvergenceStudy,
+    DuhamelCampaignRow,
     _wave_reference,
     certify_algebra,
     derive_seeds,
@@ -52,6 +52,7 @@ NOMINAL_ORDERS = {"lie-trotter": 1.0, "strang": 2.0}
 DYADIC_STEPS = "2^-4 2^-5 2^-6 2^-7 2^-8 2^-9"
 
 DEFAULTS = {
+    "certify-algebra": {},
     "convergence": {
         "problem": "matrix",
         "schemes": "lie-trotter strang",
@@ -256,17 +257,14 @@ def _cmd_verify_duhamel(args, cfg):
         t_list=_parse_reals(cfg["t_values"]),
         discrepancy_tol=_parse_real(cfg["discrepancy_tol"]),
     )
-    worst = max((r.report.discrepancy for r in campaign.rows), default=0.0)
+    worst = max((r.discrepancy for r in campaign.rows), default=0.0)
     print(
         f"{'PASS' if campaign.passed else 'FAIL'} verify-duhamel: "
         f"{len(campaign.rows)} comparisons, max discrepancy {worst:.3e}"
     )
     if campaign.notes:
         print(campaign.notes)
-    columns = ("instance", "t", *(f.name for f in fields(ErrorReport)))
-    # a dataclass's vars are its fields in order; astuple would deep-copy each
-    rows = [(r.instance, r.t, *vars(r.report).values()) for r in campaign.rows]
-    return EXIT_PASS if campaign.passed else EXIT_FAIL, columns, rows
+    return EXIT_PASS if campaign.passed else EXIT_FAIL, DuhamelCampaignRow._fields, campaign.rows
 
 
 def _cmd_verify_bound(args, cfg):
@@ -283,9 +281,7 @@ def _cmd_verify_bound(args, cfg):
         f"max saturation {campaign.max_saturation:.3f}, "
         f"{campaign.vacuous} vacuous (bound >= {VACUOUS_BOUND:g})"
     )
-    columns = [f.name for f in fields(BoundCampaignRow)]
-    rows = [tuple(vars(r).values()) for r in campaign.rows]
-    return EXIT_PASS if campaign.passed else EXIT_FAIL, columns, rows
+    return EXIT_PASS if campaign.passed else EXIT_FAIL, BoundCampaignRow._fields, campaign.rows
 
 
 def _cmd_schrodinger_bench(args, cfg):
@@ -297,8 +293,7 @@ def _cmd_schrodinger_bench(args, cfg):
     print(f"{result.verdict.upper()} schrodinger-bench: fitted order {order}")
     for row in rows:
         print(f"  h={row.h!r}  L2_error={row.l2_error!r}  norm_defect={row.norm_defect!r}")
-    table = [(r.h, r.l2_error, r.norm_defect) for r in rows]
-    return _study_exit([result]), ("h", "L2_error", "norm_defect"), table
+    return _study_exit([result]), ("h", "L2_error", "norm_defect"), rows
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -349,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_section(args.config, args.command) if args.command in DEFAULTS else {}
+        cfg = _load_section(args.config, args.command)
         if args.seed is not None and "seed" in cfg:
             cfg["seed"] = str(args.seed)
         status, columns, rows = args.handler(args, cfg)

@@ -56,7 +56,7 @@ follows from the forward form whenever every flow in it is a contraction:
 then ||V1(tau)|| <= (tau^2/2) ||K1|| and ||V2(tau)|| <= (tau^2/2) ||K2||.
 Skew-Hermitian generators give isometries.  ``harness.verify_duhamel`` makes
 one call per campaign stack and compares E(t) with the measured S(t) - e^{tL}
-and with this bound, one ``ErrorReport`` per triple and t.
+and with this bound, one ``DuhamelCampaignRow`` per triple and t.
 """
 
 from __future__ import annotations
@@ -323,18 +323,3 @@ def error_bound(p1, p2, p3, t):
         raise OverflowError(f"t = {big!r}: the cubic bound overflows a double") from None
     return float(bound) if bound.ndim == 0 else bound
 
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Side-by-side record of one measured-vs-represented error comparison:
-    a row of ``harness.verify_duhamel``."""
-
-    measured_error_norm: float
-    duhamel_norm: float
-    bound_value: float
-    sign_factor: int
-    discrepancy: float
-
-    def __post_init__(self):
-        if self.sign_factor not in (1, -1):
-            raise ValueError("sign_factor must be +1 or -1")

@@ -12,12 +12,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from trisplit import lie_symbolic as ls
-from trisplit.duhamel import ErrorReport, QuadratureSpec, _Located, duhamel_error, error_bound
+from trisplit.duhamel import QuadratureSpec, _Located, duhamel_error, error_bound
 from trisplit.matrix_core import expm, random_skew_hermitian, solve_second_order_constraint
 from trisplit.schrodinger import (
     Grid1D,
@@ -258,53 +258,43 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
     }
     rows = tuple(rows)
     errors = [e for _, e in rows]
+    fitted_order = r2 = None
+    dropped_rows = []
     if max(errors) <= ERROR_FLOOR:
-        return StudyResult(
-            rows, None, None, "degenerate", (), "degenerate: no order measurable", metadata
-        )
-    if any(e <= 0 for e in errors):
-        return StudyResult(
-            rows, None, None, "inconclusive", (), "zero error at finite step", metadata
-        )
-    if any(a <= b for a, b in zip(errors, errors[1:])):
-        return StudyResult(
-            rows, None, None, "inconclusive", (), "non-monotone error sequence", metadata
-        )
-    kept, dropped_rows = _drop_preasymptotic(list(rows))
-    fitted_order, r2 = estimate_order(kept)
-    ref_gap = metadata.get("reference_consistency")
-    notes = []
-    if dropped_rows:
-        notes.append(
-            "dropped pre-asymptotic steps: "
-            + ", ".join(repr(h) for h, _ in dropped_rows)
-        )
-    verdict = "pass"
-    if isinstance(ref_gap, float) and ref_gap > 0.3 * min(errors):
-        verdict = "inconclusive"
-        notes.append("reference not converged relative to finest measurement")
-    if r2 < R2_GATE:
-        verdict = "fail"
-        notes.append(f"fit r2 {r2:.6f} below gate {R2_GATE}")
-    if (
-        verdict == "pass"
-        and study.expected_order is not None
-        and abs(fitted_order - study.expected_order) > ORDER_WINDOW
-    ):
-        verdict = "fail"
-        notes.append(
-            f"fitted order {fitted_order:.4f} outside "
-            f"{study.expected_order} +/- {ORDER_WINDOW}"
-        )
-    return StudyResult(
-        rows,
-        float(fitted_order),
-        float(r2),
-        verdict,
-        tuple(h for h, _ in dropped_rows),
-        "; ".join(notes),
-        metadata,
-    )
+        verdict, notes = "degenerate", ["degenerate: no order measurable"]
+    elif any(e <= 0 for e in errors):
+        verdict, notes = "inconclusive", ["zero error at finite step"]
+    elif any(a <= b for a, b in zip(errors, errors[1:])):
+        verdict, notes = "inconclusive", ["non-monotone error sequence"]
+    else:
+        kept, dropped_rows = _drop_preasymptotic(list(rows))
+        fitted_order, r2 = estimate_order(kept)
+        ref_gap = metadata.get("reference_consistency")
+        notes = []
+        if dropped_rows:
+            notes.append(
+                "dropped pre-asymptotic steps: "
+                + ", ".join(repr(h) for h, _ in dropped_rows)
+            )
+        verdict = "pass"
+        if isinstance(ref_gap, float) and ref_gap > 0.3 * min(errors):
+            verdict = "inconclusive"
+            notes.append("reference not converged relative to finest measurement")
+        if r2 < R2_GATE:
+            verdict = "fail"
+            notes.append(f"fit r2 {r2:.6f} below gate {R2_GATE}")
+        if (
+            verdict == "pass"
+            and study.expected_order is not None
+            and abs(fitted_order - study.expected_order) > ORDER_WINDOW
+        ):
+            verdict = "fail"
+            notes.append(
+                f"fitted order {fitted_order:.4f} outside "
+                f"{study.expected_order} +/- {ORDER_WINDOW}"
+            )
+    dropped = tuple(h for h, _ in dropped_rows)
+    return StudyResult(rows, fitted_order, r2, verdict, dropped, "; ".join(notes), metadata)
 
 
 # --- exact algebra certification ----------------------------------------------
@@ -478,11 +468,14 @@ def _campaign(count: int, dim: int, t_list: Sequence[float], seed: int):
         yield start, stack, triples, errors, list(zip(cells, measured, bounds))
 
 
-@dataclass(frozen=True)
-class DuhamelCampaignRow:
+class DuhamelCampaignRow(NamedTuple):
     instance: int
     t: float
-    report: ErrorReport
+    measured_error_norm: float
+    duhamel_norm: float
+    bound_value: float
+    sign_factor: int
+    discrepancy: float
 
 
 @dataclass(frozen=True)
@@ -519,18 +512,16 @@ def verify_duhamel(
         norms = np.linalg.norm(represented, 2, axis=(-2, -1)).ravel().tolist()
         gaps = np.linalg.norm(errors - represented, 2, axis=(-2, -1)).ravel().tolist()
         for ((index, t), measured, bound), norm, gap in zip(cells, norms, gaps):
-            report = ErrorReport(measured, norm, bound, sign_factor=1, discrepancy=gap)
-            rows.append(DuhamelCampaignRow(index, t, report))
-            if report.discrepancy > discrepancy_tol:
+            rows.append(DuhamelCampaignRow(index, t, measured, norm, bound, 1, gap))
+            if gap > discrepancy_tol:
                 notes.append(
                     f"instance {index}, t={t!r}: discrepancy "
-                    f"{report.discrepancy:.3e} above {discrepancy_tol!r}"
+                    f"{gap:.3e} above {discrepancy_tol!r}"
                 )
     return DuhamelCampaign(tuple(rows), discrepancy_tol, not notes, "; ".join(notes))
 
 
-@dataclass(frozen=True)
-class BoundCampaignRow:
+class BoundCampaignRow(NamedTuple):
     instance: int
     t: float
     measured: float
@@ -576,8 +567,7 @@ def verify_bound(
 # --- wave benchmark --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BenchmarkRow:
+class BenchmarkRow(NamedTuple):
     h: float
     l2_error: float
     norm_defect: float

@@ -7,8 +7,8 @@ defect
 
     exp(t*P1) exp(t*P2) exp(t*P3) - exp(t*(P1 + P2 + P3)),
 
-and decides membership of degree-3 elements in the two-sided ideal generated
-by the second-order defect
+and decides membership of homogeneous elements in the two-sided ideal
+generated by the second-order defect
 
     C = [P1,P2] + [P1,P3] + [P2,P3]
 
@@ -276,7 +276,7 @@ def third_order_integral_form() -> FreeElement:
     )
 
 
-# --- membership in the degree-3 slice of the condition ideal ---------------
+# --- membership in the condition ideal --------------------------------------
 
 IDEAL_GENERATOR_LABELS = ("C*P1", "C*P2", "C*P3", "P1*C", "P2*C", "P3*C")
 
@@ -286,11 +286,11 @@ _LEADING = (3, 2)
 
 @dataclass(frozen=True)
 class CosetReduction:
-    """Outcome of reducing a degree-3 element modulo the condition ideal.
+    """Outcome of reducing a homogeneous element modulo the condition ideal.
 
     residual is the normal form (zero iff the input lies in the ideal);
-    combination holds the exact coefficients of the removed ideal part over
-    the six generators C*Pj and Pj*C.
+    combination holds the exact nonzero coefficients of the removed ideal
+    part over the labels u*C*v, u and v words.
     """
 
     residual: FreeElement
@@ -307,20 +307,20 @@ def _leading_at(word: Word):
 
 
 def reduce_mod_condition(target: FreeElement) -> CosetReduction:
-    """Reduce a homogeneous degree-3 element modulo the ideal generated by C.
+    """Reduce a homogeneous element of any degree modulo the ideal generated by C.
 
     Every factor P3P2 is rewritten as P1P2 - P2P1 + P1P3 - P3P1 + P2P3 until
     no word contains one.  P3P2 is the leading word of C in deglex order with
     3 > 2 > 1 and cannot overlap itself, so this one rule is a Groebner basis
     of the ideal: the normal form is unique and vanishes exactly on the ideal.
     Rewriting c * u P3P2 v removes c * u C v, so it adds -c to the
-    coefficient of u*C*v; in degree 3 that is one of C*Pj and Pj*C.
+    coefficient of u*C*v; labels whose coefficients cancel are dropped.
     """
-    if not target.is_homogeneous(3):
-        raise ValueError("target must be homogeneous of degree 3")
+    if not target.is_homogeneous(target.max_degree()):
+        raise ValueError("target must be homogeneous")
     tail = [(w, c) for w, c in second_order_defect()._terms.items() if w != _LEADING]
     work = dict(target._terms)
-    combination = dict.fromkeys(IDEAL_GENERATOR_LABELS, Fraction(0))
+    combination = {}
     pending = [w for w in work if _leading_at(w) is not None]
     while pending:
         word = pending.pop()
@@ -329,7 +329,8 @@ def reduce_mod_condition(target: FreeElement) -> CosetReduction:
             continue
         i = _leading_at(word)
         u, v = word[:i], word[i + 2 :]
-        combination["*".join([f"P{ell}" for ell in u] + ["C"] + [f"P{ell}" for ell in v])] -= c
+        label = "*".join([f"P{ell}" for ell in u] + ["C"] + [f"P{ell}" for ell in v])
+        combination[label] = combination.get(label, 0) - c
         for w, d in tail:
             new = u + w + v
             if new in work:
@@ -338,4 +339,5 @@ def reduce_mod_condition(target: FreeElement) -> CosetReduction:
                 work[new] = c * d
                 if _leading_at(new) is not None:
                     pending.append(new)
+    combination = {label: c for label, c in combination.items() if c}
     return CosetReduction(residual=FreeElement._trusted(work), combination=combination)

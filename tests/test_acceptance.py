@@ -125,7 +125,7 @@ def test_criterion_4_duhamel_representation():
         count=20, dim=4, t_list=(0.25, 0.5), seed=MASTER_SEED + 4,
         discrepancy_tol=1e-6,
     )
-    worst = max(r.report.discrepancy for r in campaign.rows)
+    worst = max(r.discrepancy for r in campaign.rows)
     # refinement sanity: a deliberately coarse rule must improve as panels double
     p1, p2, p3 = sample_constrained_triple(4, derive_seeds(MASTER_SEED + 4, 1)[0])
     measured = triple_splitting_error(p1, p2, p3, 0.5)

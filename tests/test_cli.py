@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from counting import count_evolve_steps
 from trisplit import cli, harness
 from trisplit.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
 
@@ -107,19 +108,6 @@ def test_wave_convergence_runs_once_per_scheme(tmp_path, capsys):
     lines = (out_dir / "convergence.csv").read_text().splitlines()
     rows = [line.split(",")[:2] for line in lines[1:]]
     assert rows == [["lie-trotter", "11"], ["strang", "11"]]
-
-
-def count_evolve_steps(monkeypatch):
-    # one step tuple per evolve_runs call
-    calls = []
-    original = harness.evolve_runs
-
-    def counted(u, v, horizon, steps, scheme):
-        calls.append(tuple(steps))
-        return original(u, v, horizon, steps, scheme)
-
-    monkeypatch.setattr(harness, "evolve_runs", counted)
-    return calls
 
 
 def test_wave_convergence_takes_one_reference_per_call(tmp_path, monkeypatch, capsys):
@@ -320,6 +308,18 @@ def test_config_errors_exit_inconclusive(tmp_path, capsys):
     assert main(["verify-bound", "--config", str(stray)]) == EXIT_INCONCLUSIVE
     err = capsys.readouterr().err
     assert "config" in err.lower()
+
+
+def test_certify_algebra_reads_its_config_like_every_subcommand(tmp_path, capsys):
+    # it draws nothing from its section, but a missing file or a stray key is
+    # still unusable configuration
+    assert main(["certify-algebra", "--config", str(tmp_path / "nope.ini")]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "cannot read config file" in captured.err
+    stray = write_config(tmp_path, "[certify-algebra]\ninject_fault = 1\n")
+    assert main(["certify-algebra", "--config", stray]) == EXIT_INCONCLUSIVE
+    assert "unknown key 'inject_fault' in [certify-algebra]" in capsys.readouterr().err
 
 
 def write_config(tmp_path, text):

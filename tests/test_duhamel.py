@@ -3,10 +3,10 @@ import re
 import numpy as np
 import pytest
 
+from counting import count_calls
 from trisplit import duhamel, harness, matrix_core
 from trisplit.duhamel import (
     ConditionViolated,
-    ErrorReport,
     QuadratureSpec,
     ToleranceNotReached,
     duhamel_error,
@@ -226,16 +226,6 @@ def test_duhamel_error_stops_doubling_at_round_off():
     quad = QuadratureSpec(gauss_order=8, target_tol=1e-30)
     with pytest.raises(ToleranceNotReached, match=r"gap \S+ at 8 panels"):
         duhamel_error(p1, p2, p3, 1.0, quad=quad)
-
-
-def count_calls(monkeypatch, module, name, calls):
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls[name] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
 
 
 def count_nodes(monkeypatch, calls):
@@ -578,27 +568,24 @@ def test_error_bound_names_a_t_too_large_for_the_bound(t):
 # --- report objects -----------------------------------------------------------------
 
 
-def test_error_report_sign_validation():
-    with pytest.raises(ValueError):
-        ErrorReport(0.1, 0.1, 0.2, sign_factor=0, discrepancy=0.0)
-
-
 def test_build_error_report_end_to_end():
-    # one ErrorReport assembled from the public pieces, as a row of
-    # verify_duhamel is: measured error, its representation and the bound
+    # one row of verify_duhamel assembled from the public pieces: measured
+    # error, its representation and the bound, all plain floats
     p1, p2, p3 = constrained_triple(4, seed=86)
     error = triple_splitting_error(p1, p2, p3, 0.25)
     represented = duhamel_error(p1, p2, p3, 0.25)
-    report = ErrorReport(
+    row = harness.DuhamelCampaignRow(
+        instance=0,
+        t=0.25,
         measured_error_norm=op_norm(error),
         duhamel_norm=op_norm(represented),
         bound_value=error_bound(p1, p2, p3, 0.25),
         sign_factor=1,
         discrepancy=op_norm(error - represented),
     )
-    assert report.sign_factor == 1
-    assert report.discrepancy <= 1e-8
-    assert report.measured_error_norm <= report.bound_value + 1e-9
+    assert row.sign_factor == 1
+    assert row.discrepancy <= 1e-8
+    assert row.measured_error_norm <= row.bound_value + 1e-9
 
 
 def test_sign_error_in_the_representation_is_reported(monkeypatch):
@@ -610,6 +597,6 @@ def test_sign_error_in_the_representation_is_reported(monkeypatch):
     )
     campaign = verify_duhamel(count=1, dim=4, t_list=(0.25,), seed=11)
     for row in campaign.rows:
-        assert row.report.discrepancy == pytest.approx(2 * row.report.duhamel_norm, rel=1e-6)
-        assert row.report.discrepancy == pytest.approx(2 * row.report.measured_error_norm, rel=1e-6)
+        assert row.discrepancy == pytest.approx(2 * row.duhamel_norm, rel=1e-6)
+        assert row.discrepancy == pytest.approx(2 * row.measured_error_norm, rel=1e-6)
     assert not campaign.passed

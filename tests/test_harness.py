@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from exact_flow import grid_flow
-from test_cli import count_evolve_steps
-from test_duhamel import count_calls
+from counting import count_calls, count_evolve_steps
 from trisplit import cli, duhamel, harness, matrix_core, splitting
 from trisplit import lie_symbolic as ls
 from trisplit.duhamel import error_bound
@@ -238,7 +237,9 @@ def test_first_order_reference_is_not_converged(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "config", [None, "[schrodinger-bench]\npotential = gaussian-well\npoints = 2048\n"]
+    "config",
+    [None, "[schrodinger-bench]\npotential = gaussian-well\npoints = 2048\n"],
+    ids=["defaults", "gaussian-well-2048"],
 )
 def test_schrodinger_bench_fits_strang_at_order_two(tmp_path, capsys, config):
     argv = ["schrodinger-bench"]
@@ -320,9 +321,9 @@ def test_verify_duhamel_small_campaign():
     assert campaign.passed, campaign.notes
     assert len(campaign.rows) == 6
     for row in campaign.rows:
-        assert row.report.discrepancy <= 1e-8
-        assert row.report.measured_error_norm <= row.report.bound_value + 1e-9
-    assert all(row.report.sign_factor == 1 for row in campaign.rows)
+        assert row.discrepancy <= 1e-8
+        assert row.measured_error_norm <= row.bound_value + 1e-9
+    assert all(row.sign_factor == 1 for row in campaign.rows)
 
 
 def test_verify_duhamel_argument_validation():
@@ -378,7 +379,7 @@ def bound_row_values(row):
 
 
 def duhamel_row_values(row):
-    return row.report.measured_error_norm, row.report.bound_value
+    return row.measured_error_norm, row.bound_value
 
 
 def misaligned_rows(campaign, dim, times, seed, values=bound_row_values):
@@ -463,7 +464,7 @@ def test_duhamel_campaign_rows_align_with_scalar_calls():
     seeds = derive_seeds(23, count)
     for row in campaign.rows:
         triple = sample_constrained_triple(dim, seeds[row.instance])
-        assert row.report.duhamel_norm == op_norm(duhamel.duhamel_error(*triple, row.t))
+        assert row.duhamel_norm == op_norm(duhamel.duhamel_error(*triple, row.t))
     assert campaign.passed, campaign.notes
 
 
@@ -594,4 +595,4 @@ def test_representation_off_by_a_thousandth_fails_the_default_campaign(monkeypat
     )
     campaign = verify_duhamel(20, 4, (0.25, 0.5), seed=7)
     assert not campaign.passed
-    assert all(row.report.discrepancy > campaign.discrepancy_tol for row in campaign.rows)
+    assert all(row.discrepancy > campaign.discrepancy_tol for row in campaign.rows)

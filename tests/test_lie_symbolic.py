@@ -277,8 +277,11 @@ def test_nested_commutator_outside_ideal():
 
 
 def test_reduce_rejects_inhomogeneous_input():
-    with pytest.raises(ValueError):
-        reduce_mod_condition(FreeElement.generator(1))
+    # a lone generator is homogeneous of degree 1: it reduces to itself and
+    # lies outside the ideal, which starts in degree 2
+    red = reduce_mod_condition(FreeElement.generator(1))
+    assert red.residual == FreeElement.generator(1)
+    assert not red.in_ideal
     with pytest.raises(ValueError):
         reduce_mod_condition(FreeElement.unit() + FreeElement.generator(1) * FreeElement.generator(2) * FreeElement.generator(3))
 
@@ -359,3 +362,73 @@ def test_normal_form_of_each_word_against_sympy():
         assert basis.row_join(vec).rank() == 6, word
         normal += residual == element
     assert normal == 21
+
+
+def _degree4_ideal_generators():
+    # every u*C*v with |u| + |v| = 2, keyed by its certificate label
+    c = second_order_defect()
+    gens = {}
+    for left in range(3):
+        for u in itertools.product(GENERATORS, repeat=left):
+            for v in itertools.product(GENERATORS, repeat=2 - left):
+                label = "*".join([f"P{ell}" for ell in u] + ["C"] + [f"P{ell}" for ell in v])
+                gens[label] = FreeElement({u: 1}) * c * FreeElement({v: 1})
+    return gens
+
+
+def test_degree4_ideal_generators_reduce_to_zero():
+    # the 27 generators obey one relation, sum_w c_w (w*C) = sum_w c_w (C*w)
+    # over the words w of C, and a certificate is linear in its input, so
+    # not all 27 can come back as {label: 1}.  All but P3*P2*C do; that one,
+    # whose u is the leading word P3P2, is rewritten from its left and gets
+    # a certificate that still rebuilds it exactly
+    gens = _degree4_ideal_generators()
+    assert len(gens) == 27
+    others = []
+    for label, element in gens.items():
+        red = reduce_mod_condition(element)
+        assert red.in_ideal, label
+        rebuilt = FreeElement.zero()
+        for name, coeff in red.combination.items():
+            rebuilt = rebuilt + gens[name].scale(coeff)
+        assert rebuilt == element, label
+        if red.combination != {label: 1}:
+            others.append(label)
+    assert others == ["P3*P2*C"]
+
+
+def test_normal_form_of_each_degree4_word_against_sympy():
+    # the degree-4 slice of the ideal has sympy rank 26 in the 81-word
+    # space, so 81 - 26 = 55 words, those free of P3P2, are already normal
+    words = sorted(itertools.product(GENERATORS, repeat=4))
+    gens = _degree4_ideal_generators()
+    basis = sympy.Matrix(
+        [[sympy.Rational(element.coeff(w)) for w in words] for element in gens.values()]
+    ).T
+    assert basis.rank() == 26
+    normal = 0
+    for word in words:
+        element = FreeElement({word: 1})
+        red = reduce_mod_condition(element)
+        assert all((3, 2) not in zip(w, w[1:]) for w in red.residual.terms), word
+        removed = element - red.residual
+        rebuilt = FreeElement.zero()
+        for label, coeff in red.combination.items():
+            rebuilt = rebuilt + gens[label].scale(coeff)
+        assert rebuilt == removed, word
+        normal += red.residual == element
+    assert normal == 55
+
+
+def test_certificate_drops_labels_that_cancel():
+    # reducing P1P3P2P2 - P3P2P3P2, the rewrites of the word P1P2P3P2 sum
+    # to zero, so its label P1*P2*C is left out of the certificate
+    target = FreeElement({(1, 3, 2, 2): 1, (3, 2, 3, 2): -1})
+    red = reduce_mod_condition(target)
+    assert red.combination and all(red.combination.values())
+    assert "P1*P2*C" not in red.combination
+    gens = _degree4_ideal_generators()
+    rebuilt = FreeElement.zero()
+    for label, coeff in red.combination.items():
+        rebuilt = rebuilt + gens[label].scale(coeff)
+    assert rebuilt == target - red.residual

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from test_duhamel import count_calls
+from counting import count_calls
 from trisplit import matrix_core, splitting
 from trisplit.harness import sample_constrained_triple
 from trisplit.matrix_core import (
