@@ -173,9 +173,13 @@ def _write_artifact(out_dir, name, fieldnames, rows, fmt):
 
 
 def _cmd_certify_algebra(args, cfg):
-    report = certify_algebra(inject_fault=args.inject_fault)
-    sys.stdout.write(report.format())
-    return report.exit_status, ("check", "passed"), [(c.name, c.passed) for c in report.checks]
+    checks = certify_algebra(inject_fault=args.inject_fault)
+    for check in checks:
+        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}")
+        if not check.passed:
+            print(check.detail)
+    passed = all(check.passed for check in checks)
+    return EXIT_PASS if passed else EXIT_FAIL, ("check", "passed"), [c[:2] for c in checks]
 
 
 def _study_exit(results) -> int:
@@ -187,7 +191,7 @@ def _study_exit(results) -> int:
     return EXIT_PASS
 
 
-def _study(cfg, scheme_name, scheme_override, **problem) -> ConvergenceStudy:
+def _study(cfg, scheme_name, from_file, **problem) -> ConvergenceStudy:
     """The study a [convergence] or [schrodinger-bench] section describes;
     ``problem`` gives the keys only one of them has.  A built-in scheme is
     held to its nominal order, a scheme file to none."""
@@ -198,7 +202,7 @@ def _study(cfg, scheme_name, scheme_override, **problem) -> ConvergenceStudy:
         potential=cfg["potential"],
         half_width=_parse_real(cfg["half_width"]),
         points=int(cfg["points"]),
-        expected_order=None if scheme_override else NOMINAL_ORDERS.get(scheme_name),
+        expected_order=None if from_file else NOMINAL_ORDERS.get(scheme_name),
         **problem,
     )
 
@@ -208,11 +212,11 @@ def _cmd_convergence(args, cfg):
     instances = int(cfg["instances"])
     if instances < 1:
         raise ConfigError("instances must be at least 1")
-    scheme_override = load_scheme(args.scheme) if args.scheme else None
-    if scheme_override is not None:
-        schemes = [scheme_override.name]
+    # every scheme is resolved before any study is built, so an unknown name runs none
+    if args.scheme:
+        schemes = [load_scheme(args.scheme)]
     else:
-        schemes = cfg["schemes"].split()
+        schemes = [scheme_by_name(name) for name in cfg["schemes"].split()]
         if not schemes:
             raise ConfigError("schemes must name at least one scheme")
     # a wave study draws nothing from its seed, so it runs once per scheme; its
@@ -220,18 +224,15 @@ def _cmd_convergence(args, cfg):
     problem, dim = cfg["problem"], int(cfg["dim"])
     seeds = (seed,) if problem == "schrodinger" else derive_seeds(seed, instances)
     studies = [
-        _study(cfg, scheme_name, scheme_override, problem=problem, seed=child, dim=dim)
-        for scheme_name in schemes
+        (scheme, _study(cfg, scheme.name, args.scheme, problem=problem, seed=child, dim=dim))
+        for scheme in schemes
         for child in seeds
     ]
-    reference = None
-    if problem == "schrodinger":
-        resolved = [scheme_override] if scheme_override else map(scheme_by_name, schemes)
-        reference = _wave_reference(studies[0], *resolved)
+    reference = _wave_reference(studies[0][1], *schemes) if problem == "schrodinger" else None
     results = []
     rows = []
-    for study in studies:
-        result = run_convergence(study, scheme=scheme_override, reference=reference)
+    for scheme, study in studies:
+        result = run_convergence(study, scheme=scheme, reference=reference)
         results.append(result)
         order = "" if result.fitted_order is None else repr(float(result.fitted_order))
         r2 = "" if result.fit_r2 is None else repr(float(result.fit_r2))
@@ -287,7 +288,7 @@ def _cmd_verify_bound(args, cfg):
 def _cmd_schrodinger_bench(args, cfg):
     scheme_override = load_scheme(args.scheme) if args.scheme else None
     scheme_name = scheme_override.name if scheme_override else cfg["scheme"]
-    study = _study(cfg, scheme_name, scheme_override, problem="schrodinger", seed=0)
+    study = _study(cfg, scheme_name, args.scheme, problem="schrodinger", seed=0)
     rows, result = run_schrodinger_benchmark(study, scheme=scheme_override)
     order = "n/a" if result.fitted_order is None else f"{result.fitted_order:.4f}"
     print(f"{result.verdict.upper()} schrodinger-bench: fitted order {order}")

@@ -278,8 +278,6 @@ def third_order_integral_form() -> FreeElement:
 
 # --- membership in the condition ideal --------------------------------------
 
-IDEAL_GENERATOR_LABELS = ("C*P1", "C*P2", "C*P3", "P1*C", "P2*C", "P3*C")
-
 #: Leading word of C in deglex order with 3 > 2 > 1, rewritten as the rest of C.
 _LEADING = (3, 2)
 

@@ -61,16 +61,40 @@ def test_missing_subcommand_is_a_usage_error():
     assert exc.value.code == 2
 
 
+CERTIFICATION_CHECKS = (
+    "consistency: degree-0 and degree-1 coefficients vanish",
+    "degree-2 coefficient equals half the commutator-sum condition",
+    "degree-3 coefficient matches its direct word-by-word expansion",
+    "degree-3 coefficient reduces to the nested-commutator form modulo the condition ideal",
+    "Jacobi identity",
+    "nested-commutator form and integral-representation form agree modulo the condition ideal",
+    "intermediate four-term form shares the canonical coset representative",
+)
+
+
 def test_certify_algebra_passes(capsys):
     assert main(["certify-algebra"]) == EXIT_PASS
     out = capsys.readouterr().out
     assert out.count("PASS") == 7
     assert "FAIL" not in out
+    assert out.splitlines() == [f"PASS {name}" for name in CERTIFICATION_CHECKS]
 
 
 def test_certify_algebra_fault_injection(capsys):
     assert main(["certify-algebra", "--inject-fault"]) == EXIT_FAIL
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    # the one failing check is followed by the offending element, the fault's
+    # normal form (1/30)[P2,[P1,P2]]
+    passes = [f"PASS {name}" for name in CERTIFICATION_CHECKS]
+    failure = [
+        f"FAIL {CERTIFICATION_CHECKS[3]}",
+        "offending element:",
+        "-1/30 * P1 P2 P2",
+        "1/15 * P2 P1 P2",
+        "-1/30 * P2 P2 P1",
+    ]
+    assert out == "\n".join(passes[:3] + failure + passes[4:]) + "\n"
 
 
 def test_certify_algebra_artifact(tmp_path):
@@ -108,6 +132,22 @@ def test_wave_convergence_runs_once_per_scheme(tmp_path, capsys):
     lines = (out_dir / "convergence.csv").read_text().splitlines()
     rows = [line.split(",")[:2] for line in lines[1:]]
     assert rows == [["lie-trotter", "11"], ["strang", "11"]]
+
+
+@pytest.mark.parametrize("problem", ["matrix", "schrodinger"])
+def test_unknown_scheme_exits_before_any_study_runs(tmp_path, capsys, problem):
+    # a known scheme ahead of the unknown one must not print its verdict first
+    path = tmp_path / "bogus.ini"
+    path.write_text(
+        f"[config]\nversion = 1\n\n[convergence]\nproblem = {problem}\n"
+        "schemes = strang bogus\ninstances = 2\n"
+    )
+    out_dir = tmp_path / "out"
+    assert main(["convergence", "--config", str(path), "--out", str(out_dir)]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown scheme 'bogus'" in captured.err
+    assert not out_dir.exists()
 
 
 def test_wave_convergence_takes_one_reference_per_call(tmp_path, monkeypatch, capsys):
@@ -411,7 +451,7 @@ def test_handlers_leave_seed_out_and_format_to_main(config_path, capsys, command
     args = cli._build_parser().parse_args([command])
     for name in ("config", "seed", "out", "format"):
         delattr(args, name)
-    cfg = cli._load_section(config_path, command) if command in cli.DEFAULTS else {}
+    cfg = cli._load_section(config_path, command)
     status, columns, rows = args.handler(args, cfg)
     assert status == EXIT_PASS
     assert rows and all(len(row) == len(columns) for row in rows)

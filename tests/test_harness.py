@@ -275,30 +275,21 @@ def test_benchmark_rejects_matrix_study():
 
 
 def test_certify_algebra_all_pass():
-    report = certify_algebra()
-    assert report.all_passed
-    assert report.exit_status == 0
-    text = report.format()
-    assert len(report.checks) == 7
-    assert text.count("PASS") == 7
-    assert "FAIL" not in text
+    checks = certify_algebra()
+    assert all(check.passed for check in checks)
+    assert len(checks) == 7
 
 
 def test_certify_algebra_fault_injection_fails():
-    report = certify_algebra(inject_fault=True)
-    assert not report.all_passed
-    assert report.exit_status == 1
-    text = report.format()
-    assert "FAIL" in text
-    # the failing check prints the offending residual element
-    assert "P" in text.split("FAIL", 1)[1]
+    checks = certify_algebra(inject_fault=True)
+    assert not all(check.passed for check in checks)
 
 
 def test_injected_fault_is_reported_as_its_normal_form():
     # the fault moves -1/6 [P2,[P1,P2]] to -1/5 [P2,[P1,P2]]; the normal form
     # of the difference is the fault itself, (1/30)[P2,[P1,P2]]
     fault = ls.bracket(2, ls.bracket(1, 2)).scale(Fraction(1, 30))
-    failing = [c for c in certify_algebra(inject_fault=True).checks if not c.passed]
+    failing = [c for c in certify_algebra(inject_fault=True) if not c.passed]
     assert len(failing) == 1
     assert failing[0].detail == "offending element:\n" + ls.format_element(fault)
 

@@ -13,7 +13,6 @@ import sympy
 
 from trisplit.lie_symbolic import (
     GENERATORS,
-    IDEAL_GENERATOR_LABELS,
     FreeElement,
     bracket,
     format_element,
@@ -25,6 +24,9 @@ from trisplit.lie_symbolic import (
     third_order_pre_jacobi_form,
     third_order_series_form,
 )
+
+#: The degree-3 generators u*C*v of the condition ideal, |u| + |v| = 1.
+IDEAL_GENERATOR_LABELS = ("C*P1", "C*P2", "C*P3", "P1*C", "P2*C", "P3*C")
 
 
 def _ideal_generator_elements():
