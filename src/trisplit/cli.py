@@ -49,21 +49,23 @@ CONFIG_VERSION = "1"
 
 NOMINAL_ORDERS = {"lie-trotter": 1.0, "strang": 2.0}
 
-DYADIC_STEPS = "2^-4 2^-5 2^-6 2^-7 2^-8 2^-9"
+WAVE_DEFAULTS = {
+    "steps": "2^-4 2^-5 2^-6 2^-7 2^-8 2^-9",
+    "horizon": "1.0",
+    "potential": "harmonic",
+    "half_width": "10",
+    "points": "256",
+}
 
 DEFAULTS = {
     "certify-algebra": {},
     "convergence": {
         "problem": "matrix",
         "schemes": "lie-trotter strang",
-        "steps": DYADIC_STEPS,
-        "horizon": "1.0",
         "seed": "20260819",
         "instances": "5",
         "dim": "8",
-        "potential": "harmonic",
-        "half_width": "10",
-        "points": "256",
+        **WAVE_DEFAULTS,
     },
     "verify-duhamel": {
         "count": "20",
@@ -82,14 +84,7 @@ DEFAULTS = {
         "seed": "7",
         "slack": "1e-9",
     },
-    "schrodinger-bench": {
-        "potential": "harmonic",
-        "half_width": "10",
-        "points": "256",
-        "scheme": "strang",
-        "steps": DYADIC_STEPS,
-        "horizon": "1.0",
-    },
+    "schrodinger-bench": {"scheme": "strang", **WAVE_DEFAULTS},
 }
 
 
@@ -126,8 +121,11 @@ def _load_section(path, section: str) -> dict:
     values = dict(DEFAULTS[section])
     if path is None:
         return values
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)  # '%' means nothing here
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # its message names the file
+        raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     if not parser.has_section("config"):
@@ -137,6 +135,9 @@ def _load_section(path, section: str) -> dict:
         raise ConfigError(
             f"config version {version!r} is not supported (expected {CONFIG_VERSION!r})"
         )
+    for name in parser.sections():
+        if name != "config" and name not in DEFAULTS:
+            raise ConfigError(f"unknown section [{name}]")
     if parser.has_section(section):
         for key, value in parser.items(section):
             if key not in values:
@@ -163,9 +164,9 @@ def _write_artifact(out_dir, name, fieldnames, rows, fmt):
             for row in rows:
                 writer.writerow([_cell(v) for v in row])
     else:
-        payload = [dict(zip(fieldnames, row)) for row in rows]
+        encode = json.JSONEncoder(sort_keys=True).encode  # row by row: no whole payload
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+            fh.write("[" + ", ".join(encode(dict(zip(fieldnames, row))) for row in rows) + "]\n")
     return path
 
 
@@ -286,15 +287,29 @@ def _cmd_verify_bound(args, cfg):
 
 
 def _cmd_schrodinger_bench(args, cfg):
-    scheme_override = load_scheme(args.scheme) if args.scheme else None
-    scheme_name = scheme_override.name if scheme_override else cfg["scheme"]
-    study = _study(cfg, scheme_name, args.scheme, problem="schrodinger", seed=0)
-    rows, result = run_schrodinger_benchmark(study, scheme=scheme_override)
+    scheme = load_scheme(args.scheme) if args.scheme else scheme_by_name(cfg["scheme"])
+    study = _study(cfg, scheme.name, args.scheme, problem="schrodinger", seed=0)
+    rows, result = run_schrodinger_benchmark(study, scheme=scheme)
     order = "n/a" if result.fitted_order is None else f"{result.fitted_order:.4f}"
     print(f"{result.verdict.upper()} schrodinger-bench: fitted order {order}")
     for row in rows:
         print(f"  h={row.h!r}  L2_error={row.l2_error!r}  norm_defect={row.norm_defect!r}")
     return _study_exit([result]), ("h", "L2_error", "norm_defect"), rows
+
+
+FAULT_HELP = "self-test: corrupt one coefficient and demand a FAIL"
+FAULT_FLAGS = (("--inject-fault", {"action": "store_true", "help": FAULT_HELP}),)
+SCHEME_FLAGS = (("--scheme", {"help": "scheme file overriding the built-in scheme"}),)
+
+# one row per subcommand, in --help order: name, handler, help, and the
+# (flag, add_argument options) pairs of the flags only it takes
+SUBCOMMANDS = (
+    ("certify-algebra", _cmd_certify_algebra, "exact-rational identity certification", FAULT_FLAGS),
+    ("convergence", _cmd_convergence, "order-measurement studies", SCHEME_FLAGS),
+    ("verify-duhamel", _cmd_verify_duhamel, "integral error representation vs measured error", ()),
+    ("verify-bound", _cmd_verify_bound, "cubic commutator error bound vs measured error", ()),
+    ("schrodinger-bench", _cmd_schrodinger_bench, "split-step wave benchmark", SCHEME_FLAGS),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -303,42 +318,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verification toolkit for three-component exponential splittings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, scheme_flag=False):
+    for name, handler, help_text, own_flags in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="INI config file (see README for the grammar)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="directory for CSV/JSON artifacts")
         p.add_argument(
             "--format", choices=("csv", "json"), default="csv", help="artifact format"
         )
-        if scheme_flag:
-            p.add_argument("--scheme", help="scheme file overriding the built-in scheme")
-
-    p = sub.add_parser("certify-algebra", help="exact-rational identity certification")
-    common(p)
-    p.add_argument(
-        "--inject-fault",
-        action="store_true",
-        help="self-test: corrupt one coefficient and demand a FAIL",
-    )
-    p.set_defaults(handler=_cmd_certify_algebra)
-
-    p = sub.add_parser("convergence", help="order-measurement studies")
-    common(p, scheme_flag=True)
-    p.set_defaults(handler=_cmd_convergence)
-
-    p = sub.add_parser("verify-duhamel", help="integral error representation vs measured error")
-    common(p)
-    p.set_defaults(handler=_cmd_verify_duhamel)
-
-    p = sub.add_parser("verify-bound", help="cubic commutator error bound vs measured error")
-    common(p)
-    p.set_defaults(handler=_cmd_verify_bound)
-
-    p = sub.add_parser("schrodinger-bench", help="split-step wave benchmark")
-    common(p, scheme_flag=True)
-    p.set_defaults(handler=_cmd_schrodinger_bench)
-
+        for flag, options in own_flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 

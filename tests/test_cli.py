@@ -406,14 +406,67 @@ def test_duhamel_discrepancy_above_its_tolerance_exits_fail(tmp_path, capsys):
     [
         ("[config]\nversion = 1\n\n[convergence]\ninstances = 0\n", "instances must be at least 1"),
         ("[convergence]\ndim = 2\n", "config file is missing its [config] section"),
+        # a file the INI parser rejects is unusable too, not a traceback and exit 1
+        (
+            "[config]\nversion = 1\n\n[convergence]\ninstances = 3\ninstances = 4\n",
+            "While reading from '{path}' [line 6]: option 'instances' in section "
+            "'convergence' already exists",
+        ),
+        (
+            "instances = 3\n",
+            "File contains no section headers. file: '{path}', line: 1 'instances = 3\\n'",
+        ),
+        (
+            "[config]\nversion = 1\n\n[convergence]\ninstances\n",
+            "Source contains parsing errors: '{path}' [line 5]: 'instances\\n'",
+        ),
+        # '%' is no interpolation, just a character no number has
+        ("[config]\nversion = 1\n\n[convergence]\nhorizon = 1%\n", "cannot parse number '1%'"),
+        # a misspelled section is not skipped, whichever subcommand runs
+        ("[config]\nversion = 1\n\n[verify-bond]\ncount = 3\n", "unknown section [verify-bond]"),
     ],
-    ids=["no-instances", "no-config-section"],
+    ids=[
+        "no-instances",
+        "no-config-section",
+        "duplicate-key",
+        "no-section-header",
+        "no-equals-sign",
+        "percent-sign",
+        "unknown-section",
+    ],
 )
 def test_unusable_config_exits_inconclusive(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
     path.write_text(text)
     assert main(["convergence", "--config", str(path)]) == EXIT_INCONCLUSIVE
-    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert capsys.readouterr() == ("", f"config error: {message.format(path=path)}\n")
+
+
+def test_parser_declares_each_subcommand_once(capsys):
+    # --help lists the subcommands in order, and they are exactly the config
+    # sections, so the loader can reject every other section as unknown
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out
+    listed = usage[usage.index("{") + 1 : usage.index("}")].split(",")
+    assert listed == COMMANDS
+    assert set(listed) == set(cli.DEFAULTS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_flag_parses_only_for_its_subcommands(capsys, command):
+    parser = cli._build_parser()
+    for flag, takers in [
+        (["--scheme", "my.scheme"], {"convergence", "schrodinger-bench"}),
+        (["--inject-fault"], {"certify-algebra"}),
+    ]:
+        if command in takers:
+            parser.parse_args([command, *flag])
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, *flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from counting import count_calls
+from triples import constrained_triple
 from trisplit import duhamel, harness, matrix_core
 from trisplit.duhamel import (
     ConditionViolated,
@@ -22,12 +23,6 @@ from trisplit.matrix_core import (
     solve_second_order_constraint,
 )
 from trisplit.splitting import triple_splitting_error
-
-
-def constrained_triple(dim, seed):
-    p1 = random_skew_hermitian(dim, seed=seed)
-    p2 = random_skew_hermitian(dim, seed=seed + 1000)
-    return p1, p2, solve_second_order_constraint(p1, p2)
 
 
 def non_normal(dim, seed):

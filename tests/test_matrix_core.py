@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from triples import constrained_triple
 from trisplit import matrix_core
 from trisplit.harness import derive_seeds, sample_constrained_triple
 from trisplit.matrix_core import (
@@ -457,13 +458,6 @@ def test_solver_rejects_non_skew_hermitian_input():
 
 
 # --- the second-order condition ---------------------------------------------------
-
-
-def constrained_triple(dim, seed):
-    p1 = random_skew_hermitian(dim, seed=seed)
-    p2 = random_skew_hermitian(dim, seed=seed + 1000)
-    p3 = solve_second_order_constraint(p1, p2)
-    return p1, p2, p3
 
 
 def test_check_second_order_exact_for_symmetrized_pair():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from counting import count_calls
+from triples import constrained_triple
 from trisplit import matrix_core, splitting
 from trisplit.harness import sample_constrained_triple
 from trisplit.matrix_core import (
@@ -9,7 +10,6 @@ from trisplit.matrix_core import (
     expm,
     op_norm,
     random_skew_hermitian,
-    solve_second_order_constraint,
 )
 from trisplit.splitting import (
     E3_FORMS,
@@ -29,13 +29,6 @@ from trisplit.splitting import (
     triple_operator_set,
     triple_splitting_error,
 )
-
-
-def constrained_triple(dim, seed):
-    p1 = random_skew_hermitian(dim, seed=seed)
-    p2 = random_skew_hermitian(dim, seed=seed + 1000)
-    p3 = solve_second_order_constraint(p1, p2)
-    return p1, p2, p3
 
 
 # --- scheme and operator-set contracts ---------------------------------------
