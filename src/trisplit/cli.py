@@ -135,7 +135,8 @@ def _load_section(path, section: str) -> dict:
         raise ConfigError(
             f"config version {version!r} is not supported (expected {CONFIG_VERSION!r})"
         )
-    for name in parser.sections():
+    # configparser's [DEFAULT] is no section of ours: its keys would join every section
+    for name in parser.sections() + ([parser.default_section] if parser.defaults() else []):
         if name != "config" and name not in DEFAULTS:
             raise ConfigError(f"unknown section [{name}]")
     if parser.has_section(section):

@@ -189,27 +189,25 @@ def _is_strang(scheme) -> bool:
 
 def _wave_reference(study: ConvergenceStudy, *schemes):
     """The state a wave study's errors are measured against: Strang from the
-    unit Gaussian at 2n, n and n/2 steps (n = horizon / h_min) in one stacked
-    call.  Strang is symmetric, so its global error expands in even powers of
-    h, and for step counts a > b Richardson's R = (a^2 S_a - b^2 S_b) /
-    (a^2 - b^2) cancels the h^2 term.  The reference is R from (2n, n), its
-    own consistency its distance to R from (n, n/2).  Studies that differ
-    only in scheme or seed share it; nothing keeps it past the caller.  With
-    Strang among their ``schemes``, the study's runs join the call and come
-    fourth, bitwise as alone: each ``evolve_runs`` row is independent."""
+    unit Gaussian at the study's four finest step counts n .. n/8 (n = horizon
+    / h_min) in one stacked call.  Strang's global error expands in even powers
+    of h, so Romberg's R = (64 S_n - 20 S_{n/2} + S_{n/4}) / 45 cancels the h^2
+    and h^4 terms.  The reference is R, its consistency its distance to R one
+    level coarser, from (n/2, n/4, n/8).  Studies that differ only in scheme or
+    seed share it; nothing keeps it past the caller.  With Strang among their
+    ``schemes``, all the study's runs are that call's rows, bitwise as alone."""
     grid = Grid1D(study.half_width, study.points)
     potential = potential_by_name(study.potential, grid)
-    n = _steps_for(study.horizon, min(study.step_sizes))
     own = [_steps_for(study.horizon, h) for h in study.step_sizes]
-    own = own if any(map(_is_strang, schemes)) else []
-    steps = sorted({2 * n, n, n // 2, *own}, reverse=True)
+    shared = any(map(_is_strang, schemes))
+    steps = (own if shared else own[-4:])[::-1]  # n, n/2, n/4, n/8, ...
     runs = evolve_runs(gaussian_packet(grid), potential, study.horizon, steps, make_strang())
-    runs = dict(zip(steps, runs))
+    levels = [run.samples for run in runs[:4]]
     reference, coarser = (
-        WaveFunction((a * a * runs[a].samples - b * b * runs[b].samples) / (a * a - b * b), grid)
-        for a, b in ((2 * n, n), (n, n // 2))
+        WaveFunction((64 * fine - 20 * mid + coarse) / 45, grid)
+        for fine, mid, coarse in (levels[:3], levels[1:])
     )
-    finals = [tuple(runs[s] for s in own)] if own else []
+    finals = [runs[::-1]] if shared else []
     return (_wave_key(study), reference, _l2_distance(coarser, reference), *finals)
 
 

@@ -153,16 +153,16 @@ def test_unknown_scheme_exits_before_any_study_runs(tmp_path, capsys, problem):
 def test_wave_convergence_takes_one_reference_per_call(tmp_path, monkeypatch, capsys):
     # both schemes at 256 points and the default steps 2^-4 .. 2^-9: each
     # scheme's rows take 16 + 32 + ... + 512 = 1,008 steps, and the one Strang
-    # reference 1,024 + 512 + 256 at h_min/2, h_min and 2 h_min (extrapolated);
-    # Strang's rows are rows of the reference's call, which adds only 1,024
-    # steps to them, and lie-trotter's rows are one call of their own
+    # reference is built from the four finest of them (Romberg-extrapolated);
+    # Strang's rows are the rows of the reference's call, which adds no step
+    # to them, and lie-trotter's rows are one call of their own
     path = tmp_path / "wave.ini"
     path.write_text("[config]\nversion = 1\n\n[convergence]\nproblem = schrodinger\npoints = 256\n")
     calls = count_evolve_steps(monkeypatch)
     assert main(["convergence", "--config", str(path)]) == EXIT_PASS
-    assert sum(map(sum, calls)) == 2032 + 1008
+    assert sum(map(sum, calls)) == 1008 + 1008
     assert len(calls) == 2
-    assert calls[0] == (1024, 512, 256, 128, 64, 32, 16)
+    assert calls[0] == (512, 256, 128, 64, 32, 16)
 
 
 def test_schrodinger_bench_keeps_no_reference_between_calls(monkeypatch, capsys):
@@ -170,7 +170,7 @@ def test_schrodinger_bench_keeps_no_reference_between_calls(monkeypatch, capsys)
     for _ in range(2):
         calls.clear()
         assert main(["schrodinger-bench"]) == EXIT_PASS
-        assert calls == [(1024, 512, 256, 128, 64, 32, 16)]
+        assert calls == [(512, 256, 128, 64, 32, 16)]
 
 
 @pytest.mark.parametrize("schemes", ["strang lie-trotter", "lie-trotter strang"])
@@ -185,7 +185,7 @@ def test_wave_convergence_runs_strang_in_the_reference_call(
     )
     calls = count_evolve_steps(monkeypatch)
     assert main(["convergence", "--config", str(path)]) == EXIT_PASS
-    assert calls == [(1024, 512, 256, 128, 64, 32, 16), (16, 32, 64, 128, 256, 512)]
+    assert calls == [(512, 256, 128, 64, 32, 16), (16, 32, 64, 128, 256, 512)]
     assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == schemes.split()
 
 
@@ -194,7 +194,29 @@ def test_lie_trotter_bench_makes_its_own_call(tmp_path, monkeypatch, capsys):
     path.write_text("[config]\nversion = 1\n\n[schrodinger-bench]\nscheme = lie-trotter\n")
     calls = count_evolve_steps(monkeypatch)
     assert main(["schrodinger-bench", "--config", str(path)]) == EXIT_PASS
-    assert calls == [(1024, 512, 256), (16, 32, 64, 128, 256, 512)]
+    assert calls == [(512, 256, 128, 64), (16, 32, 64, 128, 256, 512)]
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("schrodinger-bench", "scheme = strang"),
+        ("schrodinger-bench", "scheme = lie-trotter"),
+        ("convergence", "problem = schrodinger\nschemes = lie-trotter strang"),
+    ],
+    ids=["bench-strang", "bench-lie-trotter", "convergence"],
+)
+def test_no_wave_run_is_longer_than_the_studys_finest(tmp_path, monkeypatch, capsys, command, section):
+    # steps 2^-3 .. 2^-8 over 1/2: the finest run takes 128 steps, and the
+    # reference needs none longer
+    path = tmp_path / "wave.ini"
+    path.write_text(
+        f"[config]\nversion = 1\n\n[{command}]\n{section}\npoints = 64\nhalf_width = 8\n"
+        "steps = 2^-3 2^-4 2^-5 2^-6 2^-7 2^-8\nhorizon = 1/2\n"
+    )
+    calls = count_evolve_steps(monkeypatch)
+    assert main([command, "--config", str(path)]) == EXIT_PASS
+    assert calls and max(map(max, calls)) == 128
 
 
 @pytest.mark.parametrize("command", ["schrodinger-bench", "convergence"])
@@ -424,6 +446,12 @@ def test_duhamel_discrepancy_above_its_tolerance_exits_fail(tmp_path, capsys):
         ("[config]\nversion = 1\n\n[convergence]\nhorizon = 1%\n", "cannot parse number '1%'"),
         # a misspelled section is not skipped, whichever subcommand runs
         ("[config]\nversion = 1\n\n[verify-bond]\ncount = 3\n", "unknown section [verify-bond]"),
+        # configparser's [DEFAULT] would add its keys to every section present
+        (
+            "[DEFAULT]\ncount = 2\n\n[config]\nversion = 1\n\n[verify-bound]\n",
+            "unknown section [DEFAULT]",
+        ),
+        ("[DEFAULT]\ncount = 2\n\n[config]\nversion = 1\n", "unknown section [DEFAULT]"),
     ],
     ids=[
         "no-instances",
@@ -433,6 +461,8 @@ def test_duhamel_discrepancy_above_its_tolerance_exits_fail(tmp_path, capsys):
         "no-equals-sign",
         "percent-sign",
         "unknown-section",
+        "default-section",
+        "default-section-alone",
     ],
 )
 def test_unusable_config_exits_inconclusive(tmp_path, capsys, text, message):

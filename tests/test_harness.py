@@ -164,7 +164,7 @@ def test_shared_wave_reference_gives_the_studys_own_rows():
         run_convergence(matrix, reference=reference)
 
 
-#: a wave study at 8, 16, 32 and 64 steps; its reference runs 128, 64 and 32
+#: a wave study at 8, 16, 32 and 64 steps; its reference runs the same four
 SMALL_STRANG = ConvergenceStudy(
     "schrodinger", "strang", dyadic(4, 4), horizon=0.5, seed=0,
     potential="gaussian-well", half_width=8.0, points=64,
@@ -176,10 +176,10 @@ def test_strang_study_runs_in_its_references_call(monkeypatch):
     # is exactly what two calls give
     calls = count_evolve_steps(monkeypatch)
     shared = run_convergence(SMALL_STRANG)
-    assert calls == [(128, 64, 32, 16, 8)]
+    assert calls == [(64, 32, 16, 8)]
     calls.clear()
     lone = run_convergence(SMALL_STRANG, reference=harness._wave_reference(SMALL_STRANG))
-    assert calls == [(128, 64, 32), (8, 16, 32, 64)]
+    assert calls == [(64, 32, 16, 8), (8, 16, 32, 64)]
     assert (shared.rows, shared.metadata) == (lone.rows, lone.metadata)
     assert {"norm_defects", "reference_consistency"} <= shared.metadata.keys()
 
@@ -190,7 +190,7 @@ def test_scheme_named_strang_without_its_operands_runs_alone(monkeypatch):
     mislabelled = splitting.parse_scheme("name strang\ncanonical 1\nA 0.4\nB 1\nA 0.6\n")
     calls = count_evolve_steps(monkeypatch)
     result = run_convergence(SMALL_STRANG, scheme=mislabelled)
-    assert calls == [(128, 64, 32), (8, 16, 32, 64)]
+    assert calls == [(64, 32, 16, 8), (8, 16, 32, 64)]
     _, reference, _ = harness._wave_reference(SMALL_STRANG)
     grid = reference.grid
     finals = evolve_runs(
@@ -221,6 +221,25 @@ def test_wave_reference_is_the_exact_grid_flow(potential):
         exact = closed_form
     assert np.sqrt(grid.dx) * np.linalg.norm(reference.samples - exact) <= 1e-10
     assert gap <= 1e-10
+
+
+def test_small_wave_reference_is_the_exact_grid_flow():
+    # at 8 .. 64 steps the h^4 term matters: Romberg from the study's own
+    # runs sits 3.8e-13 from the exact flow, where (4 S_128 - S_64)/3 sat 1.7e-11
+    _, reference, _ = harness._wave_reference(SMALL_STRANG)
+    grid = reference.grid
+    initial = gaussian_packet(grid).samples
+    samples = potential_by_name(SMALL_STRANG.potential, grid).samples
+    exact = grid_flow(initial, samples, SMALL_STRANG.horizon, grid.half_width)
+    assert np.sqrt(grid.dx) * np.linalg.norm(reference.samples - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["strang", "lie-trotter"])
+def test_wave_reference_needs_every_step_to_divide_the_horizon(scheme):
+    # 3/8 is a multiple of the four finest steps, 2^-3 .. 2^-6, but not of 2^-2
+    study = replace(SMALL_STRANG, scheme_name=scheme, step_sizes=dyadic(2, 5), horizon=0.375)
+    with pytest.raises(ValueError, match="not an integer multiple of 0.25"):
+        harness._wave_reference(study, splitting.scheme_by_name(scheme))
 
 
 def test_first_order_reference_is_not_converged(monkeypatch):

@@ -265,13 +265,13 @@ def test_evolve_runs_share_their_ffts(monkeypatch, name, ffts):
 @pytest.mark.parametrize("potential", ["gaussian-well", "cosine"])
 def test_extrapolated_strang_follows_a_moving_packet(potential):
     # a packet that is not stationary, so a wrong phase of the potential flow
-    # shows (e^{-ichV} sits 2 to 2.5 away); Richardson's (4 S_1024 - S_512)/3
-    # is the wave reference's form, and the exact flow is an eigh of the grid
-    # Hamiltonian
+    # shows (e^{-ichV} sits 2 to 2.5 away); Romberg's
+    # (64 S_512 - 20 S_256 + S_128)/45 is the wave reference's form, and the
+    # exact flow is an eigh of the grid Hamiltonian
     initial = gaussian_packet(GRID, sigma=1.3, center=0.4, momentum=0.7)
     v = potential_by_name(potential, GRID)
-    fine, coarse = evolve_runs(initial, v, 1.0, (1024, 512), make_strang())
-    extrapolated = (4 * fine.samples - coarse.samples) / 3
+    fine, mid, coarse = evolve_runs(initial, v, 1.0, (512, 256, 128), make_strang())
+    extrapolated = (64 * fine.samples - 20 * mid.samples + coarse.samples) / 45
     exact = grid_flow(initial.samples, v.samples, 1.0, GRID.half_width)
     assert np.sqrt(GRID.dx) * np.linalg.norm(extrapolated - exact) <= 1e-10
 
