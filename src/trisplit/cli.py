@@ -25,21 +25,21 @@ import sys
 
 import numpy as np
 
-from trisplit.duhamel import QuadratureSpec, ToleranceNotReached
+from trisplit.duhamel import ToleranceNotReached
 from trisplit.harness import (
     VACUOUS_BOUND,
     BoundCampaignRow,
     ConvergenceStudy,
     DuhamelCampaignRow,
-    _wave_reference,
     certify_algebra,
     derive_seeds,
     run_convergence,
     run_schrodinger_benchmark,
     verify_bound,
     verify_duhamel,
+    wave_reference,
 )
-from trisplit.splitting import _parse_coefficient, load_scheme, scheme_by_name
+from trisplit.splitting import load_scheme, parse_coefficient, scheme_by_name
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -72,17 +72,12 @@ DEFAULTS = {
         "dim": "4",
         "t_values": "0.25 0.5",
         "seed": "7",
-        "gauss_order": "8",
-        "panels": "1",
-        "target_tol": "1e-8",
-        "discrepancy_tol": "1e-6",
     },
     "verify-bound": {
         "count": "100",
         "dim": "6",
         "t_values": "0.1 0.5 1.0",
         "seed": "7",
-        "slack": "1e-9",
     },
     "schrodinger-bench": {"scheme": "strang", **WAVE_DEFAULTS},
 }
@@ -94,7 +89,7 @@ class ConfigError(Exception):
 
 def _parse_real(token: str) -> float:
     """Accept base^exponent powers, and otherwise the scheme-file number
-    grammar of ``splitting._parse_coefficient`` (p/q fractions, float literals).
+    grammar of ``splitting.parse_coefficient`` (p/q fractions, float literals).
     nan, inf and anything that overflows a double are config errors."""
     token = token.strip()
     try:
@@ -102,7 +97,7 @@ def _parse_real(token: str) -> float:
             base, _, exponent = token.partition("^")
             value = float(base) ** int(exponent)
         else:
-            value = _parse_coefficient(token)
+            value = parse_coefficient(token)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"cannot parse number {token!r}") from exc
     if not math.isfinite(value):
@@ -222,7 +217,7 @@ def _cmd_convergence(args, cfg):
         if not schemes:
             raise ConfigError("schemes must name at least one scheme")
     # a wave study draws nothing from its seed, so it runs once per scheme; its
-    # reference, the same for every scheme, is made with a Strang study's rows
+    # reference, the same for every scheme, holds a Strang study's rows
     problem, dim = cfg["problem"], int(cfg["dim"])
     seeds = (seed,) if problem == "schrodinger" else derive_seeds(seed, instances)
     studies = [
@@ -230,7 +225,7 @@ def _cmd_convergence(args, cfg):
         for scheme in schemes
         for child in seeds
     ]
-    reference = _wave_reference(studies[0][1], *schemes) if problem == "schrodinger" else None
+    reference = wave_reference(studies[0][1]) if problem == "schrodinger" else None
     results = []
     rows = []
     for scheme, study in studies:
@@ -250,15 +245,9 @@ def _cmd_convergence(args, cfg):
 def _cmd_verify_duhamel(args, cfg):
     campaign = verify_duhamel(
         seed=int(cfg["seed"]),
-        quad=QuadratureSpec(
-            gauss_order=int(cfg["gauss_order"]),
-            panels=int(cfg["panels"]),
-            target_tol=_parse_real(cfg["target_tol"]),
-        ),
         count=int(cfg["count"]),
         dim=int(cfg["dim"]),
         t_list=_parse_reals(cfg["t_values"]),
-        discrepancy_tol=_parse_real(cfg["discrepancy_tol"]),
     )
     worst = max((r.discrepancy for r in campaign.rows), default=0.0)
     print(
@@ -276,7 +265,6 @@ def _cmd_verify_bound(args, cfg):
         count=int(cfg["count"]),
         dim=int(cfg["dim"]),
         t_list=_parse_reals(cfg["t_values"]),
-        slack=_parse_real(cfg["slack"]),
     )
     print(
         f"{'PASS' if campaign.passed else 'FAIL'} verify-bound: "

@@ -181,51 +181,57 @@ def _wave_key(study: ConvergenceStudy):
     return study.half_width, study.points, study.potential, study.horizon, study.step_sizes
 
 
-def _is_strang(scheme) -> bool:
-    """Strang's operands and canonical flag, whatever the name."""
-    strang = make_strang()
-    return (scheme.operands, scheme.canonical) == (strang.operands, strang.canonical)
+class WaveReference(NamedTuple):
+    """A wave study's reference ``state``, its ``consistency`` (distance to the
+    reference one level coarser), the ``key`` of the studies it serves and
+    ``strang``, the Strang runs it came from in the study's step order."""
+
+    key: tuple
+    state: WaveFunction
+    consistency: float
+    strang: Tuple[WaveFunction, ...]
 
 
-def _wave_reference(study: ConvergenceStudy, *schemes):
-    """The state a wave study's errors are measured against: Strang from the
-    unit Gaussian at the study's four finest step counts n .. n/8 (n = horizon
-    / h_min) in one stacked call.  Strang's global error expands in even powers
-    of h, so Romberg's R = (64 S_n - 20 S_{n/2} + S_{n/4}) / 45 cancels the h^2
-    and h^4 terms.  The reference is R, its consistency its distance to R one
-    level coarser, from (n/2, n/4, n/8).  Studies that differ only in scheme or
-    seed share it; nothing keeps it past the caller.  With Strang among their
-    ``schemes``, all the study's runs are that call's rows, bitwise as alone."""
+def wave_reference(study: ConvergenceStudy) -> WaveReference:
+    """Strang from the unit Gaussian at every step count of the study in one
+    stacked call, and the state the study's errors are measured against.
+    Strang's global error expands in even powers of h, so from the four finest
+    runs n .. n/8 (n = horizon / h_min) Romberg's
+    R = (64 S_n - 20 S_{n/2} + S_{n/4}) / 45 cancels the h^2 and h^4 terms.
+    The reference is R, its consistency its distance to R one level coarser,
+    from (n/2, n/4, n/8).  Studies that differ only in scheme or seed share
+    it; nothing keeps it past the caller.  Each run is bitwise as alone, so a
+    Strang study's rows are the reference's runs."""
     grid = Grid1D(study.half_width, study.points)
     potential = potential_by_name(study.potential, grid)
-    own = [_steps_for(study.horizon, h) for h in study.step_sizes]
-    shared = any(map(_is_strang, schemes))
-    steps = (own if shared else own[-4:])[::-1]  # n, n/2, n/4, n/8, ...
+    steps = [_steps_for(study.horizon, h) for h in study.step_sizes][::-1]  # n, n/2, ...
     runs = evolve_runs(gaussian_packet(grid), potential, study.horizon, steps, make_strang())
     levels = [run.samples for run in runs[:4]]
     reference, coarser = (
         WaveFunction((64 * fine - 20 * mid + coarse) / 45, grid)
         for fine, mid, coarse in (levels[:3], levels[1:])
     )
-    finals = [runs[::-1]] if shared else []
-    return (_wave_key(study), reference, _l2_distance(coarser, reference), *finals)
+    consistency = _l2_distance(coarser, reference)
+    return WaveReference(_wave_key(study), reference, consistency, runs[::-1])
 
 
 def _schrodinger_rows(study: ConvergenceStudy, scheme=None, reference=None):
-    """A Strang study's finals come with a reference built with them; others run their own."""
+    """A Strang study's finals are its reference's runs; others run their own."""
     scheme = scheme or scheme_by_name(study.scheme_name)
-    key, reference, ref_gap, *shared = reference or _wave_reference(study, scheme)
-    if key != _wave_key(study):
+    reference = reference or wave_reference(study)
+    if reference.key != _wave_key(study):
         raise ValueError("the wave reference was built for another grid, potential or step range")
-    grid = reference.grid
-    potential = potential_by_name(study.potential, grid)
-    initial = gaussian_packet(grid)
-    steps = tuple(_steps_for(study.horizon, h) for h in study.step_sizes)
-    shared = shared if _is_strang(scheme) else []
-    finals = shared[0] if shared else evolve_runs(initial, potential, study.horizon, steps, scheme)
-    rows = [(h, _l2_distance(final, reference)) for h, final in zip(study.step_sizes, finals)]
+    initial = gaussian_packet(reference.state.grid)
+    strang = make_strang()  # Strang's operands and canonical flag, whatever the name
+    if (scheme.operands, scheme.canonical) == (strang.operands, strang.canonical):
+        finals = reference.strang
+    else:
+        potential = potential_by_name(study.potential, initial.grid)
+        steps = tuple(_steps_for(study.horizon, h) for h in study.step_sizes)
+        finals = evolve_runs(initial, potential, study.horizon, steps, scheme)
+    rows = [(h, _l2_distance(final, reference.state)) for h, final in zip(study.step_sizes, finals)]
     defects = tuple(norm_defect(initial, final) for final in finals)
-    extra = {"norm_defects": defects, "reference_consistency": ref_gap}
+    extra = {"norm_defects": defects, "reference_consistency": reference.consistency}
     return rows, extra
 
 
@@ -237,8 +243,8 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
     """Measure errors over the study's step sizes and fit an order.
 
     ``scheme`` overrides the named scheme with an explicit SplittingScheme
-    (e.g. loaded from a file).  ``reference``, for a wave study, is a
-    ``_wave_reference`` of a study that differs at most in scheme and seed;
+    (e.g. loaded from a file).  ``reference``, for a wave study, is the
+    ``wave_reference`` of a study that differs at most in scheme and seed;
     without it the study builds its own.
     """
     if study.problem == "matrix":
@@ -275,7 +281,7 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
                 + ", ".join(repr(h) for h, _ in dropped_rows)
             )
         verdict = "pass"
-        if isinstance(ref_gap, float) and ref_gap > 0.3 * min(errors):
+        if ref_gap is not None and ref_gap > 0.3 * min(errors):
             verdict = "inconclusive"
             notes.append("reference not converged relative to finest measurement")
         if r2 < R2_GATE:
@@ -386,6 +392,16 @@ def sample_constrained_triple(dim: int, seed: int):
 # --- verification campaigns -----------------------------------------------------
 
 
+#: the trivial bound on ||S(t) - e^{tL}|| for unitary flows: rows at or above it show nothing
+VACUOUS_BOUND = 2.0
+
+#: largest ||(S(t) - e^{tL}) - E(t)|| a verify-duhamel row may show
+DISCREPANCY_TOL = 1e-6
+
+#: round-off allowance of a verify-bound row: measured above bound + this is a violation
+BOUND_SLACK = 1e-9
+
+
 #: Entries of the one stacked expm a campaign stack makes: its triples times
 #: the t values times 4 exponentials (three factors and e^{tL}) times n^2.
 #: expm holds about 15 arrays of that size, so the default bound campaign
@@ -450,7 +466,6 @@ class DuhamelCampaignRow(NamedTuple):
 @dataclass(frozen=True)
 class DuhamelCampaign:
     rows: Tuple[DuhamelCampaignRow, ...]
-    discrepancy_tol: float
     passed: bool
     notes: str
 
@@ -461,16 +476,17 @@ def verify_duhamel(
     t_list: Sequence[float],
     seed: int,
     quad: Optional[QuadratureSpec] = None,
-    discrepancy_tol: float = 1e-6,
 ) -> DuhamelCampaign:
     """Compare the integral error representation against the measured error.
 
     For every sampled constraint-satisfying triple and every t, the
-    discrepancy ||(S(t) - e^{tL}) - E(t)|| must sit below
-    ``discrepancy_tol``.  The measured error and the bound come from the
-    campaign's stacks, E(t) from one ``duhamel_error`` per stack, compared
-    as it stands (sign +1): a sign error in it shows as a discrepancy near
-    twice the error norm; its norms and the discrepancies are batched.
+    discrepancy ||(S(t) - e^{tL}) - E(t)|| must sit at or below
+    ``DISCREPANCY_TOL``.  ``quad`` sets only how E(t) is computed, never how
+    it is judged: a target it cannot reach raises ``ToleranceNotReached``.
+    The measured error and the bound come from the campaign's stacks, E(t)
+    from one ``duhamel_error`` per stack, compared as it stands (sign +1): a
+    sign error in it shows as a discrepancy near twice the error norm; its
+    norms and the discrepancies are batched.
     """
     rows = []
     notes = []
@@ -482,12 +498,12 @@ def verify_duhamel(
         gaps = np.linalg.norm(errors - represented, 2, axis=(-2, -1)).ravel().tolist()
         for ((index, t), measured, bound), norm, gap in zip(cells, norms, gaps):
             rows.append(DuhamelCampaignRow(index, t, measured, norm, bound, 1, gap))
-            if gap > discrepancy_tol:
+            if gap > DISCREPANCY_TOL:
                 notes.append(
                     f"instance {index}, t={t!r}: discrepancy "
-                    f"{gap:.3e} above {discrepancy_tol!r}"
+                    f"{gap:.3e} above {DISCREPANCY_TOL!r}"
                 )
-    return DuhamelCampaign(tuple(rows), discrepancy_tol, not notes, "; ".join(notes))
+    return DuhamelCampaign(tuple(rows), not notes, "; ".join(notes))
 
 
 class BoundCampaignRow(NamedTuple):
@@ -499,38 +515,27 @@ class BoundCampaignRow(NamedTuple):
     violated: bool
 
 
-#: the trivial bound on ||S(t) - e^{tL}|| for unitary flows: rows at or above it show nothing
-VACUOUS_BOUND = 2.0
-
-
 @dataclass(frozen=True)
 class BoundCampaign:
     rows: Tuple[BoundCampaignRow, ...]
-    slack: float
     violations: int
     vacuous: int
     max_saturation: float
     passed: bool
 
 
-def verify_bound(
-    count: int,
-    dim: int,
-    t_list: Sequence[float],
-    seed: int,
-    slack: float = 1e-9,
-) -> BoundCampaign:
+def verify_bound(count: int, dim: int, t_list: Sequence[float], seed: int) -> BoundCampaign:
     """Check measured ||S(t) - e^{tL}|| against the cubic commutator bound,
-    from the campaign's stacks."""
+    from the campaign's stacks: a row is violated above bound + ``BOUND_SLACK``."""
     rows = []
     for *_, cells in _campaign(count, dim, t_list, seed):
         for (index, t), m, b in cells:
             saturation = m / b if b > 0 else 0.0
-            rows.append(BoundCampaignRow(index, t, m, b, saturation, m > b + slack))
+            rows.append(BoundCampaignRow(index, t, m, b, saturation, m > b + BOUND_SLACK))
     violations = sum(row.violated for row in rows)
     vacuous = sum(row.bound >= VACUOUS_BOUND for row in rows)
     max_saturation = max((row.saturation for row in rows), default=0.0)
-    return BoundCampaign(tuple(rows), slack, violations, vacuous, max_saturation, violations == 0)
+    return BoundCampaign(tuple(rows), violations, vacuous, max_saturation, violations == 0)
 
 
 # --- wave benchmark --------------------------------------------------------------
@@ -547,7 +552,7 @@ def run_schrodinger_benchmark(study: ConvergenceStudy, scheme=None):
     if study.problem != "schrodinger":
         raise ValueError("benchmark runs are wave-problem studies")
     result = run_convergence(study, scheme=scheme)
-    defects = result.metadata.get("norm_defects", ())
+    defects = result.metadata["norm_defects"]
     rows = tuple(
         BenchmarkRow(h, err, defect)
         for (h, err), defect in zip(result.rows, defects)

@@ -222,13 +222,13 @@ def parse_scheme(text: str) -> SplittingScheme:
         else:
             if not value:
                 raise ValueError(f"operand line {raw!r} is missing a coefficient")
-            operands.append((key, _parse_coefficient(value)))
+            operands.append((key, parse_coefficient(value)))
     if name is None:
         raise ValueError("scheme file has no name line")
     return SplittingScheme(name, tuple(operands), canonical=canonical)
 
 
-def _parse_coefficient(token: str) -> float:
+def parse_coefficient(token: str) -> float:
     if "/" in token:
         return float(Fraction(token))
     return float(token)

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -194,7 +195,7 @@ def test_lie_trotter_bench_makes_its_own_call(tmp_path, monkeypatch, capsys):
     path.write_text("[config]\nversion = 1\n\n[schrodinger-bench]\nscheme = lie-trotter\n")
     calls = count_evolve_steps(monkeypatch)
     assert main(["schrodinger-bench", "--config", str(path)]) == EXIT_PASS
-    assert calls == [(512, 256, 128, 64), (16, 32, 64, 128, 256, 512)]
+    assert calls == [(512, 256, 128, 64, 32, 16), (16, 32, 64, 128, 256, 512)]
 
 
 @pytest.mark.parametrize(
@@ -414,44 +415,87 @@ def test_fit_below_the_r2_gate_exits_fail(tmp_path, capsys):
     assert row.endswith(",fail,dropped pre-asymptotic steps: 0.5; fit r2 0.997520 below gate 0.999")
 
 
-def test_duhamel_discrepancy_above_its_tolerance_exits_fail(tmp_path, capsys):
-    path = write_config(tmp_path, "[verify-duhamel]\ncount = 2\ndiscrepancy_tol = 1e-30\n")
-    assert main(["verify-duhamel", "--config", path]) == EXIT_FAIL
+def test_duhamel_discrepancy_above_its_tolerance_exits_fail(monkeypatch, capsys):
+    # a sign-flipped E(t) sits about twice the error norm from the measured
+    # error: the default campaign fails every row against the fixed gate
+    original = harness.duhamel_error
+    monkeypatch.setattr(harness, "duhamel_error", lambda *a, **kw: -original(*a, **kw))
+    assert main(["verify-duhamel"]) == EXIT_FAIL
     summary, notes = capsys.readouterr().out.splitlines()
-    assert summary.startswith("FAIL verify-duhamel: 4 comparisons")
+    assert summary.startswith("FAIL verify-duhamel: 40 comparisons")
     assert notes.startswith("instance 0, t=0.25: discrepancy ")
-    assert notes.count("above 1e-30") == 4
+    assert notes.count("above 1e-06") == 40
+
+
+#: keys that would set a campaign's gates or quadrature, which are fixed in code
+REMOVED_KEYS = (
+    ("verify-duhamel", "discrepancy_tol", "2"),
+    ("verify-duhamel", "gauss_order", "8"),
+    ("verify-duhamel", "panels", "1"),
+    ("verify-duhamel", "target_tol", "1e-3"),
+    ("verify-bound", "slack", "2"),
+)
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "command, text, message",
     [
-        ("[config]\nversion = 1\n\n[convergence]\ninstances = 0\n", "instances must be at least 1"),
-        ("[convergence]\ndim = 2\n", "config file is missing its [config] section"),
+        (
+            "convergence",
+            "[config]\nversion = 1\n\n[convergence]\ninstances = 0\n",
+            "instances must be at least 1",
+        ),
+        ("convergence", "[convergence]\ndim = 2\n", "config file is missing its [config] section"),
         # a file the INI parser rejects is unusable too, not a traceback and exit 1
         (
+            "convergence",
             "[config]\nversion = 1\n\n[convergence]\ninstances = 3\ninstances = 4\n",
             "While reading from '{path}' [line 6]: option 'instances' in section "
             "'convergence' already exists",
         ),
         (
+            "convergence",
             "instances = 3\n",
             "File contains no section headers. file: '{path}', line: 1 'instances = 3\\n'",
         ),
         (
+            "convergence",
             "[config]\nversion = 1\n\n[convergence]\ninstances\n",
             "Source contains parsing errors: '{path}' [line 5]: 'instances\\n'",
         ),
         # '%' is no interpolation, just a character no number has
-        ("[config]\nversion = 1\n\n[convergence]\nhorizon = 1%\n", "cannot parse number '1%'"),
+        (
+            "convergence",
+            "[config]\nversion = 1\n\n[convergence]\nhorizon = 1%\n",
+            "cannot parse number '1%'",
+        ),
         # a misspelled section is not skipped, whichever subcommand runs
-        ("[config]\nversion = 1\n\n[verify-bond]\ncount = 3\n", "unknown section [verify-bond]"),
+        (
+            "convergence",
+            "[config]\nversion = 1\n\n[verify-bond]\ncount = 3\n",
+            "unknown section [verify-bond]",
+        ),
         # configparser's [DEFAULT] would add its keys to every section present
         (
+            "convergence",
             "[DEFAULT]\ncount = 2\n\n[config]\nversion = 1\n\n[verify-bound]\n",
             "unknown section [DEFAULT]",
         ),
-        ("[DEFAULT]\ncount = 2\n\n[config]\nversion = 1\n", "unknown section [DEFAULT]"),
+        (
+            "convergence",
+            "[DEFAULT]\ncount = 2\n\n[config]\nversion = 1\n",
+            "unknown section [DEFAULT]",
+        ),
+        # the campaigns' gates and quadrature are no keys: a file that sets one,
+        # even to a value that would loosen nothing, is refused, not run
+        *(
+            (
+                section,
+                f"[config]\nversion = 1\n\n[{section}]\n{key} = {value}\n",
+                f"unknown key '{key}' in [{section}]",
+            )
+            for section, key, value in REMOVED_KEYS
+        ),
     ],
     ids=[
         "no-instances",
@@ -463,12 +507,13 @@ def test_duhamel_discrepancy_above_its_tolerance_exits_fail(tmp_path, capsys):
         "unknown-section",
         "default-section",
         "default-section-alone",
+        *(key for _, key, _ in REMOVED_KEYS),
     ],
 )
-def test_unusable_config_exits_inconclusive(tmp_path, capsys, text, message):
+def test_unusable_config_exits_inconclusive(tmp_path, capsys, command, text, message):
     path = tmp_path / "bad.ini"
     path.write_text(text)
-    assert main(["convergence", "--config", str(path)]) == EXIT_INCONCLUSIVE
+    assert main([command, "--config", str(path)]) == EXIT_INCONCLUSIVE
     assert capsys.readouterr() == ("", f"config error: {message.format(path=path)}\n")
 
 
@@ -574,15 +619,15 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, key, val
 
 
 def test_unreachable_quadrature_tolerance_is_inconclusive(tmp_path, capsys):
-    cfg = tmp_path / "tight.ini"
-    cfg.write_text(
-        "[config]\nversion = 1\n\n[verify-duhamel]\ncount = 1\ndim = 4\n"
-        "gauss_order = 2\nt_values = 1.0\ntarget_tol = 1e-30\n"
-    )
+    # at t = 300 the default quadrature reaches its 256-panel cap above its
+    # target: exit 2 with one line, never a PASS
+    cfg = tmp_path / "long.ini"
+    cfg.write_text("[config]\nversion = 1\n\n[verify-duhamel]\ncount = 1\ndim = 4\nt_values = 300\n")
     assert main(["verify-duhamel", "--config", str(cfg)]) == EXIT_INCONCLUSIVE
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert "target_tol" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "at 256 panels did not reach target_tol" in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify-bound", "verify-duhamel"])
@@ -598,10 +643,11 @@ def test_t_too_large_to_evaluate_is_inconclusive(tmp_path, capsys, command):
     assert captured.err.startswith("error:")
 
 
-def test_bad_number_token_is_a_config_error(tmp_path):
+def test_bad_number_token_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[config]\nversion = 1\n\n[verify-bound]\ncount = 5\nslack = 1e--9\n")
+    cfg.write_text("[config]\nversion = 1\n\n[verify-bound]\ncount = 5\nt_values = 1e--9\n")
     assert main(["verify-bound", "--config", str(cfg)]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr() == ("", "config error: cannot parse number '1e--9'\n")
 
 
 def test_linalg_error_is_a_fault_not_inconclusive(monkeypatch):
@@ -627,3 +673,16 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_imports_no_private_name():
+    # the front end reaches the library only through its public names
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trisplit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -20,6 +20,7 @@ from trisplit.harness import (
     sample_constrained_triple,
     verify_bound,
     verify_duhamel,
+    wave_reference,
 )
 from trisplit.matrix_core import ConditionViolated, commutator, is_skew_hermitian, op_norm
 from trisplit.schrodinger import WaveFunction, evolve_runs, gaussian_packet, potential_by_name
@@ -153,7 +154,7 @@ def test_shared_wave_reference_gives_the_studys_own_rows():
         "schrodinger", "lie-trotter", dyadic(4, 4), horizon=0.5, seed=0,
         potential="gaussian-well", half_width=8.0, points=64,
     )
-    reference = harness._wave_reference(replace(study, scheme_name="strang", seed=9))
+    reference = wave_reference(replace(study, scheme_name="strang", seed=9))
     shared, own = run_convergence(study, reference=reference), run_convergence(study)
     assert (shared.rows, shared.metadata) == (own.rows, own.metadata)
     for other in (replace(study, points=128), replace(study, horizon=1.0), replace(study, potential="cosine")):
@@ -172,16 +173,24 @@ SMALL_STRANG = ConvergenceStudy(
 
 
 def test_strang_study_runs_in_its_references_call(monkeypatch):
-    # its runs join the reference's in one call, and every number it reports
-    # is exactly what two calls give
+    # its runs are the reference's, made in one call, given or not, and every
+    # number it reports is exactly what a call of its own gives
     calls = count_evolve_steps(monkeypatch)
     shared = run_convergence(SMALL_STRANG)
     assert calls == [(64, 32, 16, 8)]
     calls.clear()
-    lone = run_convergence(SMALL_STRANG, reference=harness._wave_reference(SMALL_STRANG))
-    assert calls == [(64, 32, 16, 8), (8, 16, 32, 64)]
-    assert (shared.rows, shared.metadata) == (lone.rows, lone.metadata)
+    reference = wave_reference(SMALL_STRANG)
+    given = run_convergence(SMALL_STRANG, reference=reference)
+    assert calls == [(64, 32, 16, 8)]
+    assert (shared.rows, shared.metadata) == (given.rows, given.metadata)
     assert {"norm_defects", "reference_consistency"} <= shared.metadata.keys()
+    grid = reference.state.grid
+    alone = evolve_runs(
+        gaussian_packet(grid), potential_by_name("gaussian-well", grid), 0.5, (8, 16, 32, 64),
+        make_strang(),
+    )
+    distances = [WaveFunction(f.samples - reference.state.samples, grid).l2_norm() for f in alone]
+    assert shared.rows == tuple(zip(SMALL_STRANG.step_sizes, distances))
 
 
 def test_scheme_named_strang_without_its_operands_runs_alone(monkeypatch):
@@ -191,7 +200,7 @@ def test_scheme_named_strang_without_its_operands_runs_alone(monkeypatch):
     calls = count_evolve_steps(monkeypatch)
     result = run_convergence(SMALL_STRANG, scheme=mislabelled)
     assert calls == [(64, 32, 16, 8), (8, 16, 32, 64)]
-    _, reference, _ = harness._wave_reference(SMALL_STRANG)
+    reference = wave_reference(SMALL_STRANG).state
     grid = reference.grid
     finals = evolve_runs(
         gaussian_packet(grid), potential_by_name("gaussian-well", grid), 0.5, (8, 16, 32, 64),
@@ -209,7 +218,7 @@ def test_wave_reference_is_the_exact_grid_flow(potential):
         "schrodinger", "strang", dyadic(4, 6), horizon=1.0, seed=0,
         potential=potential, points=256,
     )
-    _, reference, gap = harness._wave_reference(study)
+    _, reference, gap, _ = wave_reference(study)
     grid = reference.grid
     initial = gaussian_packet(grid).samples
     samples = potential_by_name(potential, grid).samples
@@ -226,7 +235,7 @@ def test_wave_reference_is_the_exact_grid_flow(potential):
 def test_small_wave_reference_is_the_exact_grid_flow():
     # at 8 .. 64 steps the h^4 term matters: Romberg from the study's own
     # runs sits 3.8e-13 from the exact flow, where (4 S_128 - S_64)/3 sat 1.7e-11
-    _, reference, _ = harness._wave_reference(SMALL_STRANG)
+    reference = wave_reference(SMALL_STRANG).state
     grid = reference.grid
     initial = gaussian_packet(grid).samples
     samples = potential_by_name(SMALL_STRANG.potential, grid).samples
@@ -239,7 +248,7 @@ def test_wave_reference_needs_every_step_to_divide_the_horizon(scheme):
     # 3/8 is a multiple of the four finest steps, 2^-3 .. 2^-6, but not of 2^-2
     study = replace(SMALL_STRANG, scheme_name=scheme, step_sizes=dyadic(2, 5), horizon=0.375)
     with pytest.raises(ValueError, match="not an integer multiple of 0.25"):
-        harness._wave_reference(study, splitting.scheme_by_name(scheme))
+        run_convergence(study)
 
 
 def test_first_order_reference_is_not_converged(monkeypatch):
@@ -363,7 +372,7 @@ def test_verify_bound_small_campaign():
     assert len(campaign.rows) == 30
     assert 0.0 < campaign.max_saturation <= 1.0 + 1e-9
     for row in campaign.rows:
-        assert row.measured <= row.bound + campaign.slack
+        assert row.measured <= row.bound + harness.BOUND_SLACK
         assert not row.violated
 
 
@@ -605,4 +614,4 @@ def test_representation_off_by_a_thousandth_fails_the_default_campaign(monkeypat
     )
     campaign = verify_duhamel(20, 4, (0.25, 0.5), seed=7)
     assert not campaign.passed
-    assert all(row.discrepancy > campaign.discrepancy_tol for row in campaign.rows)
+    assert all(row.discrepancy > harness.DISCREPANCY_TOL for row in campaign.rows)
