@@ -17,7 +17,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from trisplit import lie_symbolic as ls
-from trisplit.duhamel import QuadratureSpec, _Located, duhamel_error, error_bound
+from trisplit.duhamel import _Located, duhamel_error, error_bound
 from trisplit.matrix_core import expm, random_skew_hermitian, solve_second_order_constraint
 from trisplit.schrodinger import (
     Grid1D,
@@ -475,14 +475,13 @@ def verify_duhamel(
     dim: int,
     t_list: Sequence[float],
     seed: int,
-    quad: Optional[QuadratureSpec] = None,
 ) -> DuhamelCampaign:
     """Compare the integral error representation against the measured error.
 
     For every sampled constraint-satisfying triple and every t, the
     discrepancy ||(S(t) - e^{tL}) - E(t)|| must sit at or below
-    ``DISCREPANCY_TOL``.  ``quad`` sets only how E(t) is computed, never how
-    it is judged: a target it cannot reach raises ``ToleranceNotReached``.
+    ``DISCREPANCY_TOL``.  E(t) comes from ``duhamel_error`` at its default
+    quadrature; a row it cannot converge raises ``ToleranceNotReached``.
     The measured error and the bound come from the campaign's stacks, E(t)
     from one ``duhamel_error`` per stack, compared as it stands (sign +1): a
     sign error in it shows as a discrepancy near twice the error norm; its
@@ -493,7 +492,7 @@ def verify_duhamel(
     times = np.asarray(t_list, dtype=float).tolist()
     for start, seeds, triples, errors, cells in _campaign(count, dim, t_list, seed):
         with _naming_rows(start, seeds, times):
-            represented = duhamel_error(*triples, times, quad=quad)
+            represented = duhamel_error(*triples, times)
         norms = np.linalg.norm(represented, 2, axis=(-2, -1)).ravel().tolist()
         gaps = np.linalg.norm(errors - represented, 2, axis=(-2, -1)).ravel().tolist()
         for ((index, t), measured, bound), norm, gap in zip(cells, norms, gaps):

@@ -577,22 +577,21 @@ def test_solver_fault_names_its_instance_and_child_seed(monkeypatch):
 
 
 def test_unconverged_row_names_its_instance_child_seed_and_t():
-    # at gauss order 2 and target_tol 1e-10 the t = 0.05 rows converge and some
-    # t = 0.6 rows reach the 256-panel cap; the campaign names the first row
-    # whose lone call raises, with that call's own message
-    quad = duhamel.QuadratureSpec(gauss_order=2, target_tol=1e-10)
+    # at the default quadrature the t = 0.05 rows converge and, at t = 100,
+    # instance 2 alone reaches the 256-panel cap; the campaign names the first
+    # row whose lone call raises, with that call's own message
     seeds = derive_seeds(2, 4)
     first = None
     for instance, child in enumerate(seeds):
-        for t in (0.05, 0.6):
+        for t in (0.05, 100.0):
             try:
-                duhamel.duhamel_error(*sample_constrained_triple(4, child), t, quad=quad)
+                duhamel.duhamel_error(*sample_constrained_triple(4, child), t)
             except duhamel.ToleranceNotReached as exc:
                 first = first or (instance, child, t, str(exc))
     instance, child, t, lone = first
-    assert (instance, t) == (2, 0.6)
+    assert (instance, t) == (2, 100.0)
     with pytest.raises(duhamel.ToleranceNotReached) as raised:
-        verify_duhamel(4, 4, (0.05, 0.6), seed=2, quad=quad)
+        verify_duhamel(4, 4, (0.05, 100.0), seed=2)
     message = str(raised.value)
     assert message.startswith(f"instance {instance} (child seed {child}), t={t!r}: ")
     assert lone.split(": ", 1)[1] in message
