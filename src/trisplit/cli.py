@@ -47,7 +47,12 @@ EXIT_INCONCLUSIVE = 2
 
 CONFIG_VERSION = "1"
 
-NOMINAL_ORDERS = {"lie-trotter": 1.0, "strang": 2.0}
+# keyed by operands: a scheme with a built-in's operands is held to that
+# built-in's order, whatever its name, and any other scheme to none
+NOMINAL_ORDERS = {
+    scheme_by_name("lie-trotter").operands: 1.0,
+    scheme_by_name("strang").operands: 2.0,
+}
 
 WAVE_DEFAULTS = {
     "steps": "2^-4 2^-5 2^-6 2^-7 2^-8 2^-9",
@@ -88,14 +93,16 @@ class ConfigError(Exception):
 
 
 def _parse_real(token: str) -> float:
-    """Accept base^exponent powers, and otherwise the scheme-file number
-    grammar of ``splitting.parse_coefficient`` (p/q fractions, float literals).
-    nan, inf and anything that overflows a double are config errors."""
+    """Accept base^exponent powers, whose sign applies to the whole power
+    (-2^-4 is -1/16), and otherwise the scheme-file number grammar of
+    ``splitting.parse_coefficient`` (p/q fractions, float literals).  nan, inf,
+    a non-finite base and anything that overflows a double are config errors."""
     token = token.strip()
     try:
         if "^" in token:
             base, _, exponent = token.partition("^")
-            value = float(base) ** int(exponent)
+            base = float(base)
+            value = math.copysign(abs(base) ** int(exponent), base) if math.isfinite(base) else base
         else:
             value = parse_coefficient(token)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -188,18 +195,17 @@ def _study_exit(results) -> int:
     return EXIT_PASS
 
 
-def _study(cfg, scheme_name, from_file, **problem) -> ConvergenceStudy:
-    """The study a [convergence] or [schrodinger-bench] section describes;
-    ``problem`` gives the keys only one of them has.  A built-in scheme is
-    held to its nominal order, a scheme file to none."""
+def _study(cfg, scheme, **problem) -> ConvergenceStudy:
+    """The study of ``scheme`` a [convergence] or [schrodinger-bench] section
+    describes; ``problem`` gives the keys only one of them has."""
     return ConvergenceStudy(
-        scheme_name=scheme_name,
+        scheme_name=scheme.name,
         step_sizes=_parse_reals(cfg["steps"]),
         horizon=_parse_real(cfg["horizon"]),
         potential=cfg["potential"],
         half_width=_parse_real(cfg["half_width"]),
         points=int(cfg["points"]),
-        expected_order=None if from_file else NOMINAL_ORDERS.get(scheme_name),
+        expected_order=NOMINAL_ORDERS.get(scheme.operands),
         **problem,
     )
 
@@ -221,7 +227,7 @@ def _cmd_convergence(args, cfg):
     problem, dim = cfg["problem"], int(cfg["dim"])
     seeds = (seed,) if problem == "schrodinger" else derive_seeds(seed, instances)
     studies = [
-        (scheme, _study(cfg, scheme.name, args.scheme, problem=problem, seed=child, dim=dim))
+        (scheme, _study(cfg, scheme, problem=problem, seed=child, dim=dim))
         for scheme in schemes
         for child in seeds
     ]
@@ -242,13 +248,18 @@ def _cmd_convergence(args, cfg):
     return _study_exit(results), columns, rows
 
 
+def _campaign_args(cfg) -> dict:
+    """The keyword arguments a [verify-duhamel] or [verify-bound] section gives its campaign."""
+    return {
+        "seed": int(cfg["seed"]),
+        "count": int(cfg["count"]),
+        "dim": int(cfg["dim"]),
+        "t_list": _parse_reals(cfg["t_values"]),
+    }
+
+
 def _cmd_verify_duhamel(args, cfg):
-    campaign = verify_duhamel(
-        seed=int(cfg["seed"]),
-        count=int(cfg["count"]),
-        dim=int(cfg["dim"]),
-        t_list=_parse_reals(cfg["t_values"]),
-    )
+    campaign = verify_duhamel(**_campaign_args(cfg))
     worst = max((r.discrepancy for r in campaign.rows), default=0.0)
     print(
         f"{'PASS' if campaign.passed else 'FAIL'} verify-duhamel: "
@@ -260,12 +271,7 @@ def _cmd_verify_duhamel(args, cfg):
 
 
 def _cmd_verify_bound(args, cfg):
-    campaign = verify_bound(
-        seed=int(cfg["seed"]),
-        count=int(cfg["count"]),
-        dim=int(cfg["dim"]),
-        t_list=_parse_reals(cfg["t_values"]),
-    )
+    campaign = verify_bound(**_campaign_args(cfg))
     print(
         f"{'PASS' if campaign.passed else 'FAIL'} verify-bound: "
         f"{len(campaign.rows)} comparisons, {campaign.violations} violations, "
@@ -277,7 +283,7 @@ def _cmd_verify_bound(args, cfg):
 
 def _cmd_schrodinger_bench(args, cfg):
     scheme = load_scheme(args.scheme) if args.scheme else scheme_by_name(cfg["scheme"])
-    study = _study(cfg, scheme.name, args.scheme, problem="schrodinger", seed=0)
+    study = _study(cfg, scheme, problem="schrodinger", seed=0)
     rows, result = run_schrodinger_benchmark(study, scheme=scheme)
     order = "n/a" if result.fitted_order is None else f"{result.fitted_order:.4f}"
     print(f"{result.verdict.upper()} schrodinger-bench: fitted order {order}")

@@ -32,16 +32,11 @@ _CANONICAL_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SplittingScheme:
-    """Ordered exponential-product scheme.
-
-    ``canonical`` asserts each factor is a scalar multiple of a named operator
-    and, per distinct reference, the coefficients sum to 1 — so the scheme is
-    consistent with the flow of the plain sum of its operators.
-    """
+    """Ordered exponential-product scheme: a name and its operands.  What the
+    scheme is follows from the operands alone; the name is only a label."""
 
     name: str
     operands: Tuple[Tuple[str, float], ...]
-    canonical: bool = False
 
     def __post_init__(self):
         operands = tuple((str(ref), float(c)) for ref, c in self.operands)
@@ -53,20 +48,19 @@ class SplittingScheme:
             if not isfinite(c):
                 raise ValueError(f"non-finite coefficient for {ref!r}")
         object.__setattr__(self, "operands", operands)
-        if self.canonical:
-            for ref in self.references:
-                total = sum(c for r, c in operands if r == ref)
-                if abs(total - 1.0) > _CANONICAL_SUM_TOL:
-                    raise ValueError(
-                        f"canonical scheme: coefficients for {ref!r} sum to "
-                        f"{total!r}, expected 1"
-                    )
 
     @property
     def references(self) -> Tuple[str, ...]:
         """Distinct operator references in first-appearance order."""
         seen = dict.fromkeys(ref for ref, _ in self.operands)
         return tuple(seen)
+
+    @property
+    def canonical(self) -> bool:
+        """Per distinct reference the coefficients sum to 1, so the scheme is
+        consistent with the flow of the plain sum of its operators."""
+        sums = (sum(c for r, c in self.operands if r == ref) for ref in self.references)
+        return all(abs(total - 1.0) <= _CANONICAL_SUM_TOL for total in sums)
 
 
 @dataclass(frozen=True)
@@ -111,21 +105,17 @@ def triple_operator_set(p1, p2, p3) -> OperatorSet:
 
 def make_lie_trotter() -> SplittingScheme:
     """First-order two-factor scheme e^{tA} e^{tB}."""
-    return SplittingScheme("lie-trotter", (("A", 1.0), ("B", 1.0)), canonical=True)
+    return SplittingScheme("lie-trotter", (("A", 1.0), ("B", 1.0)))
 
 
 def make_strang() -> SplittingScheme:
     """Symmetric second-order scheme e^{tA/2} e^{tB} e^{tA/2}."""
-    return SplittingScheme(
-        "strang", (("A", 0.5), ("B", 1.0), ("A", 0.5)), canonical=True
-    )
+    return SplittingScheme("strang", (("A", 0.5), ("B", 1.0), ("A", 0.5)))
 
 
 def make_triple() -> SplittingScheme:
     """Plain three-factor scheme e^{tP1} e^{tP2} e^{tP3}."""
-    return SplittingScheme(
-        "triple", (("P1", 1.0), ("P2", 1.0), ("P3", 1.0)), canonical=True
-    )
+    return SplittingScheme("triple", (("P1", 1.0), ("P2", 1.0), ("P3", 1.0)))
 
 
 def generator_matrix(scheme: SplittingScheme, ops: OperatorSet) -> np.ndarray:
@@ -198,14 +188,14 @@ def leading_error_E3(p1, p2, p3, form: str = "series") -> np.ndarray:
 
 # --- scheme text files -------------------------------------------------------
 #
-# Line-oriented: "name <label>", "canonical <0|1>", then one "<ref> <coeff>"
-# line per operand, in application order.  Coefficients accept "p/q" or any
-# float literal.  '#' starts a comment.
+# Line-oriented: "name <label>", then one "<ref> <coeff>" line per operand,
+# in application order.  Coefficients accept "p/q" or any float literal.  '#'
+# starts a comment.  Whether a scheme is canonical is computed from its
+# operands, never declared.
 
 
 def parse_scheme(text: str) -> SplittingScheme:
     name = None
-    canonical = False
     operands = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -216,21 +206,22 @@ def parse_scheme(text: str) -> SplittingScheme:
         if key == "name":
             name = value
         elif key == "canonical":
-            if value.lower() not in {"0", "1", "true", "false"}:
-                raise ValueError(f"bad canonical flag {value!r}")
-            canonical = value.lower() in {"1", "true"}
+            raise ValueError("scheme files take no canonical line; it is computed from the operands")
         else:
             if not value:
                 raise ValueError(f"operand line {raw!r} is missing a coefficient")
             operands.append((key, parse_coefficient(value)))
     if name is None:
         raise ValueError("scheme file has no name line")
-    return SplittingScheme(name, tuple(operands), canonical=canonical)
+    return SplittingScheme(name, tuple(operands))
 
 
 def parse_coefficient(token: str) -> float:
     if "/" in token:
-        return float(Fraction(token))
+        try:
+            return float(Fraction(token))
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {token!r} divides by zero") from None
     return float(token)
 
 

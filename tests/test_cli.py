@@ -220,15 +220,78 @@ def test_no_wave_run_is_longer_than_the_studys_finest(tmp_path, monkeypatch, cap
     assert calls and max(map(max, calls)) == 128
 
 
+def wave_config(tmp_path, command):
+    path = tmp_path / "wave.ini"
+    problem = "problem = schrodinger\n" if command == "convergence" else ""
+    path.write_text(
+        f"[config]\nversion = 1\n\n[{command}]\n{problem}points = 64\nhalf_width = 8\n"
+        "steps = 2^-4 2^-5 2^-6 2^-7\nhorizon = 1/2\n"
+    )
+    return str(path)
+
+
+def record_studies(monkeypatch):
+    # the study of every run_convergence call, from cli or run_schrodinger_benchmark
+    studies = []
+    original = harness.run_convergence
+
+    def recorded(study, *args, **kwargs):
+        studies.append(study)
+        return original(study, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_convergence", recorded)
+    monkeypatch.setattr(cli, "run_convergence", recorded)
+    return studies
+
+
 @pytest.mark.parametrize("command", ["schrodinger-bench", "convergence"])
-def test_non_canonical_file_with_strangs_operands_is_refused(tmp_path, capsys, command):
-    config = tmp_path / "wave.ini"
-    config.write_text("[config]\nversion = 1\n\n[convergence]\nproblem = schrodinger\n")
-    scheme = tmp_path / "strang.txt"
-    scheme.write_text("name strang\ncanonical 0\nA 1/2\nB 1\nA 1/2\n")
-    argv = [command, "--config", str(config), "--scheme", str(scheme)]
+def test_flagless_file_with_strangs_operands_takes_the_references_runs(
+    tmp_path, monkeypatch, capsys, command
+):
+    # consistency is computed, so a Strang file declares nothing; whatever its
+    # name, its rows are the reference's runs and it is held to order 2
+    scheme = tmp_path / "sym.scheme"
+    scheme.write_text("name sym\nA 1/2\nB 1\nA 1/2\n")
+    calls = count_evolve_steps(monkeypatch)
+    studies = record_studies(monkeypatch)
+    argv = [command, "--config", wave_config(tmp_path, command), "--scheme", str(scheme)]
+    assert main(argv) == EXIT_PASS
+    assert calls == [(64, 32, 16, 8)]
+    assert [study.expected_order for study in studies] == [2.0]
+
+
+@pytest.mark.parametrize("command", ["schrodinger-bench", "convergence"])
+def test_flagless_lie_trotter_file_is_held_to_order_1(
+    config_path, tmp_path, monkeypatch, capsys, command
+):
+    # Lie-Trotter's operands under another name: the wave route runs it, and
+    # both routes hold it to the built-in's order
+    scheme = tmp_path / "my-lt.scheme"
+    scheme.write_text("name my-lt\nA 1\nB 1\n")
+    studies = record_studies(monkeypatch)
+    config = wave_config(tmp_path, command) if command == "schrodinger-bench" else config_path
+    assert main([command, "--config", config, "--scheme", str(scheme)]) == EXIT_PASS
+    assert {study.scheme_name for study in studies} == {"my-lt"}
+    assert {study.expected_order for study in studies} == {1.0}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "name strang\ncanonical 1\nA 1/2\nB 1\nA 1/2\n",
+            "scheme files take no canonical line; it is computed from the operands",
+        ),
+        ("name x\nA 1/0\nB 1\n", "coefficient '1/0' divides by zero"),
+    ],
+    ids=["canonical-line", "zero-denominator"],
+)
+def test_unusable_scheme_file_exits_inconclusive(config_path, tmp_path, capsys, text, message):
+    scheme = tmp_path / "bad.scheme"
+    scheme.write_text(text)
+    argv = ["convergence", "--config", config_path, "--scheme", str(scheme)]
     assert main(argv) == EXIT_INCONCLUSIVE
-    assert "not canonical" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -255,7 +318,7 @@ def test_convergence_seed_flag_changes_rows(config_path, tmp_path):
 
 def test_convergence_with_scheme_file(config_path, tmp_path, capsys):
     scheme_path = tmp_path / "sym.scheme"
-    scheme_path.write_text("name strang\ncanonical 1\nA 1/2\nB 1\nA 1/2\n")
+    scheme_path.write_text("name strang\nA 1/2\nB 1\nA 1/2\n")
     code = main(["convergence", "--config", config_path, "--scheme", str(scheme_path)])
     assert code == EXIT_PASS
     assert "strang" in capsys.readouterr().out
@@ -600,7 +663,7 @@ def test_empty_list_is_a_config_error(tmp_path, capsys, command, key):
     assert captured.err.startswith("config error:")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "inf^0", "nan^0"])
 @pytest.mark.parametrize(
     "command, key",
     [("verify-bound", "t_values"), ("verify-duhamel", "t_values"), ("convergence", "horizon")],
@@ -641,6 +704,17 @@ def test_t_too_large_to_evaluate_is_inconclusive(tmp_path, capsys, command):
     assert "PASS" not in captured.out
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error:")
+
+
+def test_sign_of_a_power_is_the_sign_of_the_number(tmp_path, capsys):
+    # -2^-2 is -1/4, not (-2)^-2 = +1/4: the horizon is negative, so nothing runs
+    cfg = tmp_path / "negative.ini"
+    cfg.write_text(
+        "[config]\nversion = 1\n\n[convergence]\nhorizon = -2^-2\n"
+        "steps = 2^-4 2^-5 2^-6 2^-7\ninstances = 1\n"
+    )
+    assert main(["convergence", "--config", str(cfg)]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr() == ("", "error: horizon must be positive\n")
 
 
 def test_bad_number_token_is_a_config_error(tmp_path, capsys):

@@ -194,9 +194,9 @@ def test_strang_study_runs_in_its_references_call(monkeypatch):
 
 
 def test_scheme_named_strang_without_its_operands_runs_alone(monkeypatch):
-    # a first-order file that calls itself strang: only operands and the
-    # canonical flag decide whether a scheme's runs join the reference's call
-    mislabelled = splitting.parse_scheme("name strang\ncanonical 1\nA 0.4\nB 1\nA 0.6\n")
+    # a first-order file that calls itself strang: only the operands decide
+    # whether a scheme's runs join the reference's call
+    mislabelled = splitting.parse_scheme("name strang\nA 0.4\nB 1\nA 0.6\n")
     calls = count_evolve_steps(monkeypatch)
     result = run_convergence(SMALL_STRANG, scheme=mislabelled)
     assert calls == [(64, 32, 16, 8), (8, 16, 32, 64)]

@@ -1,8 +1,9 @@
 """The README's library quick start runs against this checkout's program,
-and its config sample lists the CLI's defaults.
+its config sample lists the CLI's defaults, and its scheme sample parses.
 
-Deleting or renaming a public name the quick start uses, or changing a
-default the sample shows, fails here rather than leaving the README broken.
+Deleting or renaming a public name the quick start uses, changing a default
+the config sample shows, or changing the scheme-file grammar under its sample
+fails here rather than leaving the README broken.
 """
 
 import configparser
@@ -10,6 +11,7 @@ import re
 from pathlib import Path
 
 from trisplit import cli
+from trisplit.splitting import make_strang, parse_scheme
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +34,9 @@ def test_readme_config_sample_is_the_defaults():
     assert parser.get("config", "version") == cli.CONFIG_VERSION
     sample = {name: dict(parser.items(name)) for name in parser.sections() if name != "config"}
     assert sample == cli.DEFAULTS
+
+
+def test_readme_scheme_sample_is_strang():
+    blocks = re.findall(r"```text\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    assert parse_scheme(blocks[0]) == make_strang()

@@ -90,8 +90,8 @@ def test_spectral_derivative_of_sine():
 
 # --- sub-flows, each applied by evolve as a one-operand scheme ---------------------
 
-KINETIC = SplittingScheme("kinetic", (("A", 1.0),), canonical=True)
-POTENTIAL = SplittingScheme("potential", (("B", 1.0),), canonical=True)
+KINETIC = SplittingScheme("kinetic", (("A", 1.0),))
+POTENTIAL = SplittingScheme("potential", (("B", 1.0),))
 
 
 def test_laplacian_propagator_phase_on_plane_wave():
@@ -125,12 +125,10 @@ def test_potential_propagator_grid_mismatch():
 def test_split_step_requires_canonical_ab_scheme():
     u = gaussian_packet(GRID)
     v = Potential.harmonic(GRID)
-    non_canonical = SplittingScheme("frac", (("A", 0.5), ("B", 0.5)), canonical=False)
+    non_canonical = SplittingScheme("frac", (("A", 0.5), ("B", 0.5)))
     with pytest.raises(ValueError):
         evolve(u, v, 0.1, 1, non_canonical)
-    triple_refs = SplittingScheme(
-        "trip", (("P1", 1.0), ("P2", 1.0), ("P3", 1.0)), canonical=True
-    )
+    triple_refs = SplittingScheme("trip", (("P1", 1.0), ("P2", 1.0), ("P3", 1.0)))
     with pytest.raises(ValueError):
         evolve(u, v, 0.1, 1, triple_refs)
 
@@ -157,10 +155,8 @@ def test_free_gaussian_closed_form():
 MERGE_SCHEMES = {
     "strang": make_strang(),
     "lie-trotter": make_lie_trotter(),
-    "b-a-b": SplittingScheme("b-a-b", (("B", 0.5), ("A", 1.0), ("B", 0.5)), canonical=True),
-    "a-a-b-a": SplittingScheme(
-        "a-a-b-a", (("A", 0.25), ("A", 0.25), ("B", 1.0), ("A", 0.5)), canonical=True
-    ),
+    "b-a-b": SplittingScheme("b-a-b", (("B", 0.5), ("A", 1.0), ("B", 0.5))),
+    "a-a-b-a": SplittingScheme("a-a-b-a", (("A", 0.25), ("A", 0.25), ("B", 1.0), ("A", 0.5))),
     "kinetic": KINETIC,
 }
 

@@ -45,17 +45,25 @@ def test_builtin_scheme_shapes():
     assert tr.references == ("P1", "P2", "P3")
 
 
-def test_canonical_flag_enforces_unit_sums():
-    with pytest.raises(ValueError):
-        SplittingScheme("bad", (("A", 0.5), ("B", 1.0)), canonical=True)
-    # the same coefficients are fine when not declared canonical
-    s = SplittingScheme("ok", (("A", 0.5), ("B", 1.0)), canonical=False)
-    assert s.references == ("A", "B")
+def test_canonical_is_computed_from_the_operands():
+    # per distinct reference the coefficients sum to 1, within 1e-12; no
+    # argument can declare it, and a scheme that is not canonical still builds
+    assert all(s.canonical for s in (make_lie_trotter(), make_strang(), make_triple()))
+    assert SplittingScheme("a-b-a", (("A", 0.4), ("B", 1.0), ("A", 0.6))).canonical
+    assert SplittingScheme("near", (("A", 1.0 + 1e-13), ("B", 1.0))).canonical
+    assert not SplittingScheme("far", (("A", 1.0 + 1e-11), ("B", 1.0))).canonical
+    half = SplittingScheme("half", (("A", 0.5), ("B", 1.0)))
+    assert half.references == ("A", "B")
+    assert not half.canonical
+    with pytest.raises(AttributeError):
+        half.canonical = True
+    with pytest.raises(TypeError):
+        SplittingScheme("flagged", (("A", 1.0),), canonical=True)
 
 
 def test_scheme_rejects_nonfinite_coefficients():
     with pytest.raises(ValueError):
-        SplittingScheme("bad", (("A", float("nan")),), canonical=False)
+        SplittingScheme("bad", (("A", float("nan")),))
 
 
 def test_operator_set_contracts():
@@ -81,7 +89,7 @@ def test_generator_matrix_sums_coefficients():
 
 def test_apply_single_factor_is_plain_exponential():
     a = random_skew_hermitian(5, seed=7)
-    scheme = SplittingScheme("solo", (("A", 1.0),), canonical=True)
+    scheme = SplittingScheme("solo", (("A", 1.0),))
     ops = OperatorSet({"A": a})
     assert np.allclose(apply_splitting(scheme, ops, 0.8), expm(a, 0.8), atol=1e-14)
 
@@ -304,16 +312,16 @@ def test_e3_against_measured_error_for_symmetrized_pair():
 
 def test_scheme_roundtrip(tmp_path):
     texts = (
-        "name lie-trotter\ncanonical 1\nA 1\nB 1\n",
-        "name strang\ncanonical 1\nA 1/2\nB 1\nA 1/2\n",
-        "name triple\ncanonical 1\nP1 1\nP2 1\nP3 1\n",
+        "name lie-trotter\nA 1\nB 1\n",
+        "name strang\nA 1/2\nB 1\nA 1/2\n",
+        "name triple\nP1 1\nP2 1\nP3 1\n",
     )
     for text, scheme in zip(texts, (make_lie_trotter(), make_strang(), make_triple())):
         back = parse_scheme(text)
         assert back == scheme
-    custom = SplittingScheme("halfway", (("A", 0.5), ("B", 0.25)), canonical=False)
+    custom = SplittingScheme("halfway", (("A", 0.5), ("B", 0.25)))
     path = tmp_path / "halfway.scheme"
-    path.write_text("name halfway\ncanonical 0\nA 1/2\nB 0.25\n")
+    path.write_text("name halfway\nA 1/2\nB 0.25\n")
     assert load_scheme(path) == custom
 
 
@@ -322,7 +330,6 @@ def test_parse_scheme_accepts_fractions_and_comments():
         [
             "# a symmetric composition",
             "name custom",
-            "canonical 1",
             "A 1/2",
             "B 1",
             "A 1/2",
@@ -336,12 +343,14 @@ def test_parse_scheme_accepts_fractions_and_comments():
 
 
 def test_parse_scheme_rejects_malformed_input():
+    with pytest.raises(ValueError, match="no canonical line"):
+        parse_scheme("name x\ncanonical 1\nA 1")  # computed, never declared
     with pytest.raises(ValueError):
-        parse_scheme("name x\ncanonical maybe\nA 1")
+        parse_scheme("name x\nA")  # missing coefficient
     with pytest.raises(ValueError):
-        parse_scheme("name x\ncanonical 1\nA")  # missing coefficient
-    with pytest.raises(ValueError):
-        parse_scheme("canonical 1\nA 1")  # missing name
+        parse_scheme("A 1")  # missing name
+    with pytest.raises(ValueError, match="'1/0'"):
+        parse_scheme("name x\nA 1/0")  # a ValueError, not Fraction's ZeroDivisionError
 
 
 def test_scheme_by_name():
