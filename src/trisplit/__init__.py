@@ -40,7 +40,6 @@ from trisplit.splitting import (
     splitting_error,
 )
 from trisplit.duhamel import (
-    QuadratureSpec,
     duhamel_error,
     error_bound,
     z_integral,
@@ -49,7 +48,6 @@ from trisplit.duhamel import (
 __all__ = [
     "FreeElement",
     "OperatorSet",
-    "QuadratureSpec",
     "SplittingScheme",
     "apply_splitting",
     "bracket",

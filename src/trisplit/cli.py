@@ -176,12 +176,22 @@ def _write_artifact(out_dir, name, fieldnames, rows, fmt):
 # --- subcommand handlers -------------------------------------------------------
 
 
+def _say(line):
+    """Print one line and flush it.  A reader that closed stdout ends only the
+    printing: fd 1 turns to os.devnull, and the run still writes its artifact
+    and exits with its verdict's status."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _cmd_certify_algebra(args, cfg):
     checks = certify_algebra(inject_fault=args.inject_fault)
     for check in checks:
-        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}")
+        _say(f"{'PASS' if check.passed else 'FAIL'} {check.name}")
         if not check.passed:
-            print(check.detail)
+            _say(check.detail)
     passed = all(check.passed for check in checks)
     return EXIT_PASS if passed else EXIT_FAIL, ("check", "passed"), [c[:2] for c in checks]
 
@@ -240,7 +250,7 @@ def _cmd_convergence(args, cfg):
         order = "" if result.fitted_order is None else repr(float(result.fitted_order))
         r2 = "" if result.fit_r2 is None else repr(float(result.fit_r2))
         rows.append((study.scheme_name, study.seed, order, r2, result.verdict, result.notes))
-        print(
+        _say(
             f"{result.verdict.upper():12s} {study.scheme_name:12s} seed={study.seed} "
             f"order={order or 'n/a'} r2={r2 or 'n/a'}"
         )
@@ -261,18 +271,18 @@ def _campaign_args(cfg) -> dict:
 def _cmd_verify_duhamel(args, cfg):
     campaign = verify_duhamel(**_campaign_args(cfg))
     worst = max((r.discrepancy for r in campaign.rows), default=0.0)
-    print(
+    _say(
         f"{'PASS' if campaign.passed else 'FAIL'} verify-duhamel: "
         f"{len(campaign.rows)} comparisons, max discrepancy {worst:.3e}"
     )
     if campaign.notes:
-        print(campaign.notes)
+        _say(campaign.notes)
     return EXIT_PASS if campaign.passed else EXIT_FAIL, DuhamelCampaignRow._fields, campaign.rows
 
 
 def _cmd_verify_bound(args, cfg):
     campaign = verify_bound(**_campaign_args(cfg))
-    print(
+    _say(
         f"{'PASS' if campaign.passed else 'FAIL'} verify-bound: "
         f"{len(campaign.rows)} comparisons, {campaign.violations} violations, "
         f"max saturation {campaign.max_saturation:.3f}, "
@@ -286,9 +296,9 @@ def _cmd_schrodinger_bench(args, cfg):
     study = _study(cfg, scheme, problem="schrodinger", seed=0)
     rows, result = run_schrodinger_benchmark(study, scheme=scheme)
     order = "n/a" if result.fitted_order is None else f"{result.fitted_order:.4f}"
-    print(f"{result.verdict.upper()} schrodinger-bench: fitted order {order}")
+    _say(f"{result.verdict.upper()} schrodinger-bench: fitted order {order}")
     for row in rows:
-        print(f"  h={row.h!r}  L2_error={row.l2_error!r}  norm_defect={row.norm_defect!r}")
+        _say(f"  h={row.h!r}  L2_error={row.l2_error!r}  norm_defect={row.norm_defect!r}")
     return _study_exit([result]), ("h", "L2_error", "norm_defect"), rows
 
 

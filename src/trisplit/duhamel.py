@@ -23,8 +23,11 @@ for that block (see ``_van_loan``) and I for the identity:
     [e^{tP}, Q] = VL(t; P, [P,Q], P),
     V1(tau) = VL(tau; P1, I, P1, K1, P1),   V2(tau) = VL(tau; P2, K2, P2, I, P2).
 
-Only the outer tau-integral of E(t) uses quadrature, composite Gauss-Legendre
-with panel doubling per (triple, t) row: its flows are not one exponential.
+Only the outer tau-integral of E(t) uses quadrature: its flows are not one
+exponential.  The rule is fixed in code: Gauss-Legendre of order GAUSS_ORDER =
+8 on one panel, doubled per (triple, t) row until successive estimates differ
+by less than TARGET_TOL/2 = 5e-9, at most MAX_PANEL_DOUBLINGS = 8 times (256
+panels); a row that stops short raises ``ToleranceNotReached``.
 ``duhamel_error`` validates a triple or a stack, checks the condition and forms
 K1, K2 (``_double_commutators``) once, then takes one of two paths.
 
@@ -61,7 +64,6 @@ and with this bound, one ``DuhamelCampaignRow`` per triple and t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -79,27 +81,18 @@ from trisplit.matrix_core import (
 )
 from trisplit.splitting import triple_operator_set
 
+#: Gauss-Legendre order of each panel of the outer tau-rule, which starts on one panel
+GAUSS_ORDER = 8
+
+#: a row stops once successive panel doublings differ by less than half of this
+TARGET_TOL = 1e-8
+
 #: Refinement cap: panel counts grow by doubling at most this many times.
 MAX_PANEL_DOUBLINGS = 8
 
 
 class ToleranceNotReached(_Located):
-    """Panel doubling hit its cap, or stalled at round-off, above target_tol."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    gauss_order: int = 8
-    panels: int = 1
-    target_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.gauss_order < 2:
-            raise ValueError("gauss_order must be at least 2")
-        if self.panels < 1:
-            raise ValueError("panels must be at least 1")
-        if not self.target_tol > 0:
-            raise ValueError("target_tol must be positive")
+    """Panel doubling hit its cap, or stalled at round-off, above TARGET_TOL."""
 
 
 @lru_cache(maxsize=None)
@@ -107,9 +100,9 @@ def _gauss_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_nodes(upper: float, order: int, panels: int):
+def _panel_nodes(upper: float, panels: int):
     """Composite Gauss-Legendre nodes and weights for int_0^upper."""
-    x, w = _gauss_rule(order)
+    x, w = _gauss_rule(GAUSS_ORDER)
     edges = np.linspace(0.0, upper, panels + 1)
     mid = (edges[1:] + edges[:-1]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
@@ -118,32 +111,30 @@ def _panel_nodes(upper: float, order: int, panels: int):
     return nodes, weights
 
 
-def _refined(evaluate, shape, quad: QuadratureSpec, refine: bool) -> np.ndarray:
+def _refined(evaluate, shape) -> np.ndarray:
     """evaluate(panels, rows) estimates those flat rows of ``shape``.  Each row
-    doubles its panels until its gap is below target_tol/2, and fails at a
+    doubles its panels until its gap is below TARGET_TOL/2, and fails at a
     round-off stall or the cap; only pending rows are evaluated again.  Once
     all have stopped, the first failing row raises with its index in shape."""
-    panels, pending = quad.panels, np.arange(np.prod(shape, dtype=int))
+    panels, pending = 1, np.arange(np.prod(shape, dtype=int))
     result = evaluate(panels, pending)
-    if not refine:
-        return result
     previous, gaps, reached = result.copy(), np.full(len(pending), np.inf), np.zeros_like(pending)
-    while len(pending) and panels < quad.panels << MAX_PANEL_DOUBLINGS:
+    while len(pending) and panels < 1 << MAX_PANEL_DOUBLINGS:
         panels *= 2
         current = evaluate(panels, pending)
         gap = np.linalg.norm(current - previous, 2, axis=(-2, -1))
         gaps[pending], reached[pending] = gap, panels
-        live = ~(gap < quad.target_tol / 2.0)
+        live = ~(gap < TARGET_TOL / 2.0)
         result[pending[~live]] = current[~live]
         scale = np.linalg.norm(current[live], 2, axis=(-2, -1))
         live[live] = ~(gap[live] <= 64 * np.finfo(float).eps * scale)  # stalled at round-off
         pending, previous = pending[live], current[live]
-    failed = np.flatnonzero(~(gaps < quad.target_tol / 2.0))
+    failed = np.flatnonzero(~(gaps < TARGET_TOL / 2.0))
     if len(failed):
         row = failed[0]
         raise ToleranceNotReached(
             f"duhamel_error: gap {gaps[row]:.1e} at {reached[row]} panels did not reach "
-            f"target_tol {quad.target_tol!r}", tuple(map(int, np.unravel_index(row, shape)))
+            f"target_tol {TARGET_TOL!r}", tuple(map(int, np.unravel_index(row, shape)))
         )
     return result
 
@@ -201,7 +192,7 @@ def _psi(theta) -> np.ndarray:
     return out
 
 
-def _eigenbasis_levels(p1, p2, p3, k1, k2, times, quad):
+def _eigenbasis_levels(p1, p2, p3, k1, k2, times):
     """``_refined``'s evaluate for (k, n, n) skew-Hermitian stacks at m times,
     row r being triple r // m at time r % m.
 
@@ -238,7 +229,7 @@ def _eigenbasis_levels(p1, p2, p3, k1, k2, times, quad):
 
     def once(panels, rows):
         i, j = np.divmod(rows, len(times))
-        rules = zip(*(_panel_nodes(t, quad.gauss_order, panels) for t in times.tolist()))
+        rules = zip(*(_panel_nodes(t, panels) for t in times.tolist()))
         nodes, weights = (np.stack(rule)[j] for rule in rules)
         # a pass holds whole rows, or blocks of one row's nodes, as one call does
         step = max(1, _STACK_ENTRIES // lam1.shape[-1] ** 2)
@@ -253,7 +244,7 @@ def _eigenbasis_levels(p1, p2, p3, k1, k2, times, quad):
     return once
 
 
-def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
+def duhamel_error(p1, p2, p3, t) -> np.ndarray:
     """The exact error representation E(t): Gauss-Legendre over tau of the
     forward-flow integrand, whose inner integrals V1 and V2 are exact.
 
@@ -276,22 +267,21 @@ def duhamel_error(p1, p2, p3, t, quad=None, refine=True) -> np.ndarray:
             "the integral representation does not apply"
         )
     _, k1, k2 = _double_commutators(p1, p2, p3)
-    quad = quad or QuadratureSpec()
     if all(_is_skew(p) for p in (p1, p2, p3)):
-        levels = _eigenbasis_levels(p1, p2, p3, k1, k2, times, quad)
+        levels = _eigenbasis_levels(p1, p2, p3, k1, k2, times)
     else:
         generators = np.stack((p1, p2, p3, p1 + p2 + p3), axis=1)
 
         def levels(panels, rows):  # one row at a time
             out = np.zeros((len(rows), n, n), dtype=np.complex128)
             for total, (i, j) in zip(out, zip(*np.divmod(rows, len(times)))):
-                for tau, w in zip(*_panel_nodes(times[j], quad.gauss_order, panels)):
+                for tau, w in zip(*_panel_nodes(times[j], panels)):
                     e1, e2, e3, e_l = expm(generators[i], (tau, tau, tau, times[j] - tau))
                     kernel = _forward_kernel(tau, p1[i], p2[i], k1[i], k2[i], e1, e2)
                     total += w * (e_l @ kernel @ e3)
             return out
 
-    return _refined(levels, shape, quad, refine).reshape(shape + (n, n))
+    return _refined(levels, shape).reshape(shape + (n, n))
 
 
 def error_bound(p1, p2, p3, t):

@@ -479,7 +479,7 @@ def verify_duhamel(
 
     For every sampled constraint-satisfying triple and every t, the
     discrepancy ||(S(t) - e^{tL}) - E(t)|| must sit at or below
-    ``DISCREPANCY_TOL``.  E(t) comes from ``duhamel_error`` at its default
+    ``DISCREPANCY_TOL``.  E(t) comes from ``duhamel_error`` at its one
     quadrature; a row it cannot converge raises ``ToleranceNotReached``.
     The measured error and the bound come from the campaign's stacks, E(t)
     from one ``duhamel_error`` per stack, compared as it stands (sign +1): a

@@ -1,6 +1,6 @@
 """Call counters for the tests that pin how often a layer is called."""
 
-from trisplit import harness
+from trisplit import duhamel, harness
 
 
 def count_calls(monkeypatch, module, name, calls):
@@ -24,3 +24,22 @@ def count_evolve_steps(monkeypatch):
 
     monkeypatch.setattr(harness, "evolve_runs", counted)
     return calls
+
+
+def record_levels(monkeypatch):
+    # (panels, estimates) of every level duhamel_error's eigenbasis path evaluates
+    levels = []
+    original = duhamel._eigenbasis_levels
+
+    def recorded(*args):
+        evaluate = original(*args)
+
+        def once(panels, rows):
+            estimates = evaluate(panels, rows)
+            levels.append((panels, estimates.copy()))  # refinement writes into its first
+            return estimates
+
+        return once
+
+    monkeypatch.setattr(duhamel, "_eigenbasis_levels", recorded)
+    return levels

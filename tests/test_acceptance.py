@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from trisplit.duhamel import QuadratureSpec, duhamel_error, z_integral
+from counting import record_levels
+from trisplit.duhamel import duhamel_error, z_integral
 from trisplit.harness import (
     ConvergenceStudy,
     certify_algebra,
@@ -20,7 +21,7 @@ from trisplit.harness import (
     verify_duhamel,
 )
 from trisplit.matrix_core import expm, op_norm, random_skew_hermitian
-from trisplit import harness, schrodinger
+from trisplit import duhamel, harness, schrodinger
 from trisplit.schrodinger import (
     Grid1D,
     WaveFunction,
@@ -119,33 +120,29 @@ def test_criterion_3_leading_error_extrapolation():
     )
 
 
-def test_criterion_4_duhamel_representation():
+def test_criterion_4_duhamel_representation(monkeypatch):
     # the campaign's gate is fixed in code; loosening it means editing this line
     assert harness.DISCREPANCY_TOL == 1e-6
     start = time.perf_counter()
     campaign = verify_duhamel(count=20, dim=4, t_list=(0.25, 0.5), seed=MASTER_SEED + 4)
     worst = max(r.discrepancy for r in campaign.rows)
-    # refinement sanity: a deliberately coarse rule must improve as panels double
+    # refinement sanity: a deliberately coarse rule, order 2, must improve as
+    # refinement doubles its panels, at least 3 times, and still converge
     p1, p2, p3 = sample_constrained_triple(4, derive_seeds(MASTER_SEED + 4, 1)[0])
     measured = triple_splitting_error(p1, p2, p3, 0.5)
-    gaps = [
-        op_norm(
-            duhamel_error(
-                p1, p2, p3, 0.5,
-                quad=QuadratureSpec(gauss_order=2, panels=panels),
-                refine=False,
-            )
-            - measured
-        )
-        for panels in (1, 2, 4)
-    ]
+    monkeypatch.setattr(duhamel, "GAUSS_ORDER", 2)
+    levels = record_levels(monkeypatch)
+    final = op_norm(duhamel_error(p1, p2, p3, 0.5) - measured)
+    gaps = [op_norm(estimates[0] - measured) for _, estimates in levels]
     decreasing = gaps[1] < gaps[0] and gaps[2] < gaps[1]
+    panels = levels[-1][0]
     elapsed = time.perf_counter() - start
     report(
         4,
-        campaign.passed and decreasing,
+        campaign.passed and decreasing and panels >= 8 and final <= 1e-8,
         f"40 comparisons: max discrepancy {worst:.2e} (tol 1e-6); "
-        f"coarse-rule gap {gaps[0]:.1e} -> {gaps[1]:.1e} -> {gaps[2]:.1e} under panel doubling",
+        f"coarse-rule gap {gaps[0]:.1e} -> {gaps[1]:.1e} -> {gaps[2]:.1e} under panel doubling, "
+        f"{final:.1e} at {panels} panels",
         elapsed,
         budget=10.0,
     )

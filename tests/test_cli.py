@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -733,6 +734,34 @@ def test_linalg_error_is_a_fault_not_inconclusive(monkeypatch):
     monkeypatch.setattr(harness, "solve_second_order_constraint", fail)
     with pytest.raises(np.linalg.LinAlgError):
         main(["verify-bound"])
+
+
+@pytest.mark.parametrize("buffering", ["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["convergence"], EXIT_PASS), (["certify-algebra", "--inject-fault"], EXIT_FAIL)],
+    ids=["convergence", "inject-fault"],
+)
+def test_closed_stdout_keeps_the_exit_status_and_the_artifact(tmp_path, argv, status, buffering):
+    # a reader that closes stdout at once, as `| head -0` does, ends only the
+    # printing: no broken-pipe error, no exit 120, and the artifact is written
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trisplit.cli", *argv, "--out", str(tmp_path)],
+            stdout=write, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == status
+    assert (tmp_path / f"{argv[0].replace('-', '_')}.csv").exists()
+    assert proc.stderr == b""
 
 
 def test_cli_import_loads_no_scipy():

@@ -3,12 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from counting import count_calls
+from counting import count_calls, record_levels
 from triples import constrained_triple
 from trisplit import duhamel, harness, matrix_core
 from trisplit.duhamel import (
     ConditionViolated,
-    QuadratureSpec,
     ToleranceNotReached,
     duhamel_error,
     error_bound,
@@ -107,19 +106,6 @@ def direct_bracket(p, q, t):
     return u @ q - q @ u
 
 
-# --- quadrature plumbing ------------------------------------------------------
-
-
-def test_quadrature_spec_validation():
-    QuadratureSpec()  # defaults are legal
-    with pytest.raises(ValueError):
-        QuadratureSpec(gauss_order=1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(panels=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(target_tol=0.0)
-
-
 # --- the commutator-with-exponential integral ---------------------------------
 
 
@@ -208,19 +194,20 @@ def test_duhamel_error_reproduces_measured_error():
 
 
 def test_duhamel_error_unconverged_quadrature_raises():
+    # at t = 300 the shipped rule is still 6.6e-3 from converged at its cap
     p1, p2, p3 = constrained_triple(4, seed=55)
-    with pytest.raises(ToleranceNotReached):
-        duhamel_error(p1, p2, p3, 1.0, quad=QuadratureSpec(gauss_order=2, target_tol=1e-30))
+    with pytest.raises(ToleranceNotReached, match=r"gap \S+ at 256 panels did not reach"):
+        duhamel_error(p1, p2, p3, 300.0)
 
 
-def test_duhamel_error_stops_doubling_at_round_off():
-    # at gauss order 8 the gap between successive estimates is at round-off by
-    # 8 panels; no further doubling can reach 1e-30, so refinement stops there
-    # rather than at the 256-panel cap
+def test_duhamel_error_stops_doubling_at_round_off(monkeypatch):
+    # the gap between successive estimates is at round-off by 8 panels; no
+    # further doubling can reach 1e-30, so refinement stops there rather than
+    # at the 256-panel cap
     p1, p2, p3 = constrained_triple(4, seed=55)
-    quad = QuadratureSpec(gauss_order=8, target_tol=1e-30)
+    monkeypatch.setattr(duhamel, "TARGET_TOL", 1e-30)
     with pytest.raises(ToleranceNotReached, match=r"gap \S+ at 8 panels"):
-        duhamel_error(p1, p2, p3, 1.0, quad=quad)
+        duhamel_error(p1, p2, p3, 1.0)
 
 
 def count_nodes(monkeypatch, calls):
@@ -365,9 +352,9 @@ def psi_rows(monkeypatch):
     return shapes
 
 
-def assert_rows_are_lone_calls(p1, p2, p3, times, stack, quad=None):
+def assert_rows_are_lone_calls(p1, p2, p3, times, stack):
     for i, j in np.ndindex(stack.shape[:2]):
-        lone = duhamel_error(p1[i], p2[i], p3[i], times[j], quad=quad)
+        lone = duhamel_error(p1[i], p2[i], p3[i], times[j])
         assert np.array_equal(stack[i, j], lone)
 
 
@@ -386,23 +373,22 @@ def test_duhamel_error_broadcasts_over_triples_and_t():
 
 
 def test_stacked_rows_stop_at_their_own_panel_counts(monkeypatch):
-    # at gauss order 3 the t = 0.05 rows converge at 2 panels and the t = 1.0
-    # rows at 32 and 16; each level evaluates only the rows whose lone call
-    # reaches it, and every row is bitwise its lone call
+    # the t = 0.05 rows converge at 2 panels and the t = 4.0 rows at 16 and
+    # 8; each level evaluates only the rows whose lone call reaches it, and
+    # every row is bitwise its lone call
     p1, p2, p3 = stacked([constrained_triple(4, seed=s) for s in (113, 114)])
-    times = (0.05, 1.0)
-    quad = QuadratureSpec(gauss_order=3)
+    times = (0.05, 4.0)
     shapes = psi_rows(monkeypatch)
     levels = {}
     for i, j in np.ndindex(2, 2):
         shapes.clear()
-        duhamel_error(p1[i], p2[i], p3[i], times[j], quad=quad)
+        duhamel_error(p1[i], p2[i], p3[i], times[j])
         levels[i, j] = len(shapes) // 2
-    assert levels == {(0, 0): 2, (0, 1): 6, (1, 0): 2, (1, 1): 5}
+    assert levels == {(0, 0): 2, (0, 1): 5, (1, 0): 2, (1, 1): 4}
     shapes.clear()
-    stack = duhamel_error(p1, p2, p3, times, quad=quad)
-    assert [shape[0] for shape in shapes[::2]] == [4, 4, 2, 2, 2, 1]
-    assert_rows_are_lone_calls(p1, p2, p3, times, stack, quad)
+    stack = duhamel_error(p1, p2, p3, times)
+    assert [shape[0] for shape in shapes[::2]] == [4, 4, 2, 2, 1]
+    assert_rows_are_lone_calls(p1, p2, p3, times, stack)
 
 
 def test_non_normal_stack_takes_the_block_path(monkeypatch):
@@ -450,19 +436,20 @@ def test_duhamel_error_cubic_scaling():
     assert norms[1] / norms[2] == pytest.approx(8.0, rel=0.1)
 
 
-def test_panel_doubling_reduces_discrepancy():
-    # with refinement disabled, a deliberately coarse rule improves as the
-    # panel count is doubled by hand
+def test_panel_doubling_reduces_discrepancy(monkeypatch):
+    # a deliberately coarse rule, order 2, improves as refinement doubles its
+    # panels, takes at least 3 doublings and still ends within 1e-8
     p1, p2, p3 = constrained_triple(4, seed=75)
     t = 0.5
     measured = triple_splitting_error(p1, p2, p3, t)
-    gaps = []
-    for panels in (1, 2, 4):
-        quad = QuadratureSpec(gauss_order=2, panels=panels)
-        rep = duhamel_error(p1, p2, p3, t, quad=quad, refine=False)
-        gaps.append(op_norm(rep - measured))
+    monkeypatch.setattr(duhamel, "GAUSS_ORDER", 2)
+    levels = record_levels(monkeypatch)
+    rep = duhamel_error(p1, p2, p3, t)
+    assert [panels for panels, _ in levels[:4]] == [1, 2, 4, 8]
+    gaps = [op_norm(estimates[0] - measured) for _, estimates in levels]
     assert gaps[1] < gaps[0] or gaps[0] <= 1e-11
     assert gaps[2] < gaps[1] or gaps[1] <= 1e-11
+    assert op_norm(rep - measured) <= 1e-8
 
 
 # --- the a-priori bound -----------------------------------------------------------

@@ -2,15 +2,16 @@
 its config sample lists the CLI's defaults, and its scheme sample parses.
 
 Deleting or renaming a public name the quick start uses, changing a default
-the config sample shows, or changing the scheme-file grammar under its sample
-fails here rather than leaving the README broken.
+the config sample shows, changing the scheme-file grammar under its sample, or
+changing a rule the "Config files" section says is fixed in code fails here
+rather than leaving the README broken.
 """
 
 import configparser
 import re
 from pathlib import Path
 
-from trisplit import cli
+from trisplit import cli, duhamel, harness
 from trisplit.splitting import make_strang, parse_scheme
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +41,17 @@ def test_readme_scheme_sample_is_strang():
     blocks = re.findall(r"```text\n(.*?)```", README.read_text(), flags=re.DOTALL)
     assert len(blocks) == 1
     assert parse_scheme(blocks[0]) == make_strang()
+
+
+def test_readme_states_the_rules_fixed_in_code():
+    # each `module.NAME = value` in the "Config files" section is the constant's value
+    section = README.read_text().split("## Config files", 1)[1].split("\n## ", 1)[0]
+    stated = re.findall(r"`(duhamel|harness)\.([A-Z_]+) = ([^`]+)`", section)
+    assert {(module, name): float(value) for module, name, value in stated} == {
+        ("duhamel", "GAUSS_ORDER"): duhamel.GAUSS_ORDER,
+        ("duhamel", "MAX_PANEL_DOUBLINGS"): duhamel.MAX_PANEL_DOUBLINGS,
+        ("duhamel", "TARGET_TOL"): duhamel.TARGET_TOL,
+        ("harness", "DISCREPANCY_TOL"): harness.DISCREPANCY_TOL,
+        ("harness", "BOUND_SLACK"): harness.BOUND_SLACK,
+    }
+    assert f"({2 ** duhamel.MAX_PANEL_DOUBLINGS} panels)" in section
