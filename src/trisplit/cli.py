@@ -47,13 +47,6 @@ EXIT_INCONCLUSIVE = 2
 
 CONFIG_VERSION = "1"
 
-# keyed by operands: a scheme with a built-in's operands is held to that
-# built-in's order, whatever its name, and any other scheme to none
-NOMINAL_ORDERS = {
-    scheme_by_name("lie-trotter").operands: 1.0,
-    scheme_by_name("strang").operands: 2.0,
-}
-
 WAVE_DEFAULTS = {
     "steps": "2^-4 2^-5 2^-6 2^-7 2^-8 2^-9",
     "horizon": "1.0",
@@ -110,6 +103,14 @@ def _parse_real(token: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"number {token!r} is not finite")
     return value
+
+
+def _parse_int(cfg, key: str) -> int:
+    """An integer key's value, which takes a plain integer and no power or float."""
+    try:
+        return int(cfg[key])
+    except ValueError:
+        raise ConfigError(f"{key} takes a plain integer, got {cfg[key]!r}") from None
 
 
 def _parse_reals(text: str):
@@ -214,15 +215,14 @@ def _study(cfg, scheme, **problem) -> ConvergenceStudy:
         horizon=_parse_real(cfg["horizon"]),
         potential=cfg["potential"],
         half_width=_parse_real(cfg["half_width"]),
-        points=int(cfg["points"]),
-        expected_order=NOMINAL_ORDERS.get(scheme.operands),
+        points=_parse_int(cfg, "points"),
         **problem,
     )
 
 
 def _cmd_convergence(args, cfg):
-    seed = int(cfg["seed"])
-    instances = int(cfg["instances"])
+    seed = _parse_int(cfg, "seed")
+    instances = _parse_int(cfg, "instances")
     if instances < 1:
         raise ConfigError("instances must be at least 1")
     # every scheme is resolved before any study is built, so an unknown name runs none
@@ -234,7 +234,7 @@ def _cmd_convergence(args, cfg):
             raise ConfigError("schemes must name at least one scheme")
     # a wave study draws nothing from its seed, so it runs once per scheme; its
     # reference, the same for every scheme, holds a Strang study's rows
-    problem, dim = cfg["problem"], int(cfg["dim"])
+    problem, dim = cfg["problem"], _parse_int(cfg, "dim")
     seeds = (seed,) if problem == "schrodinger" else derive_seeds(seed, instances)
     studies = [
         (scheme, _study(cfg, scheme, problem=problem, seed=child, dim=dim))
@@ -261,9 +261,9 @@ def _cmd_convergence(args, cfg):
 def _campaign_args(cfg) -> dict:
     """The keyword arguments a [verify-duhamel] or [verify-bound] section gives its campaign."""
     return {
-        "seed": int(cfg["seed"]),
-        "count": int(cfg["count"]),
-        "dim": int(cfg["dim"]),
+        "seed": _parse_int(cfg, "seed"),
+        "count": _parse_int(cfg, "count"),
+        "dim": _parse_int(cfg, "dim"),
         "t_list": _parse_reals(cfg["t_values"]),
     }
 

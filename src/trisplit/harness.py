@@ -30,6 +30,7 @@ from trisplit.schrodinger import (
 from trisplit.splitting import (
     apply_splitting,
     generator_matrix,
+    make_lie_trotter,
     make_strang,
     pair_operator_set,
     scheme_by_name,
@@ -42,11 +43,17 @@ ERROR_FLOOR = 1e-12
 #: required goodness of fit for a convergence PASS
 R2_GATE = 0.999
 
-#: |fitted - expected| window when the study declares a nominal order
+#: the order a study is held to, keyed by its scheme's operands: a scheme with
+#: a built-in's operands has that built-in's order, whatever its name, and any
+#: other scheme none
+NOMINAL_ORDERS = {make_lie_trotter().operands: 1.0, make_strang().operands: 2.0}
+
+#: |fitted - nominal| window of a study whose scheme has a nominal order
 ORDER_WINDOW = 0.1
 
-#: local-slope deviation that marks a large-h point as pre-asymptotic
-PREASYMPTOTIC_SLOPE_TOL = 0.25
+#: a wave study whose reference's consistency exceeds this times its finest
+#: error is inconclusive
+REFERENCE_GATE = 0.3
 
 
 def derive_seeds(seed: int, count: int) -> Tuple[int, ...]:
@@ -78,28 +85,6 @@ def estimate_order(rows: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     return float(slope), float(r2)
 
 
-def _local_slope(row_a, row_b) -> float:
-    (h0, e0), (h1, e1) = row_a, row_b
-    return float(np.log(e0 / e1) / np.log(h0 / h1))
-
-
-def _drop_preasymptotic(rows):
-    """Drop up to the two largest step sizes when their local slope disagrees
-    with the fit through the remaining points.  Returns (kept, dropped)."""
-    kept = list(rows)
-    dropped = []
-    for _ in range(2):
-        if len(kept) < 4:
-            break
-        rest_slope, _ = estimate_order(kept[1:])
-        local = _local_slope(kept[0], kept[1])
-        if abs(local - rest_slope) > PREASYMPTOTIC_SLOPE_TOL:
-            dropped.append(kept.pop(0))
-        else:
-            break
-    return kept, dropped
-
-
 # --- convergence studies ------------------------------------------------------
 
 
@@ -122,7 +107,6 @@ class ConvergenceStudy:
     potential: str = "harmonic"
     half_width: float = 10.0
     points: int = 256
-    expected_order: Optional[float] = None
 
     def __post_init__(self):
         if self.problem not in ("matrix", "schrodinger"):
@@ -144,7 +128,7 @@ class StudyResult:
     fitted_order: Optional[float]
     fit_r2: Optional[float]
     verdict: str  # "pass" | "fail" | "inconclusive" | "degenerate"
-    dropped: Tuple[float, ...]
+    dropped: Tuple[float, ...]  # always (): the fit uses every row
     notes: str
     metadata: Dict[str, object] = field(default_factory=dict)
 
@@ -160,11 +144,10 @@ def _steps_for(horizon: float, h: float) -> int:
     return steps
 
 
-def _matrix_rows(study: ConvergenceStudy, scheme=None):
+def _matrix_rows(study: ConvergenceStudy, scheme):
     """Every step size in one ``apply_splitting`` call, whose stacked ``expm``
     takes the Pade degree of the largest step, and one batched spectral norm."""
     a, b = _random_pair(study.dim, study.seed)
-    scheme = scheme or scheme_by_name(study.scheme_name)
     if set(scheme.references) - {"A", "B"}:
         raise ValueError(f"scheme {study.scheme_name!r} is not an A/B scheme")
     ops = pair_operator_set(a, b)
@@ -215,9 +198,8 @@ def wave_reference(study: ConvergenceStudy) -> WaveReference:
     return WaveReference(_wave_key(study), reference, consistency, runs[::-1])
 
 
-def _schrodinger_rows(study: ConvergenceStudy, scheme=None, reference=None):
+def _schrodinger_rows(study: ConvergenceStudy, scheme, reference=None):
     """A Strang study's finals are its reference's runs; others run their own."""
-    scheme = scheme or scheme_by_name(study.scheme_name)
     reference = reference or wave_reference(study)
     if reference.key != _wave_key(study):
         raise ValueError("the wave reference was built for another grid, potential or step range")
@@ -244,8 +226,10 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
     ``scheme`` overrides the named scheme with an explicit SplittingScheme
     (e.g. loaded from a file).  ``reference``, for a wave study, is the
     ``wave_reference`` of a study that differs at most in scheme and seed;
-    without it the study builds its own.
+    without it the study builds its own.  The fit uses every row, and a scheme
+    with a nominal order is held to it.
     """
+    scheme = scheme or scheme_by_name(study.scheme_name)
     if study.problem == "matrix":
         if reference is not None:
             raise ValueError("a matrix study takes no wave reference")
@@ -262,7 +246,6 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
     rows = tuple(rows)
     errors = [e for _, e in rows]
     fitted_order = r2 = None
-    dropped_rows = []
     if max(errors) <= ERROR_FLOOR:
         verdict, notes = "degenerate", ["degenerate: no order measurable"]
     elif any(e <= 0 for e in errors):
@@ -270,34 +253,20 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
     elif any(a <= b for a, b in zip(errors, errors[1:])):
         verdict, notes = "inconclusive", ["non-monotone error sequence"]
     else:
-        kept, dropped_rows = _drop_preasymptotic(list(rows))
-        fitted_order, r2 = estimate_order(kept)
+        fitted_order, r2 = estimate_order(rows)
         ref_gap = metadata.get("reference_consistency")
-        notes = []
-        if dropped_rows:
-            notes.append(
-                "dropped pre-asymptotic steps: "
-                + ", ".join(repr(h) for h, _ in dropped_rows)
-            )
-        verdict = "pass"
-        if ref_gap is not None and ref_gap > 0.3 * min(errors):
+        nominal = NOMINAL_ORDERS.get(scheme.operands)
+        verdict, notes = "pass", []
+        if ref_gap is not None and ref_gap > REFERENCE_GATE * min(errors):
             verdict = "inconclusive"
             notes.append("reference not converged relative to finest measurement")
         if r2 < R2_GATE:
             verdict = "fail"
             notes.append(f"fit r2 {r2:.6f} below gate {R2_GATE}")
-        if (
-            verdict == "pass"
-            and study.expected_order is not None
-            and abs(fitted_order - study.expected_order) > ORDER_WINDOW
-        ):
+        if verdict == "pass" and nominal is not None and abs(fitted_order - nominal) > ORDER_WINDOW:
             verdict = "fail"
-            notes.append(
-                f"fitted order {fitted_order:.4f} outside "
-                f"{study.expected_order} +/- {ORDER_WINDOW}"
-            )
-    dropped = tuple(h for h, _ in dropped_rows)
-    return StudyResult(rows, fitted_order, r2, verdict, dropped, "; ".join(notes), metadata)
+            notes.append(f"fitted order {fitted_order:.4f} outside {nominal} +/- {ORDER_WINDOW}")
+    return StudyResult(rows, fitted_order, r2, verdict, (), "; ".join(notes), metadata)
 
 
 # --- exact algebra certification ----------------------------------------------

@@ -231,18 +231,27 @@ def wave_config(tmp_path, command):
     return str(path)
 
 
-def record_studies(monkeypatch):
-    # the study of every run_convergence call, from cli or run_schrodinger_benchmark
-    studies = []
+def record_results(monkeypatch):
+    # the result of every run_convergence call, from cli or run_schrodinger_benchmark
+    results = []
     original = harness.run_convergence
 
-    def recorded(study, *args, **kwargs):
-        studies.append(study)
-        return original(study, *args, **kwargs)
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(harness, "run_convergence", recorded)
     monkeypatch.setattr(cli, "run_convergence", recorded)
-    return studies
+    return results
+
+
+def held_to(monkeypatch, argv):
+    # with no window around it, every study fails and its note names the
+    # order it is held to
+    monkeypatch.setattr(harness, "ORDER_WINDOW", 0.0)
+    results = record_results(monkeypatch)
+    assert main(argv) == EXIT_FAIL
+    return {(r.metadata["scheme"], r.notes.partition(" outside ")[2]) for r in results}
 
 
 @pytest.mark.parametrize("command", ["schrodinger-bench", "convergence"])
@@ -254,11 +263,10 @@ def test_flagless_file_with_strangs_operands_takes_the_references_runs(
     scheme = tmp_path / "sym.scheme"
     scheme.write_text("name sym\nA 1/2\nB 1\nA 1/2\n")
     calls = count_evolve_steps(monkeypatch)
-    studies = record_studies(monkeypatch)
     argv = [command, "--config", wave_config(tmp_path, command), "--scheme", str(scheme)]
     assert main(argv) == EXIT_PASS
     assert calls == [(64, 32, 16, 8)]
-    assert [study.expected_order for study in studies] == [2.0]
+    assert held_to(monkeypatch, argv) == {("sym", "2.0 +/- 0.0")}
 
 
 @pytest.mark.parametrize("command", ["schrodinger-bench", "convergence"])
@@ -269,11 +277,10 @@ def test_flagless_lie_trotter_file_is_held_to_order_1(
     # both routes hold it to the built-in's order
     scheme = tmp_path / "my-lt.scheme"
     scheme.write_text("name my-lt\nA 1\nB 1\n")
-    studies = record_studies(monkeypatch)
     config = wave_config(tmp_path, command) if command == "schrodinger-bench" else config_path
-    assert main([command, "--config", config, "--scheme", str(scheme)]) == EXIT_PASS
-    assert {study.scheme_name for study in studies} == {"my-lt"}
-    assert {study.expected_order for study in studies} == {1.0}
+    argv = [command, "--config", config, "--scheme", str(scheme)]
+    assert main(argv) == EXIT_PASS
+    assert held_to(monkeypatch, argv) == {("my-lt", "1.0 +/- 0.0")}
 
 
 @pytest.mark.parametrize(
@@ -476,7 +483,34 @@ def test_fit_below_the_r2_gate_exits_fail(tmp_path, capsys):
     assert main(argv) == EXIT_FAIL
     assert capsys.readouterr().out.startswith("FAIL         lie-trotter")
     row = (out_dir / "convergence.csv").read_text().splitlines()[1]
-    assert row.endswith(",fail,dropped pre-asymptotic steps: 0.5; fit r2 0.997520 below gate 0.999")
+    assert row.endswith(",fail,fit r2 0.988819 below gate 0.999")
+
+
+def test_non_monotone_errors_exit_inconclusive(tmp_path, capsys):
+    # steps of 2 and 1 over t = 16 are far past any asymptotic regime: the
+    # errors do not fall with h, so no order is fitted
+    path = write_config(
+        tmp_path,
+        "[convergence]\nschemes = lie-trotter\ninstances = 2\nsteps = 2^1 2^0 2^-1 2^-2\n"
+        "horizon = 16\n",
+    )
+    out_dir = tmp_path / "conv"
+    assert main(["convergence", "--config", path, "--out", str(out_dir)]) == EXIT_INCONCLUSIVE
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["INCONCLUSIVE", "lie-trotter"]] * 2
+    rows = (out_dir / "convergence.csv").read_text().splitlines()[1:]
+    notes = [row.split(",")[-2:] for row in rows]
+    assert notes == [["inconclusive", "non-monotone error sequence"]] * 2
+
+
+def test_scheme_not_over_a_and_b_is_refused(tmp_path, capsys):
+    scheme = tmp_path / "odd.scheme"
+    scheme.write_text("name odd\nA 1\nC 1\n")
+    out_dir = tmp_path / "conv"
+    argv = ["convergence", "--scheme", str(scheme), "--out", str(out_dir)]
+    assert main(argv) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr() == ("", "error: scheme 'odd' is not an A/B scheme\n")
+    assert not out_dir.exists()
 
 
 def test_duhamel_discrepancy_above_its_tolerance_exits_fail(monkeypatch, capsys):
@@ -498,6 +532,14 @@ REMOVED_KEYS = (
     ("verify-duhamel", "panels", "1"),
     ("verify-duhamel", "target_tol", "1e-3"),
     ("verify-bound", "slack", "2"),
+)
+
+NON_INTEGERS = (
+    ("verify-duhamel", "count", "2^3"),
+    ("verify-bound", "seed", "1e3"),
+    ("verify-bound", "dim", "4/1"),
+    ("convergence", "instances", "2.5"),
+    ("schrodinger-bench", "points", "256.0"),
 )
 
 
@@ -560,6 +602,15 @@ REMOVED_KEYS = (
             )
             for section, key, value in REMOVED_KEYS
         ),
+        # an integer key takes a plain integer: no power, fraction or float
+        *(
+            (
+                section,
+                f"[config]\nversion = 1\n\n[{section}]\n{key} = {value}\n",
+                f"{key} takes a plain integer, got {value!r}",
+            )
+            for section, key, value in NON_INTEGERS
+        ),
     ],
     ids=[
         "no-instances",
@@ -572,6 +623,7 @@ REMOVED_KEYS = (
         "default-section",
         "default-section-alone",
         *(key for _, key, _ in REMOVED_KEYS),
+        *(f"{key}-{value}" for _, key, value in NON_INTEGERS),
     ],
 )
 def test_unusable_config_exits_inconclusive(tmp_path, capsys, command, text, message):

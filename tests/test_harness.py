@@ -84,10 +84,7 @@ def test_study_validation():
     "scheme,window", [("strang", (1.9, 2.1)), ("lie-trotter", (0.9, 1.1))]
 )
 def test_matrix_convergence_orders(scheme, window):
-    study = ConvergenceStudy(
-        "matrix", scheme, dyadic(4, 6), horizon=1.0, seed=314, dim=8,
-        expected_order={"strang": 2.0, "lie-trotter": 1.0}[scheme],
-    )
+    study = ConvergenceStudy("matrix", scheme, dyadic(4, 6), horizon=1.0, seed=314, dim=8)
     result = run_convergence(study)
     assert result.passed, result.notes
     assert window[0] <= result.fitted_order <= window[1]
@@ -98,14 +95,23 @@ def test_fitted_order_outside_its_window_fails():
     # Lie-Trotter at steps 2^-1 .. 2^-4 over t = 4 on a 2 x 2 pair is still far
     # from its asymptotic regime: the fit is clean (r2 0.99906, above the gate)
     # but its slope 1.8527 is nowhere near the nominal order 1
-    study = ConvergenceStudy(
-        "matrix", "lie-trotter", dyadic(1, 4), horizon=4.0, seed=0, dim=2, expected_order=1.0
-    )
+    study = ConvergenceStudy("matrix", "lie-trotter", dyadic(1, 4), horizon=4.0, seed=0, dim=2)
     result = run_convergence(study)
     assert result.verdict == "fail"
     assert result.fit_r2 >= harness.R2_GATE
     assert result.fitted_order == pytest.approx(1.8527, abs=1e-4)
     assert result.notes == "fitted order 1.8527 outside 1.0 +/- 0.1"
+
+
+def test_fit_uses_every_row_it_prints():
+    # Lie-Trotter from h = 1/2 over t = 2 on a 2 x 2 pair: the coarsest row is
+    # off the line, and the fit through all six rows is below the r2 gate
+    study = ConvergenceStudy("matrix", "lie-trotter", dyadic(1, 6), horizon=2.0, seed=1, dim=2)
+    result = run_convergence(study)
+    assert (result.verdict, result.dropped, len(result.rows)) == ("fail", (), 6)
+    assert result.fit_r2 == pytest.approx(0.996914, abs=1e-6)
+    assert (result.fitted_order, result.fit_r2) == harness.estimate_order(result.rows)
+    assert result.notes == "fit r2 0.996914 below gate 0.999"
 
 
 def test_matrix_convergence_degenerate_for_commuting_pair():
@@ -139,7 +145,6 @@ def test_schrodinger_convergence_passes():
     study = ConvergenceStudy(
         "schrodinger", "strang", dyadic(4, 6), horizon=1.0, seed=0,
         potential="harmonic", half_width=10.0, points=256,
-        expected_order=2.0,
     )
     result = run_convergence(study)
     assert result.passed, result.notes
@@ -256,8 +261,7 @@ def test_first_order_reference_is_not_converged(monkeypatch):
     # the consistency gap must stop the study
     monkeypatch.setattr(harness, "make_strang", splitting.make_lie_trotter)
     study = ConvergenceStudy(
-        "schrodinger", "strang", dyadic(4, 6), horizon=1.0, seed=0,
-        points=256, expected_order=2.0,
+        "schrodinger", "strang", dyadic(4, 6), horizon=1.0, seed=0, points=256
     )
     result = run_convergence(study)
     assert not result.passed

@@ -1,6 +1,7 @@
 """No public callable of the library takes a parameter that could loosen a
-check: every tolerance, quadrature rule, gate and slack is fixed in code, so a
-caller cannot pass a verdict by choosing one."""
+check: every tolerance, quadrature rule, gate and slack is fixed in code, and
+a study's expected order comes from the scheme it runs, so a caller cannot pass
+a verdict by choosing one."""
 
 import importlib
 import inspect
@@ -10,7 +11,7 @@ import pytest
 
 import trisplit
 
-KNOBS = ("tol", "quad", "refine", "slack", "gate")
+KNOBS = ("tol", "quad", "refine", "slack", "gate", "expected")
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(trisplit.__path__, "trisplit."))
 

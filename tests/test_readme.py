@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 
 from trisplit import cli, duhamel, harness
-from trisplit.splitting import make_strang, parse_scheme
+from trisplit.splitting import make_lie_trotter, make_strang, parse_scheme
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,12 +46,20 @@ def test_readme_scheme_sample_is_strang():
 def test_readme_states_the_rules_fixed_in_code():
     # each `module.NAME = value` in the "Config files" section is the constant's value
     section = README.read_text().split("## Config files", 1)[1].split("\n## ", 1)[0]
-    stated = re.findall(r"`(duhamel|harness)\.([A-Z_]+) = ([^`]+)`", section)
+    stated = re.findall(r"`(duhamel|harness)\.([A-Z0-9_]+) = ([^`]+)`", section)
     assert {(module, name): float(value) for module, name, value in stated} == {
         ("duhamel", "GAUSS_ORDER"): duhamel.GAUSS_ORDER,
         ("duhamel", "MAX_PANEL_DOUBLINGS"): duhamel.MAX_PANEL_DOUBLINGS,
         ("duhamel", "TARGET_TOL"): duhamel.TARGET_TOL,
         ("harness", "DISCREPANCY_TOL"): harness.DISCREPANCY_TOL,
         ("harness", "BOUND_SLACK"): harness.BOUND_SLACK,
+        ("harness", "ERROR_FLOOR"): harness.ERROR_FLOOR,
+        ("harness", "R2_GATE"): harness.R2_GATE,
+        ("harness", "ORDER_WINDOW"): harness.ORDER_WINDOW,
+        ("harness", "REFERENCE_GATE"): harness.REFERENCE_GATE,
     }
     assert f"({2 ** duhamel.MAX_PANEL_DOUBLINGS} panels)" in section
+    assert "every row the artifact prints; no row is dropped" in section
+    orders = {make_lie_trotter().operands: 1.0, make_strang().operands: 2.0}
+    assert harness.NOMINAL_ORDERS == orders
+    assert "(1 for Lie–Trotter's operands, 2 for Strang's, none otherwise)" in section

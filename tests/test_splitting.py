@@ -102,6 +102,19 @@ def test_apply_at_time_zero_is_identity():
         assert np.allclose(apply_splitting(scheme, ops, 0.0), np.eye(4), atol=1e-15)
 
 
+def test_apply_multiplies_the_factors_in_operand_order():
+    # the reversed product keeps every order and only flips the sign of the
+    # leading error: a scheme that is no palindrome, non-commuting operands
+    # and t > 0 tell the two apart
+    ops = pair_operator_set(random_skew_hermitian(4, 1), random_skew_hermitian(4, 2))
+    quarter = SplittingScheme("quarter", (("A", 0.25), ("B", 1.0), ("A", 0.75)))
+    for scheme in (make_lie_trotter(), quarter):
+        factors = [expm(ops[ref], 0.5 * coeff) for ref, coeff in scheme.operands]
+        applied = apply_splitting(scheme, ops, 0.5)
+        assert op_norm(applied - np.linalg.multi_dot(factors)) <= 1e-14
+        assert op_norm(applied - np.linalg.multi_dot(factors[::-1])) >= 0.1
+
+
 def test_splitting_exact_for_commuting_operators():
     a = np.diag([1j, -2j, 0.5j])
     b = np.diag([0.25j, 1j, -1j])
