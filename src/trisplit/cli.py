@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import configparser
+import functools
 import json
 import math
 import os
@@ -106,11 +107,14 @@ def _parse_real(token: str) -> float:
 
 
 def _parse_int(cfg, key: str) -> int:
-    """An integer key's value, which takes a plain integer and no power or float."""
+    """An integer key's value: a plain non-negative integer, no power or float."""
     try:
-        return int(cfg[key])
+        value = int(cfg[key])
     except ValueError:
         raise ConfigError(f"{key} takes a plain integer, got {cfg[key]!r}") from None
+    if value < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {cfg[key]!r}")
+    return value
 
 
 def _parse_reals(text: str):
@@ -317,6 +321,7 @@ SUBCOMMANDS = (
 )
 
 
+@functools.cache  # built once per process: parsing never changes it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trisplit",

@@ -370,12 +370,12 @@ DISCREPANCY_TOL = 1e-6
 BOUND_SLACK = 1e-9
 
 
-#: Entries of the one stacked expm a campaign stack makes: its triples times
-#: the t values times 4 exponentials (three factors and e^{tL}) times n^2.
-#: expm holds about 15 arrays of that size, so the default bound campaign
-#: (dim 6, three t, 9 triples per stack) adds about 1 MB of peak memory; one
-#: stack for all 100 triples adds about 10 MB.
-_STACK_ENTRIES = 1 << 12
+#: Entries of the one expm a campaign stack makes: its triples times the t
+#: values times 4 exponentials (three factors and e^{tL}) times n^2.  With two
+#: or more t, expm's eigenvector path holds about 4 arrays of that size: the
+#: default bound campaign (dim 6, three t, 37 triples per stack) peaks at about
+#: 1.1 MB traced.  A one-t campaign takes Pade, about 15 arrays, and 3.5 MB.
+_STACK_ENTRIES = 1 << 14
 
 
 @contextmanager

@@ -3,8 +3,9 @@ skew-Hermitian operators, the second-order condition and its solver.
 
 Matrices are plain square ``numpy`` arrays of complex128.  The exponential is
 scaling and squaring with diagonal Pade of degree 3 to 13 (Higham, SIAM J.
-Matrix Anal. Appl. 26, 2005), for one matrix or a stack.  Public functions
-validate their arguments once; the private helpers take checked arrays.
+Matrix Anal. Appl. 26, 2005), for one matrix or a stack, or one ``eigh`` per
+matrix for a skew-Hermitian stack on a grid of two or more times per matrix.
+Public functions validate their arguments once; the private helpers take checked arrays.
 ``check_second_order`` is the one gate on [P1,P2] + [P1,P3] + [P2,P3] = 0,
 used by the constraint solver and by ``duhamel_error``.  The solver meets it
 by one ``eigh`` of M = P1 + P2 = U diag(i lam) U*: P3 = -U (Q o K) U* with
@@ -101,8 +102,12 @@ _PADE = tuple(_pade(m, theta) for m, theta in (
 def expm(m, t=1.0) -> np.ndarray:
     """e^{tM} by Higham's Algorithm 2.3 ("The scaling and squaring method for
     the matrix exponential revisited", 2005), for one matrix or a (k, n, n)
-    stack with t a scalar or k values.  A stack takes the Pade degree its
-    largest ||tM||_1 needs; each matrix keeps its own 2^-s and s squarings.
+    stack with t a scalar, k values or a (k, m) grid, which gives (k, m, n, n).
+    A stack takes the Pade degree its largest ||tM||_1 needs; each matrix keeps
+    its own 2^-s and s squarings; a grid repeats the stack along its rows.
+    A grid of m >= 2 times on a skew-Hermitian stack takes one eigh of
+    -iM = U diag(lam) U* per matrix instead: e^{sM} = I + U diag(expm1(i s lam))
+    U*, unitary at any s and exactly I at s = 0 (Moler and Van Loan, 2003).
 
     Raises ValueError for a non-finite t, and OverflowError when the result
     does not fit in double precision.
@@ -110,14 +115,20 @@ def expm(m, t=1.0) -> np.ndarray:
     exponential is unitary at any norm.
     """
     a = np.asarray(m, dtype=np.complex128)
-    single = a.ndim == 2
-    a = a[None] if single else a
+    shape = a.shape
+    a = a[None] if a.ndim == 2 else a
     if a.ndim != 3 or a.shape[1] != a.shape[2] or not np.isfinite(a).all():
         raise ValueError(f"expected a finite square matrix or (k, n, n) stack, got shape {a.shape}")
-    k, n, _ = a.shape
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError("t must be finite")
+    if t.ndim == 2:
+        if len(t) != len(a):
+            raise ValueError(f"expected a ({len(a)}, m) time grid, got shape {t.shape}")
+        if t.shape[1] > 1 and _is_skew(a):
+            return _skew_grid(a, t)
+        shape, a, t = t.shape + a.shape[1:], np.repeat(a, t.shape[1], axis=0), t.ravel()
+    k, n, _ = a.shape
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.reshape(t, (-1, 1, 1)) * a
         if len(a) != k:
@@ -146,7 +157,18 @@ def expm(m, t=1.0) -> np.ndarray:
             result[sel] = result[sel] @ result[sel]
     if not np.isfinite(result).all():
         raise OverflowError("e^{tM} overflows double precision")
-    return result[0] if single else result
+    return result.reshape(shape)
+
+
+def _skew_grid(a, t):
+    """e^{sA} at each s of a (k, m) grid for a checked skew-Hermitian stack."""
+    lam, u = np.linalg.eigh(-1j * a)
+    if not math.isfinite(float(np.abs(t).max()) * float(np.abs(lam).max())):
+        raise OverflowError("e^{tM} overflows double precision")
+    phases = np.expm1(1j * (t[..., None] * lam[:, None]))
+    result = (u[:, None] * phases[..., None, :]) @ u.conj().swapaxes(-1, -2)[:, None]
+    result += np.eye(a.shape[-1])
+    return result
 
 
 def commutator(a, b) -> np.ndarray:

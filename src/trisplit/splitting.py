@@ -124,16 +124,14 @@ def generator_matrix(scheme: SplittingScheme, ops: OperatorSet) -> np.ndarray:
 
 
 def _exponentials(generators, coeffs, t) -> np.ndarray:
-    """e^{t c X} for each generator X and its coefficient c, from one stacked
-    ``expm``: shape (len(generators), k, m, n, n), k and m as in
-    ``triple_splitting_error``."""
+    """e^{t c X} for each generator X and its coefficient c, from one ``expm``
+    of the stacked generators on their grid of the times c t: shape
+    (len(generators), k, m, n, n), k and m as in ``triple_splitting_error``."""
     t = as_times(t)
     stack = np.stack(generators)
     n = stack.shape[-1]
-    shape = stack.shape[:-2] + t.shape
-    a = np.broadcast_to(stack.reshape(stack.shape[:-2] + (1,) * t.ndim + (n, n)), shape + (n, n))
-    scale = np.multiply.outer(coeffs, t).reshape((len(coeffs),) + (1,) * (stack.ndim - 3) + t.shape)
-    return expm(a.reshape(-1, n, n), np.broadcast_to(scale, shape).ravel()).reshape(a.shape)
+    grid = np.repeat(np.multiply.outer(coeffs, t.ravel()), stack[0].size // n**2, axis=0)
+    return expm(stack.reshape(-1, n, n), grid).reshape(stack.shape[:-2] + t.shape + (n, n))
 
 
 def apply_splitting(scheme: SplittingScheme, ops: OperatorSet, t) -> np.ndarray:

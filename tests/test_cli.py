@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -686,6 +687,41 @@ def test_seed_flag_stands_for_the_config_seed(tmp_path, capsys, command):
         assert main([command, *argv, "--out", str(out_dir)]) == EXIT_PASS
         runs.append((capsys.readouterr().out, next(out_dir.iterdir()).read_bytes()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("spelling", ["config", "flag"])
+@pytest.mark.parametrize("command", ["convergence", "verify-duhamel", "verify-bound"])
+def test_negative_seed_is_a_config_error_naming_its_key(tmp_path, capsys, command, spelling):
+    # one line that names the key and its value, not numpy's message
+    if spelling == "flag":
+        argv = ["--seed", "-5"]
+    else:
+        argv = ["--config", write_config(tmp_path, f"[{command}]\nseed = -5\n")]
+    assert main([command, *argv]) == EXIT_INCONCLUSIVE
+    message = "config error: seed must be a non-negative integer, got '-5'\n"
+    assert capsys.readouterr() == ("", message)
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    # the parser is built on the first call and reused: one top-level parser
+    # and one per subcommand, however many calls follow
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    small = write_config(tmp_path, "[verify-bound]\ncount = 2\ndim = 3\n")
+    assert main(["certify-algebra"]) == EXIT_PASS
+    assert main(["verify-bound", "--config", small]) == EXIT_PASS
+    assert main(["certify-algebra", "--inject-fault"]) == EXIT_FAIL
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-bound", "--inject-fault"])
+    assert exc.value.code == 2
+    assert built.count("trisplit") == 1 and len(built) == 1 + len(COMMANDS)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -462,10 +463,24 @@ def test_default_bound_campaign_makes_one_call_per_stack(monkeypatch):
     assert not hasattr(harness, "op_norm")
     campaign = verify_bound(100, 6, (0.1, 0.5, 1.0), seed=7)
     stacks = -(-100 // stack_size(6, (0.1, 0.5, 1.0)))
-    assert stacks <= 13
+    assert stacks == 3  # 37, 37 and 26 triples
     per_stack = {"expm": stacks, "error_bound": stacks, "triple_splitting_error": stacks}
     assert calls == {**per_stack, "op_norm": 0}
     assert len(campaign.rows) == 300 and campaign.passed
+
+
+def test_default_bound_campaign_peak_memory():
+    # the stack budget holds the default campaign to 1.5 MB of traced peak:
+    # with three t its stacks take expm's eigenvector path, whose arrays are
+    # about a third of Pade's
+    verify_bound(1, 6, (0.1, 0.5, 1.0), seed=7)  # first-call allocations are not the campaign's
+    tracemalloc.start()
+    try:
+        verify_bound(100, 6, (0.1, 0.5, 1.0), seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 DUHAMEL_TIMES = (0.0, 0.25, 0.5)

@@ -217,6 +217,90 @@ def test_expm_validation():
         expm(np.zeros((3, 2, 2)), [1.0, 2.0])  # neither one t nor three
     with pytest.raises(ValueError):
         expm(np.zeros((2, 2)), [1.0, 2.0])
+    with pytest.raises(ValueError):
+        expm(np.zeros((3, 2, 2)), np.zeros((2, 4)))  # a grid row per matrix
+
+
+# --- a (k, m) time grid: one eigh per skew-Hermitian matrix, else Pade ------
+
+#: zero, tiny, moderate and far-out times of one grid row
+GRID_TIMES = (0.0, 1e-8, 0.5, 200.0, 1e14)
+
+
+def pade_grid(a, grid):
+    """The Pade exponentials of a grid: one call on the stack repeated along it."""
+    grid = np.asarray(grid, dtype=float)
+    repeated = np.repeat(a, grid.shape[1], axis=0)
+    return expm(repeated, grid.ravel()).reshape(grid.shape + a.shape[1:])
+
+
+def test_skew_grid_is_exactly_identity_at_zero_and_unitary_at_every_time():
+    ms = np.stack([random_skew_hermitian(6, seed=s) for s in (71, 72, 73)])
+    grid = np.multiply.outer((1.0, -0.5, 3.0), GRID_TIMES)
+    got = expm(ms, grid)
+    assert got.shape == (3, len(GRID_TIMES), 6, 6)
+    for m, times, row in zip(ms, grid, got):
+        assert np.array_equal(row[0], np.eye(6))
+        for t, u in zip(times, row):
+            assert np.linalg.norm(u.conj().T @ u - np.eye(6), 2) <= 1e-13
+            if abs(t) <= 1.0:
+                assert rel_gap(u, scipy.linalg.expm(t * m)) <= 1e-13
+            if abs(t) <= 1e3:  # the lone Pade call, before its drift off the unitary group
+                assert rel_gap(u, expm(m, t)) <= 1e-11
+
+
+def test_skew_grid_on_zero_degenerate_and_barely_skew_matrices():
+    n = 5
+    base = random_skew_hermitian(n, seed=81)
+    _, vec = np.linalg.eigh(-1j * base)
+    commuting = 1j * (vec * np.arange(n) ** 2) @ vec.conj().T  # base's eigenvectors
+    repeated = 1j * (vec * (1.0, 1.0, 1.0, -2.0, 0.0)) @ vec.conj().T
+    barely = base.copy()
+    barely[0, 1] += 5e-14  # M + M* is 5e-14 there: skew only to the gate
+    assert is_skew_hermitian(barely) and not np.array_equal(barely, -barely.conj().T)
+    ms = np.stack([np.zeros((n, n)), base, commuting, 0.7j * np.eye(n), repeated, barely])
+    grid = np.tile((0.0, 0.3, -1.2, 7.0), (len(ms), 1))
+    got = expm(ms, grid)
+    assert not np.array_equal(got, pade_grid(ms, grid))  # the eigenvector path ran
+    assert np.array_equal(got[0], np.broadcast_to(np.eye(n), (4, n, n)))
+    for m, times, row in zip(ms, grid, got):
+        assert np.array_equal(row[0], np.eye(n))
+        for t, u in zip(times, row):
+            assert rel_gap(u, scipy.linalg.expm(t * m)) <= 1e-12
+            assert rel_gap(u, expm(m, t)) <= 1e-12
+    # the flows of a commuting pair commute and compose to the flow of the sum
+    assert rel_gap(got[1, 2] @ got[2, 2], expm(base + commuting, -1.2)) <= 1e-12
+    assert rel_gap(got[1, 2] @ got[2, 2], got[2, 2] @ got[1, 2]) <= 1e-13
+
+
+def test_grid_takes_pade_bit_for_bit_unless_skew_with_two_times_or_more():
+    skew = np.stack([random_skew_hermitian(4, seed=s) for s in (91, 92)])
+    dissipative = skew - 0.3 * np.eye(4)  # a contraction, not skew-Hermitian
+    mixed = np.stack((skew[0], dissipative[1]))  # one matrix off the gate sends all
+    times = [[0.1, 0.5, 2.0], [0.0, 1.0, 3.0]]
+    for a, grid in (
+        (dissipative, times),
+        (mixed, times),
+        (skew, [[0.5], [2.0]]),
+        (dissipative, [[0.5], [2.0]]),
+    ):
+        assert np.array_equal(expm(a, grid), pade_grid(a, grid))
+    assert not np.array_equal(expm(skew, times), pade_grid(skew, times))
+
+
+def test_grid_rows_equal_each_matrix_own_call():
+    ms = np.stack([random_skew_hermitian(7, seed=s) for s in range(101, 105)])
+    grid = np.multiply.outer((0.2, 1.0, -3.0, 40.0), (0.0, 0.25, 1.0))
+    got = expm(ms, grid)
+    for i in range(len(ms)):
+        assert np.array_equal(got[i], expm(ms[i : i + 1], grid[i : i + 1])[0])
+
+
+def test_skew_grid_raises_where_its_phases_overflow():
+    m = random_skew_hermitian(3, seed=5)
+    assert np.array_equal(expm(m[None], [[0.0, 1e300]])[0, 0], np.eye(3))
+    with pytest.raises(OverflowError):
+        expm(m[None], [[0.0, 1e308]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -216,9 +216,12 @@ def test_stacked_splitting_error_is_one_expm(monkeypatch):
     p1, p2, p3 = stacked_triples(4, (21, 22))
     calls = []
     original = sp.expm
-    monkeypatch.setattr(sp, "expm", lambda *args: calls.append(args[0].shape) or original(*args))
+    monkeypatch.setattr(
+        sp, "expm", lambda m, t: calls.append((m.shape, np.shape(t))) or original(m, t)
+    )
     triple_splitting_error(p1, p2, p3, (0.1, 0.5, 1.0))
-    assert calls == [(2 * 3 * 4, 4, 4)]  # 2 triples x 3 times x 4 exponentials
+    # 4 exponentials x 2 triples, each generator once, on its grid of 3 times
+    assert calls == [((4 * 2, 4, 4), (4 * 2, 3))]
 
 
 def test_stacked_splitting_error_validation():
