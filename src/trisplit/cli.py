@@ -4,8 +4,8 @@ Subcommands: certify-algebra, convergence, verify-duhamel, verify-bound,
 schrodinger-bench.  Each takes --config (INI file, versioned), --seed,
 --out (artifact directory) and --format (csv or json).  Exit code 0 means
 every verdict passed, 1 means at least one failure, 2 means the run was
-inconclusive or the configuration was unusable, as when a t is too large for
-the exponentials to fit in a double.  A numerical fault, such as numpy's
+inconclusive or the configuration was unusable, as when a t is too large to
+evaluate or a count too large to hold.  A numerical fault, such as numpy's
 LinAlgError, is not inconclusive: it surfaces with its traceback.
 
 ``main`` loads the subcommand's config section, puts --seed in place of its
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
         return EXIT_INCONCLUSIVE
     except np.linalg.LinAlgError:  # a ValueError, but a numerical fault: let it surface
         raise
-    except (OSError, ValueError, OverflowError, ToleranceNotReached) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError, ToleranceNotReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

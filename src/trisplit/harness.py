@@ -146,7 +146,8 @@ def _steps_for(horizon: float, h: float) -> int:
 
 def _matrix_rows(study: ConvergenceStudy, scheme):
     """Every step size in one ``apply_splitting`` call, whose stacked ``expm``
-    takes the Pade degree of the largest step, and one batched spectral norm."""
+    takes one eigh per skew-Hermitian factor for all steps, and one batched
+    spectral norm."""
     a, b = _random_pair(study.dim, study.seed)
     if set(scheme.references) - {"A", "B"}:
         raise ValueError(f"scheme {study.scheme_name!r} is not an A/B scheme")
@@ -371,10 +372,10 @@ BOUND_SLACK = 1e-9
 
 
 #: Entries of the one expm a campaign stack makes: its triples times the t
-#: values times 4 exponentials (three factors and e^{tL}) times n^2.  With two
-#: or more t, expm's eigenvector path holds about 4 arrays of that size: the
-#: default bound campaign (dim 6, three t, 37 triples per stack) peaks at about
-#: 1.1 MB traced.  A one-t campaign takes Pade, about 15 arrays, and 3.5 MB.
+#: values times 4 exponentials (three factors and e^{tL}) times n^2.  Every
+#: stack takes expm's eigenvector path, which holds about 4 arrays of that
+#: size: the default bound campaign (dim 6, three t, 37 triples per stack)
+#: peaks at about 1.1 MB traced, and one t (100 triples in one stack) at 1.5 MB.
 _STACK_ENTRIES = 1 << 14
 
 

@@ -3,8 +3,9 @@ skew-Hermitian operators, the second-order condition and its solver.
 
 Matrices are plain square ``numpy`` arrays of complex128.  The exponential is
 scaling and squaring with diagonal Pade of degree 3 to 13 (Higham, SIAM J.
-Matrix Anal. Appl. 26, 2005), for one matrix or a stack, or one ``eigh`` per
-matrix for a skew-Hermitian stack on a grid of two or more times per matrix.
+Matrix Anal. Appl. 26, 2005), for one matrix or a stack at a scalar t or one
+t per matrix, or one ``eigh`` per matrix for a skew-Hermitian stack on an axis
+of times per matrix.
 Public functions validate their arguments once; the private helpers take checked arrays.
 ``check_second_order`` is the one gate on [P1,P2] + [P1,P3] + [P2,P3] = 0,
 used by the constraint solver and by ``duhamel_error``.  The solver meets it
@@ -105,9 +106,10 @@ def expm(m, t=1.0) -> np.ndarray:
     stack with t a scalar, k values or a (k, m) grid, which gives (k, m, n, n).
     A stack takes the Pade degree its largest ||tM||_1 needs; each matrix keeps
     its own 2^-s and s squarings; a grid repeats the stack along its rows.
-    A grid of m >= 2 times on a skew-Hermitian stack takes one eigh of
+    A grid on a skew-Hermitian stack, m = 1 included, takes one eigh of
     -iM = U diag(lam) U* per matrix instead: e^{sM} = I + U diag(expm1(i s lam))
     U*, unitary at any s and exactly I at s = 0 (Moler and Van Loan, 2003).
+    A scalar t or k values stay Pade whatever the stack.
 
     Raises ValueError for a non-finite t, and OverflowError when the result
     does not fit in double precision.
@@ -125,7 +127,7 @@ def expm(m, t=1.0) -> np.ndarray:
     if t.ndim == 2:
         if len(t) != len(a):
             raise ValueError(f"expected a ({len(a)}, m) time grid, got shape {t.shape}")
-        if t.shape[1] > 1 and _is_skew(a):
+        if _is_skew(a):
             return _skew_grid(a, t)
         shape, a, t = t.shape + a.shape[1:], np.repeat(a, t.shape[1], axis=0), t.ravel()
     k, n, _ = a.shape

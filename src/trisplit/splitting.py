@@ -84,10 +84,6 @@ class OperatorSet:
             raise ValueError("operator set is empty")
         object.__setattr__(self, "bindings", validated)
 
-    @property
-    def dim(self) -> int:
-        return next(iter(self.bindings.values())).shape[-1]
-
     def __getitem__(self, ref: str) -> np.ndarray:
         try:
             return self.bindings[ref]
@@ -125,12 +121,13 @@ def generator_matrix(scheme: SplittingScheme, ops: OperatorSet) -> np.ndarray:
 
 def _exponentials(generators, coeffs, t) -> np.ndarray:
     """e^{t c X} for each generator X and its coefficient c, from one ``expm``
-    of the stacked generators on their grid of the times c t: shape
-    (len(generators), k, m, n, n), k and m as in ``triple_splitting_error``."""
+    of the stacked generators at c t, a grid for an axis of t and one value per
+    matrix for a scalar t: shape (len(generators), k, m, n, n), k and m as in
+    ``triple_splitting_error``."""
     t = as_times(t)
     stack = np.stack(generators)
     n = stack.shape[-1]
-    grid = np.repeat(np.multiply.outer(coeffs, t.ravel()), stack[0].size // n**2, axis=0)
+    grid = np.repeat(np.multiply.outer(coeffs, t), stack[0].size // n**2, axis=0)
     return expm(stack.reshape(-1, n, n), grid).reshape(stack.shape[:-2] + t.shape + (n, n))
 
 

@@ -384,14 +384,29 @@ def test_verify_bound_at_long_times(tmp_path, capsys):
 
 def test_verify_bound_counts_vacuous_rows(tmp_path, capsys):
     # the default campaign's bound is 2 or more at all 100 rows at t = 1 and 25
-    # at t = 0.5; at t = 1e14 every row's is
+    # at t = 0.5; at t = 1e14 and 1e19 every row's is, and a 1e19 row is the
+    # same alone as next to t = 0.1: every campaign stack takes expm's eigh path
     assert main(["verify-bound"]) == EXIT_PASS
     assert capsys.readouterr().out.endswith(", 125 vacuous (bound >= 2)\n")
-    path = tmp_path / "far.ini"
-    path.write_text("[config]\nversion = 1\n\n[verify-bound]\ncount = 3\nt_values = 1e14\n")
-    assert main(["verify-bound", "--config", str(path)]) == EXIT_PASS
-    summary = "3 comparisons, 0 violations, max saturation 0.000, 3 vacuous (bound >= 2)\n"
-    assert capsys.readouterr().out.endswith(summary)
+    for count, t_values, summary in (
+        (3, "1e14", "3 comparisons, 0 violations, max saturation 0.000, 3 vacuous"),
+        (2, "1e19", "2 comparisons, 0 violations, max saturation 0.000, 2 vacuous"),
+        (2, "0.1 1e19", "4 comparisons, 0 violations, max saturation 0.650, 2 vacuous"),
+    ):
+        path = write_config(tmp_path, f"[verify-bound]\ncount = {count}\nt_values = {t_values}\n")
+        assert main(["verify-bound", "--config", path]) == EXIT_PASS
+        assert capsys.readouterr().out.endswith(summary + " (bound >= 2)\n")
+
+
+@pytest.mark.parametrize("command, key", [("convergence", "instances"), ("verify-bound", "count")])
+def test_count_too_large_to_hold_is_inconclusive(tmp_path, capsys, command, key):
+    # 10^17 child seeds would take 711 PiB: numpy refuses the array before it
+    # allocates anything, and the run exits 2 with one line, not a traceback and 1
+    path = write_config(tmp_path, f"[{command}]\n{key} = {10**17}\n")
+    assert main([command, "--config", path]) == EXIT_INCONCLUSIVE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: Unable to allocate")
 
 
 def test_verify_bound_at_dim_64(tmp_path, capsys):

@@ -469,18 +469,37 @@ def test_default_bound_campaign_makes_one_call_per_stack(monkeypatch):
     assert len(campaign.rows) == 300 and campaign.passed
 
 
-def test_default_bound_campaign_peak_memory():
-    # the stack budget holds the default campaign to 1.5 MB of traced peak:
-    # with three t its stacks take expm's eigenvector path, whose arrays are
-    # about a third of Pade's
-    verify_bound(1, 6, (0.1, 0.5, 1.0), seed=7)  # first-call allocations are not the campaign's
+def traced_peak(times):
+    """The tracemalloc peak of a 100-instance dim-6 bound campaign at seed 7."""
+    verify_bound(1, 6, times, seed=7)  # first-call allocations are not the campaign's
     tracemalloc.start()
     try:
-        verify_bound(100, 6, (0.1, 0.5, 1.0), seed=7)
-        peak = tracemalloc.get_traced_memory()[1]
+        verify_bound(100, 6, times, seed=7)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5e6
+
+
+def test_default_bound_campaign_peak_memory():
+    # the stack budget holds the default campaign to 1.5 MB of traced peak:
+    # its stacks take expm's eigenvector path, whose arrays are about a third
+    # of Pade's
+    assert traced_peak((0.1, 0.5, 1.0)) <= 1.5e6
+
+
+def test_one_t_bound_campaign_peak_memory():
+    # one t takes the same eigenvector path, all 100 triples in one stack
+    assert traced_peak((0.1,)) <= 2e6
+
+
+def test_campaign_row_depends_only_on_its_instance_and_t():
+    # a row is the same bits whatever other t its campaign runs
+    alone = verify_bound(100, 6, (0.5,), seed=7).rows
+    among = verify_bound(100, 6, (0.1, 0.5, 1.0), seed=7).rows
+    assert alone == tuple(row for row in among if row.t == 0.5)
+    alone = verify_duhamel(20, 4, (0.25,), seed=7).rows
+    among = verify_duhamel(20, 4, (0.25, 0.5), seed=7).rows
+    assert alone == tuple(row for row in among if row.t == 0.25)
 
 
 DUHAMEL_TIMES = (0.0, 0.25, 0.5)

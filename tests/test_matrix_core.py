@@ -273,19 +273,24 @@ def test_skew_grid_on_zero_degenerate_and_barely_skew_matrices():
     assert rel_gap(got[1, 2] @ got[2, 2], got[2, 2] @ got[1, 2]) <= 1e-13
 
 
-def test_grid_takes_pade_bit_for_bit_unless_skew_with_two_times_or_more():
+def test_every_grid_on_a_skew_stack_takes_eigh_and_every_other_call_pade(monkeypatch):
     skew = np.stack([random_skew_hermitian(4, seed=s) for s in (91, 92)])
     dissipative = skew - 0.3 * np.eye(4)  # a contraction, not skew-Hermitian
     mixed = np.stack((skew[0], dissipative[1]))  # one matrix off the gate sends all
-    times = [[0.1, 0.5, 2.0], [0.0, 1.0, 3.0]]
-    for a, grid in (
-        (dissipative, times),
-        (mixed, times),
-        (skew, [[0.5], [2.0]]),
-        (dissipative, [[0.5], [2.0]]),
-    ):
-        assert np.array_equal(expm(a, grid), pade_grid(a, grid))
-    assert not np.array_equal(expm(skew, times), pade_grid(skew, times))
+    times, column = [[0.1, 0.5, 2.0], [0.0, 1.0, 3.0]], [[0.5], [2.0]]
+    for a in (dissipative, mixed):
+        for grid in (times, column):
+            assert np.array_equal(expm(a, grid), pade_grid(a, grid))
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: eighs.append(x.shape) or eigh(x))
+    # a scalar t or one t per matrix stays Pade on a skew stack: no eigh
+    assert np.array_equal(expm(skew, 0.5), expm(skew, [0.5, 0.5]))
+    expm(skew, [0.5, 2.0])
+    assert eighs == []
+    for grid in (times, column):  # m = 1 included: one eigh of the stack
+        assert not np.array_equal(expm(skew, grid), pade_grid(skew, grid))
+    assert eighs == [skew.shape] * 2
 
 
 def test_grid_rows_equal_each_matrix_own_call():

@@ -68,7 +68,6 @@ def test_scheme_rejects_nonfinite_coefficients():
 
 def test_operator_set_contracts():
     ops = pair_operator_set(np.eye(3) * 1j, np.zeros((3, 3)))
-    assert ops.dim == 3
     with pytest.raises(ValueError):
         OperatorSet({"A": np.eye(2), "B": np.eye(3)})
     with pytest.raises(KeyError):
