@@ -19,6 +19,7 @@ import argparse
 import csv
 import configparser
 import functools
+import itertools
 import json
 import math
 import os
@@ -47,6 +48,9 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 
 CONFIG_VERSION = "1"
+
+#: rows a JSON artifact encodes and writes at a time
+_JSON_CHUNK = 256
 
 WAVE_DEFAULTS = {
     "steps": "2^-4 2^-5 2^-6 2^-7 2^-8 2^-9",
@@ -172,9 +176,13 @@ def _write_artifact(out_dir, name, fieldnames, rows, fmt):
             for row in rows:
                 writer.writerow([_cell(v) for v in row])
     else:
-        encode = json.JSONEncoder(sort_keys=True).encode  # row by row: no whole payload
+        encode, rows = json.JSONEncoder(sort_keys=True).encode, iter(rows)
+        chunks = iter(lambda: [dict(zip(fieldnames, r)) for r in itertools.islice(rows, _JSON_CHUNK)], [])
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("[" + ", ".join(encode(dict(zip(fieldnames, row))) for row in rows) + "]\n")
+            fh.write("[")
+            for i, chunk in enumerate(chunks):  # one encode per chunk: no whole payload
+                fh.write((", " if i else "") + encode(chunk)[1:-1])
+            fh.write("]\n")
     return path
 
 

@@ -78,6 +78,7 @@ from trisplit.matrix_core import (
     as_complex_matrix,
     as_times,
     expm,
+    op_norm,
 )
 from trisplit.splitting import triple_operator_set
 
@@ -122,11 +123,11 @@ def _refined(evaluate, shape) -> np.ndarray:
     while len(pending) and panels < 1 << MAX_PANEL_DOUBLINGS:
         panels *= 2
         current = evaluate(panels, pending)
-        gap = np.linalg.norm(current - previous, 2, axis=(-2, -1))
+        gap = op_norm(current - previous)
         gaps[pending], reached[pending] = gap, panels
         live = ~(gap < TARGET_TOL / 2.0)
         result[pending[~live]] = current[~live]
-        scale = np.linalg.norm(current[live], 2, axis=(-2, -1))
+        scale = op_norm(current[live])
         live[live] = ~(gap[live] <= 64 * np.finfo(float).eps * scale)  # stalled at round-off
         pending, previous = pending[live], current[live]
     failed = np.flatnonzero(~(gaps < TARGET_TOL / 2.0))
@@ -300,7 +301,7 @@ def error_bound(p1, p2, p3, t):
     Raises OverflowError, naming the largest |t|, when a bound overflows.
     """
     _, k1, k2 = _double_commutators(*triple_operator_set(p1, p2, p3).bindings.values())
-    norms = np.linalg.norm(k1, 2, axis=(-2, -1)) + np.linalg.norm(k2, 2, axis=(-2, -1))
+    norms = op_norm(k1) + op_norm(k2)
     # |t|^3/6 in Python floats, as the scalar bound has always taken it:
     # numpy's vectorised power may round the last bit differently
     t = as_times(t)

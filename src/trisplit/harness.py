@@ -16,9 +16,9 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from trisplit import lie_symbolic as ls
+from trisplit import lie_symbolic as ls, matrix_core
 from trisplit.duhamel import _Located, duhamel_error, error_bound
-from trisplit.matrix_core import expm, random_skew_hermitian, solve_second_order_constraint
+from trisplit.matrix_core import _random_skew, expm, solve_second_order_constraint
 from trisplit.schrodinger import (
     Grid1D,
     WaveFunction,
@@ -115,7 +115,7 @@ class ConvergenceStudy:
         if len(steps) < 4:
             raise ValueError("need at least 4 step sizes")
         for a, b in zip(steps, steps[1:]):
-            if not np.isclose(a / b, 2.0, rtol=1e-12, atol=0):
+            if not abs(a / b - 2.0) <= 2e-12:  # relative 1e-12, NaN and inf fail
                 raise ValueError("step sizes must descend dyadically (ratio 2)")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
@@ -147,8 +147,8 @@ def _steps_for(horizon: float, h: float) -> int:
 def _matrix_rows(study: ConvergenceStudy, scheme):
     """Every step size in one ``apply_splitting`` call, whose stacked ``expm``
     takes one eigh per skew-Hermitian factor for all steps, and one batched
-    spectral norm."""
-    a, b = _random_pair(study.dim, study.seed)
+    ``op_norm``."""
+    a, b = _random_skew(study.dim, (study.seed,), 2)[0]
     if set(scheme.references) - {"A", "B"}:
         raise ValueError(f"scheme {study.scheme_name!r} is not an A/B scheme")
     ops = pair_operator_set(a, b)
@@ -156,7 +156,7 @@ def _matrix_rows(study: ConvergenceStudy, scheme):
     reference = expm(generator_matrix(scheme, ops), study.horizon)
     steppers = apply_splitting(scheme, ops, study.step_sizes)
     finals = [np.linalg.matrix_power(stepper, k) for stepper, k in zip(steppers, steps)]
-    errors = np.linalg.norm(np.stack(finals) - reference, 2, axis=(-2, -1))
+    errors = matrix_core.op_norm(np.stack(finals) - reference)
     return list(zip(study.step_sizes, errors.tolist())), {}
 
 
@@ -342,14 +342,10 @@ def certify_algebra(inject_fault: bool = False) -> Tuple[CertificationCheck, ...
 # --- constrained-triple sampling ------------------------------------------------
 
 
-def _random_pair(dim: int, seed: int):
-    seed_a, seed_b = derive_seeds(seed, 2)
-    return random_skew_hermitian(dim, seed_a), random_skew_hermitian(dim, seed_b)
-
-
 def _constrained_triples(dim: int, seeds: Sequence[int]):
-    """Stacks of P1 and P2, one pair drawn from each seed, and P3 from one solve."""
-    p1, p2 = (np.stack(p) for p in zip(*(_random_pair(dim, seed) for seed in seeds)))
+    """Stacks of P1 and P2, a pair per seed from one generator (so P1 is
+    random_skew_hermitian(dim, seed)), and P3 from one solve."""
+    p1, p2 = _random_skew(dim, seeds, 2).swapaxes(0, 1)
     return p1, p2, solve_second_order_constraint(p1, p2)
 
 
@@ -416,7 +412,7 @@ def _campaign(count: int, dim: int, t_list: Sequence[float], seed: int):
         with _naming_rows(start, stack):
             triples = _constrained_triples(dim, stack)
         errors = triple_splitting_error(*triples, times)
-        measured = np.linalg.norm(errors, 2, axis=(-2, -1)).ravel().tolist()
+        measured = matrix_core.op_norm(errors).ravel().tolist()
         bounds = error_bound(*triples, times).ravel().tolist()
         cells = [(start + i, t) for i in range(len(stack)) for t in times.tolist()]
         yield start, stack, triples, errors, list(zip(cells, measured, bounds))
@@ -462,8 +458,8 @@ def verify_duhamel(
     for start, seeds, triples, errors, cells in _campaign(count, dim, t_list, seed):
         with _naming_rows(start, seeds, times):
             represented = duhamel_error(*triples, times)
-        norms = np.linalg.norm(represented, 2, axis=(-2, -1)).ravel().tolist()
-        gaps = np.linalg.norm(errors - represented, 2, axis=(-2, -1)).ravel().tolist()
+        both = np.stack((represented, errors - represented))
+        norms, gaps = matrix_core.op_norm(both).reshape(2, -1).tolist()
         for ((index, t), measured, bound), norm, gap in zip(cells, norms, gaps):
             rows.append(DuhamelCampaignRow(index, t, measured, norm, bound, 1, gap))
             if gap > DISCREPANCY_TOL:

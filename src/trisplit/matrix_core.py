@@ -192,32 +192,46 @@ def _double_commutators(p1, p2, p3):
     return k23, _commutator(p1, k23), _commutator(p2, k23)
 
 
-def op_norm(m) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(np.linalg.norm(as_complex_matrix(m), 2))
+def op_norm(m):
+    """Spectral norm of a matrix (a float) or of each matrix of a (..., n, n) stack:
+    s sqrt(lam_max(Y*Y)), Y = X/s, s = max|x_ij| (finite at any finite X, 0 for
+    X = 0), from one batched eigvalsh (Golub and Van Loan, Matrix Computations, 2.3)."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not np.isfinite(a).all():
+        raise ValueError(f"expected a finite square matrix or (..., n, n) stack, got shape {a.shape}")
+    s = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    y = a / np.where(s > 0, s, 1.0)
+    norm = np.sqrt(np.linalg.eigvalsh(y.conj().swapaxes(-1, -2) @ y)[..., -1]) * s[..., 0, 0]
+    return float(norm) if a.ndim == 2 else norm
 
 
 def random_skew_hermitian(n: int, seed: int) -> np.ndarray:
     """Deterministic random skew-Hermitian matrix with O(1) entries."""
+    return _random_skew(n, (seed,), 1)[0, 0]
+
+
+def _random_skew(n, seeds, per_seed):
+    """(len(seeds), per_seed, n, n) skew-Hermitian (X - X*)/2, X = G[..., 0, :, :] +
+    i G[..., 1, :, :], with G one standard_normal((per_seed, 2, n, n)) per seed."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (x - x.conj().T) / 2.0
+    g = np.stack([np.random.default_rng(seed).standard_normal((per_seed, 2, n, n)) for seed in seeds])
+    x = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    return (x - x.conj().swapaxes(-1, -2)) / 2.0
 
 
 def check_second_order(p1, p2, p3) -> tuple[bool, float]:
     """(verdict, residual): the spectral norm of [P1,P2] + [P1,P3] + [P2,P3]
     against CONDITION_TOL (1 + ||P1||_F^2 + ||P2||_F^2 + ||P3||_F^2).  The
     scale covers the eps ||Pi|| ||Pj|| rounding of the defect; Frobenius norms
-    add no SVD.  The tolerance is fixed: no caller can loosen the gate."""
+    add no eigenvalue solve.  The tolerance is fixed: no caller can loosen the gate."""
     ok, residual = _second_order(*(as_complex_matrix(p) for p in (p1, p2, p3)))
     return bool(ok), float(residual)
 
 
 def _second_order(p1, p2, p3):
     defect = _commutator(p1, p2) + _commutator(p1, p3) + _commutator(p2, p3)
-    residual = np.linalg.norm(defect, 2, axis=(-2, -1))
+    residual = np.asarray(op_norm(defect))
     scale = 1.0 + sum(np.linalg.norm(p, axis=(-2, -1)) ** 2 for p in (p1, p2, p3))
     return residual <= CONDITION_TOL * scale, residual
 

@@ -316,6 +316,16 @@ def test_artifacts_are_reproducible(config_path, tmp_path, capsys, command, fmt)
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("count", [0, 1, cli._JSON_CHUNK - 1, cli._JSON_CHUNK, cli._JSON_CHUNK + 1])
+def test_json_artifact_is_one_dump_of_its_rows(tmp_path, count):
+    # written a chunk at a time, the bytes are those of one json.dumps
+    fields = ("instance", "t", "measured", "violated", "notes")
+    rows = [(i, 0.1 * i, 1.0 / (i + 1), i % 3 == 0, f"row {i}") for i in range(count)]
+    path = cli._write_artifact(str(tmp_path), "rows", fields, iter(rows), "json")
+    want = json.dumps([dict(zip(fields, row)) for row in rows], sort_keys=True) + "\n"
+    assert Path(path).read_text() == want
+
+
 def test_convergence_seed_flag_changes_rows(config_path, tmp_path):
     dirs = [tmp_path / "s1", tmp_path / "s2"]
     main(["convergence", "--config", config_path, "--out", str(dirs[0])])
@@ -383,15 +393,15 @@ def test_verify_bound_at_long_times(tmp_path, capsys):
 
 
 def test_verify_bound_counts_vacuous_rows(tmp_path, capsys):
-    # the default campaign's bound is 2 or more at all 100 rows at t = 1 and 25
+    # the default campaign's bound is 2 or more at all 100 rows at t = 1 and 24
     # at t = 0.5; at t = 1e14 and 1e19 every row's is, and a 1e19 row is the
     # same alone as next to t = 0.1: every campaign stack takes expm's eigh path
     assert main(["verify-bound"]) == EXIT_PASS
-    assert capsys.readouterr().out.endswith(", 125 vacuous (bound >= 2)\n")
+    assert capsys.readouterr().out.endswith(", 124 vacuous (bound >= 2)\n")
     for count, t_values, summary in (
         (3, "1e14", "3 comparisons, 0 violations, max saturation 0.000, 3 vacuous"),
         (2, "1e19", "2 comparisons, 0 violations, max saturation 0.000, 2 vacuous"),
-        (2, "0.1 1e19", "4 comparisons, 0 violations, max saturation 0.650, 2 vacuous"),
+        (2, "0.1 1e19", "4 comparisons, 0 violations, max saturation 0.803, 2 vacuous"),
     ):
         path = write_config(tmp_path, f"[verify-bound]\ncount = {count}\nt_values = {t_values}\n")
         assert main(["verify-bound", "--config", path]) == EXIT_PASS
@@ -499,7 +509,7 @@ def test_fit_below_the_r2_gate_exits_fail(tmp_path, capsys):
     assert main(argv) == EXIT_FAIL
     assert capsys.readouterr().out.startswith("FAIL         lie-trotter")
     row = (out_dir / "convergence.csv").read_text().splitlines()[1]
-    assert row.endswith(",fail,fit r2 0.988819 below gate 0.999")
+    assert row.endswith(",fail,fit r2 0.995705 below gate 0.999")
 
 
 def test_non_monotone_errors_exit_inconclusive(tmp_path, capsys):

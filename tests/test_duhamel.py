@@ -517,7 +517,7 @@ def test_scalar_error_bound_keeps_its_value_bit_for_bit():
         k1 = commutator(p1, commutator(p2, p3))
         k2 = commutator(p2, commutator(p2, p3))
         for t in (0.0, 0.1, 0.5, 0.7, 1.0, -0.3, 200.0):
-            expected = (abs(t) ** 3 / 6.0) * float(np.linalg.norm(k1, 2) + np.linalg.norm(k2, 2))
+            expected = (abs(t) ** 3 / 6.0) * (op_norm(k1) + op_norm(k2))
             got = error_bound(p1, p2, p3, t)
             assert type(got) is float and got == expected
 

@@ -349,6 +349,56 @@ def test_random_skew_hermitian_contract():
         random_skew_hermitian(0, seed=1)
 
 
+def test_random_skew_hermitian_keeps_its_two_call_stream():
+    # one standard_normal((2, n, n)) draws the same numbers as two (n, n) calls
+    rng = np.random.default_rng(123)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    assert np.array_equal(random_skew_hermitian(6, seed=123), (x - x.conj().T) / 2.0)
+
+
+def jordan_block(n, lam):
+    return lam * np.eye(n) + np.eye(n, k=1)
+
+
+GAUSSIAN = np.random.default_rng(3).standard_normal((2, 5, 5))
+
+NORM_CASES = (
+    ("random", GAUSSIAN[0] + 1j * GAUSSIAN[1]),
+    ("jordan", jordan_block(6, 0.5 - 1j)),
+    ("nilpotent jordan", jordan_block(7, 0.0)),
+    ("rank one", np.outer(np.arange(1.0, 7.0), np.arange(6.0, 0.0, -1.0) * 1j)),
+    ("skew-hermitian", random_skew_hermitian(8, seed=9)),
+    ("zero", np.zeros((4, 4))),
+    ("one by one", np.array([[3.0 - 4.0j]])),
+)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+@pytest.mark.parametrize("name,m", NORM_CASES)
+def test_op_norm_matches_the_svd_norm(name, m, scale):
+    m = scale * m
+    want = np.linalg.norm(m, 2)
+    assert np.isfinite(want)
+    got = op_norm(m)
+    assert type(got) is float
+    assert abs(got - want) <= 1e-14 * want  # the zero matrix gives exactly 0
+    # a stack row is the lone call bit for bit
+    n = len(m)
+    stack = np.stack([m, scale * random_skew_hermitian(n, seed=1), -m, np.zeros((n, n))])
+    norms = op_norm(stack)
+    assert norms.shape == (4,)
+    assert norms.tolist() == [op_norm(x) for x in stack]
+    assert np.all(np.abs(norms - np.linalg.norm(stack, 2, axis=(-2, -1))) <= 1e-14 * norms)
+    assert op_norm(stack.reshape(2, 2, n, n)).tolist() == norms.reshape(2, 2).tolist()
+
+
+def test_op_norm_validation():
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3)), np.array([[1.0, np.nan], [0, 1]])):
+        with pytest.raises(ValueError):
+            op_norm(bad)
+    assert op_norm(np.zeros((0, 3, 3))).shape == (0,)
+
+
 # --- the second-order constraint solver --------------------------------------
 
 
