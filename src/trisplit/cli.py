@@ -158,14 +158,6 @@ def _load_section(path, section: str) -> dict:
     return values
 
 
-def _cell(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))  # plain-float repr even for numpy scalars
-    return value
-
-
 def _write_artifact(out_dir, name, fieldnames, rows, fmt):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.{fmt}")
@@ -173,8 +165,10 @@ def _write_artifact(out_dir, name, fieldnames, rows, fmt):
         with open(path, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(fieldnames)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            # cells are bool, str, int or float; csv writes each float as its repr
+            writer.writerows(
+                ["true" if v is True else "false" if v is False else v for v in row] for row in rows
+            )
     else:
         encode, rows = json.JSONEncoder(sort_keys=True).encode, iter(rows)
         chunks = iter(lambda: [dict(zip(fieldnames, r)) for r in itertools.islice(rows, _JSON_CHUNK)], [])

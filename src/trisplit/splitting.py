@@ -131,20 +131,26 @@ def _exponentials(generators, coeffs, t) -> np.ndarray:
     return expm(stack.reshape(-1, n, n), grid).reshape(stack.shape[:-2] + t.shape + (n, n))
 
 
+def _fold(factors) -> np.ndarray:
+    """F_1 F_2 ... F_m over the leading axis of ``factors``: the one place S(t)
+    is formed, with the leftmost factor acting last."""
+    return reduce(np.matmul, factors)
+
+
 def apply_splitting(scheme: SplittingScheme, ops: OperatorSet, t) -> np.ndarray:
     """S(t), broadcasting over stacked operators and m values of t like ``splitting_error``."""
     refs, coeffs = zip(*scheme.operands)
-    return reduce(np.matmul, _exponentials([ops[r] for r in refs], coeffs, t))
+    return _fold(_exponentials([ops[r] for r in refs], coeffs, t))
 
 
 def splitting_error(scheme: SplittingScheme, ops: OperatorSet, t) -> np.ndarray:
     """S(t) - e^{tG}: the fixed sign convention used throughout this package.
     One stacked ``expm`` gives the factors of S(t) and e^{tG} at every t, and
-    one batched product forms S(t)."""
+    ``_fold`` forms S(t) as ``apply_splitting`` does."""
     refs, coeffs = zip(*scheme.operands)
     generators = [ops[r] for r in refs] + [generator_matrix(scheme, ops)]
     *factors, exact = _exponentials(generators, coeffs + (1.0,), t)
-    return reduce(np.matmul, factors) - exact
+    return _fold(factors) - exact
 
 
 def triple_splitting_error(p1, p2, p3, t) -> np.ndarray:
@@ -226,12 +232,8 @@ def load_scheme(path) -> SplittingScheme:
 
 
 def scheme_by_name(name: str) -> SplittingScheme:
-    """Look up one of the built-in schemes."""
-    builtin = {
-        "lie-trotter": make_lie_trotter,
-        "strang": make_strang,
-        "triple": make_triple,
-    }
+    """Look up a built-in scheme: one over A and B, which a study can run."""
+    builtin = {"lie-trotter": make_lie_trotter, "strang": make_strang}
     try:
         return builtin[name]()
     except KeyError:

@@ -139,18 +139,21 @@ def test_wave_convergence_runs_once_per_scheme(tmp_path, capsys):
 
 @pytest.mark.parametrize("problem", ["matrix", "schrodinger"])
 def test_unknown_scheme_exits_before_any_study_runs(tmp_path, capsys, problem):
-    # a known scheme ahead of the unknown one must not print its verdict first
-    path = tmp_path / "bogus.ini"
-    path.write_text(
-        f"[config]\nversion = 1\n\n[convergence]\nproblem = {problem}\n"
-        "schemes = strang bogus\ninstances = 2\n"
-    )
-    out_dir = tmp_path / "out"
-    assert main(["convergence", "--config", str(path), "--out", str(out_dir)]) == EXIT_INCONCLUSIVE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unknown scheme 'bogus'" in captured.err
-    assert not out_dir.exists()
+    # a known scheme ahead of the unknown one must not print its verdict first;
+    # triple names a scheme over P1, P2, P3, which no study runs
+    for name in ("bogus", "triple"):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(
+            f"[config]\nversion = 1\n\n[convergence]\nproblem = {problem}\n"
+            f"schemes = strang {name}\ninstances = 2\n"
+        )
+        out_dir = tmp_path / "out"
+        argv = ["convergence", "--config", str(path), "--out", str(out_dir)]
+        assert main(argv) == EXIT_INCONCLUSIVE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown scheme '{name}'" in captured.err
+        assert not out_dir.exists()
 
 
 def test_wave_convergence_takes_one_reference_per_call(tmp_path, monkeypatch, capsys):

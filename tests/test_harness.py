@@ -514,9 +514,12 @@ def test_bound_campaign_alignment_check_catches_a_shifted_stack(monkeypatch):
 def test_default_bound_campaign_makes_one_call_per_stack(monkeypatch):
     # the default campaign (100 instances, dim 6, three t) in stacks of
     # several triples: one stacked expm, one error and one error_bound call
-    # per stack, and no per-row op_norm (the harness binds none at all)
+    # per stack, and no per-row op_norm: two batched ones per stack, the
+    # measured errors' and the solver's condition gate (the harness binds no
+    # op_norm of its own, so both go through matrix_core)
     calls = {"expm": 0, "error_bound": 0, "triple_splitting_error": 0, "op_norm": 0}
     count_calls(monkeypatch, splitting, "expm", calls)
+    count_calls(monkeypatch, matrix_core, "op_norm", calls)
     for name in ("error_bound", "triple_splitting_error"):
         count_calls(monkeypatch, harness, name, calls)
     assert not hasattr(harness, "op_norm")
@@ -524,7 +527,7 @@ def test_default_bound_campaign_makes_one_call_per_stack(monkeypatch):
     stacks = -(-100 // stack_size(6, (0.1, 0.5, 1.0)))
     assert stacks == 3  # 37, 37 and 26 triples
     per_stack = {"expm": stacks, "error_bound": stacks, "triple_splitting_error": stacks}
-    assert calls == {**per_stack, "op_norm": 0}
+    assert calls == {**per_stack, "op_norm": 2 * stacks}
     assert len(campaign.rows) == 300 and campaign.passed
 
 

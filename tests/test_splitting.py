@@ -371,6 +371,7 @@ def test_parse_scheme_rejects_malformed_input():
 def test_scheme_by_name():
     assert scheme_by_name("strang") == make_strang()
     assert scheme_by_name("lie-trotter") == make_lie_trotter()
-    assert scheme_by_name("triple") == make_triple()
-    with pytest.raises(ValueError):
-        scheme_by_name("yoshida")
+    # triple is over P1, P2, P3, which no study runs, so it is no built-in
+    for name in ("triple", "yoshida"):
+        with pytest.raises(ValueError, match=f"unknown scheme '{name}'"):
+            scheme_by_name(name)
