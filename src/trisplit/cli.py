@@ -4,9 +4,10 @@ Subcommands: certify-algebra, convergence, verify-duhamel, verify-bound,
 schrodinger-bench.  Each takes --config (INI file, versioned), --seed,
 --out (artifact directory) and --format (csv or json).  Exit code 0 means
 every verdict passed, 1 means at least one failure, 2 means the run was
-inconclusive or the configuration was unusable, as when a t is too large to
-evaluate or a count too large to hold.  A numerical fault, such as numpy's
-LinAlgError, is not inconclusive: it surfaces with its traceback.
+inconclusive or its input unusable: an ``InputError`` (config, flag or scheme
+file), an OSError on a path, a t too large to evaluate, a count too large to
+hold or an unreachable quadrature target.  Any other exception is a fault of
+the program: it surfaces with its traceback, and the process exits 1.
 
 ``main`` loads the subcommand's config section, puts --seed in place of its
 seed, calls the handler, which prints and returns (exit status, columns,
@@ -25,8 +26,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from trisplit.duhamel import ToleranceNotReached
 from trisplit.harness import (
     VACUOUS_BOUND,
@@ -41,6 +40,7 @@ from trisplit.harness import (
     verify_duhamel,
     wave_reference,
 )
+from trisplit.matrix_core import InputError
 from trisplit.splitting import load_scheme, parse_coefficient, scheme_by_name
 
 EXIT_PASS = 0
@@ -86,8 +86,8 @@ DEFAULTS = {
 }
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(InputError):
+    """An unusable config file or key, reported with the ``config error:`` prefix."""
 
 
 def _parse_real(token: str) -> float:
@@ -135,7 +135,7 @@ def _load_section(path, section: str) -> dict:
     parser = configparser.ConfigParser(interpolation=None)  # '%' means nothing here
     try:
         read = parser.read(path)
-    except configparser.Error as exc:  # its message names the file
+    except (configparser.Error, UnicodeDecodeError) as exc:  # a parser error names the file
         raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
@@ -357,9 +357,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except np.linalg.LinAlgError:  # a ValueError, but a numerical fault: let it surface
-        raise
-    except (OSError, ValueError, OverflowError, MemoryError, ToleranceNotReached) as exc:
+    except (InputError, OSError, OverflowError, MemoryError, ToleranceNotReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

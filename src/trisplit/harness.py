@@ -18,7 +18,7 @@ import numpy as np
 
 from trisplit import lie_symbolic as ls, matrix_core
 from trisplit.duhamel import _Located, duhamel_error, error_bound
-from trisplit.matrix_core import _random_skew, expm, solve_second_order_constraint
+from trisplit.matrix_core import InputError, _random_skew, expm, solve_second_order_constraint
 from trisplit.schrodinger import (
     Grid1D,
     WaveFunction,
@@ -92,10 +92,11 @@ def estimate_order(rows: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
 class ConvergenceStudy:
     """One order-measurement campaign.
 
-    Step sizes must be dyadic (each exactly half the previous); matrix
-    problems sample a skew-Hermitian operator pair from the seed, while the
-    wave problem uses the named potential and a unit-width Gaussian packet
-    and draws nothing from the seed.
+    Step sizes must be dyadic (each exactly half the previous) and each must
+    divide the horizon, into ``step_counts`` steps; matrix problems sample a
+    skew-Hermitian operator pair from the seed, while the wave problem uses
+    the named potential and a unit-width Gaussian packet and draws nothing
+    from the seed.  An unusable value raises ``InputError`` when the study is built.
     """
 
     problem: str
@@ -107,19 +108,25 @@ class ConvergenceStudy:
     potential: str = "harmonic"
     half_width: float = 10.0
     points: int = 256
+    step_counts: Tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.problem not in ("matrix", "schrodinger"):
-            raise ValueError(f"unknown problem kind {self.problem!r}")
+            raise InputError(f"unknown problem kind {self.problem!r}")
         steps = tuple(float(h) for h in self.step_sizes)
         if len(steps) < 4:
-            raise ValueError("need at least 4 step sizes")
+            raise InputError("need at least 4 step sizes")
         for a, b in zip(steps, steps[1:]):
             if not abs(a / b - 2.0) <= 2e-12:  # relative 1e-12, NaN and inf fail
-                raise ValueError("step sizes must descend dyadically (ratio 2)")
+                raise InputError("step sizes must descend dyadically (ratio 2)")
         if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+            raise InputError("horizon must be positive")
+        counts = tuple(round(self.horizon / h) for h in steps)
+        for h, n in zip(steps, counts):
+            if n < 1 or abs(self.horizon / h - n) > 1e-9 * n:
+                raise InputError(f"horizon {self.horizon!r} is not an integer multiple of {h!r}")
         object.__setattr__(self, "step_sizes", steps)
+        object.__setattr__(self, "step_counts", counts)
 
 
 @dataclass(frozen=True)
@@ -137,25 +144,17 @@ class StudyResult:
         return self.verdict == "pass"
 
 
-def _steps_for(horizon: float, h: float) -> int:
-    steps = round(horizon / h)
-    if steps < 1 or abs(horizon / h - steps) > 1e-9 * steps:
-        raise ValueError(f"horizon {horizon!r} is not an integer multiple of {h!r}")
-    return steps
-
-
 def _matrix_rows(study: ConvergenceStudy, scheme):
     """Every step size in one ``apply_splitting`` call, whose stacked ``expm``
     takes one eigh per skew-Hermitian factor for all steps, and one batched
     ``op_norm``."""
     a, b = _random_skew(study.dim, (study.seed,), 2)[0]
     if set(scheme.references) - {"A", "B"}:
-        raise ValueError(f"scheme {study.scheme_name!r} is not an A/B scheme")
+        raise InputError(f"scheme {study.scheme_name!r} is not an A/B scheme")
     ops = pair_operator_set(a, b)
-    steps = [_steps_for(study.horizon, h) for h in study.step_sizes]
     reference = expm(generator_matrix(scheme, ops), study.horizon)
     steppers = apply_splitting(scheme, ops, study.step_sizes)
-    finals = [np.linalg.matrix_power(stepper, k) for stepper, k in zip(steppers, steps)]
+    finals = [np.linalg.matrix_power(stepper, k) for stepper, k in zip(steppers, study.step_counts)]
     errors = matrix_core.op_norm(np.stack(finals) - reference)
     return list(zip(study.step_sizes, errors.tolist())), {}
 
@@ -188,7 +187,7 @@ def wave_reference(study: ConvergenceStudy) -> WaveReference:
     Strang study's rows are the reference's runs."""
     grid = Grid1D(study.half_width, study.points)
     potential = potential_by_name(study.potential, grid)
-    steps = [_steps_for(study.horizon, h) for h in study.step_sizes][::-1]  # n, n/2, ...
+    steps = study.step_counts[::-1]  # n, n/2, ...
     runs = evolve_runs(gaussian_packet(grid), potential, study.horizon, steps, make_strang())
     levels = [run.samples for run in runs[:4]]
     reference, coarser = (
@@ -209,8 +208,7 @@ def _schrodinger_rows(study: ConvergenceStudy, scheme, reference=None):
         finals = reference.strang
     else:
         potential = potential_by_name(study.potential, initial.grid)
-        steps = tuple(_steps_for(study.horizon, h) for h in study.step_sizes)
-        finals = evolve_runs(initial, potential, study.horizon, steps, scheme)
+        finals = evolve_runs(initial, potential, study.horizon, study.step_counts, scheme)
     rows = [(h, _l2_distance(final, reference.state)) for h, final in zip(study.step_sizes, finals)]
     defects = tuple(norm_defect(initial, final) for final in finals)
     extra = {"norm_defects": defects, "reference_consistency": reference.consistency}
@@ -399,11 +397,11 @@ def _campaign(count: int, dim: int, t_list: Sequence[float], seed: int):
     triple and t, one batched spectral norm and one ``error_bound``.
     """
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise InputError("count must be at least 1")
     if dim < 1:
-        raise ValueError("dim must be at least 1")
+        raise InputError("dim must be at least 1")
     if len(t_list) == 0:
-        raise ValueError("t_list must not be empty")
+        raise InputError("t_list must not be empty")
     times = np.asarray(t_list, dtype=float)
     seeds = derive_seeds(seed, count)
     step = max(1, _STACK_ENTRIES // (4 * times.size * dim * dim))

@@ -36,6 +36,10 @@ class _Located(RuntimeError):
         self.index = index
 
 
+class InputError(ValueError):
+    """A value the user chose (a config key, a flag, a scheme file) is unusable: CLI exit 2."""
+
+
 class ConditionViolated(_Located):
     """An operator triple does not satisfy the second-order condition."""
 
@@ -214,7 +218,7 @@ def _random_skew(n, seeds, per_seed):
     """(len(seeds), per_seed, n, n) skew-Hermitian (X - X*)/2, X = G[..., 0, :, :] +
     i G[..., 1, :, :], with G one standard_normal((per_seed, 2, n, n)) per seed."""
     if n < 1:
-        raise ValueError("dimension must be positive")
+        raise InputError("dimension must be positive")
     g = np.stack([np.random.default_rng(seed).standard_normal((per_seed, 2, n, n)) for seed in seeds])
     x = g[..., 0, :, :] + 1j * g[..., 1, :, :]
     return (x - x.conj().swapaxes(-1, -2)) / 2.0

@@ -29,6 +29,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from trisplit.matrix_core import InputError
 from trisplit.splitting import SplittingScheme
 
 
@@ -41,10 +42,10 @@ class Grid1D:
 
     def __post_init__(self):
         if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+            raise InputError("half_width must be positive")
         n = self.points
         if n < 16 or n & (n - 1):
-            raise ValueError("points must be a power of two, at least 16")
+            raise InputError("points must be a power of two, at least 16")
 
     @property
     def dx(self) -> float:
@@ -96,6 +97,8 @@ class Potential:
             arr = np.asarray(getattr(self, field_name), dtype=np.float64)
             if arr.shape != (self.grid.points,):
                 raise ValueError(f"{field_name} has shape {arr.shape}")
+            if not np.isfinite(arr).all():  # a harmonic V overflows on a wide enough grid
+                raise InputError(f"potential has non-finite {field_name}")
             object.__setattr__(self, field_name, arr)
 
     @classmethod
@@ -134,7 +137,7 @@ def potential_by_name(name: str, grid: Grid1D) -> Potential:
     try:
         return makers[name](grid)
     except KeyError:
-        raise ValueError(f"unknown potential {name!r}; known: {POTENTIALS}") from None
+        raise InputError(f"unknown potential {name!r}; known: {POTENTIALS}") from None
 
 
 def spectral_derivative(samples: np.ndarray, grid: Grid1D, order: int = 1) -> np.ndarray:
@@ -199,9 +202,7 @@ def evolve_runs(
     if not steps or min(steps) < 1:
         raise ValueError("steps must be positive")
     if not scheme.canonical or set(scheme.references) - {"A", "B"}:
-        raise ValueError(
-            f"scheme {scheme.name!r} is not canonical over the references A, B"
-        )
+        raise InputError(f"scheme {scheme.name!r} is not canonical over the references A, B")
     if v.grid != u.grid:
         raise ValueError("wavefunction and potential live on different grids")
     flows = []  # (reference, coefficient) in application order, neighbours merged

@@ -19,6 +19,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from trisplit.matrix_core import (
+    InputError,
     _commutator,
     _double_commutators,
     as_complex_matrix,
@@ -41,12 +42,12 @@ class SplittingScheme:
     def __post_init__(self):
         operands = tuple((str(ref), float(c)) for ref, c in self.operands)
         if not operands:
-            raise ValueError("scheme needs at least one operand")
+            raise InputError("scheme needs at least one operand")
         for ref, c in operands:
             if not ref:
-                raise ValueError("empty operator reference")
+                raise InputError("empty operator reference")
             if not isfinite(c):
-                raise ValueError(f"non-finite coefficient for {ref!r}")
+                raise InputError(f"non-finite coefficient for {ref!r}")
         object.__setattr__(self, "operands", operands)
 
     @property
@@ -207,28 +208,32 @@ def parse_scheme(text: str) -> SplittingScheme:
         if key == "name":
             name = value
         elif key == "canonical":
-            raise ValueError("scheme files take no canonical line; it is computed from the operands")
+            raise InputError("scheme files take no canonical line; it is computed from the operands")
         else:
             if not value:
-                raise ValueError(f"operand line {raw!r} is missing a coefficient")
+                raise InputError(f"operand line {raw!r} is missing a coefficient")
             operands.append((key, parse_coefficient(value)))
     if name is None:
-        raise ValueError("scheme file has no name line")
+        raise InputError("scheme file has no name line")
     return SplittingScheme(name, tuple(operands))
 
 
 def parse_coefficient(token: str) -> float:
-    if "/" in token:
-        try:
-            return float(Fraction(token))
-        except ZeroDivisionError:
-            raise ValueError(f"coefficient {token!r} divides by zero") from None
-    return float(token)
+    try:
+        return float(Fraction(token)) if "/" in token else float(token)
+    except ZeroDivisionError:
+        raise InputError(f"coefficient {token!r} divides by zero") from None
+    except ValueError:
+        raise InputError(f"coefficient {token!r} is not a number") from None
 
 
 def load_scheme(path) -> SplittingScheme:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_scheme(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot decode scheme file {str(path)!r}: {exc}") from None
+    return parse_scheme(text)
 
 
 def scheme_by_name(name: str) -> SplittingScheme:
@@ -237,6 +242,4 @@ def scheme_by_name(name: str) -> SplittingScheme:
     try:
         return builtin[name]()
     except KeyError:
-        raise ValueError(
-            f"unknown scheme {name!r}; built-ins: {sorted(builtin)}"
-        ) from None
+        raise InputError(f"unknown scheme {name!r}; built-ins: {sorted(builtin)}") from None

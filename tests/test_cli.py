@@ -841,6 +841,36 @@ def test_bad_number_token_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr() == ("", "config error: cannot parse number '1e--9'\n")
 
 
+@pytest.mark.parametrize(
+    "command, section, scheme",
+    [
+        # a harmonic potential that overflows a double on so wide a grid
+        ("schrodinger-bench", b"[schrodinger-bench]\nhalf_width = 1e300\n", None),
+        ("verify-bound", b"[verify-bound]\ncount = \xe9\n", None),
+        ("convergence", b"", b"name x\nA 1\nB abc\n"),
+        ("convergence", b"", b"name x\xe9\nA 1\nB 1\n"),
+        ("convergence", b"[convergence]\ndim = 0\n", None),
+        ("convergence", b"[convergence]\nhorizon = 0.7\n", None),
+    ],
+    ids=["overflowing-potential", "config-not-utf8", "coefficient-abc", "scheme-not-ascii",
+         "dim-0", "horizon-not-a-multiple"],
+)
+def test_unusable_input_exits_inconclusive_with_one_line(tmp_path, capsys, command, section, scheme):
+    # each of these is the user's input, so it exits 2 with one error line,
+    # never with a traceback
+    cfg = tmp_path / "case.ini"
+    cfg.write_bytes(b"[config]\nversion = 1\n\n" + section)
+    argv = [command, "--config", str(cfg)]
+    if scheme is not None:
+        (tmp_path / "case.scheme").write_bytes(scheme)
+        argv += ["--scheme", str(tmp_path / "case.scheme")]
+    assert main(argv) == EXIT_INCONCLUSIVE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(("error:", "config error:"))
+    assert "Traceback" not in err
+
+
 def test_linalg_error_is_a_fault_not_inconclusive(monkeypatch):
     # LinAlgError subclasses ValueError, which exits 2; a failed eigh or a
     # singular Pade denominator is a numerical fault and must surface

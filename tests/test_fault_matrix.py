@@ -2,8 +2,9 @@
 
 A fault replaces one module attribute through ``monkeypatch``, with no edit to
 a source file, and the five subcommands then run in process at their shipped
-defaults.  A fault is killed when some subcommand exits 1.  A killed fault
-names the subcommands that kill it, and they must keep killing it.  A fault
+defaults.  A fault is killed when some subcommand exits 1 or raises out of
+``main``, which the process reports with its traceback and exit 1.  A killed
+fault names the subcommands that kill it, and they must keep killing it.  A fault
 that every subcommand passes is a strict xfail whose reason names the ROADMAP
 item that will kill it, so the day a check starts killing it the xfail turns
 into a failure and its entry must move to the killed rows.
@@ -15,10 +16,11 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from trisplit import duhamel, harness, splitting
+from trisplit import duhamel, harness, matrix_core, splitting
 from trisplit.cli import EXIT_FAIL, EXIT_PASS, main
 
 COMMANDS = ("certify-algebra", "convergence", "verify-duhamel", "verify-bound", "schrodinger-bench")
+MATRIX_COMMANDS = ("convergence", "verify-duhamel", "verify-bound")
 
 
 def reversed_fold(monkeypatch):
@@ -52,6 +54,26 @@ def phase_flipped(monkeypatch):
     monkeypatch.setattr(harness, "evolve_runs", flipped)
 
 
+def expm_input_reshaped(monkeypatch):
+    # every stack of generators becomes one matrix: numpy cannot reshape it
+    original = splitting.expm
+
+    def reshaped(m, t=1.0):
+        return original(np.reshape(m, (1, *m.shape[-2:])), t)
+
+    monkeypatch.setattr(splitting, "expm", reshaped)
+
+
+def hermitian_draw(monkeypatch):
+    # i (X - X*)/2 is Hermitian: the constraint solver refuses the pair
+    monkeypatch.setattr(harness, "_random_skew", lambda *a: 1j * matrix_core._random_skew(*a))
+
+
+def draw_axis_dropped(monkeypatch):
+    # one matrix per seed where each seed draws a pair
+    monkeypatch.setattr(harness, "_random_skew", lambda *a: matrix_core._random_skew(*a)[:, 0])
+
+
 def survivor(fault, name, items):
     mark = pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=f"every subcommand passes it; ROADMAP {items}"
@@ -59,9 +81,17 @@ def survivor(fault, name, items):
     return pytest.param(fault, set(), id=name, marks=mark)
 
 
+def status(command):
+    """A subcommand's exit status at its shipped defaults; an exception that
+    escapes ``main`` ends the process with its traceback and exit 1."""
+    try:
+        return main([command])
+    except Exception:
+        return EXIT_FAIL
+
+
 def statuses():
-    """Each subcommand's exit status at its shipped defaults."""
-    return {command: main([command]) for command in COMMANDS}
+    return {command: status(command) for command in COMMANDS}
 
 
 def test_clean_tree_passes_every_subcommand():
@@ -72,6 +102,9 @@ def test_clean_tree_passes_every_subcommand():
     "plant, killers",
     [
         pytest.param(reversed_fold, {"verify-duhamel"}, id="reversed-fold"),
+        pytest.param(expm_input_reshaped, set(MATRIX_COMMANDS), id="expm-input-reshaped"),
+        pytest.param(hermitian_draw, {"verify-duhamel", "verify-bound"}, id="hermitian-draw"),
+        pytest.param(draw_axis_dropped, set(MATRIX_COMMANDS), id="draw-axis-dropped"),
         survivor(doubled_bound, "error-bound-x2", "item 5"),
         survivor(v2_weight_swapped, "block-path-v2-weight", "items 5 and 11"),
         survivor(phase_flipped, "potential-phase-flip", "items 3 and 12"),

@@ -101,6 +101,16 @@ def test_laplacian_propagator_phase_on_plane_wave():
     assert np.allclose(out.samples, expected, atol=1e-13)
 
 
+def test_gaussian_packet_sits_at_its_center_and_momentum():
+    # the position mean is the center and the spectral mean the momentum: a
+    # packet built about -center, or with its phase reversed, misses one of them
+    grid = Grid1D(10, 256)
+    u = gaussian_packet(grid, center=1.5, momentum=2.0)
+    density, spectrum = np.abs(u.samples) ** 2, np.abs(np.fft.fft(u.samples)) ** 2
+    assert abs(np.sum(grid.x * density) / np.sum(density) - 1.5) <= 1e-10
+    assert abs(np.sum(grid.wavenumbers * spectrum) / np.sum(spectrum) - 2.0) <= 1e-10
+
+
 def test_laplacian_propagator_time_zero():
     u = gaussian_packet(GRID)
     out = evolve(u, Potential.harmonic(GRID), 0.0, 1, KINETIC)
