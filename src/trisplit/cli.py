@@ -20,7 +20,6 @@ import argparse
 import csv
 import configparser
 import functools
-import itertools
 import json
 import math
 import os
@@ -33,12 +32,10 @@ from trisplit.harness import (
     ConvergenceStudy,
     DuhamelCampaignRow,
     certify_algebra,
-    derive_seeds,
-    run_convergence,
     run_schrodinger_benchmark,
+    run_studies,
     verify_bound,
     verify_duhamel,
-    wave_reference,
 )
 from trisplit.matrix_core import InputError
 from trisplit.splitting import load_scheme, parse_coefficient, scheme_by_name
@@ -48,9 +45,6 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 
 CONFIG_VERSION = "1"
-
-#: rows a JSON artifact encodes and writes at a time
-_JSON_CHUNK = 256
 
 WAVE_DEFAULTS = {
     "steps": "2^-4 2^-5 2^-6 2^-7 2^-8 2^-9",
@@ -170,13 +164,8 @@ def _write_artifact(out_dir, name, fieldnames, rows, fmt):
                 ["true" if v is True else "false" if v is False else v for v in row] for row in rows
             )
     else:
-        encode, rows = json.JSONEncoder(sort_keys=True).encode, iter(rows)
-        chunks = iter(lambda: [dict(zip(fieldnames, r)) for r in itertools.islice(rows, _JSON_CHUNK)], [])
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("[")
-            for i, chunk in enumerate(chunks):  # one encode per chunk: no whole payload
-                fh.write((", " if i else "") + encode(chunk)[1:-1])
-            fh.write("]\n")
+            fh.write(json.dumps([dict(zip(fieldnames, r)) for r in rows], sort_keys=True) + "\n")
     return path
 
 
@@ -238,26 +227,17 @@ def _cmd_convergence(args, cfg):
         schemes = [scheme_by_name(name) for name in cfg["schemes"].split()]
         if not schemes:
             raise ConfigError("schemes must name at least one scheme")
-    # a wave study draws nothing from its seed, so it runs once per scheme; its
-    # reference, the same for every scheme, holds a Strang study's rows
-    problem, dim = cfg["problem"], _parse_int(cfg, "dim")
-    seeds = (seed,) if problem == "schrodinger" else derive_seeds(seed, instances)
-    studies = [
-        (scheme, _study(cfg, scheme, problem=problem, seed=child, dim=dim))
-        for scheme in schemes
-        for child in seeds
-    ]
-    reference = wave_reference(studies[0][1]) if problem == "schrodinger" else None
+    study = _study(cfg, schemes[0], problem=cfg["problem"], seed=seed, dim=_parse_int(cfg, "dim"))
     results = []
     rows = []
-    for scheme, study in studies:
-        result = run_convergence(study, scheme=scheme, reference=reference)
+    for result in run_studies(study, schemes, instances):
         results.append(result)
+        name, child = result.metadata["scheme"], result.metadata["seed"]
         order = "" if result.fitted_order is None else repr(float(result.fitted_order))
         r2 = "" if result.fit_r2 is None else repr(float(result.fit_r2))
-        rows.append((study.scheme_name, study.seed, order, r2, result.verdict, result.notes))
+        rows.append((name, child, order, r2, result.verdict, result.notes))
         _say(
-            f"{result.verdict.upper():12s} {study.scheme_name:12s} seed={study.seed} "
+            f"{result.verdict.upper():12s} {name:12s} seed={child} "
             f"order={order or 'n/a'} r2={r2 or 'n/a'}"
         )
     columns = ("scheme", "seed", "fitted_order", "fit_r2", "verdict", "notes")

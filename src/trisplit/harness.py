@@ -10,9 +10,9 @@ are computed only from numbers that appear in the emitted rows.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,6 +116,8 @@ class ConvergenceStudy:
         steps = tuple(float(h) for h in self.step_sizes)
         if len(steps) < 4:
             raise InputError("need at least 4 step sizes")
+        if any(h <= 0 for h in steps):  # NaN is left to the ratio test
+            raise InputError("step sizes must be positive")
         for a, b in zip(steps, steps[1:]):
             if not abs(a / b - 2.0) <= 2e-12:  # relative 1e-12, NaN and inf fail
                 raise InputError("step sizes must descend dyadically (ratio 2)")
@@ -266,6 +268,20 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
             verdict = "fail"
             notes.append(f"fitted order {fitted_order:.4f} outside {nominal} +/- {ORDER_WINDOW}")
     return StudyResult(rows, fitted_order, r2, verdict, (), "; ".join(notes), metadata)
+
+
+def run_studies(study: ConvergenceStudy, schemes, instances: int) -> Iterator[StudyResult]:
+    """``study`` run by each scheme, then at each seed: a matrix study at the
+    child seeds ``derive_seeds(study.seed, instances)``; a wave study, which
+    draws nothing from its seed, once, at ``study.seed``, every scheme against
+    one ``wave_reference``, whose Strang runs are a Strang study's rows."""
+    if study.problem == "matrix":
+        seeds, reference = derive_seeds(study.seed, instances), None
+    else:
+        seeds, reference = (study.seed,), wave_reference(study)
+    for scheme in schemes:
+        for seed in seeds:
+            yield run_convergence(replace(study, scheme_name=scheme.name, seed=seed), scheme, reference)
 
 
 # --- exact algebra certification ----------------------------------------------

@@ -46,6 +46,9 @@ class Grid1D:
         n = self.points
         if n < 16 or n & (n - 1):
             raise InputError("points must be a power of two, at least 16")
+        k = np.pi * n / (2 * self.half_width)  # pi/dx; float * and / give inf where ** raises
+        if not np.isfinite(self.half_width * self.half_width + k * k):
+            raise InputError(f"half_width {self.half_width!r}, points {n}: x^2 or k^2 overflows")
 
     @property
     def dx(self) -> float:

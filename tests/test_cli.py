@@ -236,7 +236,7 @@ def wave_config(tmp_path, command):
 
 
 def record_results(monkeypatch):
-    # the result of every run_convergence call, from cli or run_schrodinger_benchmark
+    # the result of every run_convergence call, from run_studies or run_schrodinger_benchmark
     results = []
     original = harness.run_convergence
 
@@ -245,7 +245,6 @@ def record_results(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(harness, "run_convergence", recorded)
-    monkeypatch.setattr(cli, "run_convergence", recorded)
     return results
 
 
@@ -319,9 +318,9 @@ def test_artifacts_are_reproducible(config_path, tmp_path, capsys, command, fmt)
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("count", [0, 1, cli._JSON_CHUNK - 1, cli._JSON_CHUNK, cli._JSON_CHUNK + 1])
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257])
 def test_json_artifact_is_one_dump_of_its_rows(tmp_path, count):
-    # written a chunk at a time, the bytes are those of one json.dumps
+    # the bytes are those of one json.dumps of every row
     fields = ("instance", "t", "measured", "violated", "notes")
     rows = [(i, 0.1 * i, 1.0 / (i + 1), i % 3 == 0, f"row {i}") for i in range(count)]
     path = cli._write_artifact(str(tmp_path), "rows", fields, iter(rows), "json")
@@ -844,16 +843,21 @@ def test_bad_number_token_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, section, scheme",
     [
-        # a harmonic potential that overflows a double on so wide a grid
+        # x^2, and so the harmonic potential, overflows a double on so wide a grid
         ("schrodinger-bench", b"[schrodinger-bench]\nhalf_width = 1e300\n", None),
         ("verify-bound", b"[verify-bound]\ncount = \xe9\n", None),
         ("convergence", b"", b"name x\nA 1\nB abc\n"),
         ("convergence", b"", b"name x\xe9\nA 1\nB 1\n"),
         ("convergence", b"[convergence]\ndim = 0\n", None),
         ("convergence", b"[convergence]\nhorizon = 0.7\n", None),
+        ("convergence", b"[convergence]\nsteps = 2^-1 2^-2 2^-3 0\n", None),
+        ("convergence", b"[convergence]\nsteps = -2^-1 -2^-2 -2^-3 -2^-4\n", None),
+        # the largest wavenumber squared overflows a double on so narrow a grid
+        ("schrodinger-bench", b"[schrodinger-bench]\nhalf_width = 1e-200\n", None),
     ],
     ids=["overflowing-potential", "config-not-utf8", "coefficient-abc", "scheme-not-ascii",
-         "dim-0", "horizon-not-a-multiple"],
+         "dim-0", "horizon-not-a-multiple", "zero-step", "negative-steps",
+         "overflowing-wavenumber"],
 )
 def test_unusable_input_exits_inconclusive_with_one_line(tmp_path, capsys, command, section, scheme):
     # each of these is the user's input, so it exits 2 with one error line,

@@ -2,16 +2,18 @@
 
 A fault replaces one module attribute through ``monkeypatch``, with no edit to
 a source file, and the five subcommands then run in process at their shipped
-defaults.  A fault is killed when some subcommand exits 1 or raises out of
-``main``, which the process reports with its traceback and exit 1.  A killed
-fault names the subcommands that kill it, and they must keep killing it.  A fault
-that every subcommand passes is a strict xfail whose reason names the ROADMAP
-item that will kill it, so the day a check starts killing it the xfail turns
-into a failure and its entry must move to the killed rows.
+defaults, and on both ``bench/configs`` files, read in place.  A fault is
+killed when some run exits 1 or raises out of ``main``, which the process
+reports with its traceback and exit 1.  A killed fault names the runs that kill
+it, and they must keep killing it.  A fault that every run passes is a strict
+xfail whose reason names the ROADMAP item that will kill it, so the day a check
+starts killing it the xfail turns into a failure and its entry must move to the
+killed rows.
 """
 
 from dataclasses import replace
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,17 @@ from trisplit.cli import EXIT_FAIL, EXIT_PASS, main
 
 COMMANDS = ("certify-algebra", "convergence", "verify-duhamel", "verify-bound", "schrodinger-bench")
 MATRIX_COMMANDS = ("convergence", "verify-duhamel", "verify-bound")
+CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
+
+#: each run's argv by its label: a subcommand's name at its defaults, or the
+#: subcommand and the bench config it reads
+RUNS = {command: [command] for command in COMMANDS} | {
+    f"{command} {name}": [command, "--config", str(CONFIGS / name)]
+    for command, name in [
+        ("convergence", "wave-convergence.ini"),
+        ("schrodinger-bench", "wave-bench.ini"),
+    ]
+}
 
 
 def reversed_fold(monkeypatch):
@@ -76,26 +89,26 @@ def draw_axis_dropped(monkeypatch):
 
 def survivor(fault, name, items):
     mark = pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason=f"every subcommand passes it; ROADMAP {items}"
+        strict=True, raises=AssertionError, reason=f"every run passes it; ROADMAP {items}"
     )
     return pytest.param(fault, set(), id=name, marks=mark)
 
 
-def status(command):
-    """A subcommand's exit status at its shipped defaults; an exception that
-    escapes ``main`` ends the process with its traceback and exit 1."""
+def status(argv):
+    """A run's exit status; an exception that escapes ``main`` ends the
+    process with its traceback and exit 1."""
     try:
-        return main([command])
+        return main(argv)
     except Exception:
         return EXIT_FAIL
 
 
 def statuses():
-    return {command: status(command) for command in COMMANDS}
+    return {label: status(argv) for label, argv in RUNS.items()}
 
 
 def test_clean_tree_passes_every_subcommand():
-    assert statuses() == dict.fromkeys(COMMANDS, EXIT_PASS)
+    assert statuses() == dict.fromkeys(RUNS, EXIT_PASS)
 
 
 @pytest.mark.parametrize(
@@ -113,5 +126,5 @@ def test_clean_tree_passes_every_subcommand():
 def test_planted_fault_fails_a_shipping_check(monkeypatch, plant, killers):
     plant(monkeypatch)
     failing = {command for command, code in statuses().items() if code == EXIT_FAIL}
-    assert failing, "every subcommand passes the fault"
+    assert failing, "every run passes the fault"
     assert killers <= failing

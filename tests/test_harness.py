@@ -18,12 +18,19 @@ from trisplit.harness import (
     estimate_order,
     run_convergence,
     run_schrodinger_benchmark,
+    run_studies,
     sample_constrained_triple,
     verify_bound,
     verify_duhamel,
     wave_reference,
 )
-from trisplit.matrix_core import ConditionViolated, commutator, is_skew_hermitian, op_norm
+from trisplit.matrix_core import (
+    ConditionViolated,
+    InputError,
+    commutator,
+    is_skew_hermitian,
+    op_norm,
+)
 from trisplit.schrodinger import WaveFunction, evolve_runs, gaussian_packet, potential_by_name
 from trisplit.splitting import make_strang, triple_splitting_error
 
@@ -79,6 +86,9 @@ def test_study_validation():
         ConvergenceStudy("matrix", "strang", dyadic(4, 3), 1.0, seed=1)
     with pytest.raises(ValueError):
         ConvergenceStudy("matrix", "strang", dyadic(4, 6), -1.0, seed=1)
+    for steps in ((0.5, 0.25, 0.125, 0.0), tuple(-h for h in dyadic(1, 4))):
+        with pytest.raises(InputError, match="^step sizes must be positive$"):
+            ConvergenceStudy("matrix", "strang", steps, 1.0, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -214,6 +224,39 @@ def test_scheme_named_strang_without_its_operands_runs_alone(monkeypatch):
     )
     lone = [WaveFunction(f.samples - reference.samples, grid).l2_norm() for f in finals]
     assert result.rows == tuple(zip(SMALL_STRANG.step_sizes, lone))
+
+
+def test_wave_section_runs_every_scheme_against_one_reference(monkeypatch):
+    # Strang's stack is the reference's call, whichever scheme comes first;
+    # Lie-Trotter's runs are the one call more, and a wave study runs once,
+    # at its own seed, however many instances the section asks for
+    schemes = [splitting.make_lie_trotter(), make_strang()]
+    study = replace(SMALL_STRANG, scheme_name="lie-trotter", seed=5)
+    calls = count_evolve_steps(monkeypatch)
+    results = list(run_studies(study, schemes, 3))
+    assert calls == [(64, 32, 16, 8), (8, 16, 32, 64)]
+    lone = [run_convergence(replace(study, scheme_name=s.name), s) for s in schemes]
+    assert results == lone
+    assert [(r.metadata["scheme"], r.metadata["seed"]) for r in results] == [
+        ("lie-trotter", 5),
+        ("strang", 5),
+    ]
+
+
+def test_matrix_section_runs_scheme_by_scheme_at_the_child_seeds(monkeypatch):
+    # one run_convergence call, through the module global, per scheme and child seed
+    schemes = [make_strang(), splitting.make_lie_trotter()]
+    study = ConvergenceStudy("matrix", "strang", dyadic(4, 4), 1.0, seed=11, dim=3)
+    calls = {"run_convergence": 0}
+    count_calls(monkeypatch, harness, "run_convergence", calls)
+    results = list(run_studies(study, schemes, 3))
+    assert calls == {"run_convergence": 6}
+    order = [(s, child) for s in schemes for child in derive_seeds(11, 3)]
+    assert [(r.metadata["scheme"], r.metadata["seed"]) for r in results] == [
+        (s.name, child) for s, child in order
+    ]
+    lone = [run_convergence(replace(study, scheme_name=s.name, seed=c), s) for s, c in order]
+    assert results == lone
 
 
 @pytest.mark.parametrize("potential", ["harmonic", "gaussian-well", "cosine"])

@@ -47,6 +47,12 @@ def test_grid_validation():
     assert g.dx == pytest.approx(10.0 / 32)
     assert g.x[0] == -5.0
     assert g.x[-1] == pytest.approx(5.0 - g.dx)
+    # at 256 points, (pi/dx)^2 overflows a double at the narrow widths, x^2 at the wide ones
+    for half_width in (5e-324, 1e-200, 1e-152, 1e155, 1e300):
+        with pytest.raises(ValueError, match=r"points 256: x\^2 or k\^2 overflows$"):
+            Grid1D(half_width=half_width, points=256)
+    for half_width in (3e-152, 1e154):
+        Grid1D(half_width=half_width, points=256)
 
 
 def test_wavefunction_validation():
