@@ -98,7 +98,10 @@ class ToleranceNotReached(_Located):
 
 @lru_cache(maxsize=None)
 def _gauss_rule(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)  # every caller shares the cached arrays
+    w.setflags(write=False)
+    return x, w
 
 
 def _panel_nodes(upper: float, panels: int):

@@ -161,17 +161,12 @@ def _matrix_rows(study: ConvergenceStudy, scheme):
     return list(zip(study.step_sizes, errors.tolist())), {}
 
 
-def _wave_key(study: ConvergenceStudy):
-    """What a wave study's reference and its shared runs depend on: not its scheme or seed."""
-    return study.half_width, study.points, study.potential, study.horizon, study.step_sizes
-
-
 class WaveReference(NamedTuple):
-    """A wave study's reference ``state``, its ``consistency`` (distance to the
-    reference one level coarser), the ``key`` of the studies it serves and
+    """The ``study`` a wave reference was built for, its ``state``, its
+    ``consistency`` (distance to the reference one level coarser) and
     ``strang``, the Strang runs it came from in the study's step order."""
 
-    key: tuple
+    study: ConvergenceStudy
     state: WaveFunction
     consistency: float
     strang: Tuple[WaveFunction, ...]
@@ -197,14 +192,12 @@ def wave_reference(study: ConvergenceStudy) -> WaveReference:
         for fine, mid, coarse in (levels[:3], levels[1:])
     )
     consistency = _l2_distance(coarser, reference)
-    return WaveReference(_wave_key(study), reference, consistency, runs[::-1])
+    return WaveReference(study, reference, consistency, runs[::-1])
 
 
 def _schrodinger_rows(study: ConvergenceStudy, scheme, reference=None):
     """A Strang study's finals are its reference's runs; others run their own."""
     reference = reference or wave_reference(study)
-    if reference.key != _wave_key(study):
-        raise ValueError("the wave reference was built for another grid, potential or step range")
     initial = gaussian_packet(reference.state.grid)
     if scheme.operands == make_strang().operands:  # Strang's operands, whatever the name
         finals = reference.strang
@@ -231,9 +224,10 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
     with a nominal order is held to it.
     """
     scheme = scheme or scheme_by_name(study.scheme_name)
+    built = reference and reference.study
+    if built and replace(study, scheme_name=built.scheme_name, seed=built.seed) != built:
+        raise ValueError("a wave reference serves only studies that differ from its own in scheme or seed")
     if study.problem == "matrix":
-        if reference is not None:
-            raise ValueError("a matrix study takes no wave reference")
         rows, extra = _matrix_rows(study, scheme)
     else:
         rows, extra = _schrodinger_rows(study, scheme, reference)

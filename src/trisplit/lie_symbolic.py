@@ -114,12 +114,7 @@ class FreeElement:
         scalar = Fraction(scalar)
         return FreeElement._trusted({w: scalar * c for w, c in self._terms.items()})
 
-    def __rmul__(self, scalar) -> "FreeElement":
-        return self.scale(scalar)
-
-    def __mul__(self, other) -> "FreeElement":
-        if not isinstance(other, FreeElement):
-            return self.scale(other)
+    def __mul__(self, other: "FreeElement") -> "FreeElement":
         return self.mul_truncated(other, None)
 
     def mul_truncated(self, other: "FreeElement", max_degree) -> "FreeElement":
@@ -178,8 +173,6 @@ def bracket(left, right) -> FreeElement:
 
 def _exp_series(x: FreeElement, max_degree: int) -> FreeElement:
     """Truncated exponential series of an element with no constant term."""
-    if not x.is_zero() and 0 in x.degrees():
-        raise ValueError("exponential series expects no constant term")
     total = FreeElement.unit()
     power = FreeElement.unit()
     factorial = 1

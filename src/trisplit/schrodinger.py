@@ -127,20 +127,19 @@ class Potential:
         return cls(x.copy(), np.ones_like(x), np.zeros_like(x), grid)
 
 
-POTENTIALS = ("harmonic", "cosine", "gaussian-well", "linear")
+POTENTIALS = {
+    "harmonic": Potential.harmonic,
+    "cosine": Potential.cosine,
+    "gaussian-well": Potential.gaussian_well,
+    "linear": Potential.linear,
+}
 
 
 def potential_by_name(name: str, grid: Grid1D) -> Potential:
-    makers = {
-        "harmonic": Potential.harmonic,
-        "cosine": Potential.cosine,
-        "gaussian-well": Potential.gaussian_well,
-        "linear": Potential.linear,
-    }
     try:
-        return makers[name](grid)
+        return POTENTIALS[name](grid)
     except KeyError:
-        raise InputError(f"unknown potential {name!r}; known: {POTENTIALS}") from None
+        raise InputError(f"unknown potential {name!r}; known: {tuple(POTENTIALS)}") from None
 
 
 def spectral_derivative(samples: np.ndarray, grid: Grid1D, order: int = 1) -> np.ndarray:

@@ -210,6 +210,13 @@ def test_duhamel_error_stops_doubling_at_round_off(monkeypatch):
         duhamel_error(p1, p2, p3, 1.0)
 
 
+def test_cached_gauss_rule_is_read_only():
+    # every duhamel_error shares the cached nodes and weights, so a write must fail
+    for array in duhamel._gauss_rule(duhamel.GAUSS_ORDER):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def count_nodes(monkeypatch, calls):
     panel_nodes = duhamel._panel_nodes
 

@@ -5,10 +5,10 @@ a source file, and the five subcommands then run in process at their shipped
 defaults, and on both ``bench/configs`` files, read in place.  A fault is
 killed when some run exits 1 or raises out of ``main``, which the process
 reports with its traceback and exit 1.  A killed fault names the runs that kill
-it, and they must keep killing it.  A fault that every run passes is a strict
-xfail whose reason names the ROADMAP item that will kill it, so the day a check
-starts killing it the xfail turns into a failure and its entry must move to the
-killed rows.
+it, and they must keep killing it.  A fault that no run fails is a strict xfail
+whose reason says how the runs end (all exit 0 unless it says otherwise) and
+names the ROADMAP item that will kill it, so the day a check starts killing it
+the xfail turns into a failure and its entry must move to the killed rows.
 """
 
 from dataclasses import replace
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trisplit import duhamel, harness, matrix_core, splitting
+from trisplit import duhamel, harness, matrix_core, schrodinger, splitting
 from trisplit.cli import EXIT_FAIL, EXIT_PASS, main
 
 COMMANDS = ("certify-algebra", "convergence", "verify-duhamel", "verify-bound", "schrodinger-bench")
@@ -34,6 +34,9 @@ RUNS = {command: [command] for command in COMMANDS} | {
         ("schrodinger-bench", "wave-bench.ini"),
     ]
 }
+
+#: the runs that solve the wave problem
+WAVE_RUNS = ("schrodinger-bench", "convergence wave-convergence.ini", "schrodinger-bench wave-bench.ini")
 
 
 def reversed_fold(monkeypatch):
@@ -87,10 +90,33 @@ def draw_axis_dropped(monkeypatch):
     monkeypatch.setattr(harness, "_random_skew", lambda *a: matrix_core._random_skew(*a)[:, 0])
 
 
-def survivor(fault, name, items):
-    mark = pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason=f"every run passes it; ROADMAP {items}"
-    )
+def h1_reference(monkeypatch):
+    # the reference 2 S_n - S_{n/2} from the two finest Strang runs cancels only h^2
+    original = harness.wave_reference
+
+    def first_order(study):
+        ref = original(study)
+        fine, mid = ref.strang[-1], ref.strang[-2]
+        state = schrodinger.WaveFunction(2 * fine.samples - mid.samples, fine.grid)
+        return ref._replace(state=state)
+
+    monkeypatch.setattr(harness, "wave_reference", first_order)
+
+
+def wavenumbers_scaled(monkeypatch):
+    # every kinetic multiplier and spectral derivative sees k 0.1 % too large
+    true = schrodinger.Grid1D.wavenumbers
+    scaled = property(lambda grid: 1.001 * true.fget(grid))
+    monkeypatch.setattr(schrodinger.Grid1D, "wavenumbers", scaled)
+
+
+def grid_dx_scaled(monkeypatch):
+    # dx = 2 L N, the / of 2 L / N turned into *
+    monkeypatch.setattr(schrodinger.Grid1D, "dx", property(lambda g: 2.0 * g.half_width * g.points))
+
+
+def survivor(fault, name, items, outcome="every run passes it"):
+    mark = pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"{outcome}; ROADMAP {items}")
     return pytest.param(fault, set(), id=name, marks=mark)
 
 
@@ -118,9 +144,15 @@ def test_clean_tree_passes_every_subcommand():
         pytest.param(expm_input_reshaped, set(MATRIX_COMMANDS), id="expm-input-reshaped"),
         pytest.param(hermitian_draw, {"verify-duhamel", "verify-bound"}, id="hermitian-draw"),
         pytest.param(draw_axis_dropped, set(MATRIX_COMMANDS), id="draw-axis-dropped"),
+        pytest.param(h1_reference, set(WAVE_RUNS), id="h1-reference"),
         survivor(doubled_bound, "error-bound-x2", "item 5"),
         survivor(v2_weight_swapped, "block-path-v2-weight", "items 5 and 11"),
         survivor(phase_flipped, "potential-phase-flip", "items 3 and 12"),
+        survivor(wavenumbers_scaled, "wavenumbers-scaled", "items 3 and 19"),
+        survivor(
+            grid_dx_scaled, "grid-dx-scaled", "item 17",
+            "the wave runs end DEGENERATE in exit 2 and no run exits 1",
+        ),
     ],
 )
 def test_planted_fault_fails_a_shipping_check(monkeypatch, plant, killers):

@@ -133,6 +133,16 @@ def test_matrix_convergence_degenerate_for_commuting_pair():
     assert result.fitted_order is None
 
 
+def test_zero_error_at_a_finite_step_is_inconclusive(monkeypatch):
+    study = ConvergenceStudy("matrix", "strang", dyadic(4, 4), 1.0, seed=5, dim=2)
+    rows = list(zip(study.step_sizes, [1e-2, 2.5e-3, 0.0, 1.5e-4]))
+    monkeypatch.setattr(harness, "_matrix_rows", lambda study, scheme: (rows, {}))
+    result = run_convergence(study)
+    assert (result.verdict, result.notes, result.fitted_order) == (
+        "inconclusive", "zero error at finite step", None,
+    )
+
+
 def test_matrix_study_makes_one_splitting_call(monkeypatch):
     # every step size in one apply_splitting call and one stacked expm, each
     # row within round-off of the study's lone per-step computation

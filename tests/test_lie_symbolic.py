@@ -76,6 +76,23 @@ def test_arithmetic_is_exact():
     assert prod.coeff((2, 2)) == -1
 
 
+def test_repeated_words_merge():
+    p1, p2 = FreeElement.generator(1), FreeElement.generator(2)
+    assert FreeElement([((1,), 1), ((1,), 2)]) == p1.scale(3)
+    # (P1 + P1P2)(P2 + 1) = P1P2 + P1 + P1P2P2 + P1P2: two products land on P1P2
+    product = (p1 + p1 * p2).mul_truncated(p2 + FreeElement.unit(), None)
+    assert product == FreeElement({(1, 2): 2, (1,): 1, (1, 2, 2): 1})
+
+
+def test_equality_hash_and_repr():
+    assert FreeElement.unit() != 1
+    e = bracket(1, 2).scale(Fraction(1, 2))
+    same = FreeElement({(2, 1): Fraction(-1, 2), (1, 2): Fraction(1, 2)})
+    assert e == same and hash(e) == hash(same)
+    assert repr(FreeElement.zero()) == "FreeElement(0)"
+    assert repr(e + FreeElement.unit()) == "FreeElement(1*1 + 1/2*12 + -1/2*21)"
+
+
 def test_mul_truncated_drops_high_words():
     p1 = FreeElement.generator(1)
     sq = p1 * p1

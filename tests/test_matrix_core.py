@@ -111,6 +111,14 @@ def test_expm_overflow_guard():
     expm(m, 1e-3)
 
 
+@pytest.mark.parametrize("t", [1.0, 1e306])
+def test_expm_overflow_of_one_entry(t):
+    # at t = 1 the norm 800 is finite and the squarings overflow; at 1e306
+    # t M itself overflows, before any Pade degree is chosen
+    with pytest.raises(OverflowError):
+        expm(np.array([[800.0]]), t)
+
+
 def test_expm_of_large_skew_hermitian_is_unitary():
     # t * ||M||_1 far above 700, yet e^{tM} is unitary and finite
     m = random_skew_hermitian(16, seed=43)

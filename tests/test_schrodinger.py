@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from exact_flow import grid_flow
+from trisplit.matrix_core import InputError
 from trisplit.schrodinger import (
     Grid1D,
     POTENTIALS,
@@ -75,6 +76,16 @@ def test_potential_catalog():
         assert v.samples.shape == (GRID.points,)
     with pytest.raises(ValueError):
         potential_by_name("square-well", GRID)
+
+
+def test_potential_checks_its_arrays():
+    zero = np.zeros(GRID.points)
+    with pytest.raises(ValueError, match=r"deriv1 has shape \(128,\)"):
+        Potential(zero, zero[:128], zero, GRID)
+    spiked = zero.copy()
+    spiked[3] = np.inf
+    with pytest.raises(InputError, match="non-finite deriv2"):
+        Potential(zero, zero, spiked, GRID)
 
 
 def test_potential_derivatives_match_spectral_route():
@@ -329,6 +340,13 @@ def test_self_convergence_ratio(factory, ratio):
 # Their coefficients 1/2, 1 and -i are fixed by the derivation, not fitted.
 
 
+def test_commutator_applies_reject_a_grid_mismatch():
+    other = Grid1D(half_width=10.0, points=128)
+    for apply in (commutator_apply, double_commutator_apply):
+        with pytest.raises(ValueError, match="different grids"):
+            apply(gaussian_packet(GRID), Potential.harmonic(other))
+
+
 def constant_potential(grid):
     # both commutators vanish identically
     zero = np.zeros(grid.points)
@@ -351,7 +369,7 @@ PERIODIC_POTENTIALS = ("cosine", "gaussian-well", "constant")
 COMMUTATOR_CASES = [
     (state, potential)
     for state in STATE_MAKERS
-    for potential in POTENTIALS + ("constant",)
+    for potential in tuple(POTENTIALS) + ("constant",)
     if state in ("gaussian", "moving-gaussian") or potential in PERIODIC_POTENTIALS
 ]
 

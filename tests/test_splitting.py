@@ -6,6 +6,7 @@ from triples import constrained_triple
 from trisplit import matrix_core, splitting
 from trisplit.harness import sample_constrained_triple
 from trisplit.matrix_core import (
+    InputError,
     commutator,
     expm,
     op_norm,
@@ -64,6 +65,18 @@ def test_canonical_is_computed_from_the_operands():
 def test_scheme_rejects_nonfinite_coefficients():
     with pytest.raises(ValueError):
         SplittingScheme("bad", (("A", float("nan")),))
+
+
+def test_scheme_needs_operands_with_references():
+    with pytest.raises(InputError, match="at least one operand"):
+        SplittingScheme("none", ())
+    with pytest.raises(InputError, match="empty operator reference"):
+        SplittingScheme("blank", (("A", 0.5), ("", 1.0), ("A", 0.5)))
+
+
+def test_operator_set_needs_a_binding():
+    with pytest.raises(ValueError, match="operator set is empty"):
+        OperatorSet({})
 
 
 def test_operator_set_contracts():
