@@ -164,44 +164,48 @@ def _matrix_rows(study: ConvergenceStudy, scheme):
 class WaveReference(NamedTuple):
     """The ``study`` a wave reference was built for, its ``state``, its
     ``consistency`` (distance to the reference one level coarser) and
-    ``strang``, the Strang runs it came from in the study's step order."""
+    ``runs``, each scheme's finals in the study's step order, keyed by its
+    operands, Strang's included."""
 
     study: ConvergenceStudy
     state: WaveFunction
     consistency: float
-    strang: Tuple[WaveFunction, ...]
+    runs: Dict[Tuple[Tuple[str, float], ...], Tuple[WaveFunction, ...]]
 
 
-def wave_reference(study: ConvergenceStudy) -> WaveReference:
-    """Strang from the unit Gaussian at every step count of the study in one
-    stacked call, and the state the study's errors are measured against.
-    Strang's global error expands in even powers of h, so from the four finest
-    runs n .. n/8 (n = horizon / h_min) Romberg's
-    R = (64 S_n - 20 S_{n/2} + S_{n/4}) / 45 cancels the h^2 and h^4 terms.
-    The reference is R, its consistency its distance to R one level coarser,
-    from (n/2, n/4, n/8).  Studies that differ only in scheme or seed share
-    it; nothing keeps it past the caller.  Each run is bitwise as alone, so a
-    Strang study's rows are the reference's runs."""
+def wave_reference(study: ConvergenceStudy, schemes=()) -> WaveReference:
+    """Strang and ``schemes``, once per operands, from the unit Gaussian at
+    every step count of the study in one stacked call, and the state the
+    study's errors are measured against.  Strang's global error expands in
+    even powers of h, so from the four finest runs n .. n/8
+    (n = horizon / h_min) Romberg's R = (64 S_n - 20 S_{n/2} + S_{n/4}) / 45
+    cancels the h^2 and h^4 terms.  The reference is R, its consistency its
+    distance to R one level coarser, from (n/2, n/4, n/8).  Studies that
+    differ only in scheme or seed share it; nothing keeps it past the caller.
+    Each run is bitwise as alone, so a study's rows are the reference's runs
+    of its scheme."""
     grid = Grid1D(study.half_width, study.points)
     potential = potential_by_name(study.potential, grid)
+    schemes = {scheme.operands: scheme for scheme in (make_strang(), *schemes)}
     steps = study.step_counts[::-1]  # n, n/2, ...
-    runs = evolve_runs(gaussian_packet(grid), potential, study.horizon, steps, make_strang())
-    levels = [run.samples for run in runs[:4]]
+    finals = evolve_runs(gaussian_packet(grid), potential, study.horizon, steps, *schemes.values())
+    levels = [run.samples for run in finals[:4]]
     reference, coarser = (
         WaveFunction((64 * fine - 20 * mid + coarse) / 45, grid)
         for fine, mid, coarse in (levels[:3], levels[1:])
     )
     consistency = _l2_distance(coarser, reference)
-    return WaveReference(study, reference, consistency, runs[::-1])
+    runs = {ops: finals[i * len(steps) : (i + 1) * len(steps)][::-1] for i, ops in enumerate(schemes)}
+    return WaveReference(study, reference, consistency, runs)
 
 
 def _schrodinger_rows(study: ConvergenceStudy, scheme, reference=None):
-    """A Strang study's finals are its reference's runs; others run their own."""
-    reference = reference or wave_reference(study)
+    """A study's finals are its reference's runs of its scheme; only a
+    reference that lacks them, which a library caller can pass, costs a call."""
+    reference = reference or wave_reference(study, (scheme,))
     initial = gaussian_packet(reference.state.grid)
-    if scheme.operands == make_strang().operands:  # Strang's operands, whatever the name
-        finals = reference.strang
-    else:
+    finals = reference.runs.get(scheme.operands)
+    if finals is None:
         potential = potential_by_name(study.potential, initial.grid)
         finals = evolve_runs(initial, potential, study.horizon, study.step_counts, scheme)
     rows = [(h, _l2_distance(final, reference.state)) for h, final in zip(study.step_sizes, finals)]
@@ -268,11 +272,11 @@ def run_studies(study: ConvergenceStudy, schemes, instances: int) -> Iterator[St
     """``study`` run by each scheme, then at each seed: a matrix study at the
     child seeds ``derive_seeds(study.seed, instances)``; a wave study, which
     draws nothing from its seed, once, at ``study.seed``, every scheme against
-    one ``wave_reference``, whose Strang runs are a Strang study's rows."""
+    one ``wave_reference`` whose one call runs them all."""
     if study.problem == "matrix":
         seeds, reference = derive_seeds(study.seed, instances), None
     else:
-        seeds, reference = (study.seed,), wave_reference(study)
+        seeds, reference = (study.seed,), wave_reference(study, schemes)
     for scheme in schemes:
         for seed in seeds:
             yield run_convergence(replace(study, scheme_name=scheme.name, seed=seed), scheme, reference)

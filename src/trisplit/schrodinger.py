@@ -6,13 +6,12 @@ multiplier e^{i t k^2 / 2} and e^{tB} is the pointwise phase e^{i t V(x)}.
 Splitting schemes over the references {A, B} therefore apply exactly
 (sub-flow-wise); the only approximation is the splitting itself.
 ``evolve_runs`` is the one place the sub-flows are applied: it makes one run
-per requested step count from one initial state, advanced as the rows of one
-(k, N) stack so that every FFT call serves all the runs still going.  It
-checks its inputs once, merges neighbouring sub-flows of one reference (first
-same as last across steps; McLachlan and Quispel, "Splitting methods", Acta
-Numerica 2002), builds each merged flow's multipliers once per call, copies
-the samples once and steps that copy in place.  ``evolve`` is its one-run
-case.
+per scheme and step count from one initial state, as the rows of (k, N)
+stacks so that every FFT call serves all the runs still going.  It checks its
+inputs once, merges neighbouring sub-flows of one reference (first same as
+last across steps; McLachlan and Quispel, "Splitting methods", Acta Numerica
+2002), builds each merged flow's multipliers once per call and steps one copy
+of the samples in place.  ``evolve`` is its one-run case.
 
 The commutators that drive the splitting error are also applied here,
 spectrally and pointwise, without using their closed forms:
@@ -178,66 +177,85 @@ def evolve(
 
 
 def evolve_runs(
-    u: WaveFunction, v: Potential, horizon: float, steps: Sequence[int], scheme: SplittingScheme
+    u: WaveFunction, v: Potential, horizon: float, steps: Sequence[int], *schemes: SplittingScheme
 ) -> Tuple[WaveFunction, ...]:
-    """One run of ``scheme`` from ``u`` per entry n of ``steps``, each taking
-    n steps of size h = horizon / n, returned in the order of ``steps``.
+    """One run of each scheme from ``u`` per entry n of ``steps``, each taking
+    n steps of size h = horizon / n, scheme by scheme in the order of ``steps``.
 
     Operands are listed in operator-product order (leftmost acts last on the
     state), so each step applies them right-to-left: an A operand with
     coefficient c is the Fourier multiplier e^{i c h k^2 / 2}, a B operand the
     pointwise phase e^{i c h V}.  Sub-flows of one reference commute, so
-    neighbours in application order merge into one flow with the summed
-    coefficient, inside a step and across the step boundary: when a step
-    starts and ends with the same reference, a run is the first flow once,
-    n - 1 bodies whose last flow carries both coefficients, and one step
-    without its first flow.  Strang (A/2, B, A/2) thus takes n + 1 FFT pairs
-    for n steps, not 2n.
+    neighbours in application order merge, inside a step and across the step
+    boundary: a run is its first flow once if a step starts and ends with the
+    same reference, n - 1 bodies whose last flow then carries both
+    coefficients, and a last step without that first flow.  Strang
+    (A/2, B, A/2) thus takes n + 1 FFT pairs for n steps, not 2n.
 
-    The runs are the rows of one (k, N) stack, largest n first, and each
-    merged flow has one multiplier row per run, built once per call.  The
-    first flow (or step) and the last step act on all rows, each body in
-    place on the leading rows that still take it, so the longest n sets the
-    FFT calls and each row is bitwise what it would be alone.  The samples
-    are copied once, so the caller's array is never written.
+    Runs whose bodies take the same references in order, such as Lie-Trotter's
+    (B, A) and Strang's (B, merged A), are the rows of one (k, N) stack,
+    longest first, with one multiplier row per run and flow.  The first flow
+    acts on the rows that take it, each body on the leading rows that still
+    take it and the last step on all rows, so the longest n of a stack sets
+    its FFT calls and each row is bitwise what it would be alone.  The
+    samples are copied once, so the caller's array is never written.
     """
+    if not schemes:
+        raise ValueError("evolve_runs needs a scheme")
     if not steps or min(steps) < 1:
         raise ValueError("steps must be positive")
-    if not scheme.canonical or set(scheme.references) - {"A", "B"}:
-        raise InputError(f"scheme {scheme.name!r} is not canonical over the references A, B")
+    stacks = {}  # a body's references -> its runs (index, n, first, body, last)
+    for i, scheme in enumerate(schemes):
+        if not scheme.canonical or set(scheme.references) - {"A", "B"}:
+            raise InputError(f"scheme {scheme.name!r} is not canonical over the references A, B")
+        flows = []  # (reference, coefficient) in application order, neighbours merged
+        for ref, c in reversed(scheme.operands):
+            if flows and flows[-1][0] == ref:
+                flows[-1] = (ref, flows[-1][1] + c)
+            else:
+                flows.append((ref, c))
+        refs, body = zip(*flows)
+        first = body[0] if len(flows) > 1 and refs[0] == refs[-1] else None
+        if first is not None:
+            refs, body = refs[1:], body[1:-1] + (body[-1] + first,)
+        for j, n in enumerate(steps):  # one reference: each run is one flow over the horizon
+            run = (i * len(steps) + j, 1 if len(flows) == 1 else n, first, body, flows[-1][1])
+            stacks.setdefault(refs, []).append(run)
     if v.grid != u.grid:
         raise ValueError("wavefunction and potential live on different grids")
-    flows = []  # (reference, coefficient) in application order, neighbours merged
-    for ref, c in reversed(scheme.operands):
-        if flows and flows[-1][0] == ref:
-            flows[-1] = (ref, flows[-1][1] + c)
-        else:
-            flows.append((ref, c))
-    order = sorted(range(len(steps)), key=lambda j: -steps[j])
-    # one reference: every run is one flow over the whole horizon
-    n = [1 if len(flows) == 1 else steps[j] for j in order]
+    finals = {}  # run index -> samples
+    for refs, stack in stacks.items():
+        stack.sort(key=lambda run: -run[1])
+        finals.update(zip([run[0] for run in stack], _run_stack(u, v, horizon, refs, stack)))
+    return tuple(WaveFunction(finals[i], u.grid) for i in sorted(finals))
+
+
+def _run_stack(u: WaveFunction, v: Potential, horizon: float, refs, stack) -> np.ndarray:
+    """The finals of one stack's runs, longest first, as the rows of one array."""
+    n = [run[1] for run in stack]
     h = (horizon / np.array(n, dtype=np.float64))[:, None]
     k = u.grid.wavenumbers
 
-    def multiplier(ref, c):
-        if ref == "A":
-            return True, np.exp(0.5j * (c * h) * k * k)
-        return False, np.exp(1j * (c * h) * v.samples)
+    def multiplier(ref, c, rows=slice(None)):
+        ch = np.array(c)[:, None] * h[rows]
+        if ref == "A":  # carries the inverse FFT's 1/N: exact, as Grid1D takes only power-of-two N
+            return True, np.exp(0.5j * ch * k * k) / k.size
+        return False, np.exp(1j * ch * v.samples)
 
-    step = [multiplier(ref, c) for ref, c in flows]
-    if n[0] > 1 and flows[0][0] == flows[-1][0]:
-        (ref, last), (_, first) = flows[-1], flows[0]
-        head, body, tail = step[:1], step[1:-1] + [multiplier(ref, last + first)], step[1:]
-    else:
-        head, body, tail = step, step, []
+    body = [multiplier(ref, c) for ref, c in zip(refs, zip(*(run[3] for run in stack)))]
+    firsts = [row for row, run in enumerate(stack) if run[2] is not None]
     x = np.repeat(u.samples[None, :], len(n), axis=0)
-    _advance(x, head)
+    if firsts:  # a view when every row takes the first flow, so its scatter is a no-op
+        rows = slice(None) if len(firsts) == len(n) else firsts
+        part = x[rows]
+        _advance(part, [multiplier(refs[-1], [stack[row][2] for row in firsts], firsts)])
+        x[rows] = part
     for rows, (longer, shorter) in enumerate(zip(n, n[1:] + [1]), 1):
         run = [(spectral, m[:rows]) for spectral, m in body]
         for _ in range(longer - shorter):  # the bodies that the rows below do not take
             _advance(x[:rows], run)
-    _advance(x, tail)
-    return tuple(WaveFunction(x[order.index(j)], u.grid) for j in range(len(n)))
+    _advance(x, body[:-1] + [multiplier(refs[-1], [run[4] for run in stack])] if firsts else body)
+    return x
 
 
 def _advance(x: np.ndarray, flows) -> None:
@@ -246,7 +264,7 @@ def _advance(x: np.ndarray, flows) -> None:
         if spectral:
             np.fft.fft(x, out=x)
             x *= m
-            np.fft.ifft(x, out=x)
+            np.fft.ifft(x, out=x, norm="forward")
         else:
             x *= m
 

@@ -14,13 +14,13 @@ def count_calls(monkeypatch, module, name, calls):
 
 
 def count_evolve_steps(monkeypatch):
-    # one step tuple per evolve_runs call
+    # one step tuple per evolve_runs call, whatever its number of schemes
     calls = []
     original = harness.evolve_runs
 
-    def counted(u, v, horizon, steps, scheme):
+    def counted(u, v, horizon, steps, *schemes):
         calls.append(tuple(steps))
-        return original(u, v, horizon, steps, scheme)
+        return original(u, v, horizon, steps, *schemes)
 
     monkeypatch.setattr(harness, "evolve_runs", counted)
     return calls

@@ -157,18 +157,15 @@ def test_unknown_scheme_exits_before_any_study_runs(tmp_path, capsys, problem):
 
 
 def test_wave_convergence_takes_one_reference_per_call(tmp_path, monkeypatch, capsys):
-    # both schemes at 256 points and the default steps 2^-4 .. 2^-9: each
-    # scheme's rows take 16 + 32 + ... + 512 = 1,008 steps, and the one Strang
-    # reference is built from the four finest of them (Romberg-extrapolated);
-    # Strang's rows are the rows of the reference's call, which adds no step
-    # to them, and lie-trotter's rows are one call of their own
+    # both schemes at 256 points and the default steps 2^-4 .. 2^-9: the one
+    # Strang reference is built from the four finest of Strang's runs
+    # (Romberg-extrapolated), and both schemes' rows are the runs of the
+    # reference's one call, which adds no step to them
     path = tmp_path / "wave.ini"
     path.write_text("[config]\nversion = 1\n\n[convergence]\nproblem = schrodinger\npoints = 256\n")
     calls = count_evolve_steps(monkeypatch)
     assert main(["convergence", "--config", str(path)]) == EXIT_PASS
-    assert sum(map(sum, calls)) == 1008 + 1008
-    assert len(calls) == 2
-    assert calls[0] == (512, 256, 128, 64, 32, 16)
+    assert calls == [(512, 256, 128, 64, 32, 16)]
 
 
 def test_schrodinger_bench_keeps_no_reference_between_calls(monkeypatch, capsys):
@@ -183,7 +180,8 @@ def test_schrodinger_bench_keeps_no_reference_between_calls(monkeypatch, capsys)
 def test_wave_convergence_runs_strang_in_the_reference_call(
     tmp_path, monkeypatch, capsys, schemes
 ):
-    # whichever scheme is listed first, the reference is built with Strang's rows
+    # whichever scheme is listed first, the reference's one call runs both,
+    # and the reference is built from Strang's runs
     path = tmp_path / "wave.ini"
     path.write_text(
         "[config]\nversion = 1\n\n[convergence]\nproblem = schrodinger\n"
@@ -191,16 +189,16 @@ def test_wave_convergence_runs_strang_in_the_reference_call(
     )
     calls = count_evolve_steps(monkeypatch)
     assert main(["convergence", "--config", str(path)]) == EXIT_PASS
-    assert calls == [(512, 256, 128, 64, 32, 16), (16, 32, 64, 128, 256, 512)]
+    assert calls == [(512, 256, 128, 64, 32, 16)]
     assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == schemes.split()
 
 
-def test_lie_trotter_bench_makes_its_own_call(tmp_path, monkeypatch, capsys):
+def test_lie_trotter_bench_runs_in_the_reference_call(tmp_path, monkeypatch, capsys):
     path = tmp_path / "bench.ini"
     path.write_text("[config]\nversion = 1\n\n[schrodinger-bench]\nscheme = lie-trotter\n")
     calls = count_evolve_steps(monkeypatch)
     assert main(["schrodinger-bench", "--config", str(path)]) == EXIT_PASS
-    assert calls == [(512, 256, 128, 64, 32, 16), (16, 32, 64, 128, 256, 512)]
+    assert calls == [(512, 256, 128, 64, 32, 16)]
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,13 @@ a source file, and the five subcommands then run in process at their shipped
 defaults, and on both ``bench/configs`` files, read in place.  A fault is
 killed when some run exits 1 or raises out of ``main``, which the process
 reports with its traceback and exit 1.  A killed fault names the runs that kill
-it, and they must keep killing it.  A fault that no run fails is a strict xfail
-whose reason says how the runs end (all exit 0 unless it says otherwise) and
-names the ROADMAP item that will kill it, so the day a check starts killing it
-the xfail turns into a failure and its entry must move to the killed rows.
+it and how they end, exit 1 from a verdict or a raise, and they must keep
+killing it that way: a plant that breaks itself, such as a wrapper that no
+longer fits what it wraps, raises, and so fails a row that ends in exit 1.  A
+fault that no run fails is a strict xfail whose reason says how the runs end
+(all exit 0 unless it says otherwise) and names the ROADMAP item that will kill
+it, so the day a check starts killing it the xfail turns into a failure and its
+entry must move to the killed rows.
 """
 
 from dataclasses import replace
@@ -63,9 +66,9 @@ def phase_flipped(monkeypatch):
     # every wave run, the reference's included, takes e^{-ichV}
     original = harness.evolve_runs
 
-    def flipped(u, v, horizon, steps, scheme):
+    def flipped(u, v, horizon, steps, *schemes):
         minus_v = replace(v, samples=-v.samples, deriv1=-v.deriv1, deriv2=-v.deriv2)
-        return original(u, minus_v, horizon, steps, scheme)
+        return original(u, minus_v, horizon, steps, *schemes)
 
     monkeypatch.setattr(harness, "evolve_runs", flipped)
 
@@ -94,9 +97,10 @@ def h1_reference(monkeypatch):
     # the reference 2 S_n - S_{n/2} from the two finest Strang runs cancels only h^2
     original = harness.wave_reference
 
-    def first_order(study):
-        ref = original(study)
-        fine, mid = ref.strang[-1], ref.strang[-2]
+    def first_order(study, schemes=()):
+        ref = original(study, schemes)
+        strang = ref.runs[splitting.make_strang().operands]
+        fine, mid = strang[-1], strang[-2]
         state = schrodinger.WaveFunction(2 * fine.samples - mid.samples, fine.grid)
         return ref._replace(state=state)
 
@@ -115,18 +119,26 @@ def grid_dx_scaled(monkeypatch):
     monkeypatch.setattr(schrodinger.Grid1D, "dx", property(lambda g: 2.0 * g.half_width * g.points))
 
 
+#: the status of a run that raises out of ``main``
+RAISED = "raised"
+
+
+def killed(fault, name, killers, ending):
+    return pytest.param(fault, killers, ending, id=name)
+
+
 def survivor(fault, name, items, outcome="every run passes it"):
     mark = pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"{outcome}; ROADMAP {items}")
-    return pytest.param(fault, set(), id=name, marks=mark)
+    return pytest.param(fault, set(), None, id=name, marks=mark)
 
 
 def status(argv):
-    """A run's exit status; an exception that escapes ``main`` ends the
-    process with its traceback and exit 1."""
+    """A run's exit status, or ``RAISED`` if an exception escapes ``main``:
+    the process then ends with its traceback and exit 1."""
     try:
         return main(argv)
     except Exception:
-        return EXIT_FAIL
+        return RAISED
 
 
 def statuses():
@@ -138,13 +150,13 @@ def test_clean_tree_passes_every_subcommand():
 
 
 @pytest.mark.parametrize(
-    "plant, killers",
+    "plant, killers, ending",
     [
-        pytest.param(reversed_fold, {"verify-duhamel"}, id="reversed-fold"),
-        pytest.param(expm_input_reshaped, set(MATRIX_COMMANDS), id="expm-input-reshaped"),
-        pytest.param(hermitian_draw, {"verify-duhamel", "verify-bound"}, id="hermitian-draw"),
-        pytest.param(draw_axis_dropped, set(MATRIX_COMMANDS), id="draw-axis-dropped"),
-        pytest.param(h1_reference, set(WAVE_RUNS), id="h1-reference"),
+        killed(reversed_fold, "reversed-fold", {"verify-duhamel"}, EXIT_FAIL),
+        killed(expm_input_reshaped, "expm-input-reshaped", set(MATRIX_COMMANDS), RAISED),
+        killed(hermitian_draw, "hermitian-draw", {"verify-duhamel", "verify-bound"}, RAISED),
+        killed(draw_axis_dropped, "draw-axis-dropped", set(MATRIX_COMMANDS), RAISED),
+        killed(h1_reference, "h1-reference", set(WAVE_RUNS), EXIT_FAIL),
         survivor(doubled_bound, "error-bound-x2", "item 5"),
         survivor(v2_weight_swapped, "block-path-v2-weight", "items 5 and 11"),
         survivor(phase_flipped, "potential-phase-flip", "items 3 and 12"),
@@ -155,8 +167,8 @@ def test_clean_tree_passes_every_subcommand():
         ),
     ],
 )
-def test_planted_fault_fails_a_shipping_check(monkeypatch, plant, killers):
+def test_planted_fault_fails_a_shipping_check(monkeypatch, plant, killers, ending):
     plant(monkeypatch)
-    failing = {command for command, code in statuses().items() if code == EXIT_FAIL}
-    assert failing, "every run passes the fault"
-    assert killers <= failing
+    ends = statuses()
+    assert {EXIT_FAIL, RAISED} & set(ends.values()), "every run passes the fault"
+    assert {label: ends[label] for label in killers} == dict.fromkeys(killers, ending)

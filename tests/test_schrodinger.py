@@ -18,7 +18,7 @@ from trisplit.schrodinger import (
     potential_by_name,
     spectral_derivative,
 )
-from trisplit.splitting import SplittingScheme, make_lie_trotter, make_strang
+from trisplit.splitting import SplittingScheme, make_lie_trotter, make_strang, parse_scheme
 
 GRID = Grid1D(half_width=10.0, points=256)
 
@@ -283,6 +283,59 @@ def test_evolve_runs_share_their_ffts(monkeypatch, name, ffts):
     steps = tuple(2**j for j in range(4, 10))
     evolve_runs(gaussian_packet(GRID), Potential.harmonic(GRID), 1.0, steps, MERGE_SCHEMES[name])
     assert len(calls) == ffts
+
+
+def test_evolve_runs_of_many_schemes_equal_their_lone_calls():
+    # scheme by scheme, each in the order of the steps; B 1 / A 1 has the
+    # body (A, B), so it shares no stack with Strang's or Lie-Trotter's (B, A)
+    b_then_a = parse_scheme("name b-then-a\nB 1\nA 1\n")
+    schemes = (*MERGE_SCHEMES.values(), b_then_a)
+    u = gaussian_packet(GRID, sigma=1.3, center=0.4, momentum=0.7)
+    v = Potential.gaussian_well(GRID)
+    runs = evolve_runs(u, v, 0.8, RUN_STEPS, *schemes)
+    lone = [run for scheme in schemes for run in evolve_runs(u, v, 0.8, RUN_STEPS, scheme)]
+    assert len(runs) == len(lone) == len(schemes) * len(RUN_STEPS)
+    for run, alone in zip(runs, lone):
+        assert np.array_equal(run.samples, alone.samples)
+
+
+def test_schemes_of_one_body_share_each_fft(monkeypatch):
+    # Lie-Trotter's body (B, A) and Strang's (B, merged A) are one stack: at
+    # 16 .. 512 one call takes Strang's 513 FFTs, where a call each takes 1,025
+    calls = []
+    original = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    steps = tuple(2**j for j in range(4, 10))
+    u, v = gaussian_packet(GRID), Potential.harmonic(GRID)
+    evolve_runs(u, v, 1.0, steps, make_lie_trotter(), make_strang())
+    assert len(calls) == 513
+    calls.clear()
+    for scheme in (make_lie_trotter(), make_strang()):
+        evolve_runs(u, v, 1.0, steps, scheme)
+    assert len(calls) == 1025
+
+
+def test_evolve_runs_needs_a_scheme():
+    with pytest.raises(ValueError):
+        evolve_runs(gaussian_packet(GRID), zero_potential(GRID), 1.0, (4, 8))
+
+
+@pytest.mark.parametrize("points", [16, 256, 2048])
+def test_one_strang_step_is_the_plain_fft_product_bitwise(points):
+    # the kinetic multiplier carries the inverse FFT's 1/N, which is exact
+    # only because N is a power of two: built as evolve_runs builds them, the
+    # multipliers with numpy's default normalization give the same bits.  The
+    # state is the left factor of each product, as in evolve_runs: numpy's
+    # complex product does not commute bitwise
+    grid = Grid1D(half_width=8.0, points=points)
+    u = gaussian_packet(grid, sigma=1.3, center=0.4, momentum=0.7)
+    v = Potential.gaussian_well(grid)
+    h, k = 0.1, grid.wavenumbers
+    m_a = np.exp(0.5j * (0.5 * h) * k * k)
+    m_b = np.exp(1j * (1.0 * h) * v.samples)
+    fft, ifft = np.fft.fft, np.fft.ifft
+    expected = ifft(fft(ifft(fft(u.samples) * m_a) * m_b) * m_a)
+    assert np.array_equal(evolve(u, v, h, 1, make_strang()).samples, expected)
 
 
 @pytest.mark.parametrize("potential", ["gaussian-well", "cosine"])
