@@ -22,6 +22,7 @@ from trisplit.matrix_core import InputError, _random_skew, expm, solve_second_or
 from trisplit.schrodinger import (
     Grid1D,
     WaveFunction,
+    commutator_apply,
     evolve_runs,
     gaussian_packet,
     norm_defect,
@@ -55,6 +56,10 @@ ORDER_WINDOW = 0.1
 #: error is inconclusive
 REFERENCE_GATE = 0.3
 
+#: errors at the floor are degenerate, not a failure, only if A and B commute: ||[A,B]||
+#: (||[A,B]u0|| on a wave grid) at most this eps ||A|| ||B|| (||u0||), ||A|| = max k^2/2
+COMMUTE_FACTOR = 64
+
 
 def derive_seeds(seed: int, count: int) -> Tuple[int, ...]:
     """Deterministic child seeds for independent instances."""
@@ -69,18 +74,16 @@ def estimate_order(rows: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     """Least-squares slope of log(error) against log(h), with its r^2."""
     if len(rows) < 3:
         raise ValueError("need at least 3 (h, error) rows")
-    h = np.array([r[0] for r in rows], dtype=float)
-    e = np.array([r[1] for r in rows], dtype=float)
+    h, e = np.array(rows, dtype=float).T
     if np.any(h <= 0):
         raise ValueError("step sizes must be positive")
     if np.any(e <= 0):
         raise ValueError("errors must be positive to fit a slope")
-    x = np.log(h)
-    y = np.log(e)
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    dx, dy = (np.log(v) - np.log(v).mean() for v in (h, e))
+    if not dx.any():
+        raise ValueError("step sizes must not all be equal")
+    slope = np.dot(dx, dy) / np.dot(dx, dx)  # centred least squares, in closed form
+    ss_res, ss_tot = float(np.sum((dy - slope * dx) ** 2)), float(np.sum(dy**2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return float(slope), float(r2)
 
@@ -146,19 +149,35 @@ class StudyResult:
         return self.verdict == "pass"
 
 
-def _matrix_rows(study: ConvergenceStudy, scheme):
-    """Every step size in one ``apply_splitting`` call, whose stacked ``expm``
-    takes one eigh per skew-Hermitian factor for all steps, and one batched
-    ``op_norm``."""
-    a, b = _random_skew(study.dim, (study.seed,), 2)[0]
-    if set(scheme.references) - {"A", "B"}:
-        raise InputError(f"scheme {study.scheme_name!r} is not an A/B scheme")
-    ops = pair_operator_set(a, b)
-    reference = expm(generator_matrix(scheme, ops), study.horizon)
-    steppers = apply_splitting(scheme, ops, study.step_sizes)
-    finals = [np.linalg.matrix_power(stepper, k) for stepper, k in zip(steppers, study.step_counts)]
-    errors = matrix_core.op_norm(np.stack(finals) - reference)
-    return list(zip(study.step_sizes, errors.tolist())), {}
+class MatrixReference(NamedTuple):
+    """The ``study`` a section was built for; ``errors`` by (operands, seed), in step order."""
+
+    study: ConvergenceStudy
+    errors: Dict[tuple, Tuple[float, ...]]
+
+
+def matrix_reference(study: ConvergenceStudy, schemes, seeds) -> MatrixReference:
+    """Every scheme at every seed, in stacks of up to _STACK_ENTRIES / (4 m n^2)
+    seeds for m steps: one draw; per scheme one ``apply_splitting``, e^{TL} from
+    one ``expm`` on a (k, 1) grid (the eigh path) and S(h)^{n_0 2^j} as row j
+    squared j times, then to the power n_0; one ``op_norm``.  Rows are as alone."""
+    step = max(1, _STACK_ENTRIES // (4 * len(study.step_sizes) * max(study.dim, 1) ** 2))
+    errors = {}
+    for start in range(0, len(seeds), step):
+        stack = seeds[start : start + step]
+        ops = pair_operator_set(*_random_skew(study.dim, stack, 2).swapaxes(0, 1))
+        gaps = []
+        for scheme in schemes:
+            if set(scheme.references) - {"A", "B"}:
+                raise InputError(f"scheme {scheme.name!r} is not an A/B scheme")
+            exact = expm(generator_matrix(scheme, ops), np.full((len(stack), 1), study.horizon))
+            powers = apply_splitting(scheme, ops, study.step_sizes)
+            for j in range(1, len(study.step_sizes)):
+                powers[:, j:] = powers[:, j:] @ powers[:, j:]
+            gaps.append(np.linalg.matrix_power(powers, study.step_counts[0]) - exact)
+        for scheme, rows in zip(schemes, matrix_core.op_norm(np.stack(gaps)).tolist()):
+            errors.update(((scheme.operands, seed), tuple(row)) for seed, row in zip(stack, rows))
+    return MatrixReference(study, errors)
 
 
 class WaveReference(NamedTuple):
@@ -214,6 +233,20 @@ def _schrodinger_rows(study: ConvergenceStudy, scheme, reference=None):
     return rows, extra
 
 
+def _commutator_note(study: ConvergenceStudy) -> str:
+    """"" if the study's generators commute (``COMMUTE_FACTOR``), else a note on their size."""
+    if study.problem == "matrix":
+        a, b = _random_skew(study.dim, (study.seed,), 2)[0]
+        size, *norms = matrix_core.op_norm(np.stack([matrix_core.commutator(a, b), a, b])).tolist()
+    else:
+        grid = Grid1D(study.half_width, study.points)
+        v, u0 = potential_by_name(study.potential, grid), gaussian_packet(grid)
+        size = commutator_apply(u0, v).l2_norm()
+        norms = [np.max(grid.wavenumbers**2) / 2, np.abs(v.samples).max(), u0.l2_norm()]
+    bound = COMMUTE_FACTOR * np.finfo(float).eps * float(np.prod(norms))
+    return "" if size <= bound else f"no order measurable, yet [A,B] is {size:.3e}, above {bound:.3e}"
+
+
 def _l2_distance(u: WaveFunction, v: WaveFunction) -> float:
     return WaveFunction(u.samples - v.samples, u.grid).l2_norm()
 
@@ -222,31 +255,32 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
     """Measure errors over the study's step sizes and fit an order.
 
     ``scheme`` overrides the named scheme with an explicit SplittingScheme
-    (e.g. loaded from a file).  ``reference``, for a wave study, is the
+    (e.g. loaded from a file).  ``reference`` is the ``matrix_reference`` or
     ``wave_reference`` of a study that differs at most in scheme and seed;
     without it the study builds its own.  The fit uses every row, and a scheme
-    with a nominal order is held to it.
+    with a nominal order is held to it.  Errors at the floor are "degenerate"
+    only if the generators commute on the study's data (``COMMUTE_FACTOR``).
     """
     scheme = scheme or scheme_by_name(study.scheme_name)
     built = reference and reference.study
     if built and replace(study, scheme_name=built.scheme_name, seed=built.seed) != built:
-        raise ValueError("a wave reference serves only studies that differ from its own in scheme or seed")
-    if study.problem == "matrix":
-        rows, extra = _matrix_rows(study, scheme)
-    else:
+        raise ValueError("a reference serves only studies that differ from its own in scheme or seed")
+    if study.problem == "schrodinger":
         rows, extra = _schrodinger_rows(study, scheme, reference)
-    metadata = {
-        "problem": study.problem,
-        "scheme": study.scheme_name,
-        "seed": study.seed,
-        "horizon": study.horizon,
-        **extra,
-    }
+    else:  # a one-seed section of its own unless the given one holds the study
+        key = (scheme.operands, study.seed)
+        if key not in getattr(reference, "errors", ()):
+            reference = matrix_reference(study, (scheme,), (study.seed,))
+        rows, extra = zip(study.step_sizes, reference.errors[key]), {}
     rows = tuple(rows)
+    metadata = {"problem": study.problem, "scheme": study.scheme_name, "seed": study.seed}
+    metadata.update(horizon=study.horizon, **extra)
     errors = [e for _, e in rows]
     fitted_order = r2 = None
     if max(errors) <= ERROR_FLOOR:
-        verdict, notes = "degenerate", ["degenerate: no order measurable"]
+        commutator = _commutator_note(study)
+        verdict = "fail" if commutator else "degenerate"
+        notes = [commutator or "degenerate: no order measurable"]
     elif any(e <= 0 for e in errors):
         verdict, notes = "inconclusive", ["zero error at finite step"]
     elif any(a <= b for a, b in zip(errors, errors[1:])):
@@ -269,12 +303,13 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
 
 
 def run_studies(study: ConvergenceStudy, schemes, instances: int) -> Iterator[StudyResult]:
-    """``study`` run by each scheme, then at each seed: a matrix study at the
-    child seeds ``derive_seeds(study.seed, instances)``; a wave study, which
-    draws nothing from its seed, once, at ``study.seed``, every scheme against
-    one ``wave_reference`` whose one call runs them all."""
+    """``study`` run by each scheme, then at each seed, every study read from
+    one reference that runs them all: a ``matrix_reference`` at the child seeds
+    ``derive_seeds(study.seed, instances)``, or a ``wave_reference``, which
+    draws nothing from the seed, at ``study.seed`` alone."""
     if study.problem == "matrix":
-        seeds, reference = derive_seeds(study.seed, instances), None
+        seeds = derive_seeds(study.seed, instances)
+        reference = matrix_reference(study, schemes, seeds)
     else:
         seeds, reference = (study.seed,), wave_reference(study, schemes)
     for scheme in schemes:
@@ -447,12 +482,7 @@ class DuhamelCampaign:
     notes: str
 
 
-def verify_duhamel(
-    count: int,
-    dim: int,
-    t_list: Sequence[float],
-    seed: int,
-) -> DuhamelCampaign:
+def verify_duhamel(count: int, dim: int, t_list: Sequence[float], seed: int) -> DuhamelCampaign:
     """Compare the integral error representation against the measured error.
 
     For every sampled constraint-satisfying triple and every t, the

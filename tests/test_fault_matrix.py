@@ -8,10 +8,9 @@ reports with its traceback and exit 1.  A killed fault names the runs that kill
 it and how they end, exit 1 from a verdict or a raise, and they must keep
 killing it that way: a plant that breaks itself, such as a wrapper that no
 longer fits what it wraps, raises, and so fails a row that ends in exit 1.  A
-fault that no run fails is a strict xfail whose reason says how the runs end
-(all exit 0 unless it says otherwise) and names the ROADMAP item that will kill
-it, so the day a check starts killing it the xfail turns into a failure and its
-entry must move to the killed rows.
+fault that no run fails is a strict xfail whose reason names the ROADMAP item
+that will kill it, so the day a check starts killing it the xfail turns into a
+failure and its entry must move to the killed rows.
 """
 
 from dataclasses import replace
@@ -127,8 +126,9 @@ def killed(fault, name, killers, ending):
     return pytest.param(fault, killers, ending, id=name)
 
 
-def survivor(fault, name, items, outcome="every run passes it"):
-    mark = pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"{outcome}; ROADMAP {items}")
+def survivor(fault, name, items):
+    reason = f"every run passes it; ROADMAP {items}"
+    mark = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
     return pytest.param(fault, set(), None, id=name, marks=mark)
 
 
@@ -149,6 +149,17 @@ def test_clean_tree_passes_every_subcommand():
     assert statuses() == dict.fromkeys(RUNS, EXIT_PASS)
 
 
+def test_no_run_takes_an_lu_or_least_squares_solve(monkeypatch):
+    # every exponential a run makes is on the skew eigh path, which needs no
+    # Pade LU solve, and the order fit is closed-form, with no lstsq behind polyfit
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LU or least-squares solve")
+
+    for module, name in ((np.linalg, "solve"), (np.linalg, "lstsq"), (np, "polyfit")):
+        monkeypatch.setattr(module, name, refuse)
+    assert statuses() == dict.fromkeys(RUNS, EXIT_PASS)
+
+
 @pytest.mark.parametrize(
     "plant, killers, ending",
     [
@@ -157,14 +168,11 @@ def test_clean_tree_passes_every_subcommand():
         killed(hermitian_draw, "hermitian-draw", {"verify-duhamel", "verify-bound"}, RAISED),
         killed(draw_axis_dropped, "draw-axis-dropped", set(MATRIX_COMMANDS), RAISED),
         killed(h1_reference, "h1-reference", set(WAVE_RUNS), EXIT_FAIL),
+        killed(grid_dx_scaled, "grid-dx-scaled", set(WAVE_RUNS), EXIT_FAIL),
         survivor(doubled_bound, "error-bound-x2", "item 5"),
         survivor(v2_weight_swapped, "block-path-v2-weight", "items 5 and 11"),
         survivor(phase_flipped, "potential-phase-flip", "items 3 and 12"),
         survivor(wavenumbers_scaled, "wavenumbers-scaled", "items 3 and 19"),
-        survivor(
-            grid_dx_scaled, "grid-dx-scaled", "item 17",
-            "the wave runs end DEGENERATE in exit 2 and no run exits 1",
-        ),
     ],
 )
 def test_planted_fault_fails_a_shipping_check(monkeypatch, plant, killers, ending):

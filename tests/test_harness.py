@@ -8,7 +8,7 @@ import pytest
 
 from exact_flow import grid_flow
 from counting import count_calls, count_evolve_steps
-from trisplit import cli, duhamel, harness, matrix_core, splitting
+from trisplit import cli, duhamel, harness, matrix_core, schrodinger, splitting
 from trisplit import lie_symbolic as ls
 from trisplit.duhamel import error_bound
 from trisplit.harness import (
@@ -65,6 +65,27 @@ def test_estimate_order_input_validation():
         estimate_order([(0.5, 1e-3), (0.25, 0.0), (0.125, 1e-5)])
     with pytest.raises(ValueError):
         estimate_order([(-0.5, 1e-3), (0.25, 1e-4), (0.125, 1e-5)])
+
+
+def test_closed_form_fit_agrees_with_polyfit_on_noisy_ladders():
+    # np.polyfit, which the fit no longer calls, is the oracle: slope and r2
+    # agree to 1e-12 relative on 200 random ladders with noise
+    rng = np.random.default_rng(4101)
+    for _ in range(200):
+        h = rng.uniform(0.1, 2.0) * 2.0 ** -np.arange(rng.integers(3, 11))
+        noise = np.exp(rng.normal(0.0, rng.uniform(1e-3, 0.1), h.size))
+        e = rng.uniform(1e-6, 10.0) * h ** rng.uniform(0.5, 4.0) * noise
+        x, y = np.log(h), np.log(e)
+        slope, intercept = np.polyfit(x, y, 1)
+        r2 = 1.0 - np.sum((y - (slope * x + intercept)) ** 2) / np.sum((y - y.mean()) ** 2)
+        fitted, fit_r2 = estimate_order(list(zip(h, e)))
+        assert fitted == pytest.approx(slope, rel=1e-12, abs=0)
+        assert fit_r2 == pytest.approx(r2, rel=1e-12, abs=0)
+
+
+def test_fit_needs_distinct_step_sizes():
+    with pytest.raises(ValueError, match="^step sizes must not all be equal$"):
+        estimate_order([(0.5, 1e-3), (0.5, 1e-4), (0.5, 1e-5)])
 
 
 def test_derive_seeds_deterministic_and_distinct():
@@ -133,10 +154,41 @@ def test_matrix_convergence_degenerate_for_commuting_pair():
     assert result.fitted_order is None
 
 
-def test_zero_error_at_a_finite_step_is_inconclusive(monkeypatch):
+def plant_section(monkeypatch, study, errors):
+    # every matrix section the harness builds holds only these Strang errors
+    section = harness.MatrixReference(study, {(make_strang().operands, study.seed): errors})
+    monkeypatch.setattr(harness, "matrix_reference", lambda *args: section)
+
+
+def test_errors_at_the_floor_fail_when_the_pair_does_not_commute(monkeypatch):
+    # a 2 x 2 pair with every error planted at the floor: the note names
+    # ||[A,B]|| and the bound it exceeds, 64 eps ||A|| ||B||
     study = ConvergenceStudy("matrix", "strang", dyadic(4, 4), 1.0, seed=5, dim=2)
-    rows = list(zip(study.step_sizes, [1e-2, 2.5e-3, 0.0, 1.5e-4]))
-    monkeypatch.setattr(harness, "_matrix_rows", lambda study, scheme: (rows, {}))
+    plant_section(monkeypatch, study, (1e-13, 1e-14, 1e-15, 1e-16))
+    result = run_convergence(study)
+    a, b = harness._random_skew(2, (5,), 2)[0]
+    bound = 64 * np.finfo(float).eps * op_norm(a) * op_norm(b)
+    assert (result.verdict, result.fitted_order) == ("fail", None)
+    size = op_norm(commutator(a, b))
+    assert size > bound
+    assert result.notes == f"no order measurable, yet [A,B] is {size:.3e}, above {bound:.3e}"
+
+
+def test_degenerate_wave_study_on_a_broken_grid_fails(monkeypatch):
+    # dx = 2 L N: every error is below 1e-28, but [A,B]u0 is far from zero
+    monkeypatch.setattr(schrodinger.Grid1D, "dx", property(lambda g: 2.0 * g.half_width * g.points))
+    result = run_convergence(SMALL_STRANG)
+    assert max(e for _, e in result.rows) <= harness.ERROR_FLOOR
+    assert result.verdict == "fail"
+    note = re.fullmatch(r"no order measurable, yet \[A,B\] is (\S+), above (\S+)", result.notes)
+    size, bound = note.groups()
+    assert float(size) > 1e10 * float(bound)
+
+
+def test_zero_error_at_a_finite_step_is_inconclusive(monkeypatch):
+    # the zero is planted in the section the study reads its rows from
+    study = ConvergenceStudy("matrix", "strang", dyadic(4, 4), 1.0, seed=5, dim=2)
+    plant_section(monkeypatch, study, (1e-2, 2.5e-3, 0.0, 1.5e-4))
     result = run_convergence(study)
     assert (result.verdict, result.notes, result.fitted_order) == (
         "inconclusive", "zero error at finite step", None,
@@ -257,20 +309,80 @@ def test_wave_section_runs_every_scheme_against_one_reference(monkeypatch):
     ]
 
 
+def pade_rows(study, scheme):
+    # a study's errors the way they were first computed: a Pade e^{TL} and one
+    # matrix_power per row
+    a, b = harness._random_skew(study.dim, (study.seed,), 2)[0]
+    ops = splitting.pair_operator_set(a, b)
+    reference = matrix_core.expm(splitting.generator_matrix(scheme, ops), study.horizon)
+    steppers = splitting.apply_splitting(scheme, ops, study.step_sizes)
+    return [
+        op_norm(np.linalg.matrix_power(stepper, n) - reference)
+        for stepper, n in zip(steppers, study.step_counts)
+    ]
+
+
+#: (steps, horizon) of three study ladders: 16 .. 128 steps; 12 .. 192, whose
+#: first count is no power of two; and 3 .. 48, matrix_power's n <= 3 branch
+LADDERS = ((dyadic(4, 4), 1.0), (dyadic(2, 5), 3.0), (dyadic(2, 5), 0.75))
+
+
 def test_matrix_section_runs_scheme_by_scheme_at_the_child_seeds(monkeypatch):
-    # one run_convergence call, through the module global, per scheme and child seed
+    # one run_convergence call, through the module global, per scheme and
+    # child seed; on each ladder every result is bitwise its study's lone run,
+    # and its rows are within 1e-9 of the Pade oracle
     schemes = [make_strang(), splitting.make_lie_trotter()]
-    study = ConvergenceStudy("matrix", "strang", dyadic(4, 4), 1.0, seed=11, dim=3)
+    order = [(s, child) for s in schemes for child in derive_seeds(11, 3)]
     calls = {"run_convergence": 0}
     count_calls(monkeypatch, harness, "run_convergence", calls)
-    results = list(run_studies(study, schemes, 3))
-    assert calls == {"run_convergence": 6}
-    order = [(s, child) for s in schemes for child in derive_seeds(11, 3)]
-    assert [(r.metadata["scheme"], r.metadata["seed"]) for r in results] == [
-        (s.name, child) for s, child in order
-    ]
-    lone = [run_convergence(replace(study, scheme_name=s.name, seed=c), s) for s, c in order]
-    assert results == lone
+    for steps, horizon in LADDERS:
+        study = ConvergenceStudy("matrix", "strang", steps, horizon, seed=11, dim=3)
+        calls["run_convergence"] = 0
+        results = list(run_studies(study, schemes, 3))
+        assert calls == {"run_convergence": 6}
+        assert [(r.metadata["scheme"], r.metadata["seed"]) for r in results] == [
+            (s.name, child) for s, child in order
+        ]
+        lone = [run_convergence(replace(study, scheme_name=s.name, seed=c), s) for s, c in order]
+        assert results == lone
+        for (scheme, child), result in zip(order, results):
+            oracle = pade_rows(replace(study, seed=child), scheme)
+            assert [e for _, e in result.rows] == pytest.approx(oracle, rel=1e-9, abs=0)
+
+
+def test_default_matrix_section_draws_once_on_the_eigh_path(monkeypatch, capsys):
+    # the default [convergence] section: one draw for its 5 seeds, at most 4
+    # expm calls for its 10 studies, and no LU solve or polyfit
+    calls = dict.fromkeys(("_random_skew", "expm", "solve", "polyfit"), 0)
+    count_calls(monkeypatch, harness, "_random_skew", calls)
+    count_calls(monkeypatch, harness, "expm", calls)
+    count_calls(monkeypatch, splitting, "expm", calls)
+    count_calls(monkeypatch, np.linalg, "solve", calls)
+    count_calls(monkeypatch, np, "polyfit", calls)
+    assert cli.main(["convergence"]) == cli.EXIT_PASS
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    assert calls["_random_skew"] == 1 and calls["expm"] <= 4
+    assert (calls["solve"], calls["polyfit"]) == (0, 0)
+
+
+def test_matrix_section_stacks_are_bounded(monkeypatch):
+    # seeds go in stacks of _STACK_ENTRIES / (4 m n^2): 8 seeds at 4 steps and
+    # dim 3 in stacks of 3, and each row is still its lone study's
+    monkeypatch.setattr(harness, "_STACK_ENTRIES", 4 * 4 * 9 * 3)
+    draws = []
+    original = harness._random_skew
+
+    def counted(n, seeds, per_seed):
+        draws.append(len(seeds))
+        return original(n, seeds, per_seed)
+
+    monkeypatch.setattr(harness, "_random_skew", counted)
+    study = ConvergenceStudy("matrix", "strang", dyadic(4, 4), 1.0, seed=11, dim=3)
+    section = harness.matrix_reference(study, [make_strang()], derive_seeds(11, 8))
+    assert draws == [3, 3, 2]
+    for child in derive_seeds(11, 8):
+        lone = replace(study, seed=child)
+        assert run_convergence(lone, reference=section).rows == run_convergence(lone).rows
 
 
 @pytest.mark.parametrize("potential", ["harmonic", "gaussian-well", "cosine"])

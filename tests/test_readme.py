@@ -57,6 +57,7 @@ def test_readme_states_the_rules_fixed_in_code():
         ("harness", "R2_GATE"): harness.R2_GATE,
         ("harness", "ORDER_WINDOW"): harness.ORDER_WINDOW,
         ("harness", "REFERENCE_GATE"): harness.REFERENCE_GATE,
+        ("harness", "COMMUTE_FACTOR"): harness.COMMUTE_FACTOR,
     }
     assert f"({2 ** duhamel.MAX_PANEL_DOUBLINGS} panels)" in section
     assert "every row the artifact prints; no row is dropped" in section
