@@ -236,9 +236,10 @@ def _cmd_convergence(args, cfg):
         order = "" if result.fitted_order is None else repr(float(result.fitted_order))
         r2 = "" if result.fit_r2 is None else repr(float(result.fit_r2))
         rows.append((name, child, order, r2, result.verdict, result.notes))
+        note = f" ({result.notes})" if result.notes else ""  # a passing study has none
         _say(
             f"{result.verdict.upper():12s} {name:12s} seed={child} "
-            f"order={order or 'n/a'} r2={r2 or 'n/a'}"
+            f"order={order or 'n/a'} r2={r2 or 'n/a'}{note}"
         )
     columns = ("scheme", "seed", "fitted_order", "fit_r2", "verdict", "notes")
     return _study_exit(results), columns, rows
@@ -282,7 +283,8 @@ def _cmd_schrodinger_bench(args, cfg):
     study = _study(cfg, scheme, problem="schrodinger", seed=0)
     rows, result = run_schrodinger_benchmark(study, scheme=scheme)
     order = "n/a" if result.fitted_order is None else f"{result.fitted_order:.4f}"
-    _say(f"{result.verdict.upper()} schrodinger-bench: fitted order {order}")
+    note = f" ({result.notes})" if result.notes else ""
+    _say(f"{result.verdict.upper()} schrodinger-bench: fitted order {order}{note}")
     for row in rows:
         _say(f"  h={row.h!r}  L2_error={row.l2_error!r}  norm_defect={row.norm_defect!r}")
     return _study_exit([result]), ("h", "L2_error", "norm_defect"), rows

@@ -96,10 +96,10 @@ class ConvergenceStudy:
     """One order-measurement campaign.
 
     Step sizes must be dyadic (each exactly half the previous) and each must
-    divide the horizon, into ``step_counts`` steps; matrix problems sample a
-    skew-Hermitian operator pair from the seed, while the wave problem uses
-    the named potential and a unit-width Gaussian packet and draws nothing
-    from the seed.  An unusable value raises ``InputError`` when the study is built.
+    divide the horizon, into ``step_counts`` steps; a matrix study draws a
+    skew-Hermitian pair of size ``dim`` from the seed, a wave study draws
+    nothing.  An unusable value of a field its kind reads raises ``InputError``
+    when the study is built; the scheme is resolved when the study runs.
     """
 
     problem: str
@@ -130,6 +130,10 @@ class ConvergenceStudy:
         for h, n in zip(steps, counts):
             if n < 1 or abs(self.horizon / h - n) > 1e-9 * n:
                 raise InputError(f"horizon {self.horizon!r} is not an integer multiple of {h!r}")
+        if self.problem == "schrodinger":
+            potential_by_name(self.potential, Grid1D(self.half_width, self.points))
+        elif self.dim < 1:
+            raise InputError("dimension must be positive")
         object.__setattr__(self, "step_sizes", steps)
         object.__setattr__(self, "step_counts", counts)
 
@@ -149,20 +153,26 @@ class StudyResult:
         return self.verdict == "pass"
 
 
-class MatrixReference(NamedTuple):
-    """The ``study`` a section was built for; ``errors`` by (operands, seed), in step order."""
+class Reference(NamedTuple):
+    """The ``study`` a section was built for; ``rows`` by (operands, seed): the
+    study's errors in step order and its result's metadata."""
 
     study: ConvergenceStudy
-    errors: Dict[tuple, Tuple[float, ...]]
+    rows: Dict[tuple, Tuple[Tuple[float, ...], Dict[str, object]]]
 
 
-def matrix_reference(study: ConvergenceStudy, schemes, seeds) -> MatrixReference:
+def _reference(study: ConvergenceStudy, schemes, seeds) -> Reference:
+    """The reference of the study's kind; the builder is read at call time, so a patch reaches it."""
+    return (matrix_reference if study.problem == "matrix" else wave_reference)(study, schemes, seeds)
+
+
+def matrix_reference(study: ConvergenceStudy, schemes, seeds) -> Reference:
     """Every scheme at every seed, in stacks of up to _STACK_ENTRIES / (4 m n^2)
     seeds for m steps: one draw; per scheme one ``apply_splitting``, e^{TL} from
     one ``expm`` on a (k, 1) grid (the eigh path) and S(h)^{n_0 2^j} as row j
     squared j times, then to the power n_0; one ``op_norm``.  Rows are as alone."""
-    step = max(1, _STACK_ENTRIES // (4 * len(study.step_sizes) * max(study.dim, 1) ** 2))
-    errors = {}
+    step = max(1, _STACK_ENTRIES // (4 * len(study.step_sizes) * study.dim**2))
+    rows = {}
     for start in range(0, len(seeds), step):
         stack = seeds[start : start + step]
         ops = pair_operator_set(*_random_skew(study.dim, stack, 2).swapaxes(0, 1))
@@ -175,62 +185,44 @@ def matrix_reference(study: ConvergenceStudy, schemes, seeds) -> MatrixReference
             for j in range(1, len(study.step_sizes)):
                 powers[:, j:] = powers[:, j:] @ powers[:, j:]
             gaps.append(np.linalg.matrix_power(powers, study.step_counts[0]) - exact)
-        for scheme, rows in zip(schemes, matrix_core.op_norm(np.stack(gaps)).tolist()):
-            errors.update(((scheme.operands, seed), tuple(row)) for seed, row in zip(stack, rows))
-    return MatrixReference(study, errors)
+        for scheme, errors in zip(schemes, matrix_core.op_norm(np.stack(gaps)).tolist()):
+            rows.update(((scheme.operands, seed), (tuple(e), {})) for seed, e in zip(stack, errors))
+    return Reference(study, rows)
 
 
-class WaveReference(NamedTuple):
-    """The ``study`` a wave reference was built for, its ``state``, its
-    ``consistency`` (distance to the reference one level coarser) and
-    ``runs``, each scheme's finals in the study's step order, keyed by its
-    operands, Strang's included."""
-
-    study: ConvergenceStudy
-    state: WaveFunction
-    consistency: float
-    runs: Dict[Tuple[Tuple[str, float], ...], Tuple[WaveFunction, ...]]
-
-
-def wave_reference(study: ConvergenceStudy, schemes=()) -> WaveReference:
-    """Strang and ``schemes``, once per operands, from the unit Gaussian at
-    every step count of the study in one stacked call, and the state the
-    study's errors are measured against.  Strang's global error expands in
-    even powers of h, so from the four finest runs n .. n/8
-    (n = horizon / h_min) Romberg's R = (64 S_n - 20 S_{n/2} + S_{n/4}) / 45
-    cancels the h^2 and h^4 terms.  The reference is R, its consistency its
-    distance to R one level coarser, from (n/2, n/4, n/8).  Studies that
-    differ only in scheme or seed share it; nothing keeps it past the caller.
-    Each run is bitwise as alone, so a study's rows are the reference's runs
-    of its scheme."""
-    grid = Grid1D(study.half_width, study.points)
-    potential = potential_by_name(study.potential, grid)
-    schemes = {scheme.operands: scheme for scheme in (make_strang(), *schemes)}
-    steps = study.step_counts[::-1]  # n, n/2, ...
-    finals = evolve_runs(gaussian_packet(grid), potential, study.horizon, steps, *schemes.values())
-    levels = [run.samples for run in finals[:4]]
+def _romberg(strang) -> Tuple[WaveFunction, float]:
+    """Romberg's R = (64 S_n - 20 S_{n/2} + S_{n/4}) / 45 from Strang's finals n, n/2, ...
+    (n = horizon / h_min), which cancels the h^2 and h^4 terms of Strang's error,
+    even in h, and R's consistency, its distance to R one level coarser."""
+    levels = [run.samples for run in strang[:4]]
     reference, coarser = (
-        WaveFunction((64 * fine - 20 * mid + coarse) / 45, grid)
+        WaveFunction((64 * fine - 20 * mid + coarse) / 45, strang[0].grid)
         for fine, mid, coarse in (levels[:3], levels[1:])
     )
-    consistency = _l2_distance(coarser, reference)
-    runs = {ops: finals[i * len(steps) : (i + 1) * len(steps)][::-1] for i, ops in enumerate(schemes)}
-    return WaveReference(study, reference, consistency, runs)
+    return reference, _l2_distance(coarser, reference)
 
 
-def _schrodinger_rows(study: ConvergenceStudy, scheme, reference=None):
-    """A study's finals are its reference's runs of its scheme; only a
-    reference that lacks them, which a library caller can pass, costs a call."""
-    reference = reference or wave_reference(study, (scheme,))
-    initial = gaussian_packet(reference.state.grid)
-    finals = reference.runs.get(scheme.operands)
-    if finals is None:
-        potential = potential_by_name(study.potential, initial.grid)
-        finals = evolve_runs(initial, potential, study.horizon, study.step_counts, scheme)
-    rows = [(h, _l2_distance(final, reference.state)) for h, final in zip(study.step_sizes, finals)]
-    defects = tuple(norm_defect(initial, final) for final in finals)
-    extra = {"norm_defects": defects, "reference_consistency": reference.consistency}
-    return rows, extra
+def wave_reference(study: ConvergenceStudy, schemes, seeds) -> Reference:
+    """Strang and ``schemes``, once per operands, from the unit Gaussian at
+    every step count of the study in one stacked call.  A scheme's errors are
+    its runs' distances to ``_romberg`` of Strang's, with their norm defects and
+    its consistency; a wave study draws nothing from its seed, so every seed
+    has the same rows.  Each run is bitwise as alone."""
+    grid = Grid1D(study.half_width, study.points)
+    potential = potential_by_name(study.potential, grid)
+    initial, steps = gaussian_packet(grid), study.step_counts[::-1]  # n, n/2, ...
+    ops = {scheme.operands: scheme for scheme in (make_strang(), *schemes)}
+    finals = evolve_runs(initial, potential, study.horizon, steps, *ops.values())
+    runs = {key: finals[i * len(steps) : (i + 1) * len(steps)][::-1] for i, key in enumerate(ops)}
+    state, consistency = _romberg(finals)
+    rows = {}
+    for scheme in schemes:
+        own = runs[scheme.operands]
+        defects = tuple(norm_defect(initial, f) for f in own)
+        extra = {"norm_defects": defects, "reference_consistency": consistency}
+        row = tuple(_l2_distance(f, state) for f in own), extra
+        rows.update(((scheme.operands, seed), row) for seed in seeds)
+    return Reference(study, rows)
 
 
 def _commutator_note(study: ConvergenceStudy) -> str:
@@ -254,28 +246,24 @@ def _l2_distance(u: WaveFunction, v: WaveFunction) -> float:
 def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> StudyResult:
     """Measure errors over the study's step sizes and fit an order.
 
-    ``scheme`` overrides the named scheme with an explicit SplittingScheme
-    (e.g. loaded from a file).  ``reference`` is the ``matrix_reference`` or
-    ``wave_reference`` of a study that differs at most in scheme and seed;
-    without it the study builds its own.  The fit uses every row, and a scheme
-    with a nominal order is held to it.  Errors at the floor are "degenerate"
-    only if the generators commute on the study's data (``COMMUTE_FACTOR``).
+    ``scheme`` overrides the named scheme, e.g. with one loaded from a file.
+    ``reference`` is the ``Reference`` of a study that differs at most in scheme
+    and seed; without one that holds the study's key, the study builds a one-key
+    reference of its kind.  The fit uses every row, and a scheme with a nominal
+    order is held to it.  Errors at the floor are "degenerate" only if the
+    generators commute on the study's data (``COMMUTE_FACTOR``).
     """
     scheme = scheme or scheme_by_name(study.scheme_name)
     built = reference and reference.study
     if built and replace(study, scheme_name=built.scheme_name, seed=built.seed) != built:
         raise ValueError("a reference serves only studies that differ from its own in scheme or seed")
-    if study.problem == "schrodinger":
-        rows, extra = _schrodinger_rows(study, scheme, reference)
-    else:  # a one-seed section of its own unless the given one holds the study
-        key = (scheme.operands, study.seed)
-        if key not in getattr(reference, "errors", ()):
-            reference = matrix_reference(study, (scheme,), (study.seed,))
-        rows, extra = zip(study.step_sizes, reference.errors[key]), {}
-    rows = tuple(rows)
+    key = (scheme.operands, study.seed)
+    if key not in getattr(reference, "rows", ()):  # a one-key reference of its own
+        reference = _reference(study, (scheme,), (study.seed,))
+    errors, extra = reference.rows[key]
+    rows = tuple(zip(study.step_sizes, errors))
     metadata = {"problem": study.problem, "scheme": study.scheme_name, "seed": study.seed}
     metadata.update(horizon=study.horizon, **extra)
-    errors = [e for _, e in rows]
     fitted_order = r2 = None
     if max(errors) <= ERROR_FLOOR:
         commutator = _commutator_note(study)
@@ -303,15 +291,11 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
 
 
 def run_studies(study: ConvergenceStudy, schemes, instances: int) -> Iterator[StudyResult]:
-    """``study`` run by each scheme, then at each seed, every study read from
-    one reference that runs them all: a ``matrix_reference`` at the child seeds
-    ``derive_seeds(study.seed, instances)``, or a ``wave_reference``, which
-    draws nothing from the seed, at ``study.seed`` alone."""
-    if study.problem == "matrix":
-        seeds = derive_seeds(study.seed, instances)
-        reference = matrix_reference(study, schemes, seeds)
-    else:
-        seeds, reference = (study.seed,), wave_reference(study, schemes)
+    """``study`` run by each scheme, then at each seed, every study read from one
+    reference that runs them all: at the child seeds ``derive_seeds(study.seed,
+    instances)`` for a matrix study, at ``study.seed`` alone for a wave study."""
+    seeds = derive_seeds(study.seed, instances) if study.problem == "matrix" else (study.seed,)
+    reference = _reference(study, schemes, seeds)
     for scheme in schemes:
         for seed in seeds:
             yield run_convergence(replace(study, scheme_name=scheme.name, seed=seed), scheme, reference)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from counting import count_evolve_steps
+from test_fault_matrix import CONFIGS, grid_dx_scaled
 from trisplit import cli, harness
 from trisplit.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
 
@@ -510,6 +511,20 @@ def test_fit_below_the_r2_gate_exits_fail(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("FAIL         lie-trotter")
     row = (out_dir / "convergence.csv").read_text().splitlines()[1]
     assert row.endswith(",fail,fit r2 0.995705 below gate 0.999")
+
+
+def test_a_study_that_does_not_pass_prints_its_note(monkeypatch, capsys):
+    # under the fault matrix's broken grid every wave study fails with its
+    # errors at the floor, and its line says why; a passing line has no note
+    grid_dx_scaled(monkeypatch)
+    assert main(["schrodinger-bench"]) == EXIT_FAIL
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("FAIL schrodinger-bench: fitted order n/a (no order measurable, yet [A,B] is ")
+    assert first.endswith(")")
+    assert main(["convergence", "--config", str(CONFIGS / "wave-convergence.ini")]) == EXIT_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["FAIL", "lie-trotter"], ["FAIL", "strang"]]
+    assert all("r2=n/a (no order measurable, yet [A,B] is " in line for line in lines)
 
 
 def test_non_monotone_errors_exit_inconclusive(tmp_path, capsys):

@@ -94,16 +94,14 @@ def draw_axis_dropped(monkeypatch):
 
 def h1_reference(monkeypatch):
     # the reference 2 S_n - S_{n/2} from the two finest Strang runs cancels only h^2
-    original = harness.wave_reference
+    original = harness._romberg
 
-    def first_order(study, schemes=()):
-        ref = original(study, schemes)
-        strang = ref.runs[splitting.make_strang().operands]
-        fine, mid = strang[-1], strang[-2]
+    def first_order(strang):
+        fine, mid = strang[:2]
         state = schrodinger.WaveFunction(2 * fine.samples - mid.samples, fine.grid)
-        return ref._replace(state=state)
+        return state, original(strang)[1]
 
-    monkeypatch.setattr(harness, "wave_reference", first_order)
+    monkeypatch.setattr(harness, "_romberg", first_order)
 
 
 def wavenumbers_scaled(monkeypatch):

@@ -113,6 +113,30 @@ def test_study_validation():
 
 
 @pytest.mark.parametrize(
+    "problem, key, value, message",
+    [
+        ("schrodinger", "points", 100, "points must be a power of two, at least 16"),
+        ("schrodinger", "potential", "nope", "unknown potential 'nope'; known: ("),
+        ("matrix", "dim", 0, "dimension must be positive"),
+    ],
+    ids=["wave-points-100", "wave-unknown-potential", "matrix-dim-0"],
+)
+def test_a_study_checks_the_fields_of_its_kind_when_built(tmp_path, capsys, problem, key, value, message):
+    # the study of that kind is refused when it is built, and the other kind,
+    # which ignores the field, is not; the CLI exits 2 with the same message
+    with pytest.raises(InputError, match="^" + re.escape(message)):
+        ConvergenceStudy(problem, "strang", dyadic(4, 4), 1.0, seed=1, **{key: value})
+    other = "matrix" if problem == "schrodinger" else "schrodinger"
+    study = ConvergenceStudy(other, "strang", dyadic(4, 4), 1.0, seed=1, **{key: value})
+    assert getattr(study, key) == value
+    config = tmp_path / "case.ini"
+    config.write_text(f"[config]\nversion = 1\n\n[convergence]\nproblem = {problem}\n{key} = {value}\n")
+    assert cli.main(["convergence", "--config", str(config)]) == cli.EXIT_INCONCLUSIVE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
     "scheme,window", [("strang", (1.9, 2.1)), ("lie-trotter", (0.9, 1.1))]
 )
 def test_matrix_convergence_orders(scheme, window):
@@ -156,7 +180,7 @@ def test_matrix_convergence_degenerate_for_commuting_pair():
 
 def plant_section(monkeypatch, study, errors):
     # every matrix section the harness builds holds only these Strang errors
-    section = harness.MatrixReference(study, {(make_strang().operands, study.seed): errors})
+    section = harness.Reference(study, {(make_strang().operands, study.seed): (errors, {})})
     monkeypatch.setattr(harness, "matrix_reference", lambda *args: section)
 
 
@@ -232,10 +256,8 @@ def test_shared_wave_reference_gives_the_studys_own_rows(monkeypatch):
         "schrodinger", "lie-trotter", dyadic(4, 4), horizon=0.5, seed=0,
         potential="gaussian-well", half_width=8.0, points=64,
     )
-    reference = wave_reference(replace(study, scheme_name="strang", seed=9))
-    calls = count_evolve_steps(monkeypatch)
+    reference = wave_reference(replace(study, scheme_name="strang", seed=9), [make_strang()], (9,))
     shared = run_convergence(study, reference=reference)
-    assert calls == [(8, 16, 32, 64)]  # the reference lacks lie-trotter: one call of its own
     own = run_convergence(study)
     assert (shared.rows, shared.metadata) == (own.rows, own.metadata)
     for other in (replace(study, points=128), replace(study, horizon=1.0), replace(study, potential="cosine")):
@@ -253,24 +275,37 @@ SMALL_STRANG = ConvergenceStudy(
 )
 
 
+def romberg(study):
+    # the state a wave study's errors are measured against and its consistency:
+    # the reference's Romberg helper applied to Strang's finals, finest first
+    grid = schrodinger.Grid1D(study.half_width, study.points)
+    potential = potential_by_name(study.potential, grid)
+    steps = study.step_counts[::-1]
+    return harness._romberg(evolve_runs(gaussian_packet(grid), potential, study.horizon, steps, make_strang()))
+
+
 def test_strang_study_runs_in_its_references_call(monkeypatch):
     # its runs are the reference's, made in one call, given or not, and every
-    # number it reports is exactly what a call of its own gives
+    # number it reports is exactly what a call of its own gives; a wave study
+    # draws nothing from its seed, so every seed of the reference reads them
     calls = count_evolve_steps(monkeypatch)
     shared = run_convergence(SMALL_STRANG)
     assert calls == [(64, 32, 16, 8)]
     calls.clear()
-    reference = wave_reference(SMALL_STRANG)
+    reference = wave_reference(SMALL_STRANG, [make_strang()], (0, 5))
     given = run_convergence(SMALL_STRANG, reference=reference)
+    reseeded = run_convergence(replace(SMALL_STRANG, seed=5), reference=reference)
     assert calls == [(64, 32, 16, 8)]
     assert (shared.rows, shared.metadata) == (given.rows, given.metadata)
+    assert (reseeded.rows, reseeded.metadata["norm_defects"]) == (given.rows, given.metadata["norm_defects"])
     assert {"norm_defects", "reference_consistency"} <= shared.metadata.keys()
-    grid = reference.state.grid
+    state, _ = romberg(SMALL_STRANG)
+    grid = state.grid
     alone = evolve_runs(
         gaussian_packet(grid), potential_by_name("gaussian-well", grid), 0.5, (8, 16, 32, 64),
         make_strang(),
     )
-    distances = [WaveFunction(f.samples - reference.state.samples, grid).l2_norm() for f in alone]
+    distances = [WaveFunction(f.samples - state.samples, grid).l2_norm() for f in alone]
     assert shared.rows == tuple(zip(SMALL_STRANG.step_sizes, distances))
 
 
@@ -282,7 +317,7 @@ def test_scheme_named_strang_without_its_operands_takes_its_own_runs(monkeypatch
     calls = count_evolve_steps(monkeypatch)
     result = run_convergence(SMALL_STRANG, scheme=mislabelled)
     assert calls == [(64, 32, 16, 8)]
-    reference = wave_reference(SMALL_STRANG).state
+    reference, _ = romberg(SMALL_STRANG)
     grid = reference.grid
     finals = evolve_runs(
         gaussian_packet(grid), potential_by_name("gaussian-well", grid), 0.5, (8, 16, 32, 64),
@@ -307,6 +342,44 @@ def test_wave_section_runs_every_scheme_against_one_reference(monkeypatch):
         ("lie-trotter", 5),
         ("strang", 5),
     ]
+
+
+#: a study of each kind whose section runs Strang and Lie-Trotter at two instances
+SECTIONS = {
+    "matrix": ConvergenceStudy("matrix", "strang", dyadic(4, 4), 1.0, seed=11, dim=3),
+    "schrodinger": SMALL_STRANG,
+}
+
+
+@pytest.mark.parametrize("problem", SECTIONS)
+def test_a_study_without_its_key_builds_one_one_key_reference(monkeypatch, problem):
+    # a lone study, and one given a reference that lacks its key, each build
+    # one reference of that one key, with one draw of one seed (matrix) or one
+    # evolve_runs call (wave), and each result is the one its full section gives
+    schemes = [make_strang(), splitting.make_lie_trotter()]
+    section = list(run_studies(SECTIONS[problem], schemes, 2))
+    study = replace(SECTIONS[problem], scheme_name="lie-trotter", seed=section[-1].metadata["seed"])
+    lacking = harness._reference(study, schemes[:1], (study.seed,))
+    built, draws = [], []
+    original_reference, original_draw = harness._reference, harness._random_skew
+
+    def reference(study, schemes, seeds):
+        built.append(([s.operands for s in schemes], seeds))
+        return original_reference(study, schemes, seeds)
+
+    def draw(n, seeds, per_seed):
+        draws.append(len(seeds))
+        return original_draw(n, seeds, per_seed)
+
+    monkeypatch.setattr(harness, "_reference", reference)
+    monkeypatch.setattr(harness, "_random_skew", draw)
+    calls = count_evolve_steps(monkeypatch)
+    for given in (None, lacking):
+        for record in (built, draws, calls):
+            record.clear()
+        assert run_convergence(study, schemes[1], given) == section[-1]
+        assert built == [([schemes[1].operands], (study.seed,))]
+        assert (draws, len(calls)) == (([1], 0) if problem == "matrix" else ([], 1))
 
 
 def pade_rows(study, scheme):
@@ -393,7 +466,7 @@ def test_wave_reference_is_the_exact_grid_flow(potential):
         "schrodinger", "strang", dyadic(4, 6), horizon=1.0, seed=0,
         potential=potential, points=256,
     )
-    _, reference, gap, _ = wave_reference(study)
+    reference, gap = romberg(study)
     grid = reference.grid
     initial = gaussian_packet(grid).samples
     samples = potential_by_name(potential, grid).samples
@@ -410,7 +483,7 @@ def test_wave_reference_is_the_exact_grid_flow(potential):
 def test_small_wave_reference_is_the_exact_grid_flow():
     # at 8 .. 64 steps the h^4 term matters: Romberg from the study's own
     # runs sits 3.8e-13 from the exact flow, where (4 S_128 - S_64)/3 sat 1.7e-11
-    reference = wave_reference(SMALL_STRANG).state
+    reference, _ = romberg(SMALL_STRANG)
     grid = reference.grid
     initial = gaussian_packet(grid).samples
     samples = potential_by_name(SMALL_STRANG.potential, grid).samples
