@@ -167,20 +167,18 @@ def _reference(study: ConvergenceStudy, schemes, seeds) -> Reference:
 
 
 def matrix_reference(study: ConvergenceStudy, schemes, seeds) -> Reference:
-    """Every scheme at every seed, in stacks of up to _STACK_ENTRIES / (4 m n^2)
-    seeds for m steps: one draw; per scheme one ``apply_splitting``, e^{TL} from
-    one ``expm`` on a (k, 1) grid (the eigh path) and S(h)^{n_0 2^j} as row j
-    squared j times, then to the power n_0; one ``op_norm``.  Rows are as alone."""
-    step = max(1, _STACK_ENTRIES // (4 * len(study.step_sizes) * study.dim**2))
+    """Every scheme at every seed, in the stacks of ``_pair_stacks`` for m steps:
+    per scheme one ``apply_splitting``, e^{TL} from one ``expm`` and S(h)^{n_0 2^j}
+    as row j squared j times, then to the power n_0; one ``op_norm``.  Rows are as alone."""
+    for scheme in schemes:
+        if set(scheme.references) - {"A", "B"}:
+            raise InputError(f"scheme {scheme.name!r} is not an A/B scheme")
     rows = {}
-    for start in range(0, len(seeds), step):
-        stack = seeds[start : start + step]
-        ops = pair_operator_set(*_random_skew(study.dim, stack, 2).swapaxes(0, 1))
+    for _, stack, a, b in _pair_stacks(study.dim, seeds, len(study.step_sizes)):
+        ops = pair_operator_set(a, b)
         gaps = []
         for scheme in schemes:
-            if set(scheme.references) - {"A", "B"}:
-                raise InputError(f"scheme {scheme.name!r} is not an A/B scheme")
-            exact = expm(generator_matrix(scheme, ops), np.full((len(stack), 1), study.horizon))
+            exact = expm(generator_matrix(scheme, ops), study.horizon)[:, None]
             powers = apply_splitting(scheme, ops, study.step_sizes)
             for j in range(1, len(study.step_sizes)):
                 powers[:, j:] = powers[:, j:] @ powers[:, j:]
@@ -373,16 +371,31 @@ def certify_algebra(inject_fault: bool = False) -> Tuple[CertificationCheck, ...
 # --- constrained-triple sampling ------------------------------------------------
 
 
-def _constrained_triples(dim: int, seeds: Sequence[int]):
-    """Stacks of P1 and P2, a pair per seed from one generator (so P1 is
-    random_skew_hermitian(dim, seed)), and P3 from one solve."""
-    p1, p2 = _random_skew(dim, seeds, 2).swapaxes(0, 1)
-    return p1, p2, solve_second_order_constraint(p1, p2)
+#: Entries of the one expm a campaign stack makes: its triples times the m
+#: values of t times 4 exponentials (three factors and e^{tL}) times n^2; a
+#: matrix section counts its m steps.  Every stack takes expm's eigenvector
+#: path, which holds about 4 arrays of that size: the default bound campaign
+#: (dim 6, three t, 37 triples per stack) peaks at about 1.1 MB traced, and
+#: one t (100 triples in one stack) at 1.5 MB.
+_STACK_ENTRIES = 1 << 14
+
+
+def _pair_stacks(dim: int, seeds: Sequence[int], m: int):
+    """(first index, seeds, P1, P2) per stack of up to _STACK_ENTRIES / (4 m
+    dim^2) seeds, a pair per seed from one generator: P1 is
+    random_skew_hermitian(dim, seed)."""
+    if dim < 1:
+        raise InputError("dim must be at least 1")
+    step = max(1, _STACK_ENTRIES // (4 * m * dim * dim))
+    for start in range(0, len(seeds), step):
+        stack = seeds[start : start + step]
+        yield (start, stack, *_random_skew(dim, stack, 2).swapaxes(0, 1))
 
 
 def sample_constrained_triple(dim: int, seed: int):
     """P1, P2 drawn once from the seed and the solver's P3; a rejection raises."""
-    return tuple(p[0] for p in _constrained_triples(dim, (seed,)))
+    _, _, p1, p2 = next(_pair_stacks(dim, (seed,), 1))
+    return tuple(p[0] for p in (p1, p2, solve_second_order_constraint(p1, p2)))
 
 
 # --- verification campaigns -----------------------------------------------------
@@ -396,14 +409,6 @@ DISCREPANCY_TOL = 1e-6
 
 #: round-off allowance of a verify-bound row: measured above bound + this is a violation
 BOUND_SLACK = 1e-9
-
-
-#: Entries of the one expm a campaign stack makes: its triples times the t
-#: values times 4 exponentials (three factors and e^{tL}) times n^2.  Every
-#: stack takes expm's eigenvector path, which holds about 4 arrays of that
-#: size: the default bound campaign (dim 6, three t, 37 triples per stack)
-#: peaks at about 1.1 MB traced, and one t (100 triples in one stack) at 1.5 MB.
-_STACK_ENTRIES = 1 << 14
 
 
 @contextmanager
@@ -425,23 +430,18 @@ def _campaign(count: int, dim: int, t_list: Sequence[float], seed: int):
     every triple and t, and ((instance, t), its spectral norm, the bound) rows).
 
     Each instance's pair is drawn from its own child seed, in seed order, and
-    checked in stacks of up to _STACK_ENTRIES / (4 len(t_list) dim^2) of them:
-    per stack one constraint solve, one ``triple_splitting_error`` over every
-    triple and t, one batched spectral norm and one ``error_bound``.
+    checked in the stacks of ``_pair_stacks`` for m = len(t_list): per stack
+    one constraint solve, one ``triple_splitting_error`` over every triple and
+    t, one batched spectral norm and one ``error_bound``.
     """
     if count < 1:
         raise InputError("count must be at least 1")
-    if dim < 1:
-        raise InputError("dim must be at least 1")
     if len(t_list) == 0:
         raise InputError("t_list must not be empty")
     times = np.asarray(t_list, dtype=float)
-    seeds = derive_seeds(seed, count)
-    step = max(1, _STACK_ENTRIES // (4 * times.size * dim * dim))
-    for start in range(0, count, step):
-        stack = seeds[start : start + step]
+    for start, stack, p1, p2 in _pair_stacks(dim, derive_seeds(seed, count), times.size):
         with _naming_rows(start, stack):
-            triples = _constrained_triples(dim, stack)
+            triples = p1, p2, solve_second_order_constraint(p1, p2)
         errors = triple_splitting_error(*triples, times)
         measured = matrix_core.op_norm(errors).ravel().tolist()
         bounds = error_bound(*triples, times).ravel().tolist()

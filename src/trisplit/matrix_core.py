@@ -1,11 +1,11 @@
 """Dense complex-matrix kernel: exponentials, commutators, norms, random
 skew-Hermitian operators, the second-order condition and its solver.
 
-Matrices are plain square ``numpy`` arrays of complex128.  The exponential is
-scaling and squaring with diagonal Pade of degree 3 to 13 (Higham, SIAM J.
-Matrix Anal. Appl. 26, 2005), for one matrix or a stack at a scalar t or one
-t per matrix, or one ``eigh`` per matrix for a skew-Hermitian stack on an axis
-of times per matrix.
+Matrices are plain square ``numpy`` arrays of complex128.  The exponential of
+one matrix or a stack, at one t, one t per matrix or a grid of them, is one
+``eigh`` per matrix for a stack that is skew-Hermitian throughout, and scaling
+and squaring with diagonal Pade of degree 3 to 13 (Higham, SIAM J. Matrix
+Anal. Appl. 26, 2005) for any other.
 Public functions validate their arguments once; the private helpers take checked arrays.
 ``check_second_order`` is the one gate on [P1,P2] + [P1,P3] + [P2,P3] = 0,
 used by the constraint solver and by ``duhamel_error``.  The solver meets it
@@ -67,11 +67,13 @@ def as_complex_stack(m) -> np.ndarray:
 
 
 def as_times(t) -> np.ndarray:
-    """t as a float array of a scalar or m finite values: the time axis a
+    """t as a float array of a scalar or m >= 1 finite values: the time axis a
     stacked splitting error or bound broadcasts over."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError(f"t must be a scalar or a 1-d array, got shape {times.shape}")
+    if not times.size:
+        raise ValueError("t must hold at least one value")
     if not np.isfinite(times).all():
         raise ValueError("t must be finite")
     return times
@@ -107,16 +109,16 @@ _PADE = tuple(_pade(m, theta) for m, theta in (
 def expm(m, t=1.0) -> np.ndarray:
     """e^{tM} by Higham's Algorithm 2.3 ("The scaling and squaring method for
     the matrix exponential revisited", 2005), for one matrix or a (k, n, n)
-    stack with t a scalar, k values or a (k, m) grid, which gives (k, m, n, n).
-    A stack takes the Pade degree its largest ||tM||_1 needs; each matrix keeps
-    its own 2^-s and s squarings; a grid repeats the stack along its rows.
-    A grid on a skew-Hermitian stack, m = 1 included, takes one eigh of
-    -iM = U diag(lam) U* per matrix instead: e^{sM} = I + U diag(expm1(i s lam))
-    U*, unitary at any s and exactly I at s = 0 (Moler and Van Loan, 2003).
-    A scalar t or k values stay Pade whatever the stack.
+    stack with t a scalar, k values or a (k, m) grid, which gives (k, m, n, n);
+    one t goes to every matrix.  A stack skew-Hermitian throughout takes one
+    eigh of -iM = U diag(lam) U* per matrix for all its times: e^{sM} = I +
+    U diag(expm1(i s lam)) U*, unitary at any s and exactly I at s = 0 (Moler
+    and Van Loan, 2003).  Any other is Pade on the stack repeated along the
+    grid, at the degree its largest ||tM||_1 needs; each matrix keeps its own
+    2^-s and s squarings.
 
-    Raises ValueError for a non-finite t, and OverflowError when the result
-    does not fit in double precision.
+    Raises ValueError for an empty or non-finite t, and OverflowError when the
+    result does not fit in double precision.
     The size of t M alone decides nothing: for skew-Hermitian M the
     exponential is unitary at any norm.
     """
@@ -126,19 +128,17 @@ def expm(m, t=1.0) -> np.ndarray:
     if a.ndim != 3 or a.shape[1] != a.shape[2] or not np.isfinite(a).all():
         raise ValueError(f"expected a finite square matrix or (k, n, n) stack, got shape {a.shape}")
     t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError("t must be finite")
-    if t.ndim == 2:
-        if len(t) != len(a):
-            raise ValueError(f"expected a ({len(a)}, m) time grid, got shape {t.shape}")
-        if _is_skew(a):
-            return _skew_grid(a, t)
-        shape, a, t = t.shape + a.shape[1:], np.repeat(a, t.shape[1], axis=0), t.ravel()
+    grid = as_times(t.ravel()).reshape(len(t) if t.ndim else 1, -1)
+    if t.ndim > 2 or len(grid) != len(a) and t.size > 1:
+        raise ValueError(f"expected one t, {len(a)} values or a ({len(a)}, m) grid, got shape {t.shape}")
+    grid = np.broadcast_to(grid, (len(a), grid.shape[1]))
+    shape = grid.shape + a.shape[1:] if t.ndim == 2 else shape
+    if _is_skew(a):
+        return _skew_grid(a, grid).reshape(shape)
+    a, t = np.repeat(a, grid.shape[1], axis=0), grid.ravel()
     k, n, _ = a.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.reshape(t, (-1, 1, 1)) * a
-        if len(a) != k:
-            raise ValueError(f"expected one t or {k}, got {np.size(t)}")
+        a = t[:, None, None] * a
         norms = np.abs(a).sum(axis=1).max(axis=1)
         top = norms.max()
         if not math.isfinite(top):

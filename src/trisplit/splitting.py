@@ -122,9 +122,8 @@ def generator_matrix(scheme: SplittingScheme, ops: OperatorSet) -> np.ndarray:
 
 def _exponentials(generators, coeffs, t) -> np.ndarray:
     """e^{t c X} for each generator X and its coefficient c, from one ``expm``
-    of the stacked generators at c t, a grid for an axis of t and one value per
-    matrix for a scalar t: shape (len(generators), k, m, n, n), k and m as in
-    ``triple_splitting_error``."""
+    of the stacked generators at c t: shape (len(generators), k, m, n, n), k
+    and m as in ``triple_splitting_error``."""
     t = as_times(t)
     stack = np.stack(generators)
     n = stack.shape[-1]
@@ -161,8 +160,8 @@ def triple_splitting_error(p1, p2, p3, t) -> np.ndarray:
     one shape, and t is a scalar or a 1-d array of m values; the result has
     shape (k, m, n, n), without the k axis for matrices and without the m
     axis for a scalar t, and entry [i, j] is the i-th triple's error at the
-    j-th t.  Non-finite entries or t, non-square or mismatched shapes and a
-    2-d t raise ValueError.
+    j-th t.  Non-finite entries or t, non-square or mismatched shapes and an
+    empty or 2-d t raise ValueError.
     """
     return splitting_error(make_triple(), triple_operator_set(p1, p2, p3), t)
 

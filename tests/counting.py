@@ -1,5 +1,7 @@
 """Call counters for the tests that pin how often a layer is called."""
 
+import numpy as np
+
 from trisplit import duhamel, harness
 
 
@@ -11,6 +13,14 @@ def count_calls(monkeypatch, module, name, calls):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+
+
+def forbid_solve(monkeypatch):
+    # np.linalg.solve raises: only a Pade exponential calls it
+    def solve(*args):
+        raise AssertionError("np.linalg.solve ran")
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
 
 
 def count_evolve_steps(monkeypatch):

@@ -554,6 +554,15 @@ def test_error_bound_names_a_t_too_large_for_the_bound(t):
         error_bound(*sample_constrained_triple(4, 1), t)
 
 
+def test_an_empty_t_axis_is_refused_with_one_message():
+    p1, p2, p3 = constrained_triple(4, seed=3)
+    for call in (triple_splitting_error, duhamel_error, error_bound):
+        with pytest.raises(ValueError, match="^t must hold at least one value$"):
+            call(p1, p2, p3, [])
+    with pytest.raises(ValueError, match="^t must hold at least one value$"):
+        expm(p1, [])
+
+
 # --- report objects -----------------------------------------------------------------
 
 

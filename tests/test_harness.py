@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from exact_flow import grid_flow
 from counting import count_calls, count_evolve_steps
@@ -30,6 +31,7 @@ from trisplit.matrix_core import (
     commutator,
     is_skew_hermitian,
     op_norm,
+    solve_second_order_constraint,
 )
 from trisplit.schrodinger import WaveFunction, evolve_runs, gaussian_packet, potential_by_name
 from trisplit.splitting import make_strang, triple_splitting_error
@@ -231,7 +233,7 @@ def test_matrix_study_makes_one_splitting_call(monkeypatch):
     a, b = harness._random_skew(study.dim, (study.seed,), 2)[0]
     ops = splitting.pair_operator_set(a, b)
     scheme = make_strang()
-    reference = matrix_core.expm(splitting.generator_matrix(scheme, ops), study.horizon)
+    reference = scipy.linalg.expm(study.horizon * splitting.generator_matrix(scheme, ops))
     for h, error in rows:
         stepper = splitting.apply_splitting(scheme, ops, h)
         lone = op_norm(np.linalg.matrix_power(stepper, round(study.horizon / h)) - reference)
@@ -383,11 +385,11 @@ def test_a_study_without_its_key_builds_one_one_key_reference(monkeypatch, probl
 
 
 def pade_rows(study, scheme):
-    # a study's errors the way they were first computed: a Pade e^{TL} and one
-    # matrix_power per row
+    # a study's errors the way they were first computed: a Pade e^{TL}, here
+    # scipy's, and one matrix_power per row
     a, b = harness._random_skew(study.dim, (study.seed,), 2)[0]
     ops = splitting.pair_operator_set(a, b)
-    reference = matrix_core.expm(splitting.generator_matrix(scheme, ops), study.horizon)
+    reference = scipy.linalg.expm(study.horizon * splitting.generator_matrix(scheme, ops))
     steppers = splitting.apply_splitting(scheme, ops, study.step_sizes)
     return [
         op_norm(np.linalg.matrix_power(stepper, n) - reference)
@@ -621,7 +623,8 @@ def test_stacked_draws_equal_each_instance_alone():
     # a stack's rows are the lone draws of their child seeds, bit for bit, and
     # P1 is the child seed's random_skew_hermitian
     seeds = derive_seeds(7, 5)
-    stacked = harness._constrained_triples(6, seeds)
+    (_, _, p1, p2), = harness._pair_stacks(6, seeds, 1)
+    stacked = p1, p2, solve_second_order_constraint(p1, p2)
     for i, child in enumerate(seeds):
         lone = sample_constrained_triple(6, child)
         assert all(np.array_equal(s[i], p) for s, p in zip(stacked, lone))

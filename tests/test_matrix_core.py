@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from counting import forbid_solve
 from triples import constrained_triple
 from trisplit import matrix_core
 from trisplit.harness import derive_seeds, sample_constrained_triple
@@ -61,6 +62,8 @@ def test_as_times_takes_a_scalar_or_one_axis_of_finite_values():
         as_times([[0.1, 0.5]])
     with pytest.raises(ValueError, match="t must be finite"):
         as_times([0.1, math.inf])
+    with pytest.raises(ValueError, match="t must hold at least one value"):
+        as_times([])
 
 
 def test_is_skew_hermitian():
@@ -126,6 +129,13 @@ def test_expm_of_large_skew_hermitian_is_unitary():
     assert t * np.linalg.norm(m, 1) > 700
     u = expm(m, t)
     assert np.linalg.norm(u.conj().T @ u - np.eye(16), 2) <= 1e-10
+
+
+@pytest.mark.parametrize("t", [1e10, 1e14, 1e17])
+def test_lone_skew_expm_stays_unitary_at_any_t(t):
+    # a lone skew matrix at a scalar t takes eigh, unitary at any t
+    u = expm(random_skew_hermitian(6, 1), t)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(6), 2) <= 1e-13
 
 
 # --- the Pade exponential against scipy.linalg.expm ------------------------
@@ -201,14 +211,16 @@ def test_expm_overflow_where_scipy_gives_inf():
 
 
 def test_stacked_expm_equals_per_matrix_calls():
-    # mixed norms: one stack needs degree 13, s from 0 to 7
+    # mixed norms: one Pade stack needs degree 13, s from 0 to 7; a lone skew
+    # matrix takes eigh, 7.7e-14 from its Pade row at t = 40
     ms = [random_skew_hermitian(6, seed=s) for s in range(4)]
     ms.append(gaussian_with_norm(6, 1e-3, seed=9))
     ts = [0.01, 0.3, 2.0, 40.0, 1.0]
     stacked = expm(np.stack(ms), ts)
     assert stacked.shape == (5, 6, 6)
     for m, t, got in zip(ms, ts, stacked):
-        assert rel_gap(got, expm(m, t)) <= 1e-14
+        assert rel_gap(got, scipy.linalg.expm(t * m)) <= 1e-13
+        assert rel_gap(got, expm(m, t)) <= (1e-13 if is_skew_hermitian(m) else 1e-14)
     # a scalar t applies to every matrix
     for m, got in zip(ms, expm(np.stack(ms), 0.5)):
         assert rel_gap(got, expm(m, 0.5)) <= 1e-14
@@ -227,16 +239,20 @@ def test_expm_validation():
         expm(np.zeros((2, 2)), [1.0, 2.0])
     with pytest.raises(ValueError):
         expm(np.zeros((3, 2, 2)), np.zeros((2, 4)))  # a grid row per matrix
+    for t in (np.zeros((1, 4)), np.zeros((3, 1, 1))):
+        with pytest.raises(ValueError, match="expected one t, 3 values or a"):
+            expm(np.zeros((3, 2, 2)), t)
+    assert expm(np.zeros((3, 2, 2)), [[0.5]]).shape == (3, 1, 2, 2)  # one t
 
 
-# --- a (k, m) time grid: one eigh per skew-Hermitian matrix, else Pade ------
+# --- one eigh per matrix of a skew-Hermitian stack at any t, else Pade -------
 
 #: zero, tiny, moderate and far-out times of one grid row
 GRID_TIMES = (0.0, 1e-8, 0.5, 200.0, 1e14)
 
 
 def pade_grid(a, grid):
-    """The Pade exponentials of a grid: one call on the stack repeated along it."""
+    """A grid as one call on the stack repeated along it: k m values of t."""
     grid = np.asarray(grid, dtype=float)
     repeated = np.repeat(a, grid.shape[1], axis=0)
     return expm(repeated, grid.ravel()).reshape(grid.shape + a.shape[1:])
@@ -253,11 +269,10 @@ def test_skew_grid_is_exactly_identity_at_zero_and_unitary_at_every_time():
             assert np.linalg.norm(u.conj().T @ u - np.eye(6), 2) <= 1e-13
             if abs(t) <= 1.0:
                 assert rel_gap(u, scipy.linalg.expm(t * m)) <= 1e-13
-            if abs(t) <= 1e3:  # the lone Pade call, before its drift off the unitary group
-                assert rel_gap(u, expm(m, t)) <= 1e-11
+            assert np.array_equal(u, expm(m, t))  # a lone call at a scalar t is its row
 
 
-def test_skew_grid_on_zero_degenerate_and_barely_skew_matrices():
+def test_skew_grid_on_zero_degenerate_and_barely_skew_matrices(monkeypatch):
     n = 5
     base = random_skew_hermitian(n, seed=81)
     _, vec = np.linalg.eigh(-1j * base)
@@ -268,37 +283,37 @@ def test_skew_grid_on_zero_degenerate_and_barely_skew_matrices():
     assert is_skew_hermitian(barely) and not np.array_equal(barely, -barely.conj().T)
     ms = np.stack([np.zeros((n, n)), base, commuting, 0.7j * np.eye(n), repeated, barely])
     grid = np.tile((0.0, 0.3, -1.2, 7.0), (len(ms), 1))
-    got = expm(ms, grid)
-    assert not np.array_equal(got, pade_grid(ms, grid))  # the eigenvector path ran
+    with monkeypatch.context() as patch:  # the eigenvector path runs: no LU solve
+        forbid_solve(patch)
+        got = expm(ms, grid)
     assert np.array_equal(got[0], np.broadcast_to(np.eye(n), (4, n, n)))
     for m, times, row in zip(ms, grid, got):
         assert np.array_equal(row[0], np.eye(n))
         for t, u in zip(times, row):
             assert rel_gap(u, scipy.linalg.expm(t * m)) <= 1e-12
-            assert rel_gap(u, expm(m, t)) <= 1e-12
     # the flows of a commuting pair commute and compose to the flow of the sum
-    assert rel_gap(got[1, 2] @ got[2, 2], expm(base + commuting, -1.2)) <= 1e-12
+    assert rel_gap(got[1, 2] @ got[2, 2], scipy.linalg.expm(-1.2 * (base + commuting))) <= 1e-12
     assert rel_gap(got[1, 2] @ got[2, 2], got[2, 2] @ got[1, 2]) <= 1e-13
 
 
-def test_every_grid_on_a_skew_stack_takes_eigh_and_every_other_call_pade(monkeypatch):
+def test_a_skew_stack_takes_eigh_at_any_t_and_any_other_stack_pade(monkeypatch):
     skew = np.stack([random_skew_hermitian(4, seed=s) for s in (91, 92)])
     dissipative = skew - 0.3 * np.eye(4)  # a contraction, not skew-Hermitian
     mixed = np.stack((skew[0], dissipative[1]))  # one matrix off the gate sends all
     times, column = [[0.1, 0.5, 2.0], [0.0, 1.0, 3.0]], [[0.5], [2.0]]
-    for a in (dissipative, mixed):
-        for grid in (times, column):
-            assert np.array_equal(expm(a, grid), pade_grid(a, grid))
     eighs = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda x: eighs.append(x.shape) or eigh(x))
-    # a scalar t or one t per matrix stays Pade on a skew stack: no eigh
-    assert np.array_equal(expm(skew, 0.5), expm(skew, [0.5, 0.5]))
-    expm(skew, [0.5, 2.0])
+    for a in (dissipative, mixed):
+        for grid in (times, column):
+            assert np.array_equal(expm(a, grid), pade_grid(a, grid))
+        assert np.array_equal(expm(a, 0.5), expm(a, [0.5, 0.5]))
     assert eighs == []
-    for grid in (times, column):  # m = 1 included: one eigh of the stack
-        assert not np.array_equal(expm(skew, grid), pade_grid(skew, grid))
-    assert eighs == [skew.shape] * 2
+    # a scalar t, k values and a grid, m = 1 included: one eigh of the stack each
+    assert np.array_equal(expm(skew, 0.5), expm(skew, [0.5, 0.5]))
+    assert np.array_equal(expm(skew, [0.5, 2.0]), expm(skew, column)[:, 0])
+    expm(skew, times)
+    assert eighs == [skew.shape] * 5
 
 
 def test_grid_rows_equal_each_matrix_own_call():

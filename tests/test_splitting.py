@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from counting import count_calls
+from counting import count_calls, forbid_solve
 from triples import constrained_triple
 from trisplit import matrix_core, splitting
 from trisplit.harness import sample_constrained_triple
@@ -269,6 +269,29 @@ def test_scalar_splitting_error_keeps_its_values_bit_for_bit():
             got = triple_splitting_error(p1, p2, p3, t)
             assert got.shape == (p1.shape[0],) * 2
             assert np.array_equal(got, e1 @ e2 @ e3 - e_l)
+
+
+@pytest.mark.parametrize("t", [0.5, 1e8, 1e14])
+def test_a_scalar_t_is_its_one_value_axis_bit_for_bit(t):
+    # one rule for e^{tM}: a scalar t and [t] reach expm's eigh path alike
+    for p1, p2, p3 in (sample_constrained_triple(6, 1), stacked_triples(5, (11, 12, 13))):
+        scalar = triple_splitting_error(p1, p2, p3, t)
+        assert np.array_equal(scalar, triple_splitting_error(p1, p2, p3, [t])[..., 0, :, :])
+
+
+def test_skew_input_takes_no_lu_solve(monkeypatch):
+    # at a scalar t, k (or m) values and a (k, m) grid, skew-Hermitian input
+    # is exponentiated by eigh alone
+    a, b = (np.stack([random_skew_hermitian(4, seed=s) for s in seeds]) for seeds in ((1, 2), (3, 4)))
+    p1, p2, p3 = stacked_triples(4, (21, 22))
+    forbid_solve(monkeypatch)
+    for t in (0.5, [0.5, 2.0], [[0.1, 0.5, 2.0], [0.0, 1.0, 3.0]]):
+        assert np.isfinite(expm(a, t)).all()
+    ops = pair_operator_set(a, b)
+    for t in (0.5, [0.1, 0.5, 2.0]):
+        assert np.isfinite(apply_splitting(make_strang(), ops, t)).all()
+        assert np.isfinite(splitting_error(make_strang(), ops, t)).all()
+        assert np.isfinite(triple_splitting_error(p1, p2, p3, t)).all()
 
 
 # --- the cubic error coefficient ----------------------------------------------
