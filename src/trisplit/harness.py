@@ -75,9 +75,9 @@ def estimate_order(rows: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     if len(rows) < 3:
         raise ValueError("need at least 3 (h, error) rows")
     h, e = np.array(rows, dtype=float).T
-    if np.any(h <= 0):
+    if not np.all(h > 0):  # NaN fails too
         raise ValueError("step sizes must be positive")
-    if np.any(e <= 0):
+    if not np.all(e > 0):
         raise ValueError("errors must be positive to fit a slope")
     dx, dy = (np.log(v) - np.log(v).mean() for v in (h, e))
     if not dx.any():
@@ -126,6 +126,8 @@ class ConvergenceStudy:
                 raise InputError("step sizes must descend dyadically (ratio 2)")
         if not self.horizon > 0:
             raise InputError("horizon must be positive")
+        if not np.isfinite(self.horizon / steps[-1]):  # the finest step counts the most steps
+            raise InputError(f"horizon {self.horizon!r} over step {steps[-1]!r} overflows the step count")
         counts = tuple(round(self.horizon / h) for h in steps)
         for h, n in zip(steps, counts):
             if n < 1 or abs(self.horizon / h - n) > 1e-9 * n:
@@ -162,7 +164,11 @@ class Reference(NamedTuple):
 
 
 def _reference(study: ConvergenceStudy, schemes, seeds) -> Reference:
-    """The reference of the study's kind; the builder is read at call time, so a patch reaches it."""
+    """The reference of the study's kind, for schemes that take both A and B and
+    nothing else; the builder is read at call time, so a patch reaches it."""
+    for scheme in schemes:
+        if set(scheme.references) != {"A", "B"}:
+            raise InputError(f"scheme {scheme.name!r} is not an A/B scheme")
     return (matrix_reference if study.problem == "matrix" else wave_reference)(study, schemes, seeds)
 
 
@@ -170,9 +176,6 @@ def matrix_reference(study: ConvergenceStudy, schemes, seeds) -> Reference:
     """Every scheme at every seed, in the stacks of ``_pair_stacks`` for m steps:
     per scheme one ``apply_splitting``, e^{TL} from one ``expm`` and S(h)^{n_0 2^j}
     as row j squared j times, then to the power n_0; one ``op_norm``.  Rows are as alone."""
-    for scheme in schemes:
-        if set(scheme.references) - {"A", "B"}:
-            raise InputError(f"scheme {scheme.name!r} is not an A/B scheme")
     rows = {}
     for _, stack, a, b in _pair_stacks(study.dim, seeds, len(study.step_sizes)):
         ops = pair_operator_set(a, b)

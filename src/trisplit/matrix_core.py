@@ -4,8 +4,8 @@ skew-Hermitian operators, the second-order condition and its solver.
 Matrices are plain square ``numpy`` arrays of complex128.  The exponential of
 one matrix or a stack, at one t, one t per matrix or a grid of them, is one
 ``eigh`` per matrix for a stack that is skew-Hermitian throughout, and scaling
-and squaring with diagonal Pade of degree 3 to 13 (Higham, SIAM J. Matrix
-Anal. Appl. 26, 2005) for any other.
+and squaring with diagonal Pade of degree 13 (Higham, SIAM J. Matrix Anal.
+Appl. 26, 2005) for any other.
 Public functions validate their arguments once; the private helpers take checked arrays.
 ``check_second_order`` is the one gate on [P1,P2] + [P1,P3] + [P2,P3] = 0,
 used by the constraint solver and by ``duhamel_error``.  The solver meets it
@@ -89,21 +89,12 @@ def _is_skew(a) -> bool:
     return bool(np.all(defect <= _SKEW_HERMITIAN_TOL * np.abs(a).max(axis=(-2, -1), initial=1.0)))
 
 
-def _pade(m, theta):
-    """theta_m, the largest ||A||_1 at which r_m(A) = p_m(-A)^{-1} p_m(A) meets
-    unit roundoff (Higham 2005, Table 2.3), and the rows that map the powers
-    [I, A^2, A^4, ...] to [U', V] with p_m(A) = A U' + V; for m = 13 two more
-    rows give the parts that A^6 multiplies."""
-    f = math.factorial
-    b = [f(2 * m - j) // (f(j) * f(m - j)) for j in range(m + 1)]
-    if m < 13:
-        return theta, np.array([b[1::2], b[::2]], dtype=float)
-    return theta, np.array([b[1:8:2], b[0:7:2], [0] + b[9::2], [0] + b[8::2]], dtype=float)
-
-
-_PADE = tuple(_pade(m, theta) for m, theta in (
-    (3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
-    (9, 2.097847961257068e0), (13, 5.371920351148152e0)))
+#: theta_13, the largest ||A||_1 at which r_13(A) = p_13(-A)^{-1} p_13(A) meets
+#: unit roundoff (Higham 2005, Table 2.3), and the rows that map the powers
+#: [I, A^2, A^4, A^6] to [U', V] with p_13(A) = A U' + V and to the parts A^6 multiplies
+_THETA13 = 5.371920351148152
+_B13 = [math.factorial(26 - j) // (math.factorial(j) * math.factorial(13 - j)) for j in range(14)]
+_PADE13 = np.array([_B13[1:8:2], _B13[0:7:2], [0] + _B13[9::2], [0] + _B13[8::2]], dtype=float)
 
 
 def expm(m, t=1.0) -> np.ndarray:
@@ -113,9 +104,9 @@ def expm(m, t=1.0) -> np.ndarray:
     one t goes to every matrix.  A stack skew-Hermitian throughout takes one
     eigh of -iM = U diag(lam) U* per matrix for all its times: e^{sM} = I +
     U diag(expm1(i s lam)) U*, unitary at any s and exactly I at s = 0 (Moler
-    and Van Loan, 2003).  Any other is Pade on the stack repeated along the
-    grid, at the degree its largest ||tM||_1 needs; each matrix keeps its own
-    2^-s and s squarings.
+    and Van Loan, 2003).  Any other is degree-13 Pade on the stack repeated
+    along the grid; each matrix keeps its own 2^-s, s = ceil(log2(||tM||_1 /
+    theta_13)) or 0 at or below theta_13, and s squarings.
 
     Raises ValueError for an empty or non-finite t, and OverflowError when the
     result does not fit in double precision.
@@ -140,22 +131,17 @@ def expm(m, t=1.0) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         a = t[:, None, None] * a
         norms = np.abs(a).sum(axis=1).max(axis=1)
-        top = norms.max()
-        if not math.isfinite(top):
+        if not math.isfinite(norms.max()):
             raise OverflowError("e^{tM} overflows double precision")
-        for theta, rows in _PADE:  # the lowest degree that fits, else 13
-            if top <= theta:
-                break
-        s = [math.ceil(math.log2(x / theta)) if x > theta else 0 for x in norms.tolist()]
+        s = [math.ceil(math.log2(x / _THETA13)) if x > _THETA13 else 0 for x in norms.tolist()]
         if max(s):
             a = a / np.exp2(s)[:, None, None]
-        powers = np.empty((rows.shape[1], k, n, n), dtype=np.complex128)
+        powers = np.empty((4, k, n, n), dtype=np.complex128)  # I, A^2, A^4, A^6
         powers[0], powers[1] = np.eye(n), a @ a
-        for j in range(2, len(powers)):
+        for j in (2, 3):
             powers[j] = powers[j - 1] @ powers[1]
-        uv = (rows @ powers.reshape(len(powers), -1)).reshape(len(rows), k, n, n)
-        if len(rows) == 4:
-            uv = uv[:2] + powers[-1] @ uv[2:]
+        uv = (_PADE13 @ powers.reshape(4, -1)).reshape(4, k, n, n)
+        uv = uv[:2] + powers[3] @ uv[2:]
         u = a @ uv[0]
         result = np.linalg.solve(uv[1] - u, uv[1] + u)
         for j in range(max(s)):  # only the matrices scaled by more than 2^-j

@@ -545,13 +545,18 @@ def test_non_monotone_errors_exit_inconclusive(tmp_path, capsys):
 
 
 def test_scheme_not_over_a_and_b_is_refused(tmp_path, capsys):
-    scheme = tmp_path / "odd.scheme"
-    scheme.write_text("name odd\nA 1\nC 1\n")
-    out_dir = tmp_path / "conv"
-    argv = ["convergence", "--scheme", str(scheme), "--out", str(out_dir)]
-    assert main(argv) == EXIT_INCONCLUSIVE
-    assert capsys.readouterr() == ("", "error: scheme 'odd' is not an A/B scheme\n")
-    assert not out_dir.exists()
+    # a study's scheme takes A and B both and nothing else: one with a third
+    # operand, or with A or B alone, runs on neither route
+    wave = ["--config", str(CONFIGS / "wave-convergence.ini")]
+    for name, text in (("odd", "A 1\nC 1\n"), ("only-a", "A 1\n"), ("only-b", "B 1\n")):
+        scheme = tmp_path / f"{name}.scheme"
+        scheme.write_text(f"name {name}\n{text}")
+        for command, extra in (("convergence", []), ("convergence", wave), ("schrodinger-bench", [])):
+            out_dir = tmp_path / "out"
+            argv = [command, *extra, "--scheme", str(scheme), "--out", str(out_dir)]
+            assert main(argv) == EXIT_INCONCLUSIVE
+            assert capsys.readouterr() == ("", f"error: scheme {name!r} is not an A/B scheme\n")
+            assert not out_dir.exists()
 
 
 def test_duhamel_discrepancy_above_its_tolerance_exits_fail(monkeypatch, capsys):
@@ -844,6 +849,13 @@ def test_sign_of_a_power_is_the_sign_of_the_number(tmp_path, capsys):
     )
     assert main(["convergence", "--config", str(cfg)]) == EXIT_INCONCLUSIVE
     assert capsys.readouterr() == ("", "error: horizon must be positive\n")
+
+
+def test_a_horizon_of_too_many_steps_is_refused_by_name(tmp_path, capsys):
+    cfg = tmp_path / "far.ini"
+    cfg.write_text("[config]\nversion = 1\n\n[convergence]\nhorizon = 1e308\nsteps = 2^-4 2^-5 2^-6 2^-7\n")
+    assert main(["convergence", "--config", str(cfg)]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr() == ("", "error: horizon 1e+308 over step 0.0078125 overflows the step count\n")
 
 
 def test_bad_number_token_is_a_config_error(tmp_path, capsys):

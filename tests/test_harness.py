@@ -67,6 +67,11 @@ def test_estimate_order_input_validation():
         estimate_order([(0.5, 1e-3), (0.25, 0.0), (0.125, 1e-5)])
     with pytest.raises(ValueError):
         estimate_order([(-0.5, 1e-3), (0.25, 1e-4), (0.125, 1e-5)])
+    # NaN fails every comparison, so it is refused as neither positive step nor error
+    with pytest.raises(ValueError, match="^errors must be positive"):
+        estimate_order([(0.5, np.nan), (0.25, 1.0), (0.125, 0.5)])
+    with pytest.raises(ValueError, match="^step sizes must be positive$"):
+        estimate_order([(np.nan, 1e-3), (0.25, 1e-4), (0.125, 1e-5)])
 
 
 def test_closed_form_fit_agrees_with_polyfit_on_noisy_ladders():
@@ -112,6 +117,16 @@ def test_study_validation():
     for steps in ((0.5, 0.25, 0.125, 0.0), tuple(-h for h in dyadic(1, 4))):
         with pytest.raises(InputError, match="^step sizes must be positive$"):
             ConvergenceStudy("matrix", "strang", steps, 1.0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "steps, horizon", [(dyadic(4, 4), 1e308), (dyadic(1060, 4), 1.0)]
+)
+def test_a_step_count_that_overflows_is_refused_by_name(steps, horizon):
+    # horizon / h is inf, which no step count can hold: refused before rounding
+    message = f"horizon {horizon!r} over step {steps[-1]!r} overflows the step count"
+    with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+        ConvergenceStudy("matrix", "strang", steps, horizon, seed=1)
 
 
 @pytest.mark.parametrize(

@@ -117,7 +117,7 @@ def test_expm_overflow_guard():
 @pytest.mark.parametrize("t", [1.0, 1e306])
 def test_expm_overflow_of_one_entry(t):
     # at t = 1 the norm 800 is finite and the squarings overflow; at 1e306
-    # t M itself overflows, before any Pade degree is chosen
+    # t M itself overflows, before any scaling is chosen
     with pytest.raises(OverflowError):
         expm(np.array([[800.0]]), t)
 
@@ -140,7 +140,8 @@ def test_lone_skew_expm_stays_unitary_at_any_t(t):
 
 # --- the Pade exponential against scipy.linalg.expm ------------------------
 
-#: Higham (2005), Table 2.3: the 1-norm up to which degree 3, 5, 7, 9, 13 serves
+#: Higham (2005), Table 2.3: the 1-norm up to which degree 3, 5, 7, 9, 13 serves;
+#: expm takes degree 13 only, and either side of each stays an accuracy probe
 HIGHAM_THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
                  2.097847961257068e0, 5.371920351148152e0)
 
@@ -211,7 +212,7 @@ def test_expm_overflow_where_scipy_gives_inf():
 
 
 def test_stacked_expm_equals_per_matrix_calls():
-    # mixed norms: one Pade stack needs degree 13, s from 0 to 7; a lone skew
+    # mixed norms: one Pade stack takes s from 0 to 7; a lone skew
     # matrix takes eigh, 7.7e-14 from its Pade row at t = 40
     ms = [random_skew_hermitian(6, seed=s) for s in range(4)]
     ms.append(gaussian_with_norm(6, 1e-3, seed=9))

@@ -26,9 +26,9 @@ BUDGET_S = 1.0
 
 #: the reasons a function may be unreached: a test or an acceptance criterion
 #: is its caller; it is public API that no shipping run needs; ROADMAP item 8
-#: settled that it stays; a ROADMAP item will give it a caller; only a failing
-#: run reaches it; or it runs only when its module is imported, before the profile
-REASONS = ("test oracle", "library API", "settled", "ROADMAP item", "failure path", "import")
+#: settled that it stays; a ROADMAP item will give it a caller; or only a failing
+#: run reaches it
+REASONS = ("test oracle", "library API", "settled", "ROADMAP item", "failure path")
 
 BLOCK_PATH = "ROADMAP item 20: the block path, which no shipped triple takes"
 
@@ -49,7 +49,6 @@ UNREACHED = {
     "lie_symbolic.FreeElement.terms": "library API",
     "lie_symbolic.FreeElement.zero": "library API",
     "matrix_core._Located.__init__": "failure path: a stack fault; the fault matrix's hermitian-draw row",
-    "matrix_core._pade": "import: it builds matrix_core._PADE",
     "matrix_core.as_complex_matrix": "library API: one matrix, where every shipping run passes stacks",
     "matrix_core.check_second_order": "settled: a validating twin of _second_order",
     "matrix_core.commutator": "settled: a validating twin of _commutator",
