@@ -11,30 +11,42 @@ and K2 = [P2,[P2,P3]], in which every flow runs forward:
     V2(tau) = int_0^tau r e^{(tau-r)P2} K2 e^{r P2} dr.
 
 No flow is ever inverted, so the form makes sense for semigroups that have no
-backward flow.  The bracket kernel for a single pair is
+backward flow.  The inner integrals are exact: each is the top-right block of
+the exponential of one block upper-bidiagonal matrix (Van Loan, "Computing
+integrals involving the matrix exponential", IEEE TAC 1978).  Writing
+VL(t; A1, B1, A2, ..., Ak) for that block (see ``_van_loan``) and I for the
+identity, V1(tau) = VL(tau; P1, I, P1, K1, P1) and V2(tau) = VL(tau; P2, K2,
+P2, I, P2).
 
-    [e^{tP}, Q] = int_0^t e^{(t-s)P} [P,Q] e^{sP} ds.
+Only the outer tau-integral uses quadrature: its flows are not one
+exponential.  A (triple, t) row takes P panels of Gauss-Legendre of order
+GAUSS_ORDER = 8.  The integrand f is entire, so on a panel of width h = |t|/P
+the rule errs by at most (h/2) 64 M / (15 (rho^2 - 1) rho^(2 GAUSS_ORDER)) for
+any rho > 1, M = max ||f|| on the panel's Bernstein ellipse (Trefethen,
+"Approximation Theory and Approximation Practice", SIAM 2013, Thm 19.3).
+Write P1, P2, P3 and L each as S + H, S skew and H Hermitian, so that
+||e^{cP}|| <= exp(|Im c| ||S|| + lam_max(Re c H)).  On the ellipse
+|Im tau| <= (h/4)(rho - 1/rho), |tau| <= |t| + d, and each flow's Re c leaves
+[0, |t|] by at most d = (h/4)(rho - 1)^2/rho; so lam_max(Re c H) <= (|t| + d)
+max(0, lam_max(H)) + d ||H|| <= |t| max(0, lam_max(H)) + 2d ||H||.  As
+||V1|| <= (|tau|^2/2) ||K1|| and ||V2|| <= (|tau|^2/2) ||K2|| times their
+flows' norms (r = tau x), the rule errs by at most R(P, rho) (|t|^3/6)
+(||K1|| + ||K2||) e^{|t| W}, W = sum max(0, lam_max(H)), where
 
-The inner integrals are exact.  Each is the top-right block of the exponential
-of one block upper-bidiagonal matrix (Van Loan, "Computing integrals involving
-the matrix exponential", IEEE TAC 1978).  Writing VL(t; A1, B1, A2, ..., Ak)
-for that block (see ``_van_loan``) and I for the identity:
+    R(P, rho) = (32/5) (1 + (rho - 1)^2/(4 rho P))^2 / ((rho^2 - 1) rho^(2 GAUSS_ORDER))
+                * exp{(|t|/P) [A (rho - 1/rho)/4 + C (rho - 1)^2/(2 rho)]},
 
-    [e^{tP}, Q] = VL(t; P, [P,Q], P),
-    V1(tau) = VL(tau; P1, I, P1, K1, P1),   V2(tau) = VL(tau; P2, K2, P2, I, P2).
-
-Only the outer tau-integral of E(t) uses quadrature: its flows are not one
-exponential.  The rule is fixed in code: Gauss-Legendre of order GAUSS_ORDER =
-8 on one panel, doubled per (triple, t) row until successive estimates differ
-by less than TARGET_TOL/2 = 5e-9, at most MAX_PANEL_DOUBLINGS = 8 times (256
-panels); a row that stops short raises ``ToleranceNotReached``.
-``duhamel_error`` validates a triple or a stack, checks the condition and forms
-K1, K2 (``_double_commutators``) once, then takes one of two paths.
+A = sum ||S|| and C = sum ||H||.  W = 0 when every flow is a contraction; the
+scale is then ``error_bound``, which the same estimates give at real tau.  A
+row at t < 0 is the row of -P1, -P2, -P3 at |t|, with the same A and C.  A row
+takes one pass at the least P <= MAX_PANELS with R <= QUADRATURE_RTOL at some
+rho of a fixed grid (``_panel_counts``), or raises ``ToleranceNotReached``
+before any node is evaluated.  The count depends only on the triple and t:
+both paths give a row the same nodes, and evaluate each count once.
 
 * P1, P2 and P3 all skew-Hermitian (every campaign): in the eigenbasis of
   P = U diag(mu) U*, mu = i lam, V1 and V2 are elementwise (the
-  Daleckii-Krein form; Higham, "Functions of Matrices", 2008).  With
-  X~ = U* X U,
+  Daleckii-Krein form; Higham, "Functions of Matrices", 2008).  With X~ = U* X U,
 
       VL(tau; P, I, P, K, P) = U (K~ o G) U*,  G_ij = tau^2 e^{tau mu_j} psi(tau (mu_i - mu_j)),
       VL(tau; P, K, P, I, P) = U (K~ o H) U*,  H_ij = tau^2 e^{tau mu_i} psi(tau (mu_j - mu_i)),
@@ -43,23 +55,13 @@ K1, K2 (``_double_commutators``) once, then takes one of two paths.
   int_0^1 e^{xz} dx exact as phi1(i theta) = e^{i theta/2} sinc(theta/2pi),
   summed as a Taylor series for |z| < 1/2.  Nothing divides by an
   eigenvalue gap, so repeated and clustered spectra need no special case.
-  One batched ``eigh`` each of P1, P2, P3 and L serves every row and level,
-  a level's pending rows and nodes are one stacked (rows, nodes, n, n)
+  One batched ``eigh`` each of P1, P2, P3 and L serves every row, the rows
+  of one count and their nodes are one stacked (rows, nodes, n, n)
   computation, and the eigenvectors of L and P3 meet each weighted sum once.
 * Any other input, row by row: each tau node makes three exponential calls,
   one stack of e^{tau P1}, e^{tau P2}, e^{tau P3} and e^{(t-tau)L}, and the
   two 3n x 3n Van Loan blocks V1 and V2.  This loop is also the reference the
   eigenbasis path is tested against.
-
-The error bound
-
-    ||E(t)|| <= (t^3/6) (||K1|| + ||K2||)
-
-follows from the forward form whenever every flow in it is a contraction:
-then ||V1(tau)|| <= (tau^2/2) ||K1|| and ||V2(tau)|| <= (tau^2/2) ||K2||.
-Skew-Hermitian generators give isometries.  ``harness.verify_duhamel`` makes
-one call per campaign stack and compares E(t) with the measured S(t) - e^{tL}
-and with this bound, one ``DuhamelCampaignRow`` per triple and t.
 """
 
 from __future__ import annotations
@@ -82,18 +84,18 @@ from trisplit.matrix_core import (
 )
 from trisplit.splitting import triple_operator_set
 
-#: Gauss-Legendre order of each panel of the outer tau-rule, which starts on one panel
+#: Gauss-Legendre order of each panel of the outer tau-rule
 GAUSS_ORDER = 8
 
-#: a row stops once successive panel doublings differ by less than half of this
-TARGET_TOL = 1e-8
+#: a row's certified quadrature error, relative to its scale (see the module docstring)
+QUADRATURE_RTOL = 1e-12
 
-#: Refinement cap: panel counts grow by doubling at most this many times.
-MAX_PANEL_DOUBLINGS = 8
+#: the most panels a row may take, a power of two; a row that needs more is refused
+MAX_PANELS = 512
 
 
 class ToleranceNotReached(_Located):
-    """Panel doubling hit its cap, or stalled at round-off, above TARGET_TOL."""
+    """A row needs more than MAX_PANELS panels to certify QUADRATURE_RTOL."""
 
 
 @lru_cache(maxsize=None)
@@ -108,39 +110,32 @@ def _panel_nodes(upper: float, panels: int):
     """Composite Gauss-Legendre nodes and weights for int_0^upper."""
     x, w = _gauss_rule(GAUSS_ORDER)
     edges = np.linspace(0.0, upper, panels + 1)
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    mid, half = (edges[1:] + edges[:-1])[:, None] / 2.0, (edges[1:] - edges[:-1])[:, None] / 2.0
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
-def _refined(evaluate, shape) -> np.ndarray:
-    """evaluate(panels, rows) estimates those flat rows of ``shape``.  Each row
-    doubles its panels until its gap is below TARGET_TOL/2, and fails at a
-    round-off stall or the cap; only pending rows are evaluated again.  Once
-    all have stopped, the first failing row raises with its index in shape."""
-    panels, pending = 1, np.arange(np.prod(shape, dtype=int))
-    result = evaluate(panels, pending)
-    previous, gaps, reached = result.copy(), np.full(len(pending), np.inf), np.zeros_like(pending)
-    while len(pending) and panels < 1 << MAX_PANEL_DOUBLINGS:
-        panels *= 2
-        current = evaluate(panels, pending)
-        gap = op_norm(current - previous)
-        gaps[pending], reached[pending] = gap, panels
-        live = ~(gap < TARGET_TOL / 2.0)
-        result[pending[~live]] = current[~live]
-        scale = op_norm(current[live])
-        live[live] = ~(gap[live] <= 64 * np.finfo(float).eps * scale)  # stalled at round-off
-        pending, previous = pending[live], current[live]
-    failed = np.flatnonzero(~(gaps < TARGET_TOL / 2.0))
-    if len(failed):
-        row = failed[0]
-        raise ToleranceNotReached(
-            f"duhamel_error: gap {gaps[row]:.1e} at {reached[row]} panels did not reach "
-            f"target_tol {TARGET_TOL!r}", tuple(map(int, np.unravel_index(row, shape)))
-        )
-    return result
+def _panel_counts(generators, times, shape):
+    """Each (triple, t) row's certified panel count, from (k, 4, n, n) generators P1, P2, P3, L."""
+    adjoint = generators.conj().swapaxes(-1, -2)
+    norms = op_norm(np.stack((generators - adjoint, generators + adjoint), axis=1) / 2.0).sum(axis=-1)
+    rho = np.geomspace(1.01, 1e4, 64)
+    overshoot = (rho - 1) ** 2 / (4 * rho)  # d/h, the ellipse's reach past its panel
+    per_width = np.stack(((rho - 1 / rho) / 4, 2 * overshoot))  # R's exponent per |t|/P, of A and C
+    rate = ((norms @ per_width)[:, None] * np.abs(times)[:, None]).reshape(-1, len(rho))
+    budget = np.log(QUADRATURE_RTOL * 5 / 32 * (rho**2 - 1)) + 2 * GAUSS_ORDER * np.log(rho)
+
+    def certified(p):  # p a (rows, 1) column: is R(p, rho) <= QUADRATURE_RTOL at some rho?
+        return (2 * np.log1p(overshoot / p) + rate / p <= budget).any(axis=1, keepdims=True)
+
+    counts = np.full((len(rate), 1), MAX_PANELS)
+    refused = np.flatnonzero(~certified(counts))
+    if len(refused):
+        index = tuple(map(int, np.unravel_index(refused[0], shape)))
+        raise ToleranceNotReached(f"duhamel_error: the tau-rule needs more than {MAX_PANELS} panels "
+                                  f"to certify quadrature_rtol {QUADRATURE_RTOL!r}", index)
+    for step in MAX_PANELS >> np.arange(1, MAX_PANELS.bit_length()):  # bisect every row at once
+        counts = np.where(certified(counts - step), counts - step, counts)
+    return counts[:, 0]
 
 
 def _van_loan(t: float, *blocks) -> np.ndarray:
@@ -163,8 +158,8 @@ def _van_loan(t: float, *blocks) -> np.ndarray:
 
 
 def z_integral(p, q, t) -> np.ndarray:
-    """[e^{tP}, Q] in variation-of-constants form,
-    int_0^t e^{(t-s)P} [P,Q] e^{sP} ds, evaluated exactly."""
+    """[e^{tP}, Q] in variation-of-constants form, int_0^t e^{(t-s)P} [P,Q]
+    e^{sP} ds, evaluated exactly as VL(t; P, [P,Q], P)."""
     p = as_complex_matrix(p)
     q = as_complex_matrix(q)
     return _van_loan(t, p, _commutator(p, q), p)
@@ -197,7 +192,7 @@ def _psi(theta) -> np.ndarray:
 
 
 def _eigenbasis_levels(p1, p2, p3, k1, k2, times):
-    """``_refined``'s evaluate for (k, n, n) skew-Hermitian stacks at m times,
+    """evaluate(panels, rows) for (k, n, n) skew-Hermitian stacks at m times,
     row r being triple r // m at time r % m.
 
     With Pk = Uk diag(i lam_k) Uk*, Cjk = Uj* Uk and Dk = diag(e^{i tau lam_k}),
@@ -206,8 +201,7 @@ def _eigenbasis_levels(p1, p2, p3, k1, k2, times):
         DL(t - tau) CL1 [A~ C12 D2 + D1 C12 H~] C23 D3(tau),
 
     A~ = U1* VL(tau; P1, I, P1, K1, P1) U1 and H~ = U2* VL(tau; P2, K2, P2,
-    I, P2) U2, whose entries are K2~_ij tau^2 e^{i tau lam2_i}
-    psi(tau (lam2_j - lam2_i)).
+    I, P2) U2, elementwise as in the module docstring.
     """
     (lam1, u1), (lam2, u2), (lam3, u3), (lam_l, u_l) = (
         np.linalg.eigh(-1j * p) for p in (p1, p2, p3, p1 + p2 + p3)
@@ -257,6 +251,7 @@ def duhamel_error(p1, p2, p3, t) -> np.ndarray:
 
     Requires the second-order condition: without it the representation misses
     the surviving single-commutator term and cannot match the measured error.
+    A row that needs more than MAX_PANELS panels raises ``ToleranceNotReached``.
     Skew-Hermitian stacks take the eigenbasis path, other input the block path
     row by row.  The inputs are validated once, here.
     """
@@ -271,10 +266,11 @@ def duhamel_error(p1, p2, p3, t) -> np.ndarray:
             "the integral representation does not apply"
         )
     _, k1, k2 = _double_commutators(p1, p2, p3)
+    generators = np.stack((p1, p2, p3, p1 + p2 + p3), axis=1)
+    counts = _panel_counts(generators, times, shape)
     if all(_is_skew(p) for p in (p1, p2, p3)):
         levels = _eigenbasis_levels(p1, p2, p3, k1, k2, times)
     else:
-        generators = np.stack((p1, p2, p3, p1 + p2 + p3), axis=1)
 
         def levels(panels, rows):  # one row at a time
             out = np.zeros((len(rows), n, n), dtype=np.complex128)
@@ -285,16 +281,18 @@ def duhamel_error(p1, p2, p3, t) -> np.ndarray:
                     total += w * (e_l @ kernel @ e3)
             return out
 
-    return _refined(levels, shape).reshape(shape + (n, n))
+    result = np.empty((len(counts), n, n), dtype=np.complex128)
+    for panels in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == panels)
+        result[rows] = levels(panels, rows)
+    return result.reshape(shape + (n, n))
 
 
 def error_bound(p1, p2, p3, t):
     """(|t|^3/6) (||[P1,[P2,P3]]|| + ||[P2,[P2,P3]]||).
 
-    An upper bound for ||S(t) - e^{tL}|| whenever every flow of P1, P2, P3
-    and L between 0 and t is a contraction (dissipative generators at
-    t >= 0; skew-Hermitian generators, whose flows are isometries, at
-    either sign of t).
+    An upper bound for ||S(t) - e^{tL}|| whenever every flow is a contraction:
+    dissipative generators at t >= 0, skew-Hermitian ones at either sign of t.
 
     Broadcasting as in ``triple_splitting_error``: P1, P2 and P3 are n x n
     matrices or (k, n, n) stacks of one shape, t a scalar or m values, and

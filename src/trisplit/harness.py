@@ -474,12 +474,11 @@ def verify_duhamel(count: int, dim: int, t_list: Sequence[float], seed: int) -> 
 
     For every sampled constraint-satisfying triple and every t, the
     discrepancy ||(S(t) - e^{tL}) - E(t)|| must sit at or below
-    ``DISCREPANCY_TOL``.  E(t) comes from ``duhamel_error`` at its one
-    quadrature; a row it cannot converge raises ``ToleranceNotReached``.
-    The measured error and the bound come from the campaign's stacks, E(t)
-    from one ``duhamel_error`` per stack, compared as it stands (sign +1): a
-    sign error in it shows as a discrepancy near twice the error norm; its
-    norms and the discrepancies are batched.
+    ``DISCREPANCY_TOL``.  The measured error and the bound come from the
+    campaign's stacks, E(t) from one ``duhamel_error`` per stack, compared as
+    it stands (sign +1): a sign error in it shows as a discrepancy near twice
+    the error norm; its norms and the discrepancies are batched.  A row that
+    needs more than ``duhamel.MAX_PANELS`` raises ``ToleranceNotReached``.
     """
     rows = []
     notes = []

@@ -190,7 +190,9 @@ def op_norm(m):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not np.isfinite(a).all():
         raise ValueError(f"expected a finite square matrix or (..., n, n) stack, got shape {a.shape}")
     s = np.abs(a).max(axis=(-2, -1), keepdims=True)
-    y = a / np.where(s > 0, s, 1.0)
+    lift = np.where(s < np.finfo(float).tiny, 2.0**64, 1.0)  # 1/s overflows for a subnormal s
+    y = a * lift
+    y /= np.where(s > 0, s * lift, 1.0)
     norm = np.sqrt(np.linalg.eigvalsh(y.conj().swapaxes(-1, -2) @ y)[..., -1]) * s[..., 0, 0]
     return float(norm) if a.ndim == 2 else norm
 

@@ -37,7 +37,8 @@ def count_evolve_steps(monkeypatch):
 
 
 def record_levels(monkeypatch):
-    # (panels, estimates) of every level duhamel_error's eigenbasis path evaluates
+    # (panels, estimates) of every pass duhamel_error's eigenbasis path makes,
+    # one per distinct panel count of its rows
     levels = []
     original = duhamel._eigenbasis_levels
 
@@ -46,7 +47,7 @@ def record_levels(monkeypatch):
 
         def once(panels, rows):
             estimates = evaluate(panels, rows)
-            levels.append((panels, estimates.copy()))  # refinement writes into its first
+            levels.append((panels, estimates))
             return estimates
 
         return once

@@ -816,15 +816,24 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, key, val
 
 
 def test_unreachable_quadrature_tolerance_is_inconclusive(tmp_path, capsys):
-    # at t = 300 the default quadrature reaches its 256-panel cap above its
-    # target: exit 2 with one line, never a PASS
+    # at t = 300 the certified quadrature needs more than its 512-panel cap:
+    # exit 2 with one line, never a PASS
     cfg = tmp_path / "long.ini"
     cfg.write_text("[config]\nversion = 1\n\n[verify-duhamel]\ncount = 1\ndim = 4\nt_values = 300\n")
     assert main(["verify-duhamel", "--config", str(cfg)]) == EXIT_INCONCLUSIVE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert "at 256 panels did not reach target_tol" in captured.err
+    assert "needs more than 512 panels to certify quadrature_rtol 1e-12" in captured.err
+
+
+def test_subnormal_errors_pass_verify_duhamel(tmp_path, capsys):
+    # at t = 1e-103 the measured and represented errors are subnormal, and so
+    # are the matrices whose norms the campaign takes
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text("[config]\nversion = 1\n\n[verify-duhamel]\nt_values = 1e-103 0.25\n")
+    assert main(["verify-duhamel", "--config", str(cfg)]) == EXIT_PASS
+    assert capsys.readouterr().out.startswith("PASS verify-duhamel: 40 comparisons")
 
 
 @pytest.mark.parametrize("command", ["verify-bound", "verify-duhamel"])

@@ -193,21 +193,23 @@ def test_duhamel_error_reproduces_measured_error():
             assert op_norm(represented - measured) <= 1e-8
 
 
-def test_duhamel_error_unconverged_quadrature_raises():
-    # at t = 300 the shipped rule is still 6.6e-3 from converged at its cap
+def test_duhamel_error_unconverged_quadrature_raises(monkeypatch):
+    # at t = 300 the certified rule needs about 607 panels, past its cap of
+    # 512: the row is refused before any node is evaluated
     p1, p2, p3 = constrained_triple(4, seed=55)
-    with pytest.raises(ToleranceNotReached, match=r"gap \S+ at 256 panels did not reach"):
+    calls = {"nodes": 0}
+    count_nodes(monkeypatch, calls)
+    with pytest.raises(ToleranceNotReached, match=r"needs more than 512 panels to certify"):
         duhamel_error(p1, p2, p3, 300.0)
+    assert calls["nodes"] == 0
 
 
-def test_duhamel_error_stops_doubling_at_round_off(monkeypatch):
-    # the gap between successive estimates is at round-off by 8 panels; no
-    # further doubling can reach 1e-30, so refinement stops there rather than
-    # at the 256-panel cap
-    p1, p2, p3 = constrained_triple(4, seed=55)
-    monkeypatch.setattr(duhamel, "TARGET_TOL", 1e-30)
-    with pytest.raises(ToleranceNotReached, match=r"gap \S+ at 8 panels"):
-        duhamel_error(p1, p2, p3, 1.0)
+def test_duhamel_error_at_a_subnormal_scale():
+    # at t = 1e-103 E(t) is subnormal, near 3e-309; its norm must stay finite
+    # and under the cubic bound
+    triple = constrained_triple(4, seed=73)
+    represented = duhamel_error(*triple, 1e-103)
+    assert 0.0 < op_norm(represented) <= error_bound(*triple, 1e-103)
 
 
 def test_cached_gauss_rule_is_read_only():
@@ -238,7 +240,7 @@ def test_duhamel_error_makes_three_exponential_calls_per_node(monkeypatch):
     count_calls(monkeypatch, duhamel, "expm", calls)
     count_nodes(monkeypatch, calls)
     represented = duhamel_error(p1, p2, p3, 0.5)
-    assert calls["nodes"] >= 16  # at least one panel doubling
+    assert calls["nodes"] == 2 * duhamel.GAUSS_ORDER  # one pass at its certified 2 panels
     assert calls["expm"] == 3 * calls["nodes"]
     measured = triple_splitting_error(p1, p2, p3, 0.5)
     assert op_norm(represented - measured) <= 1e-8
@@ -262,14 +264,14 @@ def test_duhamel_error_reproduces_stiff_contractive_error(seed, t):
 @pytest.mark.parametrize("t", [0.5, 1.0])
 def test_duhamel_error_eigenbasis_path_makes_four_eigendecompositions(monkeypatch, t):
     # a skew-Hermitian triple makes one eigh each of P1, P2, P3 and L per
-    # call, however many panel levels refinement visits, and no exponential
+    # call, one pass at its certified panel count, and no exponential
     p1, p2, p3 = constrained_triple(4, seed=75)
     calls = {"expm": 0, "eigh": 0, "nodes": 0}
     count_calls(monkeypatch, duhamel, "expm", calls)
     count_calls(monkeypatch, np.linalg, "eigh", calls)
     count_nodes(monkeypatch, calls)
     represented = duhamel_error(p1, p2, p3, t)
-    assert calls["nodes"] >= 24  # at least two panel levels
+    assert calls["nodes"] == {0.5: 2, 1.0: 3}[t] * duhamel.GAUSS_ORDER
     assert calls["expm"] == 0
     assert calls["eigh"] == 4
     measured = triple_splitting_error(p1, p2, p3, t)
@@ -333,12 +335,14 @@ def test_z_integral_validates_its_inputs_once(monkeypatch):
 
 
 def test_eigenbasis_path_splits_large_levels_into_blocks(monkeypatch):
-    # levels larger than _STACK_ENTRIES are summed block by block; 8-node
-    # blocks at dim 4 split every level past the first
+    # passes larger than _STACK_ENTRIES are summed block by block: 8-node
+    # blocks at dim 4 split the row's 3 panels into three passes
     p1, p2, p3 = constrained_triple(4, seed=87)
     whole = duhamel_error(p1, p2, p3, 1.0)
     monkeypatch.setattr(duhamel, "_STACK_ENTRIES", 8 * 4 * 4)
+    shapes = psi_rows(monkeypatch)
     blocked = duhamel_error(p1, p2, p3, 1.0)
+    assert shapes[::2] == [(1, 8, 4, 4)] * 3
     assert op_norm(blocked - whole) <= 1e-14 * op_norm(whole)
 
 
@@ -380,22 +384,28 @@ def test_duhamel_error_broadcasts_over_triples_and_t():
 
 
 def test_stacked_rows_stop_at_their_own_panel_counts(monkeypatch):
-    # the t = 0.05 rows converge at 2 panels and the t = 4.0 rows at 16 and
-    # 8; each level evaluates only the rows whose lone call reaches it, and
-    # every row is bitwise its lone call
+    # each row takes its own certified count, 1 panel at t = 0.05 and 10 and
+    # 8 at t = 4.0; the stack evaluates each distinct count once, over the
+    # rows that have it, and every row is bitwise its lone call
     p1, p2, p3 = stacked([constrained_triple(4, seed=s) for s in (113, 114)])
     times = (0.05, 4.0)
-    shapes = psi_rows(monkeypatch)
-    levels = {}
+    levels = record_levels(monkeypatch)
     for i, j in np.ndindex(2, 2):
-        shapes.clear()
         duhamel_error(p1[i], p2[i], p3[i], times[j])
-        levels[i, j] = len(shapes) // 2
-    assert levels == {(0, 0): 2, (0, 1): 5, (1, 0): 2, (1, 1): 4}
-    shapes.clear()
+    assert [panels for panels, _ in levels] == [1, 10, 1, 8]
+    levels.clear()
     stack = duhamel_error(p1, p2, p3, times)
-    assert [shape[0] for shape in shapes[::2]] == [4, 4, 2, 2, 1]
+    assert [(panels, len(rows)) for panels, rows in levels] == [(1, 2), (8, 1), (10, 1)]
     assert_rows_are_lone_calls(p1, p2, p3, times, stack)
+
+
+def test_default_campaign_evaluates_each_row_once(monkeypatch):
+    # the default verify-duhamel campaign (seed 7) takes 21 rows at one panel
+    # and 19 at two, 472 row-nodes in one pass per count; panel doubling took
+    # every row at one panel and then two, 960
+    shapes = psi_rows(monkeypatch)
+    verify_duhamel(20, 4, (0.25, 0.5), seed=7)
+    assert [shape[:2] for shape in shapes[::2]] == [(21, 8), (19, 16)]
 
 
 def test_non_normal_stack_takes_the_block_path(monkeypatch):
@@ -411,19 +421,17 @@ def test_non_normal_stack_takes_the_block_path(monkeypatch):
 
 
 def test_stacked_levels_split_across_rows(monkeypatch):
-    # 256 entries hold two rows of 8 nodes at dim 4: the first level runs in
-    # passes of two rows, later ones one row, or one row's node blocks, at a
-    # time; rows stay bitwise their lone calls under the same split
+    # 256 entries hold two rows of 8 nodes at dim 4: the three 1-panel rows
+    # (t = 0.25) run in passes of two rows and one, the three 2-panel rows
+    # (t = 0.5) one row at a time; rows stay bitwise their lone calls under
+    # the same split
     p1, p2, p3 = stacked([constrained_triple(4, seed=s) for s in (115, 116, 117)])
     times = (0.25, 0.5)
     whole = duhamel_error(p1, p2, p3, times)
     monkeypatch.setattr(duhamel, "_STACK_ENTRIES", 2 * 8 * 4 * 4)
     shapes = psi_rows(monkeypatch)
     split = duhamel_error(p1, p2, p3, times)
-    passes = shapes[::2]
-    assert max(np.prod(shape) for shape in passes) <= duhamel._STACK_ENTRIES
-    assert passes[:3] == [(2, 8, 4, 4)] * 3
-    assert any(shape[:2] == (1, 16) for shape in passes)
+    assert shapes[::2] == [(2, 8, 4, 4), (1, 8, 4, 4)] + [(1, 16, 4, 4)] * 3
     assert_rows_are_lone_calls(p1, p2, p3, times, split)
     gaps = np.linalg.norm(split - whole, 2, axis=(-2, -1))
     assert (gaps <= 1e-14 * np.linalg.norm(whole, 2, axis=(-2, -1))).all()
@@ -443,20 +451,65 @@ def test_duhamel_error_cubic_scaling():
     assert norms[1] / norms[2] == pytest.approx(8.0, rel=0.1)
 
 
-def test_panel_doubling_reduces_discrepancy(monkeypatch):
-    # a deliberately coarse rule, order 2, improves as refinement doubles its
-    # panels, takes at least 3 doublings and still ends within 1e-8
+def test_coarse_rule_takes_more_panels(monkeypatch):
+    # a deliberately coarse rule, order 2, certifies this t*A = 6.3 row at
+    # 120 panels where order 8 takes 2, and still ends within 1e-8
     p1, p2, p3 = constrained_triple(4, seed=75)
     t = 0.5
     measured = triple_splitting_error(p1, p2, p3, t)
-    monkeypatch.setattr(duhamel, "GAUSS_ORDER", 2)
     levels = record_levels(monkeypatch)
-    rep = duhamel_error(p1, p2, p3, t)
-    assert [panels for panels, _ in levels[:4]] == [1, 2, 4, 8]
-    gaps = [op_norm(estimates[0] - measured) for _, estimates in levels]
-    assert gaps[1] < gaps[0] or gaps[0] <= 1e-11
-    assert gaps[2] < gaps[1] or gaps[1] <= 1e-11
-    assert op_norm(rep - measured) <= 1e-8
+    duhamel_error(p1, p2, p3, t)
+    monkeypatch.setattr(duhamel, "GAUSS_ORDER", 2)
+    coarse = duhamel_error(p1, p2, p3, t)
+    assert [panels for panels, _ in levels] == [2, 120]
+    assert op_norm(coarse - measured) <= 1e-8
+
+
+def certified_ratio(p1, p2, p3, t, panels):
+    """R(panels, rho) of the module docstring, least over the rule's rho grid,
+    written out directly, and the row's scale (|t|^3/6)(||K1|| + ||K2||) e^{|t| W}."""
+    sign = -1.0 if t < 0 else 1.0  # a row at t < 0 is the row of -P1, -P2, -P3 at |t|
+    generators = [sign * p for p in (p1, p2, p3, p1 + p2 + p3)]
+    skew = sum(op_norm(g - g.conj().T) / 2 for g in generators)
+    hermitian = [(g + g.conj().T) / 2 for g in generators]
+    w = sum(max(0.0, np.linalg.eigvalsh(h)[-1]) for h in hermitian)
+    c = sum(op_norm(h) for h in hermitian)
+    k = op_norm(commutator(p1, commutator(p2, p3))) + op_norm(commutator(p2, commutator(p2, p3)))
+    rho = np.geomspace(1.01, 1e4, 64)
+    with np.errstate(over="ignore"):  # R is inf where its exponential overflows
+        spread = np.exp(abs(t) / panels * (skew * (rho - 1 / rho) / 4 + c * (rho - 1) ** 2 / (2 * rho)))
+        grow = (1 + (rho - 1) ** 2 / (4 * rho * panels)) ** 2
+        r = 32 / 5 * grow * spread / ((rho**2 - 1) * rho ** (2 * duhamel.GAUSS_ORDER))
+    return r.min(), abs(t) ** 3 / 6 * k * np.exp(abs(t) * w)
+
+
+CERTIFIED_ROWS = {
+    **{
+        f"skew-{dim}": (constrained_triple(dim, seed=120 + dim), (1e-3, 0.05, 0.25, 1.0, 2.5, 5.0, -0.5))
+        for dim in (2, 4, 16)
+    },
+    "non-normal": (non_normal_triple(4, seed=79), (0.25, 0.5)),
+    **{f"contractive-{seed}": (contractive_triple(6, 10.0, seed), (0.5,)) for seed in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFIED_ROWS))
+def test_quadrature_error_is_below_its_certified_bound(monkeypatch, case):
+    # every row's count is the least whose R reaches QUADRATURE_RTOL, and its
+    # actual quadrature error, against the same rule at 4 times its panels
+    # (past MAX_PANELS if need be), is below QUADRATURE_RTOL times its scale
+    triple, times = CERTIFIED_ROWS[case]
+    counts = []
+    rule = duhamel._panel_counts
+    monkeypatch.setattr(duhamel, "_panel_counts", lambda *args: counts.append(rule(*args)) or counts[-1])
+    estimate = duhamel_error(*triple, times)
+    monkeypatch.setattr(duhamel, "_panel_counts", lambda *args: 4 * rule(*args))
+    reference = duhamel_error(*triple, times)
+    for t, panels, error in zip(times, counts[0].tolist(), op_norm(estimate - reference)):
+        ratio, scale = certified_ratio(*triple, t, panels)
+        assert ratio <= duhamel.QUADRATURE_RTOL
+        assert panels == 1 or certified_ratio(*triple, t, panels - 1)[0] > duhamel.QUADRATURE_RTOL
+        assert error <= duhamel.QUADRATURE_RTOL * scale
 
 
 # --- the a-priori bound -----------------------------------------------------------

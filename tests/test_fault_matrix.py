@@ -61,6 +61,11 @@ def v2_weight_swapped(monkeypatch):
     monkeypatch.setattr(duhamel, "_forward_kernel", kernel)
 
 
+def psi_series_cut(monkeypatch):
+    # psi's Taylor series cut from 16 terms to 5: a jump near 1e-6 at |theta| = 1/2
+    monkeypatch.setattr(duhamel, "_PSI_TAYLOR", duhamel._PSI_TAYLOR[-5:])
+
+
 def phase_flipped(monkeypatch):
     # every wave run, the reference's included, takes e^{-ichV}
     original = harness.evolve_runs
@@ -169,6 +174,7 @@ def test_no_run_takes_an_lu_or_least_squares_solve(monkeypatch):
         killed(grid_dx_scaled, "grid-dx-scaled", set(WAVE_RUNS), EXIT_FAIL),
         survivor(doubled_bound, "error-bound-x2", "item 5"),
         survivor(v2_weight_swapped, "block-path-v2-weight", "items 5 and 11"),
+        survivor(psi_series_cut, "psi-taylor-5", "item 18"),
         survivor(phase_flipped, "potential-phase-flip", "items 3 and 12"),
         survivor(wavenumbers_scaled, "wavenumbers-scaled", "items 3 and 19"),
     ],

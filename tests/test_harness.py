@@ -937,25 +937,25 @@ def test_solver_fault_names_its_instance_and_child_seed(monkeypatch):
 
 
 def test_unconverged_row_names_its_instance_child_seed_and_t():
-    # at the default quadrature the t = 0.05 rows converge and, at t = 100,
-    # instance 1 alone reaches the 256-panel cap; the campaign names the first
-    # row whose lone call raises, with that call's own message
+    # the t = 0.05 rows take one panel and, at t = 190, instance 1 alone needs
+    # more than the 512-panel cap; the campaign names the first row whose lone
+    # call raises, with that call's own message
     seeds = derive_seeds(2, 4)
     first = None
     for instance, child in enumerate(seeds):
-        for t in (0.05, 100.0):
+        for t in (0.05, 190.0):
             try:
                 duhamel.duhamel_error(*sample_constrained_triple(4, child), t)
             except duhamel.ToleranceNotReached as exc:
                 first = first or (instance, child, t, str(exc))
     instance, child, t, lone = first
-    assert (instance, t) == (1, 100.0)
+    assert (instance, t) == (1, 190.0)
     with pytest.raises(duhamel.ToleranceNotReached) as raised:
-        verify_duhamel(4, 4, (0.05, 100.0), seed=2)
+        verify_duhamel(4, 4, (0.05, 190.0), seed=2)
     message = str(raised.value)
     assert message.startswith(f"instance {instance} (child seed {child}), t={t!r}: ")
     assert lone.split(": ", 1)[1] in message
-    assert re.search(r"gap \S+ at 256 panels", message)
+    assert "needs more than 512 panels" in message
 
 
 def test_halved_bound_fails_the_default_campaign(monkeypatch):

@@ -416,6 +416,13 @@ def test_op_norm_matches_the_svd_norm(name, m, scale):
     assert op_norm(stack.reshape(2, 2, n, n)).tolist() == norms.reshape(2, 2).tolist()
 
 
+@pytest.mark.parametrize("entry", [5e-310, 5e-324])
+def test_op_norm_of_a_subnormal_matrix_is_its_largest_entry(entry):
+    # 1/s overflows for a subnormal largest entry s: the norm must stay finite
+    assert op_norm(np.diag([entry, entry / 2])) == entry
+    assert op_norm(np.diag([1j * entry, 0.0])) == entry
+
+
 def test_op_norm_validation():
     for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3)), np.array([[1.0, np.nan], [0, 1]])):
         with pytest.raises(ValueError):

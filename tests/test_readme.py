@@ -49,8 +49,8 @@ def test_readme_states_the_rules_fixed_in_code():
     stated = re.findall(r"`(duhamel|harness)\.([A-Z0-9_]+) = ([^`]+)`", section)
     assert {(module, name): float(value) for module, name, value in stated} == {
         ("duhamel", "GAUSS_ORDER"): duhamel.GAUSS_ORDER,
-        ("duhamel", "MAX_PANEL_DOUBLINGS"): duhamel.MAX_PANEL_DOUBLINGS,
-        ("duhamel", "TARGET_TOL"): duhamel.TARGET_TOL,
+        ("duhamel", "MAX_PANELS"): duhamel.MAX_PANELS,
+        ("duhamel", "QUADRATURE_RTOL"): duhamel.QUADRATURE_RTOL,
         ("harness", "DISCREPANCY_TOL"): harness.DISCREPANCY_TOL,
         ("harness", "BOUND_SLACK"): harness.BOUND_SLACK,
         ("harness", "ERROR_FLOOR"): harness.ERROR_FLOOR,
@@ -59,7 +59,7 @@ def test_readme_states_the_rules_fixed_in_code():
         ("harness", "REFERENCE_GATE"): harness.REFERENCE_GATE,
         ("harness", "COMMUTE_FACTOR"): harness.COMMUTE_FACTOR,
     }
-    assert f"({2 ** duhamel.MAX_PANEL_DOUBLINGS} panels)" in section
+    assert f"needs more than {duhamel.MAX_PANELS} panels exits `2`" in section
     assert "every row the artifact prints; no row is dropped" in section
     orders = {make_lie_trotter().operands: 1.0, make_strang().operands: 2.0}
     assert harness.NOMINAL_ORDERS == orders
