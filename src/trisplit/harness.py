@@ -18,7 +18,7 @@ import numpy as np
 
 from trisplit import lie_symbolic as ls, matrix_core
 from trisplit.duhamel import _Located, duhamel_error, error_bound
-from trisplit.matrix_core import InputError, _random_skew, expm, solve_second_order_constraint
+from trisplit.matrix_core import InputError, _commutator, _random_skew, expm, solve_second_order_constraint
 from trisplit.schrodinger import (
     Grid1D,
     WaveFunction,
@@ -56,8 +56,8 @@ ORDER_WINDOW = 0.1
 #: error is inconclusive
 REFERENCE_GATE = 0.3
 
-#: errors at the floor are degenerate, not a failure, only if A and B commute: ||[A,B]||
-#: (||[A,B]u0|| on a wave grid) at most this eps ||A|| ||B|| (||u0||), ||A|| = max k^2/2
+#: errors at the floor are degenerate, not a failure, only if A and B commute: a row's ||[A,B]||
+#: (||[A,B]u0|| on a wave grid) at most this eps times its scale ||A|| ||B|| (||u0||), ||A|| = max k^2/2
 COMMUTE_FACTOR = 64
 
 
@@ -79,6 +79,8 @@ def estimate_order(rows: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
         raise ValueError("step sizes must be positive")
     if not np.all(e > 0):
         raise ValueError("errors must be positive to fit a slope")
+    if not np.isfinite([h, e]).all():
+        raise ValueError("step sizes and errors must be finite")
     dx, dy = (np.log(v) - np.log(v).mean() for v in (h, e))
     if not dx.any():
         raise ValueError("step sizes must not all be equal")
@@ -156,8 +158,8 @@ class StudyResult:
 
 
 class Reference(NamedTuple):
-    """The ``study`` a section was built for; ``rows`` by (operands, seed): the
-    study's errors in step order and its result's metadata."""
+    """The ``study`` a section was built for; ``rows`` by (operands, seed): the study's
+    errors in step order and its result's metadata, with "commutator": (||[A,B]||, scale)."""
 
     study: ConvergenceStudy
     rows: Dict[tuple, Tuple[Tuple[float, ...], Dict[str, object]]]
@@ -175,9 +177,11 @@ def _reference(study: ConvergenceStudy, schemes, seeds) -> Reference:
 def matrix_reference(study: ConvergenceStudy, schemes, seeds) -> Reference:
     """Every scheme at every seed, in the stacks of ``_pair_stacks`` for m steps:
     per scheme one ``apply_splitting``, e^{TL} from one ``expm`` and S(h)^{n_0 2^j}
-    as row j squared j times, then to the power n_0; one ``op_norm``.  Rows are as alone."""
+    as row j squared j times, then to the power n_0; one ``op_norm`` of the errors and
+    one of [A,B], A and B, whose row is (||[A,B]||, ||A|| ||B||).  Rows are as alone."""
     rows = {}
     for _, stack, a, b in _pair_stacks(study.dim, seeds, len(study.step_sizes)):
+        norms = matrix_core.op_norm(np.stack([_commutator(a, b), a, b])).T.tolist()
         ops = pair_operator_set(a, b)
         gaps = []
         for scheme in schemes:
@@ -187,7 +191,8 @@ def matrix_reference(study: ConvergenceStudy, schemes, seeds) -> Reference:
                 powers[:, j:] = powers[:, j:] @ powers[:, j:]
             gaps.append(np.linalg.matrix_power(powers, study.step_counts[0]) - exact)
         for scheme, errors in zip(schemes, matrix_core.op_norm(np.stack(gaps)).tolist()):
-            rows.update(((scheme.operands, seed), (tuple(e), {})) for seed, e in zip(stack, errors))
+            for seed, e, (size, norm_a, norm_b) in zip(stack, errors, norms):
+                rows[scheme.operands, seed] = tuple(e), {"commutator": (size, norm_a * norm_b)}
     return Reference(study, rows)
 
 
@@ -206,12 +211,14 @@ def _romberg(strang) -> Tuple[WaveFunction, float]:
 def wave_reference(study: ConvergenceStudy, schemes, seeds) -> Reference:
     """Strang and ``schemes``, once per operands, from the unit Gaussian at
     every step count of the study in one stacked call.  A scheme's errors are
-    its runs' distances to ``_romberg`` of Strang's, with their norm defects and
-    its consistency; a wave study draws nothing from its seed, so every seed
-    has the same rows.  Each run is bitwise as alone."""
+    its runs' distances to ``_romberg`` of Strang's, with their norm defects, its
+    consistency and (||[A,B]u0||, max k^2/2 max|V| ||u0||); a wave study draws nothing
+    from its seed, so every seed has the same rows.  Each run is bitwise as alone."""
     grid = Grid1D(study.half_width, study.points)
     potential = potential_by_name(study.potential, grid)
     initial, steps = gaussian_packet(grid), study.step_counts[::-1]  # n, n/2, ...
+    scale = np.max(grid.wavenumbers**2) / 2 * np.abs(potential.samples).max() * initial.l2_norm()
+    commutator = commutator_apply(initial, potential).l2_norm(), scale
     ops = {scheme.operands: scheme for scheme in (make_strang(), *schemes)}
     finals = evolve_runs(initial, potential, study.horizon, steps, *ops.values())
     runs = {key: finals[i * len(steps) : (i + 1) * len(steps)][::-1] for i, key in enumerate(ops)}
@@ -220,24 +227,10 @@ def wave_reference(study: ConvergenceStudy, schemes, seeds) -> Reference:
     for scheme in schemes:
         own = runs[scheme.operands]
         defects = tuple(norm_defect(initial, f) for f in own)
-        extra = {"norm_defects": defects, "reference_consistency": consistency}
+        extra = {"norm_defects": defects, "reference_consistency": consistency, "commutator": commutator}
         row = tuple(_l2_distance(f, state) for f in own), extra
         rows.update(((scheme.operands, seed), row) for seed in seeds)
     return Reference(study, rows)
-
-
-def _commutator_note(study: ConvergenceStudy) -> str:
-    """"" if the study's generators commute (``COMMUTE_FACTOR``), else a note on their size."""
-    if study.problem == "matrix":
-        a, b = _random_skew(study.dim, (study.seed,), 2)[0]
-        size, *norms = matrix_core.op_norm(np.stack([matrix_core.commutator(a, b), a, b])).tolist()
-    else:
-        grid = Grid1D(study.half_width, study.points)
-        v, u0 = potential_by_name(study.potential, grid), gaussian_packet(grid)
-        size = commutator_apply(u0, v).l2_norm()
-        norms = [np.max(grid.wavenumbers**2) / 2, np.abs(v.samples).max(), u0.l2_norm()]
-    bound = COMMUTE_FACTOR * np.finfo(float).eps * float(np.prod(norms))
-    return "" if size <= bound else f"no order measurable, yet [A,B] is {size:.3e}, above {bound:.3e}"
 
 
 def _l2_distance(u: WaveFunction, v: WaveFunction) -> float:
@@ -252,7 +245,7 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
     and seed; without one that holds the study's key, the study builds a one-key
     reference of its kind.  The fit uses every row, and a scheme with a nominal
     order is held to it.  Errors at the floor are "degenerate" only if the
-    generators commute on the study's data (``COMMUTE_FACTOR``).
+    generators commute on the study's data, by its row's commutator (``COMMUTE_FACTOR``).
     """
     scheme = scheme or scheme_by_name(study.scheme_name)
     built = reference and reference.study
@@ -266,10 +259,12 @@ def run_convergence(study: ConvergenceStudy, scheme=None, reference=None) -> Stu
     metadata = {"problem": study.problem, "scheme": study.scheme_name, "seed": study.seed}
     metadata.update(horizon=study.horizon, **extra)
     fitted_order = r2 = None
-    if max(errors) <= ERROR_FLOOR:
-        commutator = _commutator_note(study)
-        verdict = "fail" if commutator else "degenerate"
-        notes = [commutator or "degenerate: no order measurable"]
+    size, scale = extra["commutator"]
+    bound = COMMUTE_FACTOR * np.finfo(float).eps * scale
+    if max(errors) <= ERROR_FLOOR and size > bound:
+        verdict, notes = "fail", [f"no order measurable, yet [A,B] is {size:.3e}, above {bound:.3e}"]
+    elif max(errors) <= ERROR_FLOOR:
+        verdict, notes = "degenerate", ["degenerate: no order measurable"]
     elif any(e <= 0 for e in errors):
         verdict, notes = "inconclusive", ["zero error at finite step"]
     elif any(a <= b for a, b in zip(errors, errors[1:])):
@@ -545,8 +540,5 @@ def run_schrodinger_benchmark(study: ConvergenceStudy, scheme=None):
         raise ValueError("benchmark runs are wave-problem studies")
     result = run_convergence(study, scheme=scheme)
     defects = result.metadata["norm_defects"]
-    rows = tuple(
-        BenchmarkRow(h, err, defect)
-        for (h, err), defect in zip(result.rows, defects)
-    )
+    rows = tuple(BenchmarkRow(h, err, defect) for (h, err), defect in zip(result.rows, defects))
     return rows, result

@@ -1,18 +1,20 @@
 """A committed fault matrix: each planted fault must fail a shipping check.
 
-A fault replaces one module attribute through ``monkeypatch``, with no edit to
-a source file, and the five subcommands then run in process at their shipped
-defaults, and on both ``bench/configs`` files, read in place.  A fault is
-killed when some run exits 1 or raises out of ``main``, which the process
-reports with its traceback and exit 1.  A killed fault names the runs that kill
-it and how they end, exit 1 from a verdict or a raise, and they must keep
-killing it that way: a plant that breaks itself, such as a wrapper that no
-longer fits what it wraps, raises, and so fails a row that ends in exit 1.  A
+A fault replaces one module attribute, or every ``trisplit`` binding of one
+function, through ``monkeypatch``, with no edit to a source file, and the five
+subcommands then run in process at their shipped defaults, and on both
+``bench/configs`` files, read in place.  A fault is killed when some run
+exits 1 or raises out of ``main``, which the process reports with its
+traceback and exit 1.  A killed fault names the runs that kill it and how they
+end, exit 1 from a verdict or a raise, and they must keep killing it that
+way: a plant that breaks itself, such as a wrapper that no longer fits what it
+wraps, raises, and so fails a row that ends in exit 1.  A
 fault that no run fails is a strict xfail whose reason names the ROADMAP item
 that will kill it, so the day a check starts killing it the xfail turns into a
 failure and its entry must move to the killed rows.
 """
 
+import sys
 from dataclasses import replace
 from functools import reduce
 from pathlib import Path
@@ -39,6 +41,16 @@ RUNS = {command: [command] for command in COMMANDS} | {
 
 #: the runs that solve the wave problem
 WAVE_RUNS = ("schrodinger-bench", "convergence wave-convergence.ini", "schrodinger-bench wave-bench.ini")
+
+
+def plant_everywhere(monkeypatch, original, replacement):
+    # ``replacement`` wherever a trisplit module binds ``original``, so that a
+    # ``from ... import`` binding cannot miss the plant
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "trisplit":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 def reversed_fold(monkeypatch):
@@ -116,6 +128,44 @@ def wavenumbers_scaled(monkeypatch):
     monkeypatch.setattr(schrodinger.Grid1D, "wavenumbers", scaled)
 
 
+def op_norm_doubled(monkeypatch):
+    original = matrix_core.op_norm
+    plant_everywhere(monkeypatch, original, lambda m: 2 * original(m))
+
+
+def op_norm_frobenius(monkeypatch):
+    # the Frobenius norm, at least the spectral one and at most sqrt(n) times it
+    def frobenius(m):
+        return np.linalg.norm(np.asarray(m), axis=(-2, -1))
+
+    plant_everywhere(monkeypatch, matrix_core.op_norm, frobenius)
+
+
+def l2_norm_doubled(monkeypatch):
+    true = schrodinger.WaveFunction.l2_norm
+    monkeypatch.setattr(schrodinger.WaveFunction, "l2_norm", lambda u: 2 * true(u))
+
+
+def packet_center_flipped(monkeypatch):
+    # exp(-(x + center)^2 / (2 sigma^2)): only a moving packet would show it
+    def packet(grid, sigma=1.0, center=0.0, momentum=0.0):
+        x = grid.x
+        samples = np.exp(-((x + center) ** 2) / (2.0 * sigma**2) + 1j * momentum * x)
+        return schrodinger.WaveFunction(samples, grid)
+
+    plant_everywhere(monkeypatch, schrodinger.gaussian_packet, packet)
+
+
+def forward_kernel_weights_swapped(monkeypatch):
+    # V1 weighted r and V2 weighted tau - r: the identity blocks moved
+    def kernel(tau, p1, p2, k1, k2, e1, e2):
+        eye = np.eye(p1.shape[0], dtype=np.complex128)
+        v1 = duhamel._van_loan(tau, p1, k1, p1, eye, p1)
+        return v1 @ e2 + e1 @ duhamel._van_loan(tau, p2, eye, p2, k2, p2)
+
+    monkeypatch.setattr(duhamel, "_forward_kernel", kernel)
+
+
 def grid_dx_scaled(monkeypatch):
     # dx = 2 L N, the / of 2 L / N turned into *
     monkeypatch.setattr(schrodinger.Grid1D, "dx", property(lambda g: 2.0 * g.half_width * g.points))
@@ -177,6 +227,11 @@ def test_no_run_takes_an_lu_or_least_squares_solve(monkeypatch):
         survivor(psi_series_cut, "psi-taylor-5", "item 18"),
         survivor(phase_flipped, "potential-phase-flip", "items 3 and 12"),
         survivor(wavenumbers_scaled, "wavenumbers-scaled", "items 3 and 19"),
+        survivor(op_norm_doubled, "op-norm-x2", "item 25"),
+        survivor(op_norm_frobenius, "op-norm-frobenius", "item 25"),
+        survivor(l2_norm_doubled, "l2-norm-x2", "item 25"),
+        survivor(packet_center_flipped, "packet-center-flipped", "items 3, 4 and 12"),
+        survivor(forward_kernel_weights_swapped, "forward-kernel-weights-swapped", "item 20"),
     ],
 )
 def test_planted_fault_fails_a_shipping_check(monkeypatch, plant, killers, ending):

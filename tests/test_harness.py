@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -72,6 +73,20 @@ def test_estimate_order_input_validation():
         estimate_order([(0.5, np.nan), (0.25, 1.0), (0.125, 0.5)])
     with pytest.raises(ValueError, match="^step sizes must be positive$"):
         estimate_order([(np.nan, 1e-3), (0.25, 1e-4), (0.125, 1e-5)])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(1.0, np.inf), (0.5, 1.0), (0.25, 1.0)], [(np.inf, 1.0), (0.5, 1.0), (0.25, 1.0)]],
+    ids=["error", "step"],
+)
+def test_estimate_order_refuses_an_infinity(rows):
+    # an infinite error or step passes the positivity checks, and is refused
+    # before any log is taken, so no RuntimeWarning is emitted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^step sizes and errors must be finite$"):
+            estimate_order(rows)
 
 
 def test_closed_form_fit_agrees_with_polyfit_on_noisy_ladders():
@@ -195,17 +210,23 @@ def test_matrix_convergence_degenerate_for_commuting_pair():
     assert result.fitted_order is None
 
 
-def plant_section(monkeypatch, study, errors):
-    # every matrix section the harness builds holds only these Strang errors
-    section = harness.Reference(study, {(make_strang().operands, study.seed): (errors, {})})
-    monkeypatch.setattr(harness, "matrix_reference", lambda *args: section)
+def plant_section(monkeypatch, errors):
+    # every matrix section the harness builds holds these errors in each row,
+    # and the real section's metadata, its commutator included
+    original = harness.matrix_reference
+
+    def planted(*args):
+        section = original(*args)
+        return section._replace(rows={key: (errors, extra) for key, (_, extra) in section.rows.items()})
+
+    monkeypatch.setattr(harness, "matrix_reference", planted)
 
 
 def test_errors_at_the_floor_fail_when_the_pair_does_not_commute(monkeypatch):
     # a 2 x 2 pair with every error planted at the floor: the note names
     # ||[A,B]|| and the bound it exceeds, 64 eps ||A|| ||B||
     study = ConvergenceStudy("matrix", "strang", dyadic(4, 4), 1.0, seed=5, dim=2)
-    plant_section(monkeypatch, study, (1e-13, 1e-14, 1e-15, 1e-16))
+    plant_section(monkeypatch, (1e-13, 1e-14, 1e-15, 1e-16))
     result = run_convergence(study)
     a, b = harness._random_skew(2, (5,), 2)[0]
     bound = 64 * np.finfo(float).eps * op_norm(a) * op_norm(b)
@@ -226,10 +247,64 @@ def test_degenerate_wave_study_on_a_broken_grid_fails(monkeypatch):
     assert float(size) > 1e10 * float(bound)
 
 
+def test_schrodinger_bench_on_a_broken_grid_prints_its_commutator(monkeypatch, capsys):
+    # the default wave study under dx = 2 L N: its note names ||[A,B]u0|| and
+    # the bound it exceeds
+    monkeypatch.setattr(schrodinger.Grid1D, "dx", property(lambda g: 2.0 * g.half_width * g.points))
+    assert cli.main(["schrodinger-bench"]) == cli.EXIT_FAIL
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "FAIL schrodinger-bench: fitted order n/a "
+        "(no order measurable, yet [A,B] is 4.664e-16, above 3.147e-29)"
+    )
+
+
+@pytest.mark.parametrize("dim, planted, verdict", [(1, False, "degenerate"), (2, True, "fail")])
+def test_a_matrix_section_at_the_floor_draws_each_pair_once(monkeypatch, dim, planted, verdict):
+    # a 1 x 1 pair commutes, so its errors are at the floor; a 2 x 2 pair's are
+    # planted there: either way the section's one draw serves its commutators
+    if planted:
+        plant_section(monkeypatch, (1e-13, 1e-14, 1e-15, 1e-16))
+    study = ConvergenceStudy("matrix", "strang", dyadic(4, 4), 1.0, seed=5, dim=dim)
+    calls = {"_random_skew": 0}
+    count_calls(monkeypatch, harness, "_random_skew", calls)
+    results = list(run_studies(study, [make_strang(), splitting.make_lie_trotter()], 3))
+    assert [r.verdict for r in results] == [verdict] * 6
+    assert calls == {"_random_skew": 1}
+
+
+def test_matrix_rows_carry_their_pairs_commutator():
+    # (||[A,B]||, ||A|| ||B||) of each seed's pair, from the validating
+    # commutator and one op_norm per matrix, in every scheme's row
+    study = ConvergenceStudy("matrix", "strang", dyadic(4, 4), 1.0, seed=11, dim=3)
+    results = list(run_studies(study, [make_strang(), splitting.make_lie_trotter()], 3))
+    for result in results:
+        a, b = harness._random_skew(study.dim, (result.metadata["seed"],), 2)[0]
+        assert result.metadata["commutator"] == (op_norm(commutator(a, b)), op_norm(a) * op_norm(b))
+
+
+def test_a_wave_section_applies_the_commutator_once(monkeypatch):
+    # one commutator_apply for a section of two schemes, whose rows share its
+    # pair: ||[A,B]u0|| near the closed form ||(1/2) V'' u0 + V' u0'|| of the
+    # decayed packet, and the scale max k^2/2 max|V| ||u0||
+    calls = {"commutator_apply": 0}
+    count_calls(monkeypatch, harness, "commutator_apply", calls)
+    results = list(run_studies(SMALL_STRANG, [make_strang(), splitting.make_lie_trotter()], 3))
+    assert calls == {"commutator_apply": 1}
+    grid = schrodinger.Grid1D(SMALL_STRANG.half_width, SMALL_STRANG.points)
+    v, x = potential_by_name(SMALL_STRANG.potential, grid), grid.x
+    u0 = np.exp(-(x**2) / 2)
+    closed = WaveFunction(v.deriv2 * u0 / 2 - v.deriv1 * x * u0, grid).l2_norm()
+    scale = np.max(grid.wavenumbers**2) / 2 * np.abs(v.samples).max() * WaveFunction(u0, grid).l2_norm()
+    size, pair_scale = results[0].metadata["commutator"]
+    assert {r.metadata["commutator"] for r in results} == {(size, pair_scale)}
+    assert size == pytest.approx(closed, rel=1e-6)
+    assert pair_scale == scale
+
+
 def test_zero_error_at_a_finite_step_is_inconclusive(monkeypatch):
     # the zero is planted in the section the study reads its rows from
     study = ConvergenceStudy("matrix", "strang", dyadic(4, 4), 1.0, seed=5, dim=2)
-    plant_section(monkeypatch, study, (1e-2, 2.5e-3, 0.0, 1.5e-4))
+    plant_section(monkeypatch, (1e-2, 2.5e-3, 0.0, 1.5e-4))
     result = run_convergence(study)
     assert (result.verdict, result.notes, result.fitted_order) == (
         "inconclusive", "zero error at finite step", None,

@@ -39,7 +39,6 @@ UNREACHED = {
     "duhamel.duhamel_error.levels": BLOCK_PATH,
     "duhamel.z_integral": "test oracle: acceptance criterion 6",
     "harness.StudyResult.passed": "library API",
-    "harness._commutator_note": "failure path: errors at the floor; the fault matrix's grid-dx-scaled row",
     "harness.sample_constrained_triple": "settled: the k = 1 case of the campaign draw",
     "lie_symbolic.CosetReduction.in_ideal": "library API",
     "lie_symbolic.FreeElement.__eq__": "library API",
@@ -56,11 +55,9 @@ UNREACHED = {
     "matrix_core.random_skew_hermitian": "settled: the one-matrix case of _random_skew",
     "schrodinger.Potential.cosine": "library API: a config may name it, and no shipped one does",
     "schrodinger.Potential.linear": "library API: a config may name it, and no shipped one does",
-    "schrodinger.commutator_apply": "ROADMAP items 4, 12 and 21; acceptance criterion 8",
     "schrodinger.double_commutator_apply": "ROADMAP items 4, 12 and 21; acceptance criterion 8",
     "schrodinger.evolve": "settled: bench/ calls it",
     "schrodinger.free_gaussian_evolution": "test oracle: acceptance criterion 7",
-    "schrodinger.spectral_derivative": "test oracle: acceptance criteria 7 and 8",
     "splitting.leading_error_E3": "ROADMAP items 5, 14 and 21; acceptance criterion 3",
 }
 
